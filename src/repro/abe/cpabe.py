@@ -3,7 +3,7 @@
 The paper encrypts record contents and every verification object under
 CP-ABE [Bethencourt-Sahai-Waters].  We implement the LSSS form of the
 scheme (Waters' variant), which shares the monotone-span-program machinery
-of :mod:`repro.policy.msp`, over the asymmetric pairing:
+of :mod:`repro.policy.compiler.msp`, over the asymmetric pairing:
 
 * ``Setup``  -> public key ``(g1, g1^a, e(g1, g2)^alpha)`` + master key
   ``(alpha, a)``; attributes hash into G1 via the random oracle H.

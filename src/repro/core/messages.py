@@ -10,8 +10,6 @@ here, so an SP can run behind any transport (socket, HTTP body, queue):
   plaintext VO or a sealed envelope;
 * :class:`SPServer` — ``handle(request_bytes) -> response_bytes`` on top
   of a :class:`~repro.core.system.ServiceProvider`;
-* :class:`RemoteUser` — a client that speaks the wire format and funnels
-  responses into the usual verifier;
 * :class:`ErrorResponse` — the typed error frame a hardened SP returns
   instead of crashing (consumed by :mod:`repro.net`).
 
@@ -22,16 +20,15 @@ elements raise :class:`~repro.errors.DeserializationError` (fuzzing in
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.abe.cpabe import CpAbeCiphertext
 from repro.abe.hybrid import HybridEnvelope
 from repro.core.persistence import NodeReplacement
 from repro.core.system import QueryResponse, ServiceProvider
-from repro.core.vo import VerificationObject, _Reader, _encode_bytes, _encode_point
+from repro.core.vo import VerificationObject, _Reader, _encode_bytes, _encode_point, _strict_decode
 from repro.crypto.group import G1, G2, GT, BilinearGroup
-from repro.errors import DeserializationError, PolicyError, ReproError, WorkloadError
+from repro.errors import DeserializationError, ReproError, WorkloadError
 from repro.index.boxes import Box
 from repro.obs import trace as _trace
 from repro.policy.boolexpr import parse_policy
@@ -57,26 +54,6 @@ _UPDATE_KINDS = ("upsert", "delete")
 #: folded in — idempotent re-delivery), gap (seq skips ahead; the DO must
 #: replay from ``applied_seq + 1``).
 INGEST_STATUSES = ("applied", "duplicate", "gap")
-
-
-@contextmanager
-def _strict_decode(what: str):
-    """Normalize every malformed-frame failure to DeserializationError.
-
-    Codec internals can surface ``UnicodeDecodeError`` (partial UTF-8),
-    ``PolicyParseError`` (truncated policy strings), ``IndexError`` /
-    ``ValueError`` / ``OverflowError`` (mangled integers), or
-    ``WorkloadError`` (an inverted query box) — a caller fed attacker- or
-    fault-controlled bytes must see exactly one error type.
-    """
-    try:
-        yield
-    except DeserializationError:
-        raise
-    except (IndexError, KeyError, OverflowError, PolicyError, ValueError,
-            WorkloadError) as exc:
-        # UnicodeDecodeError is a ValueError subclass.
-        raise DeserializationError(f"malformed {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -524,7 +501,7 @@ def is_error_frame(data: bytes) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Server / client over bytes
+# Server over bytes
 # ---------------------------------------------------------------------------
 
 class SPServer:
@@ -559,35 +536,3 @@ class SPServer:
         else:  # pragma: no cover - from_bytes validates kinds
             raise WorkloadError(f"unknown query kind {request.kind!r}")
         return encode_response(response)
-
-
-class RemoteUser:
-    """Client-side wrapper: builds requests, verifies decoded responses."""
-
-    def __init__(self, user):
-        self.user = user
-
-    def query_range(self, server: SPServer, table: str, lo, hi, encrypt: bool = True):
-        request = QueryRequest(
-            kind="range", table=table, lo=tuple(lo), hi=tuple(hi),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        response = decode_response(self.user.group, server.handle(request.to_bytes()))
-        return self.user.verify(response)
-
-    def query_equality(self, server: SPServer, table: str, key, encrypt: bool = True):
-        request = QueryRequest(
-            kind="equality", table=table, lo=tuple(key), hi=tuple(key),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        response = decode_response(self.user.group, server.handle(request.to_bytes()))
-        return self.user.verify(response)
-
-    def query_join(self, server: SPServer, left: str, right: str, lo, hi,
-                   encrypt: bool = True):
-        request = QueryRequest(
-            kind="join", table=left, right_table=right, lo=tuple(lo), hi=tuple(hi),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        response = decode_response(self.user.group, server.handle(request.to_bytes()))
-        return self.user.verify_join(response)

@@ -19,15 +19,36 @@ reported by benchmarks are real serialized byte counts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from repro.abs.scheme import AbsSignature
 from repro.core.records import Record
 from repro.crypto.group import BilinearGroup
-from repro.errors import DeserializationError
+from repro.errors import DeserializationError, PolicyError, WorkloadError
 from repro.index.boxes import Box, Point
 from repro.policy.boolexpr import BoolExpr, parse_policy
+
+
+@contextmanager
+def _strict_decode(what: str):
+    """Normalize every malformed-frame failure to DeserializationError.
+
+    Codec internals can surface ``UnicodeDecodeError`` (partial UTF-8),
+    ``PolicyParseError`` (truncated policy strings), ``IndexError`` /
+    ``ValueError`` / ``OverflowError`` (mangled integers), or
+    ``WorkloadError`` (an inverted query box) — a caller fed attacker- or
+    fault-controlled bytes must see exactly one error type.
+    """
+    try:
+        yield
+    except DeserializationError:
+        raise
+    except (IndexError, KeyError, OverflowError, PolicyError, ValueError,
+            WorkloadError) as exc:
+        # UnicodeDecodeError is a ValueError subclass.
+        raise DeserializationError(f"malformed {what}: {exc}") from exc
 
 
 def _encode_bytes(data: bytes) -> bytes:
@@ -232,15 +253,18 @@ class VerificationObject:
 
     @classmethod
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "VerificationObject":
-        reader = _Reader(data)
-        count = int.from_bytes(reader.take(4), "big")
-        entries: list[VOEntry] = []
-        for _ in range(count):
-            tag = reader.take(1)[0]
-            entry_type = _ENTRY_TYPES.get(tag)
-            if entry_type is None:
-                raise DeserializationError(f"unknown VO entry tag {tag}")
-            entries.append(entry_type._read(reader, group))
-        if not reader.exhausted:
-            raise DeserializationError("trailing bytes after VO entries")
-        return cls(entries=entries)
+        # A sealed VO is opened from bytes the SP chose (it seals with the
+        # public CP-ABE key), so the codec owns its failure contract.
+        with _strict_decode("verification object"):
+            reader = _Reader(data)
+            count = int.from_bytes(reader.take(4), "big")
+            entries: list[VOEntry] = []
+            for _ in range(count):
+                tag = reader.take(1)[0]
+                entry_type = _ENTRY_TYPES.get(tag)
+                if entry_type is None:
+                    raise DeserializationError(f"unknown VO entry tag {tag}")
+                entries.append(entry_type._read(reader, group))
+            if not reader.exhausted:
+                raise DeserializationError("trailing bytes after VO entries")
+            return cls(entries=entries)

@@ -11,8 +11,10 @@ zero-knowledge core — without ever weakening it:
 * :mod:`repro.net.server` — :class:`ResilientSPServer`, a frame loop
   that turns every per-request failure into a typed error frame, plus
   liveness probes (``ready`` / ``draining``) that bypass admission;
-* :mod:`repro.net.client` — :class:`ResilientClient` with bounded
-  retries, deadlines, duplicate detection, and a circuit breaker;
+* :mod:`repro.net.client` — the shared user-side query pipeline
+  (:class:`~repro.net.client.QueryClient`) and :class:`ResilientClient`
+  on top of it, with bounded retries, deadlines, duplicate detection,
+  and a circuit breaker;
 * :mod:`repro.net.cluster` — :class:`ReplicatedClient`, which fans a
   logical query over N replica endpoints with per-endpoint breakers,
   health-ranked failover, hedged requests, and **Byzantine quarantine**

@@ -1,9 +1,14 @@
 """A fault-tolerant query client: retries, deadlines, circuit breaking.
 
-:class:`ResilientClient` is the operational counterpart of
-:class:`~repro.core.messages.RemoteUser`: the same three queries
-(equality / range / join), but spoken through a :class:`~repro.net.
-transport.Transport` that is allowed to fail.  Per logical query it:
+:class:`QueryClient` is the user side of the protocol, defined once:
+it builds the three queries (equality / range / join), runs each under
+one ``client.query``/``cluster.query`` span with its ``CostLedger`` wall
+time, opens and verifies every response (optionally through a deferred
+:class:`~repro.net.window.VerificationWindow`), and classifies failed
+attempts into :class:`ClientStats`.  Its two subclasses differ only in
+their attempt loop.  :class:`ResilientClient` speaks through one
+:class:`~repro.net.transport.Transport` that is allowed to fail.  Per
+logical query it:
 
 1. fails fast with :class:`~repro.errors.CircuitOpenError` while the
    circuit breaker is open; a half-open trial first sends a cheap
@@ -32,6 +37,16 @@ malformed query semantics), raised immediately as
 :class:`~repro.errors.WorkloadError`, and a CP-ABE policy denial
 (the user's attributes do not satisfy the sealed result's policy),
 raised immediately as :class:`~repro.errors.AccessDeniedError`.
+
+The single-endpoint loop and the failover loop of
+:class:`~repro.net.cluster.ReplicatedClient` differ on purpose, because
+one SP and N replicas call for different policies: this breaker counts
+*logical queries* while the cluster's per-endpoint breakers count
+*attempts*; an open breaker here fails fast, while the cluster sleeps
+until the earliest endpoint relief; a tamper from the only SP is
+retried, while the cluster quarantines the endpoint; and an uncaught
+:class:`~repro.errors.ReproError` propagates here, while the cluster
+fails over to the next replica.
 """
 
 from __future__ import annotations
@@ -270,6 +285,56 @@ def is_tamper_error(exc: BaseException) -> bool:
     return isinstance(exc, TAMPER_ERRORS)
 
 
+#: Failed-attempt classes in match order: (exception classes, the
+#: :class:`ClientStats` field counting them, the metric label).  The
+#: order makes the last row exactly :func:`is_tamper_error`:
+#: deserialization and stale-epoch failures match earlier rows.  Stale
+#: epochs are degraded, not Byzantine: counted apart so dashboards can
+#: tell a replica lagging behind rotations from forged proofs.
+_WIRE_ERROR_CLASSES = (
+    (DeserializationError, "decode_failures", "decode"),
+    (OverloadedError, "overload_rejections", "overloaded"),
+    (TransportError, "transport_errors", "transport"),
+    (StaleEpochError, "stale_epochs", "stale-epoch"),
+    (TAMPER_ERRORS, "verification_failures", "verification"),
+)
+
+
+def count_wire_error(exc: BaseException, counters: ClientStats) -> Optional[str]:
+    """Count one failed attempt in ``counters``; returns its class label.
+
+    The one classification both clients use (``wire_exchange`` itself
+    only counts what it can see: duplicates and error frames).  Errors
+    that say nothing about the wire or the proof — a policy denial, a
+    workload rejection — are left uncounted and return ``None``.
+    """
+    for kinds, field_name, label in _WIRE_ERROR_CLASSES:
+        if isinstance(exc, kinds):
+            setattr(counters, field_name, getattr(counters, field_name) + 1)
+            return label
+    return None
+
+
+def _request_id(rng: Optional[random.Random]) -> bytes:
+    """A fresh 128-bit request id, drawn from ``rng`` or, if None, the OS.
+
+    The seeded draw always takes the full 128 bits: a stable rng-stream
+    contract the deterministic backoff/deadline tests rely on.
+    """
+    if rng is None:
+        return os.urandom(REQUEST_ID_BYTES)
+    return rng.getrandbits(8 * REQUEST_ID_BYTES).to_bytes(REQUEST_ID_BYTES, "big")
+
+
+def _control_exchange(transport, request_id: bytes, payload: bytes,
+                      what: str) -> bytes:
+    """Round-trip a control frame; reject a reply under another id."""
+    reply_id, body = unframe(transport.round_trip(frame(request_id, payload)))
+    if reply_id != request_id:
+        raise TransportError(f"{what} response id mismatch")
+    return body
+
+
 def wire_exchange(transport, payload: bytes, verify: Callable, group,
                   rng: random.Random, counters: ClientStats):
     """One framed request/verify exchange — the shared wire attempt.
@@ -282,14 +347,10 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
     this function, so duplicate detection and error-frame semantics can
     never drift between the single-endpoint and replicated paths.
     """
-    # Always draw the full 128 bits (a stable rng-stream contract the
-    # deterministic backoff/deadline tests rely on), then stamp the
-    # active trace id over the first 8 bytes for wire correlation.
-    request_id = rng.getrandbits(8 * REQUEST_ID_BYTES).to_bytes(
-        REQUEST_ID_BYTES, "big"
-    )
+    # Stamp the active trace id over the first 8 bytes of the fresh id
+    # for wire correlation.
     trace_id = _trace.current_trace_id()
-    request_id = embed_trace_id(request_id, trace_id)
+    request_id = embed_trace_id(_request_id(rng), trace_id)
     attempt_span = _trace.current_span()
     if attempt_span is not None:
         # The graft key the span relay matches on: the server stamps the
@@ -351,15 +412,10 @@ def probe_endpoint(transport, rng: random.Random) -> str:
     """
     from repro.net.server import PROBE_REQUEST, decode_probe_response
 
-    request_id = rng.getrandbits(8 * REQUEST_ID_BYTES).to_bytes(
-        REQUEST_ID_BYTES, "big"
+    request_id = embed_trace_id(_request_id(rng), _trace.current_trace_id())
+    return decode_probe_response(
+        _control_exchange(transport, request_id, PROBE_REQUEST, "probe")
     )
-    request_id = embed_trace_id(request_id, _trace.current_trace_id())
-    reply = transport.round_trip(frame(request_id, PROBE_REQUEST))
-    reply_id, body = unframe(reply)
-    if reply_id != request_id:
-        raise TransportError("probe response id mismatch")
-    return decode_probe_response(body)
 
 
 def fetch_trace_spans(transport, trace_id: str) -> list[dict]:
@@ -372,37 +428,39 @@ def fetch_trace_spans(transport, trace_id: str) -> list[dict]:
     """
     from repro.net.server import TRACE_REQUEST, decode_trace_response
 
-    request_id = os.urandom(REQUEST_ID_BYTES)
     raw = bytes.fromhex(trace_id)
     if len(raw) != _trace.TRACE_ID_BYTES:
         raise TransportError(f"malformed trace id {trace_id!r}")
-    reply = transport.round_trip(frame(request_id, TRACE_REQUEST + raw))
-    reply_id, body = unframe(reply)
-    if reply_id != request_id:
-        raise TransportError("trace scrape response id mismatch")
-    return decode_trace_response(body)
+    return decode_trace_response(_control_exchange(
+        transport, _request_id(None), TRACE_REQUEST + raw, "trace scrape"
+    ))
 
 
-class ResilientClient:
-    """Fault-tolerant three-query client over an unreliable transport."""
+class QueryClient:
+    """The user-side query pipeline both per-endpoint clients share.
 
-    def __init__(
-        self,
-        user,
-        transport: Transport,
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        clock: Optional[Clock] = None,
-        rng: Optional[random.Random] = None,
-        verification_window: Optional[int] = None,
-    ):
+    Builds the three queries, runs each under one root span (named by
+    :attr:`SPAN`) with its ``CostLedger`` wall time, verifies responses
+    (deferred through a :class:`~repro.net.window.VerificationWindow`
+    when opted in), and owns the deadline and backoff arithmetic.  A
+    subclass supplies ``counters`` and the attempt loop,
+    ``_execute_traced(request, verify, query_span)``.
+    """
+
+    #: Root span name of one logical query.
+    SPAN = "client.query"
+    #: Registry-key prefix of this client's slice in :meth:`stats`.
+    METRICS_PREFIX = "repro_client_"
+    #: Histogram prefix of the ``quantiles`` summary in :meth:`stats`.
+    QUANTILES_PREFIX = "repro_"
+
+    def __init__(self, user, policy: Optional[RetryPolicy],
+                 clock: Optional[Clock], rng: Optional[random.Random],
+                 verification_window: Optional[int]):
         self.user = user
-        self.transport = transport
         self.policy = policy or RetryPolicy()
         self.clock = clock or Clock()
-        self.breaker = breaker or CircuitBreaker(clock=self.clock)
         self.rng = rng or random.Random()
-        self.counters = ClientStats()
         self._last_trace_id: Optional[str] = None
         #: Opt-in deferred verification: equality/range APS checks settle
         #: in one bilinearity-merged batch every ``verification_window``
@@ -415,31 +473,26 @@ class ResilientClient:
             self.window = VerificationWindow(user, verification_window, rng=self.rng)
 
     def stats(self) -> dict:
-        """One operational snapshot: counters, breaker state, obs registry.
+        """One operational snapshot: counters, endpoint state, obs registry.
 
-        The ``registry`` section is the client-side slice of the global
+        The ``registry`` section is this client's slice of the global
         metrics registry (empty when ``REPRO_OBS=0``) with raw histogram
         bucket dumps elided — latency distributions surface as
         interpolated ``quantiles`` summaries instead; ``ledger`` is the
         cost account of this client's most recent traced query.
-        ``counters`` and ``breaker`` are always live.
+        ``counters`` and the endpoint state are always live.
         """
         snapshot = _metrics.registry().snapshot()
         last = _ledger.ledger().get(self._last_trace_id)
         return {
             "counters": self.counters.as_dict(),
-            "breaker": {
-                "state": self.breaker.state,
-                "consecutive_failures": self.breaker.failures,
-                "failure_threshold": self.breaker.failure_threshold,
-                "reset_timeout": self.breaker.reset_timeout,
-            },
+            **self._endpoint_state(),
             "registry": {
                 key: value for key, value in snapshot.items()
-                if key.startswith("repro_client_")
+                if key.startswith(self.METRICS_PREFIX)
                 and "|le=" not in key and not key.endswith("|sum")
             },
-            "quantiles": _metrics.quantile_summaries(prefix="repro_"),
+            "quantiles": _metrics.quantile_summaries(prefix=self.QUANTILES_PREFIX),
             "ledger": last.as_dict() if last is not None else None,
         }
 
@@ -480,11 +533,10 @@ class ResilientClient:
         )
         return self._execute(request, self.user.verify_join)
 
-    # -- the retry loop ------------------------------------------------------
     def _execute(self, request: QueryRequest, verify: Callable):
         wall_t0 = time.perf_counter()
         with _trace.span(
-            "client.query", kind=request.kind, table=request.table
+            self.SPAN, kind=request.kind, table=request.table
         ) as query_span:
             trace_id = getattr(query_span, "trace_id", None)
             if trace_id is not None:
@@ -496,6 +548,67 @@ class ResilientClient:
                     trace_id, time.perf_counter() - wall_t0
                 )
 
+    def _probe(self, transport) -> Optional[str]:
+        """Best-effort liveness probe before spending a half-open trial.
+
+        Returns the server's status word, or ``None`` when the probe
+        failed: a failed or garbled probe proves nothing (old server,
+        line noise, a tamperer corrupting cheap frames), so the real
+        query proceeds and the endpoint is judged on its answer.
+        """
+        try:
+            status = probe_endpoint(transport, self.rng)
+        except ReproError:
+            return None
+        self.counters.probes += 1
+        return status
+
+    # -- deadline and backoff ------------------------------------------------
+    def _expired(self, start: float) -> bool:
+        if self.policy.deadline is None:
+            return False
+        return self.clock.now() - start >= self.policy.deadline
+
+    def _bounded_backoff(self, attempt: int, start: float,
+                         floor: float = 0.0) -> float:
+        """Backoff for ``attempt``, floored by a server retry-after hint
+        and clamped so the client never sleeps past its own deadline."""
+        delay = max(self.policy.backoff(attempt, self.rng), floor)
+        if self.policy.deadline is not None:
+            remaining = self.policy.deadline - (self.clock.now() - start)
+            delay = min(delay, max(0.0, remaining))
+        return delay
+
+
+class ResilientClient(QueryClient):
+    """Fault-tolerant three-query client over an unreliable transport."""
+
+    def __init__(
+        self,
+        user,
+        transport: Transport,
+        policy: Optional[RetryPolicy] = None,
+        breaker: Optional[CircuitBreaker] = None,
+        clock: Optional[Clock] = None,
+        rng: Optional[random.Random] = None,
+        verification_window: Optional[int] = None,
+    ):
+        super().__init__(user, policy, clock, rng, verification_window)
+        self.transport = transport
+        self.breaker = breaker or CircuitBreaker(clock=self.clock)
+        self.counters = ClientStats()
+
+    def _endpoint_state(self) -> dict:
+        return {
+            "breaker": {
+                "state": self.breaker.state,
+                "consecutive_failures": self.breaker.failures,
+                "failure_threshold": self.breaker.failure_threshold,
+                "reset_timeout": self.breaker.reset_timeout,
+            },
+        }
+
+    # -- the retry loop ------------------------------------------------------
     def _execute_traced(self, request: QueryRequest, verify: Callable, query_span):
         was_half_open = self.breaker.state == "half-open"
         if not self.breaker.allow():
@@ -506,13 +619,24 @@ class ResilientClient:
                 f"circuit open after {self.breaker.failures} consecutive "
                 f"failures; retry after {self.breaker.reset_timeout}s"
             )
-        if was_half_open and self._probe_says_draining():
+        try:
+            return self._retry_loop(request, verify, query_span, was_half_open)
+        finally:
+            if was_half_open:
+                # Every exit resolves the claimed half-open probe — even
+                # an exception no branch of the loop expects — or the
+                # breaker is stuck with the slot taken and rejects every
+                # later query.  Idempotent after record_success/failure.
+                self.breaker.release_probe()
+
+    def _retry_loop(self, request: QueryRequest, verify: Callable, query_span,
+                    was_half_open: bool):
+        if was_half_open and self._probe(self.transport) == "draining":
             # The server is alive but gracefully draining: failing the
             # half-open probe with a real query would re-open the breaker
             # for a full window and delay re-admission long past the
             # server's resume().  Free the probe slot without judgement
             # and surface a typed overload instead.
-            self.breaker.release_probe()
             self.counters.probe_deferrals += 1
             _M_OUTCOMES.inc(outcome="draining")
             _LOG.warning("probe_deferred", kind=request.kind, table=request.table)
@@ -534,15 +658,16 @@ class ResilientClient:
             _M_ATTEMPTS.inc()
             try:
                 with _trace.span("client.attempt", attempt=attempt):
-                    result = self._attempt(payload, verify)
+                    result = wire_exchange(
+                        self.transport, payload, verify, self.user.group,
+                        self.rng, self.counters,
+                    )
             except (WorkloadError, AccessDeniedError) as exc:
                 # Deterministic rejection: the query itself is wrong
                 # (workload), or the user's attributes do not satisfy
                 # the result's policy (access denied).  Not an SP
-                # failure — the breaker does not count it, but a
-                # claimed half-open probe must still be resolved or the
-                # breaker is stuck with the slot taken forever.
-                self.breaker.release_probe()
+                # failure — the breaker does not count it (a claimed
+                # half-open probe is freed on the way out).
                 self.counters.failures += 1
                 _M_OUTCOMES.inc(outcome=(
                     "workload_rejected" if isinstance(exc, WorkloadError)
@@ -551,7 +676,7 @@ class ResilientClient:
                 raise
             except _RETRYABLE as exc:
                 last_error = exc
-                self._classify(exc)
+                _M_ATTEMPT_ERRORS.inc(**{"class": count_wire_error(exc, self.counters)})
                 _LOG.warning(
                     "attempt_failed", attempt=attempt,
                     error=type(exc).__name__,
@@ -587,57 +712,3 @@ class ResilientClient:
         raise last_error if last_error is not None else TransportError(
             "request failed before any attempt was made"
         )
-
-    def _attempt(self, payload: bytes, verify: Callable):
-        return wire_exchange(
-            self.transport, payload, verify, self.user.group, self.rng,
-            self.counters,
-        )
-
-    def _probe_says_draining(self) -> bool:
-        """Best-effort drain check before spending a half-open real query.
-
-        A failed or undecodable probe proves nothing (old server, line
-        noise, a tamperer garbling cheap frames) — the real query
-        proceeds and judges the endpoint the usual way.  Only an
-        affirmative ``draining`` answer defers.
-        """
-        try:
-            status = probe_endpoint(self.transport, self.rng)
-        except ReproError:
-            return False
-        self.counters.probes += 1
-        return status == "draining"
-
-    # -- bookkeeping ---------------------------------------------------------
-    def _classify(self, exc: ReproError) -> None:
-        if isinstance(exc, DeserializationError):
-            self.counters.decode_failures += 1
-            _M_ATTEMPT_ERRORS.inc(**{"class": "decode"})
-        elif isinstance(exc, OverloadedError):
-            self.counters.overload_rejections += 1
-            _M_ATTEMPT_ERRORS.inc(**{"class": "overloaded"})
-        elif isinstance(exc, TransportError):
-            self.counters.transport_errors += 1
-            _M_ATTEMPT_ERRORS.inc(**{"class": "transport"})
-        elif isinstance(exc, StaleEpochError):
-            self.counters.stale_epochs += 1
-            _M_ATTEMPT_ERRORS.inc(**{"class": "stale-epoch"})
-        else:  # VerificationError, envelope CryptoError
-            self.counters.verification_failures += 1
-            _M_ATTEMPT_ERRORS.inc(**{"class": "verification"})
-
-    def _expired(self, start: float) -> bool:
-        if self.policy.deadline is None:
-            return False
-        return self.clock.now() - start >= self.policy.deadline
-
-    def _bounded_backoff(self, attempt: int, start: float,
-                         floor: float = 0.0) -> float:
-        """Backoff for ``attempt``, floored by a server retry-after hint
-        and clamped so the client never sleeps past its own deadline."""
-        delay = max(self.policy.backoff(attempt, self.rng), floor)
-        if self.policy.deadline is not None:
-            remaining = self.policy.deadline - (self.clock.now() - start)
-            delay = min(delay, max(0.0, remaining))
-        return delay

@@ -76,17 +76,15 @@ for the invariant drill.
 from __future__ import annotations
 
 import random
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.messages import QueryRequest
 from repro.errors import (
     AccessDeniedError,
     CircuitOpenError,
     DeadlineExceededError,
-    DeserializationError,
     OverloadedError,
     ReproError,
     StaleEpochError,
@@ -96,14 +94,14 @@ from repro.errors import (
 from repro.net.client import (
     CircuitBreaker,
     ClientStats,
+    QueryClient,
     RetryPolicy,
+    count_wire_error,
     fetch_trace_spans,
     is_tamper_error,
-    probe_endpoint,
     wire_exchange,
 )
 from repro.net.transport import Clock, Transport
-from repro.obs import ledger as _ledger
 from repro.obs import logging as _obslog
 from repro.obs import metrics as _metrics
 from repro.obs import relay as _relay
@@ -260,19 +258,29 @@ class ClusterStats:
         return out
 
 
-class ReplicatedClient:
+class ReplicatedClient(QueryClient):
     """Fan one logical query across N SP replicas; trust only the proofs.
 
     ``transports`` maps endpoint name → :class:`~repro.net.transport.
-    Transport`.  The query API mirrors :class:`~repro.net.client.
-    ResilientClient` (``query_equality`` / ``query_range`` /
-    ``query_join``), so the two are drop-in interchangeable.
+    Transport`.  The query API is :class:`~repro.net.client.QueryClient`'s
+    (``query_equality`` / ``query_range`` / ``query_join``), shared with
+    :class:`~repro.net.client.ResilientClient`, so the two are drop-in
+    interchangeable.
 
     One *attempt* (in :class:`~repro.net.client.RetryPolicy` terms) is a
     full failover pass: every currently-eligible endpoint is tried in
     health order before the client sleeps a backoff.  The deadline spans
     all attempts, exactly like the single-endpoint client.
+
+    With ``verification_window`` set, a tamper is only *attributed* at
+    flush time, after the tampering endpoint may have served more
+    queries — quarantine still happens, just later; latency-sensitive
+    Byzantine detection should keep it off.
     """
+
+    SPAN = "cluster.query"
+    METRICS_PREFIX = "repro_cluster_"
+    QUANTILES_PREFIX = "repro_cluster_"
 
     def __init__(
         self,
@@ -298,10 +306,7 @@ class ReplicatedClient:
             raise ReproError("hedge_percentile must be in (0, 1) or None")
         if suspicion_decay < 1:
             raise ReproError("suspicion_decay must be >= 1")
-        self.user = user
-        self.policy = policy or RetryPolicy()
-        self.clock = clock or Clock()
-        self.rng = rng or random.Random()
+        super().__init__(user, policy, clock, rng, verification_window)
         self.quarantine_window = quarantine_window
         self.hedge_percentile = hedge_percentile
         self.hedge_min_samples = max(2, hedge_min_samples)
@@ -316,50 +321,6 @@ class ReplicatedClient:
         }
         self.counters = ClusterStats()
         self._latencies: deque = deque(maxlen=latency_reservoir)
-        self._last_trace_id: Optional[str] = None
-        #: Opt-in deferred verification window (see :mod:`repro.net.window`
-        #: and the same knob on :class:`~repro.net.client.ResilientClient`).
-        #: A windowed tamper is only *attributed* at flush time, after the
-        #: tampering endpoint may have served more queries — quarantine
-        #: still happens, just later; latency-sensitive Byzantine detection
-        #: should keep this off.
-        self.window = None
-        if verification_window is not None:
-            from repro.net.window import VerificationWindow
-
-            self.window = VerificationWindow(user, verification_window, rng=self.rng)
-
-    def _verify_vo(self):
-        """Per-response verifier for equality/range: windowed when opted in."""
-        return self.window.verify if self.window is not None else self.user.verify
-
-    def flush_window(self) -> int:
-        """Settle all deferred verification now; returns responses settled."""
-        if self.window is None:
-            return 0
-        return self.window.flush()
-
-    # -- public queries ------------------------------------------------------
-    def query_equality(self, table: str, key, encrypt: bool = True):
-        request = QueryRequest(
-            kind="equality", table=table, lo=tuple(key), hi=tuple(key),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        return self._execute(request, self._verify_vo())
-
-    def query_range(self, table: str, lo, hi, encrypt: bool = True):
-        request = QueryRequest(
-            kind="range", table=table, lo=tuple(lo), hi=tuple(hi),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        return self._execute(request, self._verify_vo())
-
-    def query_join(self, left: str, right: str, lo, hi, encrypt: bool = True):
-        request = QueryRequest(
-            kind="join", table=left, right_table=right, lo=tuple(lo), hi=tuple(hi),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        return self._execute(request, self.user.verify_join)
 
     # -- selection -----------------------------------------------------------
     def _ranked(self, now: float) -> list:
@@ -448,6 +409,11 @@ class ReplicatedClient:
         agreers.add(endpoint.name)
         if len(self.endpoints) == 1 or len(agreers) >= 2:
             return True
+        self._suspect_rejection(endpoint, exc)
+        return False
+
+    def _suspect_rejection(self, endpoint: Endpoint, exc: ReproError) -> None:
+        """Record an uncorroborated (possibly forged) rejection."""
         self.counters.rejection_suspects += 1
         endpoint.note_suspicion()
         _trace.add_event(
@@ -459,7 +425,32 @@ class ReplicatedClient:
             error=type(exc).__name__,
         )
         self._transport_failure(endpoint)
-        return False
+
+    def _judge_failure(self, endpoint: Endpoint, exc: ReproError) -> float:
+        """Count and penalize one failed exchange; returns its retry floor.
+
+        ``overloaded`` takes the endpoint out of rotation for exactly the
+        server's ``retry-after`` hint (returned, so the caller's backoff
+        honours it) with no breaker penalty: the replica is healthy, just
+        busy.  Otherwise a tamper quarantines the endpoint and anything
+        else — a stale epoch included — is a transport failure.
+        """
+        count_wire_error(exc, self.counters.wire)
+        if isinstance(exc, OverloadedError):
+            hint = exc.retry_after if exc.retry_after is not None else 0.0
+            endpoint.backoff_until = self.clock.now() + hint
+            self.counters.overload_backoffs += 1
+            _M_OVERLOAD_WAITS.inc(endpoint=endpoint.name)
+            endpoint.breaker.record_success()
+            return hint
+        if isinstance(exc, StaleEpochError):
+            _M_STALE.inc(endpoint=endpoint.name)
+            _trace.add_event("stale_epoch", endpoint=endpoint.name)
+        if is_tamper_error(exc):
+            self._quarantine(endpoint, self.clock.now())
+        else:
+            self._transport_failure(endpoint)
+        return 0.0
 
     def _probe_draining(self, endpoint: Endpoint) -> bool:
         """Best-effort liveness probe before spending a half-open slot.
@@ -468,16 +459,11 @@ class ReplicatedClient:
         which would re-open the breaker and push re-admission further
         out; the probe lets the breaker tell "alive but draining" from
         "dead".  Only an affirmative ``draining`` status defers (the
-        probe slot is released, no penalty recorded).  A failed or
-        garbled probe proves nothing — a tampering replica can corrupt
-        probe frames too — so the real query proceeds and the endpoint
-        is judged on its answer.
+        probe slot is released, no penalty recorded).
         """
-        try:
-            status = probe_endpoint(endpoint.transport, self.rng)
-        except ReproError:
+        status = self._probe(endpoint.transport)
+        if status is None:
             return False
-        self.counters.probes += 1
         _M_PROBES.inc(endpoint=endpoint.name, status=status)
         if status != "draining":
             return False
@@ -492,20 +478,6 @@ class ReplicatedClient:
         )
 
     # -- the failover loop ---------------------------------------------------
-    def _execute(self, request: QueryRequest, verify: Callable):
-        wall_t0 = time.perf_counter()
-        with _trace.span(
-            "cluster.query", kind=request.kind, table=request.table
-        ) as query_span:
-            trace_id = getattr(query_span, "trace_id", None)
-            self._last_trace_id = trace_id
-            try:
-                return self._execute_traced(request, verify, query_span)
-            finally:
-                _ledger.ledger().set_wall(
-                    trace_id, time.perf_counter() - wall_t0
-                )
-
     def _execute_traced(self, request: QueryRequest, verify, query_span):
         self.counters.requests += 1
         _M_REQUESTS.inc(kind=request.kind)
@@ -551,27 +523,9 @@ class ReplicatedClient:
                         ))
                         raise
                     continue
-                except OverloadedError as exc:
-                    last_error = exc
-                    self._count_wire_error(exc)
-                    hint = exc.retry_after if exc.retry_after is not None else 0.0
-                    endpoint.backoff_until = self.clock.now() + hint
-                    retry_floor = max(retry_floor, hint)
-                    self.counters.overload_backoffs += 1
-                    _M_OVERLOAD_WAITS.inc(endpoint=endpoint.name)
-                    # No breaker penalty: the replica is healthy, just busy.
-                    endpoint.breaker.record_success()
-                    continue
                 except ReproError as exc:
                     last_error = exc
-                    self._count_wire_error(exc)
-                    if isinstance(exc, StaleEpochError):
-                        _M_STALE.inc(endpoint=endpoint.name)
-                        _trace.add_event("stale_epoch", endpoint=endpoint.name)
-                    if is_tamper_error(exc):
-                        self._quarantine(endpoint, self.clock.now())
-                    else:
-                        self._transport_failure(endpoint)
+                    retry_floor = max(retry_floor, self._judge_failure(endpoint, exc))
                     continue
                 endpoint.observe_success(latency)
                 if self._expired(start):
@@ -664,63 +618,16 @@ class ReplicatedClient:
         )
         try:
             _, hedge_latency = self._try_endpoint(backup, payload, verify)
-        except OverloadedError as exc:
-            self._count_wire_error(exc)
-            hint = exc.retry_after if exc.retry_after is not None else 0.0
-            backup.backoff_until = self.clock.now() + hint
-            backup.breaker.record_success()
-        except (WorkloadError, AccessDeniedError):
+        except (WorkloadError, AccessDeniedError) as exc:
             # The primary's verified result already proved the query is
             # answerable, so a deterministic rejection from the backup
             # contradicts a proven answer: record it against the backup
             # and never let it surface past the verified result.
-            self.counters.rejection_suspects += 1
-            backup.note_suspicion()
-            _trace.add_event("rejection_suspected", endpoint=backup.name)
-            self._transport_failure(backup)
+            self._suspect_rejection(backup, exc)
         except ReproError as exc:
-            self._count_wire_error(exc)
-            if isinstance(exc, StaleEpochError):
-                _M_STALE.inc(endpoint=backup.name)
-                _trace.add_event("stale_epoch", endpoint=backup.name)
-            if is_tamper_error(exc):
-                self._quarantine(backup, self.clock.now())
-            else:
-                self._transport_failure(backup)
+            self._judge_failure(backup, exc)
         else:
             backup.observe_success(hedge_latency)
-
-    # -- bookkeeping ---------------------------------------------------------
-    def _count_wire_error(self, exc: ReproError) -> None:
-        """Mirror ResilientClient's attempt-error classification into the
-        shared wire counters (wire_exchange itself only counts what it can
-        see: duplicates and error frames)."""
-        wire = self.counters.wire
-        if isinstance(exc, OverloadedError):
-            wire.overload_rejections += 1
-        elif isinstance(exc, DeserializationError):
-            wire.decode_failures += 1
-        elif isinstance(exc, StaleEpochError):
-            # Degraded, not Byzantine: counted separately so dashboards can
-            # tell "replica lagging behind rotations" from forged proofs.
-            wire.stale_epochs += 1
-        elif is_tamper_error(exc):
-            wire.verification_failures += 1
-        elif isinstance(exc, TransportError):
-            wire.transport_errors += 1
-
-    def _expired(self, start: float) -> bool:
-        if self.policy.deadline is None:
-            return False
-        return self.clock.now() - start >= self.policy.deadline
-
-    def _bounded_backoff(self, attempt: int, start: float,
-                         floor: float = 0.0) -> float:
-        delay = max(self.policy.backoff(attempt, self.rng), floor)
-        if self.policy.deadline is not None:
-            remaining = self.policy.deadline - (self.clock.now() - start)
-            delay = min(delay, max(0.0, remaining))
-        return delay
 
     # -- trace assembly ------------------------------------------------------
     def _attempt_owners(self, trace_id: str) -> dict:
@@ -805,21 +712,11 @@ class ReplicatedClient:
             return None
         return _relay.assemble_trace(root, self.collect_remote_spans(trace_id))
 
-    def stats(self) -> dict:
-        """Operational snapshot: cluster counters + per-endpoint state."""
-        snapshot = _metrics.registry().snapshot()
-        last = _ledger.ledger().get(self._last_trace_id)
+    def _endpoint_state(self) -> dict:
         return {
-            "counters": self.counters.as_dict(),
             "endpoints": {
                 name: ep.snapshot() for name, ep in self.endpoints.items()
             },
-            "registry": {
-                key: value for key, value in snapshot.items()
-                if key.startswith("repro_cluster_")
-            },
-            "quantiles": _metrics.quantile_summaries(prefix="repro_cluster_"),
-            "ledger": last.as_dict() if last is not None else None,
         }
 
 

@@ -66,7 +66,7 @@ def test_signature_shape_matches_msp(sim_setup, rng):
     scheme, keys, sk, _ = sim_setup
     policy = parse_policy("(R0 and R1) or R2")
     sig = scheme.sign(keys.mvk, sk, b"m", policy, rng)
-    from repro.policy.msp import Msp
+    from repro.policy.compiler import Msp
 
     msp = Msp(policy, scheme.group.order)
     assert len(sig.s) == msp.n_rows

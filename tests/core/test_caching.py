@@ -9,7 +9,7 @@ from repro.core.records import Record
 from repro.core.system import DataOwner
 from repro.crypto import simulated
 from repro.policy.boolexpr import parse_policy
-from repro.policy.msp import Msp, get_msp, msp_cache_info
+from repro.policy.compiler import Msp, get_msp, msp_cache_info
 from repro.policy.roles import RoleUniverse
 
 

@@ -8,7 +8,6 @@ from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import encrypt_for_roles
 from repro.core.messages import (
     QueryRequest,
-    RemoteUser,
     SPServer,
     decode_envelope,
     decode_response,
@@ -21,6 +20,7 @@ from repro.core.vo import _Reader
 from repro.crypto import simulated
 from repro.errors import DeserializationError, WorkloadError
 from repro.index.boxes import Domain
+from repro.net import LoopbackTransport, ResilientClient, ResilientSPServer
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
@@ -79,25 +79,30 @@ def test_envelope_roundtrip(env):
     assert decrypt_envelope(scheme, sk, restored) == b"payload"
 
 
+def remote_client(server, user):
+    """The query client over an in-process loopback of ``server``."""
+    return ResilientClient(user, LoopbackTransport(ResilientSPServer(server).handle_frame))
+
+
 def test_range_over_wire_encrypted(env):
     rng, owner, server, user = env
-    remote = RemoteUser(user)
-    records = remote.query_range(server, "docs", (0,), (31,))
+    remote = remote_client(server, user)
+    records = remote.query_range("docs", (0,), (31,))
     assert sorted(r.value for r in records) == [b"forecast"]
 
 
 def test_equality_over_wire_plain(env):
     rng, owner, server, user = env
-    remote = RemoteUser(user)
-    assert [r.value for r in remote.query_equality(server, "docs", (4,), encrypt=False)] == [b"forecast"]
-    assert remote.query_equality(server, "docs", (11,)) == []  # hidden
-    assert remote.query_equality(server, "docs", (20,)) == []  # absent
+    remote = remote_client(server, user)
+    assert [r.value for r in remote.query_equality("docs", (4,), encrypt=False)] == [b"forecast"]
+    assert remote.query_equality("docs", (11,)) == []  # hidden
+    assert remote.query_equality("docs", (20,)) == []  # absent
 
 
 def test_join_over_wire(env):
     rng, owner, server, user = env
-    remote = RemoteUser(user)
-    pairs = remote.query_join(server, "R", "S", (0,), (15,))
+    remote = remote_client(server, user)
+    pairs = remote.query_join("R", "S", (0,), (15,))
     assert [(p.left.value, p.right.value) for p in pairs] == [(b"r3", b"s3")]
 
 

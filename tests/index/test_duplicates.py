@@ -16,7 +16,7 @@ from repro.index.duplicates import (
     zero_knowledge_dataset,
 )
 from repro.policy.boolexpr import parse_policy
-from repro.policy.dnf import dnf_equal
+from repro.policy.compiler import dnf_equal
 
 PA = parse_policy("RoleA")
 PB = parse_policy("RoleB")

@@ -9,7 +9,7 @@ from repro.errors import WorkloadError
 from repro.index.boxes import Box, Domain
 from repro.index.gridtree import APGTree, simplify_policy_union
 from repro.policy.boolexpr import parse_policy
-from repro.policy.dnf import dnf_equal
+from repro.policy.compiler import dnf_equal
 from repro.policy.roles import PSEUDO_ROLE
 
 

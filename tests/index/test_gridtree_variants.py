@@ -13,7 +13,7 @@ from repro.crypto import simulated
 from repro.index.boxes import Domain
 from repro.index.gridtree import APGTree
 from repro.policy.boolexpr import parse_policy
-from repro.policy.dnf import dnf_equal
+from repro.policy.compiler import dnf_equal
 from repro.policy.roles import RoleUniverse
 
 

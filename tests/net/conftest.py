@@ -7,16 +7,20 @@ that a convergent result is *exactly* the truth.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from repro.core.messages import SPServer
+from repro.abe.cpabe import CpAbeScheme
+from repro.abe.hybrid import encrypt_for_roles
+from repro.core.messages import SPServer, decode_response, encode_response
 from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
 from repro.crypto import simulated
 from repro.index.boxes import Domain
-from repro.net import ResilientSPServer
+from repro.core.vo import _encode_bytes, _encode_point
+from repro.net import ResilientSPServer, Transport
+from repro.net.transport import frame, unframe
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
@@ -71,3 +75,37 @@ def run_query(client, kind: str):
     if kind == "join":
         return sorted((p.left.value, p.right.value) for p in client.query_join("R", "S", (0,), (15,)))
     raise AssertionError(kind)
+
+
+#: Sealed VO payloads a Byzantine SP can produce (it seals with the public
+#: CP-ABE key): one entry whose table tag is not UTF-8, and one accessible
+#: record whose policy string does not parse.
+NON_UTF8_TABLE_VO = (1).to_bytes(4, "big") + b"\x01" + _encode_bytes(b"\xff\xfe")
+UNPARSABLE_POLICY_VO = (
+    (1).to_bytes(4, "big") + b"\x01" + _encode_bytes(b"") + _encode_point((4,))
+    + _encode_bytes(b"forecast") + _encode_bytes(b"analyst and (")
+)
+
+
+class ResealTransport(Transport):
+    """A Byzantine SP: swaps every sealed VO for ``payload`` sealed under
+    ``roles`` with the public CP-ABE key; other frames pass through."""
+
+    def __init__(self, inner, env, payload: bytes, roles=("analyst",)):
+        self.inner = inner
+        self.env = env
+        self.payload = payload
+        self.roles = roles
+
+    def round_trip(self, request_frame):
+        request_id, body = unframe(self.inner.round_trip(request_frame))
+        if body[:4] != b"RSP\x01":
+            return frame(request_id, body)
+        response = decode_response(self.env.group, body)
+        if response.envelope is None:
+            return frame(request_id, body)
+        envelope = encrypt_for_roles(
+            CpAbeScheme(self.env.group), self.env.server.provider.cpabe_public,
+            self.roles, self.payload, random.Random(1),
+        )
+        return frame(request_id, encode_response(replace(response, envelope=envelope)))

@@ -5,16 +5,22 @@ import random
 import pytest
 
 from repro.errors import (
+    AccessDeniedError,
     CircuitOpenError,
+    CryptoError,
     DeadlineExceededError,
     DeserializationError,
+    OverloadedError,
     ReproError,
+    SoundnessError,
+    StaleEpochError,
     TransportError,
     VerificationError,
     WorkloadError,
 )
 from repro.net import (
     CircuitBreaker,
+    ClientStats,
     FakeClock,
     FaultyTransport,
     LoopbackTransport,
@@ -22,8 +28,9 @@ from repro.net import (
     RetryPolicy,
     Transport,
 )
+from repro.net.client import count_wire_error
 
-from .conftest import run_query
+from .conftest import NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO, ResealTransport, run_query
 
 
 def make_client(env, transport, clock=None, policy=None, breaker=None, seed=1):
@@ -45,9 +52,22 @@ def loopback(env):
 def test_perfect_transport_all_query_kinds(env):
     client = make_client(env, loopback(env))
     for kind in ("equality", "range", "join"):
-        assert run_query(client, kind) == env.truth[kind]
-    assert client.counters.requests == 3
-    assert client.counters.attempts == 3
+        assert run_query(client, kind) == env.truth[kind]  # sealed
+    # Plaintext responses verify to the same results.
+    assert [r.value for r in client.query_equality("docs", (4,), encrypt=False)] \
+        == env.truth["equality"]
+    assert sorted(r.value for r in client.query_range("docs", (0,), (31,), encrypt=False)) \
+        == env.truth["range"]
+    assert [(p.left.value, p.right.value)
+            for p in client.query_join("R", "S", (0,), (15,), encrypt=False)] \
+        == env.truth["join"]
+    # A key the analyst may not see and a key with no record both verify
+    # to an empty answer, sealed or not.
+    for encrypt in (True, False):
+        assert client.query_equality("docs", (11,), encrypt=encrypt) == []  # hidden
+        assert client.query_equality("docs", (20,), encrypt=encrypt) == []  # absent
+    assert client.counters.requests == 10
+    assert client.counters.attempts == 10
     assert client.counters.retries == 0
     assert client.counters.failures == 0
 
@@ -215,3 +235,91 @@ def test_breaker_halfopen_failure_reopens(env):
 def test_breaker_validation():
     with pytest.raises(ReproError):
         CircuitBreaker(failure_threshold=0)
+
+
+# -- attempt-error classification --------------------------------------------
+
+@pytest.mark.parametrize("exc, field, label", [
+    (DeserializationError("garbled"), "decode_failures", "decode"),
+    (OverloadedError("shed", retry_after=1.0), "overload_rejections", "overloaded"),
+    (TransportError("dropped"), "transport_errors", "transport"),
+    (StaleEpochError("old epoch"), "stale_epochs", "stale-epoch"),
+    (SoundnessError("forged"), "verification_failures", "verification"),
+    (CryptoError("bad envelope"), "verification_failures", "verification"),
+    (AccessDeniedError("policy"), None, None),
+])
+def test_count_wire_error_classifies_each_error_class(exc, field, label):
+    counters = ClientStats()
+    assert count_wire_error(exc, counters) == label
+    expected = ClientStats()
+    if field is not None:
+        setattr(expected, field, 1)
+    assert counters == expected
+
+
+# -- malformed content inside a valid seal -----------------------------------
+
+@pytest.mark.parametrize("payload", [NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO],
+                         ids=["non-utf8-table", "unparsable-policy"])
+def test_malformed_sealed_vo_is_a_typed_decode_failure(env, payload):
+    client = make_client(env, ResealTransport(loopback(env), env, payload))
+    with pytest.raises(DeserializationError, match="malformed verification object"):
+        run_query(client, "range")
+    assert client.counters.decode_failures == 6
+    assert client.counters.failures == 1
+
+
+class RaisingTransport(Transport):
+    """Raises an error no branch of the retry loop expects."""
+
+    def round_trip(self, request_frame):
+        raise RuntimeError("client-side bug")
+
+
+def _half_open_exit(env, clock, path):
+    """(transport, policy, unknown table?, expected error) for one exit path."""
+    policy = RetryPolicy(max_attempts=2, base_delay=0.01)
+    if path == "verified":
+        return loopback(env), policy, False, None
+    if path == "verified-late":
+        late = LoopbackTransport(env.hardened.handle_frame, clock=clock, latency=5.0)
+        return late, RetryPolicy(max_attempts=2, deadline=3.0), False, DeadlineExceededError
+    if path == "workload":
+        return loopback(env), policy, True, WorkloadError
+    if path == "access-denied":
+        denied = ResealTransport(loopback(env), env, b"", roles=("manager",))
+        return denied, policy, False, AccessDeniedError
+    if path == "retries-exhausted":
+        return FailFirstN(loopback(env), 99), policy, False, TransportError
+    if path == "malformed-sealed-vo":
+        malformed = ResealTransport(loopback(env), env, UNPARSABLE_POLICY_VO)
+        return malformed, policy, False, DeserializationError
+    if path == "unexpected-error":
+        return RaisingTransport(), policy, False, RuntimeError
+    raise AssertionError(path)
+
+
+@pytest.mark.parametrize("path", [
+    "verified", "verified-late", "workload", "access-denied",
+    "retries-exhausted", "malformed-sealed-vo", "unexpected-error",
+])
+def test_every_half_open_exit_resolves_the_probe(env, path):
+    clock = FakeClock()
+    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
+    transport, policy, unknown_table, expected = _half_open_exit(env, clock, path)
+    client = make_client(env, transport, clock=clock, policy=policy, breaker=breaker)
+    breaker.record_failure()
+    clock.advance(10.0)
+    assert breaker.state == "half-open"
+    if expected is None:
+        assert run_query(client, "range") == env.truth["range"]
+    else:
+        with pytest.raises(expected):
+            if unknown_table:
+                client.query_range("nope", (0,), (31,))
+            else:
+                run_query(client, "range")
+    # Whatever the outcome, the probe slot is free again: once any re-open
+    # window has passed, the breaker admits the next probe.
+    clock.advance(10.0)
+    assert breaker.allow()

@@ -32,7 +32,7 @@ from repro.net import (
 from repro.net.client import is_tamper_error
 from repro.net.transport import frame, unframe
 
-from .conftest import run_query
+from .conftest import NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO, ResealTransport, run_query
 
 
 class DeadTransport(Transport):
@@ -362,6 +362,22 @@ def test_truncation_is_transport_not_tamper(env):
     # endpoint is breaker-evicted, never accused of tampering.
     assert client.endpoints["a-flaky"].evictions == {"tamper": 0, "transport": 1}
     assert not client.endpoints["a-flaky"].quarantined
+
+
+@pytest.mark.parametrize("payload", [NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO],
+                         ids=["non-utf8-table", "unparsable-policy"])
+def test_malformed_sealed_vo_fails_over_to_honest_replica(env, payload):
+    clock = FakeClock()
+    byzantine = ResealTransport(good(env, clock), env, payload)
+    client = make_cluster(
+        env, {"a-bad": byzantine, "b-good": good(env, clock)}, clock,
+    )
+    assert run_query(client, "range") == env.truth["range"]
+    # Malformed content inside a valid seal decodes to a typed failure:
+    # counted as a decode failure, and the query fails over.
+    assert client.counters.wire.decode_failures == 1
+    assert client.counters.failovers == 1
+    assert not client.endpoints["a-bad"].quarantined
 
 
 # -- overload absorption ------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.policy.boolexpr import And, Attr, Or, parse_policy
-from repro.policy.dnf import dnf_equal, from_dnf, policy_length, to_dnf
+from repro.policy.compiler import dnf_equal, from_dnf, policy_length, to_dnf
 
 ROLES = [f"R{i}" for i in range(5)]
 

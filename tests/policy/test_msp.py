@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.field import CURVE_ORDER
 from repro.errors import RelaxationError
 from repro.policy.boolexpr import And, Attr, Or, parse_policy
-from repro.policy.msp import Msp, solve_linear_mod
+from repro.policy.compiler import Msp, solve_linear_mod
 
 ROLES = [f"R{i}" for i in range(7)]
 ORDER = CURVE_ORDER

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.policy.dnf import to_dnf
+from repro.policy.compiler import to_dnf
 from repro.policy.policygen import (
     PolicyGenerator,
     role_names,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PolicyError
 from repro.policy.boolexpr import parse_policy
-from repro.policy.dnf import dnf_equal
+from repro.policy.compiler import dnf_equal
 from repro.policy.roles import PSEUDO_ROLE, RoleHierarchy, RoleUniverse
 
 
