@@ -9,7 +9,13 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
 * ``aps_table_setup`` — DataOwner key generation + AP2G-tree signing,
   the APS signing-heavy setup phase (target >= 2x);
 * ``batched_vo_verify`` — merged shared-base pairing batch vs the
-  unmerged small-exponents reference (target >= 3x).
+  unmerged small-exponents reference (target >= 3x);
+* ``envelope`` — the hybrid CP-ABE + AES-CTR response envelope
+  (:mod:`repro.abe.hybrid`) at 1, 2 and 3 roles and 1 KB / 4 KB
+  payloads: seal and open wall times plus the exact pairings per open.
+  It has no old arm (there is one seal and one open path); its times
+  are reported with the host's ``cpu_count`` and are not comparable
+  across hosts.
 
 Every arm runs on a *fresh* ``BN254Group`` instance (comb/pairing/hash
 caches are per-instance); the old arm additionally sets
@@ -25,12 +31,15 @@ comparison behind ``BENCH_crypto.json`` is ``@pytest.mark.slow`` or
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import random
 import time
 
 import pytest
 
+from repro.abe.cpabe import CpAbeScheme
+from repro.abe.hybrid import decrypt_envelope, encrypt_for_roles
 from repro.abs.batch import BatchItem, batch_verify, batch_verify_unmerged
 from repro.abs.scheme import AbsScheme
 from repro.core.system import DataOwner
@@ -180,6 +189,50 @@ def scenario_batched_vo(n_items: int = 10, n_attrs: int = 3) -> dict:
     return _entry(old_s, new_s, ops_old, ops_new, n_items=n_items, n_attrs=n_attrs)
 
 
+def scenario_envelope(
+    role_counts: tuple[int, ...] = (1, 2, 3),
+    sizes: tuple[int, ...] = (1024, 4096),
+    repeats: int = 3,
+) -> dict:
+    """BN254 hybrid seal and open of one payload under an AND of roles."""
+    grp = BN254Group()
+    rng = random.Random(SEED + 4)
+    scheme = CpAbeScheme(grp)
+    keys = scheme.setup(rng)
+    arms = {}
+    for n_roles in role_counts:
+        roles = [f"R{i}" for i in range(n_roles)]
+        sk = scheme.keygen(keys, roles, rng)
+        for size in sizes:
+            payload = rng.randbytes(size)
+            # Every response carries a fresh envelope, so each timed open
+            # gets its own (a re-opened one would hit the pairing cache on
+            # code that caches).  The first seal builds the fixed-base combs.
+            encrypt_for_roles(scheme, keys.public, roles, payload, rng)
+            seal_times, open_times = [], []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                envp = encrypt_for_roles(scheme, keys.public, roles, payload, rng)
+                seal_times.append(time.perf_counter() - t0)
+                before = grp.stats.snapshot()
+                t0 = time.perf_counter()
+                opened = decrypt_envelope(scheme, sk, envp)
+                open_times.append(time.perf_counter() - t0)
+                open_ops = grp.stats.delta(before)
+                assert opened == payload
+            seal_s, open_s = min(seal_times), min(open_times)
+            arms[f"roles{n_roles}_{size // 1024}kb"] = {
+                "roles": n_roles,
+                "payload_bytes": size,
+                "sealed_bytes": envp.byte_size(),
+                "seal_s": round(seal_s, 6),
+                "open_s": round(open_s, 6),
+                "pairings_per_open": open_ops["pairings"],
+                "pair_cache_hits_per_open": open_ops["pair_cache_hits"],
+            }
+    return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
+
+
 # ----------------------------------------------------------------------
 def run_benchmarks() -> dict:
     results = {
@@ -193,6 +246,7 @@ def run_benchmarks() -> dict:
             "aps_table_setup": scenario_aps_setup(shape=(8, 2, 2)),
             "batched_vo_verify": scenario_batched_vo(n_items=10, n_attrs=3),
         },
+        "envelope": scenario_envelope(),
     }
     return results
 
@@ -203,6 +257,9 @@ def main() -> None:
     for name, entry in results["scenarios"].items():
         print(f"{name:18s} old {entry['old_s']*1e3:9.1f} ms   "
               f"new {entry['new_s']*1e3:9.1f} ms   x{entry['speedup']}")
+    for name, arm in results["envelope"]["arms"].items():
+        print(f"envelope {name:12s} seal {arm['seal_s']*1e3:7.1f} ms   "
+              f"open {arm['open_s']*1e3:7.1f} ms   {arm['pairings_per_open']} pairings")
     print(f"wrote {JSON_PATH}")
 
 
@@ -220,6 +277,14 @@ def test_smoke_batched_vo():
     entry = scenario_batched_vo(n_items=2, n_attrs=2)
     # Merged: 3 fixed bases + l attrs + n tails; unmerged: n * (l + 4).
     assert entry["ops_new"]["pairings"] < entry["ops_old"]["pairings"]
+
+
+def test_smoke_envelope():
+    """CI smoke: a 2-role envelope round-trips and its open runs k+2 pairings."""
+    arm = scenario_envelope(role_counts=(2,), sizes=(1024,), repeats=1)["arms"]["roles2_1kb"]
+    assert arm["pairings_per_open"] == 2 + 2
+    assert arm["pair_cache_hits_per_open"] == 0
+    assert arm["sealed_bytes"] > arm["payload_bytes"]
 
 
 @pytest.mark.slow

@@ -13,7 +13,9 @@ of :mod:`repro.policy.compiler.msp`, over the asymmetric pairing:
   ``C~ = m * e(g1,g2)^(alpha s)``, ``C' = g1^s``,
   ``C_i = g1^(a lambda_i) * H(rho(i))^(-r_i)``, ``D_i = g2^(r_i)``.
 * ``Decrypt`` -> recover ``e(g1,g2)^(alpha s)`` with the satisfying
-  vector of the user's attributes.
+  vector ``v`` of the user's attributes, as one multi-pairing
+  ``e(C',K) * e(-prod C_i^(v_i), L) * prod e(-K_x^(v_i), D_i)``: k+2
+  Miller loops for k used rows and a single final exponentiation.
 
 ``encapsulate``/``decapsulate`` expose the KEM form used by the hybrid
 envelope (:mod:`repro.abe.hybrid`): the GT element itself is the key
@@ -125,7 +127,12 @@ class CpAbeScheme:
         pk: CpAbePublicKey,
         policy: BoolExpr,
         rng: Optional[random.Random],
-    ) -> tuple[int, "object", list[GroupElement], list[GroupElement]]:
+    ) -> tuple[int, GroupElement, tuple[GroupElement, ...], tuple[GroupElement, ...]]:
+        """Draw ``s`` and build ``C' = g1^s`` and the per-row ``C_i``, ``D_i``.
+
+        ``g1``, ``g1^a`` and ``g2`` are fixed per public key, so their
+        powers go through the group's fixed-base combs.
+        """
         grp = self.group
         msp = get_msp(policy, grp.order)
         s = grp.random_scalar(rng)
@@ -135,9 +142,11 @@ class CpAbeScheme:
         for i, label in enumerate(msp.labels):
             lam = sum(msp.matrix[i][j] * w[j] for j in range(msp.n_cols)) % grp.order
             r_i = grp.random_scalar(rng)
-            c_rows.append(pk.g1_a**lam * pk.hash_attribute(label) ** (-r_i % grp.order))
-            d_rows.append(pk.g2**r_i)
-        return s, msp, c_rows, d_rows
+            c_rows.append(
+                grp.pow_fixed(pk.g1_a, lam) * pk.hash_attribute(label) ** (-r_i % grp.order)
+            )
+            d_rows.append(grp.pow_fixed(pk.g2, r_i))
+        return s, grp.pow_fixed(pk.g1, s), tuple(c_rows), tuple(d_rows)
 
     def encrypt(
         self,
@@ -149,13 +158,13 @@ class CpAbeScheme:
         """Encrypt a GT element under ``policy``."""
         if message.kind != GT:
             raise CryptoError("CP-ABE encrypts GT elements; use the hybrid envelope for bytes")
-        s, _msp, c_rows, d_rows = self._share(pk, policy, rng)
+        s, c_prime, c_rows, d_rows = self._share(pk, policy, rng)
         return CpAbeCiphertext(
             policy=policy,
-            c_tilde=message * pk.e_gg_alpha**s,
-            c_prime=pk.g1**s,
-            c_rows=tuple(c_rows),
-            d_rows=tuple(d_rows),
+            c_tilde=message * self.group.pow_fixed(pk.e_gg_alpha, s),
+            c_prime=c_prime,
+            c_rows=c_rows,
+            d_rows=d_rows,
         )
 
     def encapsulate(
@@ -165,14 +174,10 @@ class CpAbeScheme:
         rng: Optional[random.Random] = None,
     ) -> tuple[bytes, CpAbeCiphertext]:
         """KEM: returns (key material bytes, header ciphertext)."""
-        s, _msp, c_rows, d_rows = self._share(pk, policy, rng)
-        key = pk.e_gg_alpha**s
+        s, c_prime, c_rows, d_rows = self._share(pk, policy, rng)
+        key = self.group.pow_fixed(pk.e_gg_alpha, s)
         header = CpAbeCiphertext(
-            policy=policy,
-            c_tilde=None,
-            c_prime=pk.g1**s,
-            c_rows=tuple(c_rows),
-            d_rows=tuple(d_rows),
+            policy=policy, c_tilde=None, c_prime=c_prime, c_rows=c_rows, d_rows=d_rows
         )
         return key.to_bytes(), header
 
@@ -185,14 +190,22 @@ class CpAbeScheme:
         v = msp.satisfying_vector(sk.attrs)
         if v is None:
             raise AccessDeniedError("attributes do not satisfy the ciphertext policy")
-        numerator = grp.pair(ct.c_prime, sk.k)
-        denom = grp.identity(GT)
+        # e(C',K) / prod_i (e(C_i,L) e(K_x,D_i))^{v_i} as one product of
+        # k+2 Miller loops under one final exponentiation: every row pairs
+        # with the same L, so the C_i^{v_i} fold into a single G1 point.
+        # Negation replaces the exponent in the common case v_i = 1.
+        folded = None
+        row_pairs = []
         for i, label in enumerate(msp.labels):
-            if v[i] == 0:
+            vi = v[i]
+            if vi == 0:
                 continue
-            term = grp.pair(ct.c_rows[i], sk.l) * grp.pair(sk.k_attr[label], ct.d_rows[i])
-            denom = denom * term ** v[i]
-        return numerator / denom  # e(g1,g2)^(alpha s)
+            c_i = ct.c_rows[i] if vi == 1 else ct.c_rows[i] ** vi
+            folded = c_i if folded is None else folded * c_i
+            k_x = sk.k_attr[label]
+            row_pairs.append((~k_x if vi == 1 else k_x ** -vi, ct.d_rows[i]))
+        # e(g1,g2)^(alpha s)
+        return grp.multi_pair([(ct.c_prime, sk.k), (~folded, sk.l), *row_pairs])
 
     def decrypt(self, sk: CpAbeSecretKey, ct: CpAbeCiphertext) -> GroupElement:
         """Decrypt a GT message; raises :class:`AccessDeniedError`."""

@@ -32,6 +32,7 @@ from repro.abs.keys import (
     AbsVerificationKey,
     attribute_scalar,
 )
+from repro.crypto.field import mod_inv
 from repro.crypto.group import G1, G2, BilinearGroup, GroupElement
 from repro.errors import CryptoError, PolicyError
 from repro.policy.boolexpr import BoolExpr
@@ -154,7 +155,7 @@ class AbsScheme:
         attrs = frozenset(attrs)
         k_base = grp.pow_fixed(grp.g1, grp.random_scalar(rng))
         order = grp.order
-        a0_inv = pow(keys.msk.a0, order - 2, order)
+        a0_inv = mod_inv(keys.msk.a0, order, "the scalar field")
         # k_base is exponentiated once per attribute plus once for K0 —
         # a fixed-base comb amortizes past two exponentiations.
         k_pow = grp.pow_fixed if len(attrs) >= 2 else (lambda b, e: b**e)
@@ -164,7 +165,7 @@ class AbsScheme:
             denom = (keys.msk.a + keys.msk.b * u) % order
             if denom == 0:
                 raise CryptoError(f"degenerate attribute encoding for {name!r}")
-            k[name] = k_pow(k_base, pow(denom, order - 2, order))
+            k[name] = k_pow(k_base, mod_inv(denom, order, "the scalar field"))
         return AbsSigningKey(attrs=attrs, k_base=k_base, k0=k_pow(k_base, a0_inv), k=k)
 
     # ------------------------------------------------------------------

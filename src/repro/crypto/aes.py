@@ -6,14 +6,22 @@ third-party crypto package is available offline, so this module implements
 the forward AES-128 cipher (all that CTR mode needs), a CTR keystream, and
 an authenticated encrypt-then-MAC envelope using HMAC-SHA256.
 
-This is a straightforward table-based implementation; it makes no
-constant-time claims and exists to exercise the real code path, not to
-protect production traffic.
+The cipher is the classic 32-bit T-table formulation: the state is four
+big-endian column words, and each of the nine full rounds is 16 lookups
+in four 256-entry tables that fold SubBytes, ShiftRows and MixColumns
+together (the last round uses the S-box alone).  ``encrypt_block`` and
+the CTR keystream share that one kernel; CTR collects its blocks in a
+list joined once, and the payload is XORed as one big integer.
+
+Not constant-time: table lookups indexed by key-dependent bytes leak
+through cache timing.  This module exercises the real code path; it does
+not protect production traffic.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 
 from repro.crypto.hashing import constant_time_eq, hmac_sha256, kdf
 from repro.errors import CryptoError
@@ -67,47 +75,74 @@ assert SBOX[0x00] == 0x63 and SBOX[0x53] == 0xED, "AES S-box self-check failed"
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-# xtime tables for MixColumns.
-_MUL2 = bytes(_gf_mul(x, 2) for x in range(256))
-_MUL3 = bytes(_gf_mul(x, 3) for x in range(256))
+
+def _rotr8(word: int) -> int:
+    return (word >> 8) | ((word & 0xFF) << 24)
 
 
-def _expand_key(key: bytes) -> list[bytes]:
-    """AES-128 key schedule: 11 round keys of 16 bytes."""
+# T-tables: _TE0[x] is the MixColumns column of SubBytes(x) in row 0,
+# i.e. the big-endian word (2*S[x], S[x], S[x], 3*S[x]); _TE1.._TE3 are its
+# byte rotations for rows 1..3.  One full round of one column is then four
+# lookups XORed with a round-key word.
+_TE0 = tuple(
+    (_gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | _gf_mul(s, 3) for s in SBOX
+)
+_TE1 = tuple(_rotr8(t) for t in _TE0)
+_TE2 = tuple(_rotr8(t) for t in _TE1)
+_TE3 = tuple(_rotr8(t) for t in _TE2)
+# Final round (no MixColumns): the S-box shifted into each byte position.
+_S0 = tuple(s << 24 for s in SBOX)
+_S1 = tuple(s << 16 for s in SBOX)
+_S2 = tuple(s << 8 for s in SBOX)
+
+_BLOCK = struct.Struct(">4I")
+_NONCE = struct.Struct(">3I")
+
+
+def _expand_key(key: bytes) -> tuple[tuple[int, int, int, int], ...]:
+    """AES-128 key schedule: 11 round keys of four big-endian 32-bit words."""
     if len(key) != 16:
         raise CryptoError("AES-128 requires a 16-byte key")
-    words = [key[i : i + 4] for i in range(0, 16, 4)]
+    words = list(_BLOCK.unpack(key))
     for i in range(4, 44):
         temp = words[i - 1]
         if i % 4 == 0:
-            temp = bytes(SBOX[b] for b in temp[1:] + temp[:1])
-            temp = bytes([temp[0] ^ _RCON[i // 4 - 1]]) + temp[1:]
-        words.append(bytes(a ^ b for a, b in zip(words[i - 4], temp)))
-    return [b"".join(words[4 * r : 4 * r + 4]) for r in range(11)]
+            # SubWord(RotWord(temp)) ^ Rcon
+            temp = (
+                _S0[(temp >> 16) & 0xFF]
+                | _S1[(temp >> 8) & 0xFF]
+                | _S2[temp & 0xFF]
+                | SBOX[temp >> 24]
+            ) ^ (_RCON[i // 4 - 1] << 24)
+        words.append(words[i - 4] ^ temp)
+    return tuple(tuple(words[i : i + 4]) for i in range(0, 44, 4))
 
 
-def _encrypt_block(block: bytes, round_keys: list[bytes]) -> bytes:
-    s = bytearray(a ^ b for a, b in zip(block, round_keys[0]))
-    for rnd in range(1, 10):
-        # SubBytes
-        s = bytearray(SBOX[b] for b in s)
-        # ShiftRows (state is column-major: byte index = 4*col + row)
-        s = bytearray(
-            s[(i + 4 * (i % 4)) % 16] for i in range(16)
+def _encrypt_words(s0: int, s1: int, s2: int, s3: int, round_keys) -> tuple[int, int, int, int]:
+    """Encrypt one block given as four big-endian column words."""
+    te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+    k0, k1, k2, k3 = round_keys[0]
+    s0 ^= k0
+    s1 ^= k1
+    s2 ^= k2
+    s3 ^= k3
+    for k0, k1, k2, k3 in round_keys[1:10]:
+        # SubBytes + ShiftRows + MixColumns + AddRoundKey, one column each.
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0,
+            te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1,
+            te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2,
+            te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3,
         )
-        # MixColumns
-        out = bytearray(16)
-        for c in range(0, 16, 4):
-            a0, a1, a2, a3 = s[c], s[c + 1], s[c + 2], s[c + 3]
-            out[c] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-            out[c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-            out[c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-            out[c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-        s = bytearray(x ^ k for x, k in zip(out, round_keys[rnd]))
     # Final round: no MixColumns.
-    s = bytearray(SBOX[b] for b in s)
-    s = bytearray(s[(i + 4 * (i % 4)) % 16] for i in range(16))
-    return bytes(x ^ k for x, k in zip(s, round_keys[10]))
+    t0, t1, t2, sb = _S0, _S1, _S2, SBOX
+    k0, k1, k2, k3 = round_keys[10]
+    return (
+        t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ sb[s3 & 0xFF] ^ k0,
+        t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ sb[s0 & 0xFF] ^ k1,
+        t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ sb[s1 & 0xFF] ^ k2,
+        t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ sb[s2 & 0xFF] ^ k3,
+    )
 
 
 class AES128:
@@ -119,25 +154,27 @@ class AES128:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError("AES block must be 16 bytes")
-        return _encrypt_block(block, self._round_keys)
+        return _BLOCK.pack(*_encrypt_words(*_BLOCK.unpack(block), self._round_keys))
 
 
 def ctr_keystream(cipher: AES128, nonce: bytes, length: int) -> bytes:
-    """CTR keystream: AES(nonce || counter) blocks."""
+    """CTR keystream: AES(nonce || counter) blocks, counter from 0."""
     if len(nonce) != 12:
         raise CryptoError("CTR nonce must be 12 bytes")
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += cipher.encrypt_block(nonce + counter.to_bytes(4, "big"))
-        counter += 1
-    return bytes(out[:length])
+    n0, n1, n2 = _NONCE.unpack(nonce)
+    round_keys, pack = cipher._round_keys, _BLOCK.pack
+    blocks = [
+        pack(*_encrypt_words(n0, n1, n2, counter, round_keys))
+        for counter in range(-(-length // 16))
+    ]
+    return b"".join(blocks)[:length]
 
 
 def aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """Encrypt/decrypt (same operation) with AES-128-CTR."""
     stream = ctr_keystream(AES128(key), nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 def seal(key_material: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:

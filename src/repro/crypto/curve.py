@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.crypto import tower
-from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS as P, G2_COFACTOR
+from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS as P, G2_COFACTOR, fp_inv
 from repro.errors import CryptoError
 
 
@@ -39,7 +39,7 @@ _FP_OPS = FieldOps(
     sub=lambda a, b: (a - b) % P,
     mul=lambda a, b: a * b % P,
     sq=lambda a: a * a % P,
-    inv=lambda a: pow(a, P - 2, P),
+    inv=fp_inv,
     neg=lambda a: -a % P,
     zero=0,
     one=1,

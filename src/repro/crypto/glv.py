@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from repro.crypto.field import CURVE_ORDER as R, FIELD_MODULUS as P
+from repro.crypto.field import CURVE_ORDER as R, FIELD_MODULUS as P, mod_inv
 from repro.errors import CryptoError
 
 
@@ -31,7 +31,7 @@ def _cube_roots_of_unity(modulus: int) -> list[int]:
     if s * s % modulus != -3 % modulus:
         # modulus = 1 mod 4: use Tonelli-Shanks via pow on a QR check.
         s = _sqrt_mod(-3 % modulus, modulus)
-    inv2 = pow(2, modulus - 2, modulus)
+    inv2 = mod_inv(2, modulus, "the GLV modulus")
     roots = [((-1 + s) * inv2) % modulus, ((-1 - s) * inv2) % modulus]
     for root in roots:
         if (root * root + root + 1) % modulus != 0:

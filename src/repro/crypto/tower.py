@@ -15,8 +15,7 @@ via ``(x, y) -> (x*w^2, y*w^3)``.
 
 from __future__ import annotations
 
-from repro.crypto.field import FIELD_MODULUS as P
-from repro.errors import CryptoError
+from repro.crypto.field import FIELD_MODULUS as P, fp_inv, mod_inv
 
 Fp2 = tuple  # (int, int)
 Fp6 = tuple  # (Fp2, Fp2, Fp2)
@@ -33,6 +32,9 @@ FP6_ONE: Fp6 = (FP2_ONE, FP2_ZERO, FP2_ZERO)
 
 FP12_ZERO: Fp12 = (FP6_ZERO, FP6_ZERO)
 FP12_ONE: Fp12 = (FP6_ONE, FP6_ZERO)
+
+#: 1/2 in Fp.
+_INV2 = fp_inv(2)
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +75,8 @@ def fp2_sq(a: Fp2) -> Fp2:
 
 def fp2_inv(a: Fp2) -> Fp2:
     a0, a1 = a
-    norm = (a0 * a0 + a1 * a1) % P
-    if norm == 0:
-        raise CryptoError("inverse of zero in Fp2")
-    inv = pow(norm, P - 2, P)
+    # The norm a0^2 + a1^2 is zero only for a = 0 (-1 is a non-residue).
+    inv = mod_inv(a0 * a0 + a1 * a1, P, "Fp2")
     return (a0 * inv % P, -a1 * inv % P)
 
 
@@ -121,15 +121,14 @@ def fp2_sqrt(a: Fp2) -> Fp2 | None:
     n = pow(norm, (P + 1) // 4, P)
     if n * n % P != norm:
         return None
-    inv2 = pow(2, P - 2, P)
     for sign in (n, -n % P):
-        x2 = (a0 + sign) * inv2 % P
+        x2 = (a0 + sign) * _INV2 % P
         x = pow(x2, (P + 1) // 4, P)
         if x * x % P != x2:
             continue
         if x == 0:
             continue
-        y = a1 * pow(2 * x % P, P - 2, P) % P
+        y = a1 * fp_inv(2 * x) % P
         cand = (x, y)
         if fp2_sq(cand) == (a0 % P, a1 % P):
             return cand

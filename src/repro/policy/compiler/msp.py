@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from repro.crypto.field import mod_inv
 from repro.errors import PolicyError, RelaxationError
 from repro.obs import metrics as _metrics
 from repro.policy.boolexpr import And, Attr, BoolExpr, Or
@@ -328,7 +329,7 @@ def solve_linear_mod(a: list[list[int]], b: list[int], p: int) -> Optional[list[
         if pivot is None:
             continue
         aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
+        inv = mod_inv(aug[row][col], p, "the span-program field")
         aug[row] = [v * inv % p for v in aug[row]]
         for r in range(n_rows):
             if r != row and aug[r][col] != 0:

@@ -141,3 +141,78 @@ def test_decryption_matches_policy_evaluation(policy, attrs):
     else:
         with pytest.raises(AccessDeniedError):
             scheme.decrypt(sk, ct)
+
+
+# -- decapsulation against the textbook product of pairings ----------------
+
+def _reference_blinding(grp, msp, v, sk, ct):
+    """e(C',K) / prod_i (e(C_i,L) e(K_x,D_i))^{v_i}, one pair() per term."""
+    denom = grp.identity("GT")
+    for i, label in enumerate(msp.labels):
+        if v[i]:
+            term = grp.pair(ct.c_rows[i], sk.l) * grp.pair(sk.k_attr[label], ct.d_rows[i])
+            denom = denom * term ** v[i]
+    return grp.pair(ct.c_prime, sk.k) / denom
+
+
+def _affine_combination(msp, attrs_a, attrs_b):
+    """2 v_a - v_b: satisfies v M = e1 with coefficients other than 0 and 1."""
+    order = msp.order
+    v_a = msp.satisfying_vector(attrs_a)
+    v_b = msp.satisfying_vector(attrs_b)
+    v = [(2 * a - b) % order for a, b in zip(v_a, v_b)]
+    for j in range(msp.n_cols):
+        column = sum(v[i] * msp.matrix[i][j] for i in range(msp.n_rows)) % order
+        assert column == (1 if j == 0 else 0)
+    assert any(x not in (0, 1) for x in v)
+    return v
+
+
+@pytest.mark.parametrize(
+    "policy_text, attrs_a, attrs_b",
+    [
+        ("R0 or R1", ["R0"], ["R1"]),
+        ("R0 or (R1 and R2)", ["R0"], ["R1", "R2"]),
+        ("2 of (R0, R1, R2)", ["R0", "R1"], ["R1", "R2"]),
+    ],
+    ids=["or", "or-of-and", "threshold"],
+)
+def test_decapsulate_matches_reference_product(
+    any_group, monkeypatch, policy_text, attrs_a, attrs_b
+):
+    from repro.policy.compiler.msp import get_msp
+
+    grp = any_group
+    rng = random.Random(31)
+    scheme = CpAbeScheme(grp)
+    keys = scheme.setup(rng)
+    policy = parse_policy(policy_text)
+    key_material, header = scheme.encapsulate(keys.public, policy, rng)
+    sk = scheme.keygen(keys, set(attrs_a) | set(attrs_b), rng)
+    msp = get_msp(policy, grp.order)
+    # The span-program solver only ever returns 0/1 vectors for these
+    # policies; any other solution of v M = e1 must open the header too,
+    # through the k_x ** -v_i branch of the folded multi-pairing.
+    for v in (msp.satisfying_vector(sk.attrs), _affine_combination(msp, attrs_a, attrs_b)):
+        monkeypatch.setattr(msp, "satisfying_vector", lambda attrs, v=v: list(v))
+        reference = _reference_blinding(grp, msp, v, sk, header)
+        assert reference.to_bytes() == key_material
+        assert scheme.decapsulate(sk, header) == key_material
+
+
+@pytest.mark.parametrize("n_roles", [1, 2, 3])
+def test_bn254_open_runs_k_plus_2_pairings_outside_the_cache(real_group, n_roles):
+    grp = real_group
+    rng = random.Random(37)
+    scheme = CpAbeScheme(grp)
+    keys = scheme.setup(rng)
+    roles = [f"R{i}" for i in range(n_roles)]
+    key_material, header = scheme.encapsulate(keys.public, parse_policy(" and ".join(roles)), rng)
+    sk = scheme.keygen(keys, roles, rng)
+    cached = len(grp._pair_cache)
+    before = grp.stats.snapshot()
+    assert scheme.decapsulate(sk, header) == key_material
+    delta = grp.stats.delta(before)
+    assert delta["pairings"] == n_roles + 2
+    assert delta["pair_cache_hits"] == 0
+    assert len(grp._pair_cache) == cached

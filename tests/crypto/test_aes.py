@@ -1,5 +1,7 @@
 """Tests for the from-scratch AES-128, CTR mode, and the sealed envelope."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,3 +92,39 @@ def test_seal_with_fixed_nonce_is_deterministic():
     assert env1 == env2
     env3 = seal(b"key", b"data", nonce=b"B" * 12)
     assert env1 != env3
+
+
+# SHA-256 of seal(GOLDEN_KEY_MATERIAL, plaintext(n), nonce=GOLDEN_NONCE),
+# recorded from the byte-wise reference implementation: the T-table kernel
+# must reproduce every envelope byte for byte.
+GOLDEN_KEY_MATERIAL = bytes(range(48))
+GOLDEN_NONCE = bytes.fromhex("000102030405060708090a0b")
+GOLDEN_SEAL = {
+    0: "9d00b401ded062b8f47bf980fac755eff0ffe99566af1bd8fffb93560135fd59",
+    1: "67220430be606d5bd13f5d46bab94b6905514237d74b624cb27c9abc8dd1fcad",
+    15: "77b2a248f632164a963c4f8e7ef696d75aa2a8424e4aa1667e66f276f6f65e6a",
+    16: "e977b78eef965adaba567c82c7230e4b12d1b02f16bd9fb8b83452fe6bf5c754",
+    17: "057e586b899998c882513ccdc48938e536a6b06525a05aee368cc6786015b74f",
+    1000: "60f3b9c1460f5ffcb64cbb48565799daa4eef9ed5669493d37cff575a1fad852",
+    4000: "7f79ccd14ca319436babbfe9ca90672ce7761cab38bceea02f17fc0d59516825",
+}
+
+
+@pytest.mark.parametrize("length", sorted(GOLDEN_SEAL))
+def test_seal_matches_golden_envelope(length):
+    plaintext = bytes((7 * i + 3) & 0xFF for i in range(length))
+    env = seal(GOLDEN_KEY_MATERIAL, plaintext, nonce=GOLDEN_NONCE)
+    assert len(env) == 12 + length + 32
+    assert hashlib.sha256(env).hexdigest() == GOLDEN_SEAL[length]
+    assert open_sealed(GOLDEN_KEY_MATERIAL, env) == plaintext
+
+
+@given(st.binary(min_size=16, max_size=16), st.binary(min_size=12, max_size=12),
+       st.integers(min_value=0, max_value=100))
+def test_ctr_keystream_is_concatenated_counter_blocks(key, nonce, length):
+    cipher = AES128(key)
+    blocks = b"".join(
+        cipher.encrypt_block(nonce + counter.to_bytes(4, "big"))
+        for counter in range(-(-length // 16))
+    )
+    assert ctr_keystream(cipher, nonce, length) == blocks[:length]

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import tower
+from repro.crypto.curve import _FP2_OPS, _FP_OPS
 from repro.crypto.field import (
     ATE_LOOP_COUNT,
     BN_U,
@@ -12,6 +14,7 @@ from repro.crypto.field import (
     TRACE,
     fp_inv,
     fp_sqrt,
+    mod_inv,
     scalar_inv,
 )
 from repro.errors import CryptoError
@@ -73,3 +76,24 @@ def test_scalar_inv(a):
 def test_scalar_inv_zero_raises():
     with pytest.raises(CryptoError):
         scalar_inv(CURVE_ORDER)
+
+
+@pytest.mark.parametrize(
+    "invert",
+    [
+        lambda: fp_inv(0),
+        lambda: scalar_inv(0),
+        lambda: tower.fp2_inv(tower.FP2_ZERO),
+        lambda: tower.fp2_inv((FIELD_MODULUS, 2 * FIELD_MODULUS)),
+        lambda: _FP_OPS.inv(0),
+        lambda: _FP2_OPS.inv(tower.FP2_ZERO),
+        lambda: mod_inv(0, 7, "F7"),
+    ],
+    ids=["fp", "scalar", "fp2", "fp2-unreduced", "g1-ops", "g2-ops", "mod_inv"],
+)
+def test_inverting_zero_is_a_crypto_error_on_every_path(invert):
+    # Fermat's a^(m-2) returns 0 for 0 and pow(0, -1, m) raises a bare
+    # ValueError; every inversion must go through the checked helper.
+    with pytest.raises(CryptoError, match="inverse of zero"):
+        invert()
+
