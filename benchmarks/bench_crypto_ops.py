@@ -10,6 +10,9 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   the APS signing-heavy setup phase (target >= 2x);
 * ``batched_vo_verify`` — merged shared-base pairing batch vs the
   unmerged small-exponents reference (target >= 3x);
+* ``multi_pair`` — one lockstep multi-pairing (shared Miller-loop
+  squarings, batched line inversions, one final exponentiation) vs the
+  product of n single ``pair()`` calls, at n = 1, 2, 4, 6 pairs;
 * ``envelope`` — the hybrid CP-ABE + AES-CTR response envelope
   (:mod:`repro.abe.hybrid`) at 1, 2 and 3 roles and 1 KB / 4 KB
   payloads: seal and open wall times plus the exact pairings per open.
@@ -189,6 +192,32 @@ def scenario_batched_vo(n_items: int = 10, n_attrs: int = 3) -> dict:
     return _entry(old_s, new_s, ops_old, ops_new, n_items=n_items, n_attrs=n_attrs)
 
 
+def scenario_multi_pair(counts: tuple[int, ...] = (1, 2, 4, 6), repeats: int = 3) -> dict:
+    """``multi_pair`` over n pairs vs the product of n uncached ``pair()`` calls."""
+    rng = random.Random(SEED + 5)
+    scalars = [(rng.randrange(1, 1 << 64), rng.randrange(1, 1 << 64)) for _ in range(max(counts))]
+    arms = {}
+    for n in counts:
+        # The old arm has fast_paths off, so pair() skips its cache and
+        # every repeat runs all n pairings.
+        grp_old, grp_new = BN254Group(), BN254Group()
+        grp_old.fast_paths = False
+        old_pairs = [(grp_old.g1**a, grp_old.g2**b) for a, b in scalars[:n]]
+        new_pairs = [(grp_new.g1**a, grp_new.g2**b) for a, b in scalars[:n]]
+
+        def product():
+            out = grp_old.pair(*old_pairs[0])
+            for a, b in old_pairs[1:]:
+                out = out * grp_old.pair(a, b)
+            return out
+
+        assert product().to_bytes() == grp_new.multi_pair(new_pairs).to_bytes()
+        old_s, ops_old = _timed_ops(grp_old, product, repeats)
+        new_s, ops_new = _timed_ops(grp_new, lambda: grp_new.multi_pair(new_pairs), repeats)
+        arms[f"n{n}"] = _entry(old_s, new_s, ops_old, ops_new, n=n)
+    return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
+
+
 def scenario_envelope(
     role_counts: tuple[int, ...] = (1, 2, 3),
     sizes: tuple[int, ...] = (1024, 4096),
@@ -246,6 +275,7 @@ def run_benchmarks() -> dict:
             "aps_table_setup": scenario_aps_setup(shape=(8, 2, 2)),
             "batched_vo_verify": scenario_batched_vo(n_items=10, n_attrs=3),
         },
+        "multi_pair": scenario_multi_pair(),
         "envelope": scenario_envelope(),
     }
     return results
@@ -257,6 +287,9 @@ def main() -> None:
     for name, entry in results["scenarios"].items():
         print(f"{name:18s} old {entry['old_s']*1e3:9.1f} ms   "
               f"new {entry['new_s']*1e3:9.1f} ms   x{entry['speedup']}")
+    for name, arm in results["multi_pair"]["arms"].items():
+        print(f"multi_pair {name:10s} old {arm['old_s']*1e3:9.1f} ms   "
+              f"new {arm['new_s']*1e3:9.1f} ms   x{arm['speedup']}")
     for name, arm in results["envelope"]["arms"].items():
         print(f"envelope {name:12s} seal {arm['seal_s']*1e3:7.1f} ms   "
               f"open {arm['open_s']*1e3:7.1f} ms   {arm['pairings_per_open']} pairings")
@@ -277,6 +310,12 @@ def test_smoke_batched_vo():
     entry = scenario_batched_vo(n_items=2, n_attrs=2)
     # Merged: 3 fixed bases + l attrs + n tails; unmerged: n * (l + 4).
     assert entry["ops_new"]["pairings"] < entry["ops_old"]["pairings"]
+
+
+def test_smoke_multi_pair():
+    """CI smoke: a 2-pair multi_pair equals the pair() product, with 2 pairings each."""
+    arm = scenario_multi_pair(counts=(2,), repeats=1)["arms"]["n2"]
+    assert arm["ops_old"]["pairings"] == arm["ops_new"]["pairings"] == 2
 
 
 def test_smoke_envelope():

@@ -130,8 +130,9 @@ class CpAbeScheme:
     ) -> tuple[int, GroupElement, tuple[GroupElement, ...], tuple[GroupElement, ...]]:
         """Draw ``s`` and build ``C' = g1^s`` and the per-row ``C_i``, ``D_i``.
 
-        ``g1``, ``g1^a`` and ``g2`` are fixed per public key, so their
-        powers go through the group's fixed-base combs.
+        ``g1``, ``g1^a``, ``g2`` and the attribute bases ``H(x)`` are fixed
+        per public key, so their powers go through the group's fixed-base
+        combs.
         """
         grp = self.group
         msp = get_msp(policy, grp.order)
@@ -143,7 +144,7 @@ class CpAbeScheme:
             lam = sum(msp.matrix[i][j] * w[j] for j in range(msp.n_cols)) % grp.order
             r_i = grp.random_scalar(rng)
             c_rows.append(
-                grp.pow_fixed(pk.g1_a, lam) * pk.hash_attribute(label) ** (-r_i % grp.order)
+                grp.pow_fixed(pk.g1_a, lam) * grp.pow_fixed(pk.hash_attribute(label), -r_i)
             )
             d_rows.append(grp.pow_fixed(pk.g2, r_i))
         return s, grp.pow_fixed(pk.g1, s), tuple(c_rows), tuple(d_rows)

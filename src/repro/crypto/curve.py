@@ -191,30 +191,39 @@ def _jac_add_affine(p1, aff, ops: FieldOps):
     return (x3, y3, z3)
 
 
+def batch_inv(values: list, ops: FieldOps) -> list:
+    """Inverses of field elements sharing one field inversion.
+
+    Montgomery's trick: invert the product of all values once and unroll
+    the partial products.  A zero anywhere makes the product zero, so the
+    one inversion raises :class:`CryptoError` and no partial result escapes.
+    """
+    if not values:
+        return []
+    prefix = []
+    acc = ops.one
+    for v in values:
+        prefix.append(acc)
+        acc = ops.mul(acc, v)
+    inv = ops.inv(acc)
+    out: list = [None] * len(values)
+    for idx in range(len(values) - 1, -1, -1):
+        # acc_idx = prefix[idx] * v  =>  1/v = inv * prefix[idx]; then strip
+        # v from the running inverse for the next (earlier) value.
+        out[idx] = ops.mul(inv, prefix[idx])
+        inv = ops.mul(inv, values[idx])
+    return out
+
+
 def _batch_to_affine(pts, ops: FieldOps):
     """Convert Jacobian points to affine xy sharing one field inversion.
 
-    Montgomery's trick: invert the product of all z-coordinates once and
-    unroll the partial products.  Points at infinity map to ``None``.
+    Points at infinity map to ``None``.
     """
-    prefix = []
-    acc = ops.one
-    for pt in pts:
-        z = pt[2]
-        if z != ops.zero:
-            acc = ops.mul(acc, z)
-        prefix.append(acc)
-    inv = ops.inv(acc)
+    live = [idx for idx, pt in enumerate(pts) if pt[2] != ops.zero]
     out: list = [None] * len(pts)
-    for idx in range(len(pts) - 1, -1, -1):
-        x, y, z = pts[idx]
-        if z == ops.zero:
-            continue
-        before = prefix[idx - 1] if idx > 0 else ops.one
-        # prefix[idx] = before * z  =>  1/z = inv * before; then strip z
-        # from the running inverse for the next (earlier) point.
-        zi = ops.mul(inv, before)
-        inv = ops.mul(inv, z)
+    for idx, zi in zip(live, batch_inv([pts[idx][2] for idx in live], ops)):
+        x, y, _ = pts[idx]
         zi2 = ops.sq(zi)
         out[idx] = (ops.mul(x, zi2), ops.mul(y, ops.mul(zi, zi2)))
     return out
@@ -541,7 +550,11 @@ class _Point:
         return ops.sq(y) == ops.add(ops.mul(ops.sq(x), x), self._b)
 
     def in_subgroup(self) -> bool:
-        return (self * CURVE_ORDER).is_identity
+        # ``self * CURVE_ORDER`` would reduce the scalar mod r to 0 and
+        # accept every point; multiply by r itself.
+        if self.xy is None:
+            return True
+        return _jac_scalar_mul(self.xy, CURVE_ORDER, self._ops)[2] == self._ops.zero
 
 
 class PointG1(_Point):
@@ -582,6 +595,8 @@ class PointG1(_Point):
             raise CryptoError("G1 encoding must be 32 bytes")
         val = int.from_bytes(data, "big")
         if val >> 255:
+            if val != 1 << 255:
+                raise CryptoError("G1 identity encoding has stray bits set")
             return cls(None)
         parity = (val >> 254) & 1
         x = val & ((1 << 254) - 1)
@@ -602,13 +617,16 @@ class PointG2(_Point):
     _b = TWIST_B
 
     def to_bytes(self) -> bytes:
-        """Compressed encoding: 64 bytes (x in Fp2 + flags)."""
+        """Compressed encoding: 64 bytes, ``x1`` with flags then ``x0``.
+
+        Bit 255: infinity flag.  Bit 254: sign of y (:func:`_fp2_parity`).
+        """
         if self.xy is None:
             out = bytearray(64)
             out[0] = 0x80
             return bytes(out)
-        (x0, x1), (y0, _y1) = self.xy
-        flag = (y0 & 1) << 254
+        (x0, x1), y = self.xy
+        flag = _fp2_parity(y) << 254
         return (x1 | flag).to_bytes(32, "big") + x0.to_bytes(32, "big")
 
     @classmethod
@@ -616,23 +634,37 @@ class PointG2(_Point):
         if len(data) != 64:
             raise CryptoError("G2 encoding must be 64 bytes")
         hi = int.from_bytes(data[:32], "big")
+        x0 = int.from_bytes(data[32:], "big")
         if hi >> 255:
+            if hi != 1 << 255 or x0:
+                raise CryptoError("G2 identity encoding has stray bits set")
             return cls(None)
         parity = (hi >> 254) & 1
         x1 = hi & ((1 << 254) - 1)
-        x0 = int.from_bytes(data[32:], "big")
+        if x0 >= P or x1 >= P:
+            raise CryptoError("G2 x-coordinate out of range")
         x = (x0, x1)
         rhs = tower.fp2_add(tower.fp2_mul(tower.fp2_sq(x), x), TWIST_B)
         y = tower.fp2_sqrt(rhs)
         if y is None:
             raise CryptoError("G2 encoding is not on the twist")
-        if y[0] & 1 != parity:
+        if _fp2_parity(y) != parity:
             y = tower.fp2_neg(y)
         return cls((x, y))
 
     def clear_cofactor(self) -> "PointG2":
         """Map a twist point into the order-r subgroup."""
         return _g2_cofactor_mul(self)
+
+
+def _fp2_parity(y) -> int:
+    """Sign bit of a nonzero Fp2 ``y``: parity of ``y0``, or of ``y1`` when ``y0 = 0``.
+
+    ``y`` and ``-y`` always differ in it, so the compressed G2 encoding
+    is injective (parity of ``y0`` alone cannot tell ``(0, y1)`` from
+    ``(0, -y1)``).
+    """
+    return (y[0] if y[0] else y[1]) & 1
 
 
 def _g2_cofactor_mul(pt: PointG2) -> PointG2:

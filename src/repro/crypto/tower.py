@@ -11,6 +11,15 @@ functions, no classes in the hot path):
 
 The sextic twist ``E': y^2 = x^3 + 3/XI`` over Fp2 untwists into E(Fp12)
 via ``(x, y) -> (x*w^2, y*w^3)``.
+
+The pairing's hot kernels — :func:`fp6_mul`, :func:`fp12_mul`,
+:func:`fp12_sq`, :func:`fp12_mul_line` and :func:`fp12_cyclotomic_sq` —
+are straight-line integer code with lazy reduction: they unpack to plain
+ints, keep Karatsuba at every level, and reduce once per output
+coefficient rather than after every Fp2 operation.  The three Fp12
+routines share one unreduced Fp6 product, :func:`_fp6_mul_raw`.  Every
+function returns fully reduced coefficients, so results are bit-identical
+to a helper-by-helper evaluation.
 """
 
 from __future__ import annotations
@@ -151,20 +160,62 @@ def fp6_neg(a: Fp6) -> Fp6:
     return (fp2_neg(a[0]), fp2_neg(a[1]), fp2_neg(a[2]))
 
 
+def _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
+    """Unreduced Fp6 product over 12 ints (six Fp2 Karatsuba products).
+
+    ``a = A0 + A1 v + A2 v^2`` with ``A0 = a0 + a1 i``, ``A1 = a2 + a3 i``,
+    ``A2 = a4 + a5 i``, and likewise ``b``; ``t_k = A_k B_k``.  Inputs may
+    be any integers (unreduced, negative); the six outputs are congruent
+    to the product's coefficients but unreduced — callers reduce once per
+    output coefficient.
+    """
+    m = a0 * b0
+    n = a1 * b1
+    t0r = m - n
+    t0i = (a0 + a1) * (b0 + b1) - m - n
+    m = a2 * b2
+    n = a3 * b3
+    t1r = m - n
+    t1i = (a2 + a3) * (b2 + b3) - m - n
+    m = a4 * b4
+    n = a5 * b5
+    t2r = m - n
+    t2i = (a4 + a5) * (b4 + b5) - m - n
+    # c0 = t0 + XI * ((A1 + A2)(B1 + B2) - t1 - t2)
+    x0 = a2 + a4
+    x1 = a3 + a5
+    y0 = b2 + b4
+    y1 = b3 + b5
+    m = x0 * y0
+    n = x1 * y1
+    sr = m - n - t1r - t2r
+    si = (x0 + x1) * (y0 + y1) - m - n - t1i - t2i
+    # c1 = (A0 + A1)(B0 + B1) - t0 - t1 + XI * t2
+    x0 = a0 + a2
+    x1 = a1 + a3
+    y0 = b0 + b2
+    y1 = b1 + b3
+    m = x0 * y0
+    n = x1 * y1
+    c1r = m - n - t0r - t1r + 9 * t2r - t2i
+    c1i = (x0 + x1) * (y0 + y1) - m - n - t0i - t1i + t2r + 9 * t2i
+    # c2 = (A0 + A2)(B0 + B2) - t0 - t2 + t1
+    x0 = a0 + a4
+    x1 = a1 + a5
+    y0 = b0 + b4
+    y1 = b1 + b5
+    m = x0 * y0
+    n = x1 * y1
+    c2r = m - n - t0r - t2r + t1r
+    c2i = (x0 + x1) * (y0 + y1) - m - n - t0i - t2i + t1i
+    return t0r + 9 * sr - si, t0i + sr + 9 * si, c1r, c1i, c2r, c2i
+
+
 def fp6_mul(a: Fp6, b: Fp6) -> Fp6:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    t0 = fp2_mul(a0, b0)
-    t1 = fp2_mul(a1, b1)
-    t2 = fp2_mul(a2, b2)
-    # Karatsuba-style interpolation.
-    c0 = fp2_add(t0, fp2_mul_xi(fp2_sub(fp2_mul(fp2_add(a1, a2), fp2_add(b1, b2)), fp2_add(t1, t2))))
-    c1 = fp2_add(
-        fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), fp2_add(t0, t1)),
-        fp2_mul_xi(t2),
-    )
-    c2 = fp2_add(fp2_sub(fp2_mul(fp2_add(a0, a2), fp2_add(b0, b2)), fp2_add(t0, t2)), t1)
-    return (c0, c1, c2)
+    (a0, a1), (a2, a3), (a4, a5) = a
+    (b0, b1), (b2, b3), (b4, b5) = b
+    c0, c1, c2, c3, c4, c5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
 def fp6_sq(a: Fp6) -> Fp6:
@@ -204,29 +255,43 @@ def fp6_inv(a: Fp6) -> Fp6:
 # Fp12 arithmetic (d0 + d1 w, w^2 = v)
 # ---------------------------------------------------------------------------
 
-def fp12_add(a: Fp12, b: Fp12) -> Fp12:
-    return (fp6_add(a[0], b[0]), fp6_add(a[1], b[1]))
-
-
 def fp12_mul(a: Fp12, b: Fp12) -> Fp12:
-    a0, a1 = a
-    b0, b1 = b
-    t0 = fp6_mul(a0, b0)
-    t1 = fp6_mul(a1, b1)
-    c1 = fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(b0, b1)), fp6_add(t0, t1))
-    c0 = fp6_add(t0, fp6_mul_v(t1))
-    return (c0, c1)
+    # Karatsuba over w^2 = v on the Fp6 halves a = A0 + A1 w, b = B0 + B1 w:
+    # c0 = t + v u, c1 = (A0 + A1)(B0 + B1) - t - u with t = A0 B0, u = A1 B1.
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    ((b0, b1), (b2, b3), (b4, b5)), ((b6, b7), (b8, b9), (b10, b11)) = b
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    u0, u1, u2, u3, u4, u5 = _fp6_mul_raw(a6, a7, a8, a9, a10, a11, b6, b7, b8, b9, b10, b11)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_raw(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        b0 + b6, b1 + b7, b2 + b8, b3 + b9, b4 + b10, b5 + b11,
+    )
+    # v u = XI U2 + U0 v + U1 v^2 with U0 = (u0, u1), U1 = (u2, u3), U2 = (u4, u5).
+    return (
+        (((t0 + 9 * u4 - u5) % P, (t1 + u4 + 9 * u5) % P),
+         ((t2 + u0) % P, (t3 + u1) % P),
+         ((t4 + u2) % P, (t5 + u3) % P)),
+        (((s0 - t0 - u0) % P, (s1 - t1 - u1) % P),
+         ((s2 - t2 - u2) % P, (s3 - t3 - u3) % P),
+         ((s4 - t4 - u4) % P, (s5 - t5 - u5) % P)),
+    )
 
 
 def fp12_sq(a: Fp12) -> Fp12:
-    a0, a1 = a
-    # complex squaring: c0 = (a0+a1)(a0+v a1) - t - v t ; c1 = 2t, t = a0 a1
-    t = fp6_mul(a0, a1)
-    c0 = fp6_sub(
-        fp6_mul(fp6_add(a0, a1), fp6_add(a0, fp6_mul_v(a1))),
-        fp6_add(t, fp6_mul_v(t)),
+    # Complex squaring of a = A0 + A1 w: with t = A0 A1,
+    # c0 = (A0 + A1)(A0 + v A1) - t - v t and c1 = 2t.
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_raw(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        a0 + 9 * a10 - a11, a1 + a10 + 9 * a11, a2 + a6, a3 + a7, a4 + a8, a5 + a9,
     )
-    return (c0, fp6_add(t, t))
+    return (
+        (((s0 - t0 - 9 * t4 + t5) % P, (s1 - t1 - t4 - 9 * t5) % P),
+         ((s2 - t2 - t0) % P, (s3 - t3 - t1) % P),
+         ((s4 - t4 - t2) % P, (s5 - t5 - t3) % P)),
+        ((2 * t0 % P, 2 * t1 % P), (2 * t2 % P, 2 * t3 % P), (2 * t4 % P, 2 * t5 % P)),
+    )
 
 
 def fp12_inv(a: Fp12) -> Fp12:
@@ -264,37 +329,24 @@ def fp12_mul_line(f: Fp12, a: int, b: Fp2, c: Fp2) -> Fp12:
     ``a`` is an Fp scalar (the y-coordinate of the G1 point), ``b`` and
     ``c`` are Fp2.  Derivation in :mod:`repro.crypto.pairing`.
     """
-    f0, f1 = f
-    # L = (A, B) with A = (a, 0, 0), B = (b, c, 0) in Fp6 coordinates.
-    # f*L = (f0*A + f1*B*v, f0*B + f1*A)
-    u0, u1, u2 = f1
-    # f1 * B  (sparse Fp6 mult by (b, c, 0))
-    f1b = (
-        fp2_add(fp2_mul(u0, b), fp2_mul_xi(fp2_mul(u2, c))),
-        fp2_add(fp2_mul(u0, c), fp2_mul(u1, b)),
-        fp2_add(fp2_mul(u1, c), fp2_mul(u2, b)),
+    # L = (A, B) with A = a (an Fp scalar) and B = b + c v; Karatsuba:
+    # f L = (f0 A + v f1 B, (f0 + f1)(A + B) - f0 A - f1 B).
+    ((f0, f1), (f2, f3), (f4, f5)), ((f6, f7), (f8, f9), (f10, f11)) = f
+    b0, b1 = b
+    c0, c1 = c
+    u0, u1, u2, u3, u4, u5 = _fp6_mul_raw(f6, f7, f8, f9, f10, f11, b0, b1, c0, c1, 0, 0)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_raw(
+        f0 + f6, f1 + f7, f2 + f8, f3 + f9, f4 + f10, f5 + f11, a + b0, b1, c0, c1, 0, 0
     )
-    g0, g1, g2 = f0
-    # f0 * B
-    f0b = (
-        fp2_add(fp2_mul(g0, b), fp2_mul_xi(fp2_mul(g2, c))),
-        fp2_add(fp2_mul(g0, c), fp2_mul(g1, b)),
-        fp2_add(fp2_mul(g1, c), fp2_mul(g2, b)),
+    t0, t1, t2, t3, t4, t5 = a * f0, a * f1, a * f2, a * f3, a * f4, a * f5
+    return (
+        (((t0 + 9 * u4 - u5) % P, (t1 + u4 + 9 * u5) % P),
+         ((t2 + u0) % P, (t3 + u1) % P),
+         ((t4 + u2) % P, (t5 + u3) % P)),
+        (((s0 - t0 - u0) % P, (s1 - t1 - u1) % P),
+         ((s2 - t2 - u2) % P, (s3 - t3 - u3) % P),
+         ((s4 - t4 - u4) % P, (s5 - t5 - u5) % P)),
     )
-    f0a = (fp2_mul_scalar(g0, a), fp2_mul_scalar(g1, a), fp2_mul_scalar(g2, a))
-    f1a = (fp2_mul_scalar(u0, a), fp2_mul_scalar(u1, a), fp2_mul_scalar(u2, a))
-    c0 = fp6_add(f0a, fp6_mul_v(f1b))
-    c1 = fp6_add(f0b, f1a)
-    return (c0, c1)
-
-
-def _fp4_sq(a: Fp2, b: Fp2) -> tuple[Fp2, Fp2]:
-    """Squaring in Fp4 = Fp2[t]/(t^2 - XI): (a + b*t)^2."""
-    t0 = fp2_sq(a)
-    t1 = fp2_sq(b)
-    c0 = fp2_add(fp2_mul_xi(t1), t0)
-    c1 = fp2_sub(fp2_sub(fp2_sq(fp2_add(a, b)), t0), t1)
-    return c0, c1
 
 
 def fp12_cyclotomic_sq(f: Fp12) -> Fp12:
@@ -302,22 +354,39 @@ def fp12_cyclotomic_sq(f: Fp12) -> Fp12:
 
     Elements that survive the easy part of the final exponentiation
     (f^((p^6-1)(p^2+1))) live in the cyclotomic subgroup, where squaring
-    admits this cheaper compressed form (9 Fp2 squarings instead of a
-    full Fp12 squaring).  Using it outside the subgroup gives wrong
-    results — callers must guarantee membership.
+    admits this cheaper compressed form (three Fp4 squarings, nine Fp2
+    squarings, instead of a full Fp12 squaring).  Using it outside the
+    subgroup gives wrong results — callers must guarantee membership.
     """
-    (c00, c01, c02), (c10, c11, c12) = f
-    t0, t1 = _fp4_sq(c00, c11)
-    t2, t3 = _fp4_sq(c10, c02)
-    t4, t5 = _fp4_sq(c01, c12)
-    t6 = fp2_mul_xi(t5)
-    r00 = fp2_add(fp2_add(fp2_sub(t0, c00), fp2_sub(t0, c00)), t0)
-    r01 = fp2_add(fp2_add(fp2_sub(t2, c01), fp2_sub(t2, c01)), t2)
-    r02 = fp2_add(fp2_add(fp2_sub(t4, c02), fp2_sub(t4, c02)), t4)
-    r10 = fp2_add(fp2_add(fp2_add(t6, c10), fp2_add(t6, c10)), t6)
-    r11 = fp2_add(fp2_add(fp2_add(t1, c11), fp2_add(t1, c11)), t1)
-    r12 = fp2_add(fp2_add(fp2_add(t3, c12), fp2_add(t3, c12)), t3)
-    return ((r00, r01, r02), (r10, r11, r12))
+    ((c0, c1), (c2, c3), (c4, c5)), ((c6, c7), (c8, c9), (c10, c11)) = f
+    # f = ((C00, C01, C02), (C10, C11, C12)) over Fp2.  Three Fp4 squarings
+    # (x + y t)^2 = (x^2 + XI y^2) + ((x + y)^2 - x^2 - y^2) t over
+    # Fp4 = Fp2[t]/(t^2 - XI), on the pairs (C00, C11), (C10, C02), (C01, C12).
+    x0r, x0i = (c0 - c1) * (c0 + c1), 2 * c0 * c1
+    y0r, y0i = (c8 - c9) * (c8 + c9), 2 * c8 * c9
+    s0, d0 = c0 + c8, c1 + c9
+    x1r, x1i = (c6 - c7) * (c6 + c7), 2 * c6 * c7
+    y1r, y1i = (c4 - c5) * (c4 + c5), 2 * c4 * c5
+    s1, d1 = c6 + c4, c7 + c5
+    x2r, x2i = (c2 - c3) * (c2 + c3), 2 * c2 * c3
+    y2r, y2i = (c10 - c11) * (c10 + c11), 2 * c10 * c11
+    s2, d2 = c2 + c10, c3 + c11
+    t0r, t0i = x0r + 9 * y0r - y0i, x0i + y0r + 9 * y0i
+    t1r, t1i = (s0 - d0) * (s0 + d0) - x0r - y0r, 2 * s0 * d0 - x0i - y0i
+    t2r, t2i = x1r + 9 * y1r - y1i, x1i + y1r + 9 * y1i
+    t3r, t3i = (s1 - d1) * (s1 + d1) - x1r - y1r, 2 * s1 * d1 - x1i - y1i
+    t4r, t4i = x2r + 9 * y2r - y2i, x2i + y2r + 9 * y2i
+    t5r, t5i = (s2 - d2) * (s2 + d2) - x2r - y2r, 2 * s2 * d2 - x2i - y2i
+    # R0j = 3 T - 2 C0j and R1j = 3 T + 2 C1j, with XI T5 feeding R10.
+    return (
+        ((3 * t0r - 2 * c0) % P, (3 * t0i - 2 * c1) % P),
+        ((3 * t2r - 2 * c2) % P, (3 * t2i - 2 * c3) % P),
+        ((3 * t4r - 2 * c4) % P, (3 * t4i - 2 * c5) % P),
+    ), (
+        ((3 * (9 * t5r - t5i) + 2 * c6) % P, (3 * (t5r + 9 * t5i) + 2 * c7) % P),
+        ((3 * t1r + 2 * c8) % P, (3 * t1i + 2 * c9) % P),
+        ((3 * t3r + 2 * c10) % P, (3 * t3i + 2 * c11) % P),
+    )
 
 
 def fp12_cyclotomic_pow(f: Fp12, e: int) -> Fp12:

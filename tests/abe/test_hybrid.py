@@ -1,6 +1,8 @@
 """Tests for the hybrid CP-ABE + AES envelope."""
 
+import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,7 +14,9 @@ from repro.abe.hybrid import (
     encrypt_for_policy,
     encrypt_for_roles,
 )
-from repro.crypto import simulated
+from repro.crypto import BN254Group, simulated, tower
+from repro.crypto.curve import TWIST_B, PointG2
+from repro.crypto.group import G2, GroupElement
 from repro.errors import AccessDeniedError, CryptoError
 from repro.policy.boolexpr import parse_policy
 
@@ -124,3 +128,32 @@ def test_envelopes_match_golden_bytes(any_group):
         assert _envelope_digest(envp) == expected
         sk = scheme.keygen(keys, roles, random.Random(k))
         assert decrypt_envelope(scheme, sk, envp) == payload
+
+
+def _twist_point_outside_g2() -> PointG2:
+    """A point of the twist E'(Fp2) that is not in the order-r subgroup."""
+    for k in itertools.count(1):
+        x = (k, 1)
+        y = tower.fp2_sqrt(tower.fp2_add(tower.fp2_mul(tower.fp2_sq(x), x), TWIST_B))
+        if y is not None:
+            point = PointG2((x, y))
+            if not point.in_subgroup():
+                return point
+
+
+def test_bn254_header_row_outside_g2_never_opens():
+    grp = BN254Group()
+    rng = random.Random(31)
+    scheme = CpAbeScheme(grp)
+    keys = scheme.setup(rng)
+    roles = ["R0", "R1"]
+    envp = encrypt_for_roles(scheme, keys.public, roles, b"sealed answer", rng)
+    sk = scheme.keygen(keys, roles, rng)
+    assert decrypt_envelope(scheme, sk, envp) == b"sealed answer"
+    rogue = GroupElement(grp, G2, _twist_point_outside_g2())
+    for i in range(len(envp.header.d_rows)):
+        rows = list(envp.header.d_rows)
+        rows[i] = rogue
+        header = dataclasses.replace(envp.header, d_rows=tuple(rows))
+        with pytest.raises(CryptoError):
+            decrypt_envelope(scheme, sk, HybridEnvelope(header=header, body=envp.body))

@@ -1,9 +1,12 @@
 """Tests for the BN254 G1/G2 point groups."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.crypto import bn254, tower
 from repro.crypto.curve import (
     G1_GENERATOR,
     G2_GENERATOR,
@@ -12,7 +15,7 @@ from repro.crypto.curve import (
     TWIST_B,
 )
 from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS
-from repro.errors import CryptoError
+from repro.errors import CryptoError, DeserializationError
 
 rng = random.Random(101)
 
@@ -85,6 +88,7 @@ def test_g2_cofactor_clears_into_subgroup():
         x = (x[0] + 1, x[1])
     pt = PointG2((x, y))
     assert pt.is_on_curve()
+    assert not pt.in_subgroup()
     cleared = pt.clear_cofactor()
     assert cleared.is_on_curve()
     assert cleared.in_subgroup()
@@ -138,3 +142,86 @@ def test_serialization_recovers_y_sign():
     assert PointG1.from_bytes(p.to_bytes()) == p
     assert PointG1.from_bytes(neg.to_bytes()) == neg
     assert p.to_bytes() != neg.to_bytes()
+
+
+# -- canonical decoding: every accepted encoding is the one to_bytes emits --
+
+def test_g2_rejects_unreduced_x0():
+    data = G2_GENERATOR.to_bytes()
+    x0 = int.from_bytes(data[32:], "big")
+    bumped = data[:32] + (x0 + FIELD_MODULUS).to_bytes(32, "big")
+    with pytest.raises(CryptoError, match="out of range"):
+        PointG2.from_bytes(bumped)
+    with pytest.raises(DeserializationError):
+        bn254().deserialize("G2", bumped)
+
+
+def test_g2_rejects_unreduced_x1():
+    # x1 + p must still fit below the two flag bits.
+    q = next(
+        q
+        for q in (G2_GENERATOR * k for k in itertools.count(1))
+        if q.xy[0][1] + FIELD_MODULUS < 1 << 254
+    )
+    data = q.to_bytes()
+    bumped = (int.from_bytes(data[:32], "big") + FIELD_MODULUS).to_bytes(32, "big") + data[32:]
+    with pytest.raises(CryptoError, match="out of range"):
+        PointG2.from_bytes(bumped)
+    with pytest.raises(DeserializationError):
+        bn254().deserialize("G2", bumped)
+
+
+@pytest.mark.parametrize("junk", [1, 1 << 100, 1 << 254])
+def test_identity_encodings_reject_stray_bits(junk):
+    flagged = ((1 << 255) | junk).to_bytes(32, "big")
+    with pytest.raises(CryptoError, match="stray bits"):
+        PointG1.from_bytes(flagged)
+    with pytest.raises(CryptoError, match="stray bits"):
+        PointG2.from_bytes(flagged + bytes(32))
+    with pytest.raises(CryptoError, match="stray bits"):
+        PointG2.from_bytes((1 << 255).to_bytes(32, "big") + junk.to_bytes(32, "big"))
+    with pytest.raises(DeserializationError):
+        bn254().deserialize("G1", flagged)
+
+
+def _twist_point_with_zero_y0() -> PointG2:
+    """A twist point ``(x, (0, y1))``, whose y-sign lives in ``y1`` alone.
+
+    ``p^2 - 1 = 9t`` with ``3 !| t``, so ``rhs^(1/3 mod t)`` is a cube root
+    of ``rhs`` for some of the candidates ``rhs = -y1^2 - b'``.
+    """
+    t = (FIELD_MODULUS**2 - 1) // 9
+    u = pow(3, -1, t)
+    for y1 in itertools.count(1):
+        rhs = tower.fp2_sub((-y1 * y1 % FIELD_MODULUS, 0), TWIST_B)
+        x = tower.fp2_pow(rhs, u)
+        if tower.fp2_mul(tower.fp2_sq(x), x) == rhs:
+            return PointG2((x, (0, y1)))
+
+
+def test_g2_encoding_separates_y_with_zero_real_part():
+    q = _twist_point_with_zero_y0()
+    assert q.is_on_curve()
+    assert q.to_bytes() != (-q).to_bytes()
+    assert PointG2.from_bytes(q.to_bytes()) == q
+    assert PointG2.from_bytes((-q).to_bytes()) == -q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(min_size=32, max_size=32))
+def test_accepted_g1_encodings_reencode_to_themselves(data):
+    try:
+        point = PointG1.from_bytes(data)
+    except CryptoError:
+        return
+    assert point.to_bytes() == data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(min_size=64, max_size=64))
+def test_accepted_g2_encodings_reencode_to_themselves(data):
+    try:
+        point = PointG2.from_bytes(data)
+    except CryptoError:
+        return
+    assert point.to_bytes() == data
