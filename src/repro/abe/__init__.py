@@ -10,6 +10,7 @@ from repro.abe.cpabe import (
 )
 from repro.abe.hybrid import (
     HybridEnvelope,
+    KemCache,
     decrypt_envelope,
     encrypt_for_policy,
     encrypt_for_roles,
@@ -23,6 +24,7 @@ __all__ = [
     "CpAbeScheme",
     "CpAbeSecretKey",
     "HybridEnvelope",
+    "KemCache",
     "decrypt_envelope",
     "encrypt_for_policy",
     "encrypt_for_roles",

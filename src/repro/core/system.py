@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.abe.cpabe import CpAbeKeyPair, CpAbePublicKey, CpAbeScheme, CpAbeSecretKey
-from repro.abe.hybrid import HybridEnvelope, decrypt_envelope, encrypt_for_roles
+from repro.abe.hybrid import HybridEnvelope, KemCache, decrypt_envelope, encrypt_for_roles
 from repro.abs.keys import AbsVerificationKey
 from repro.core.app_signature import AppAuthenticator, AppSigner
 from repro.core.engine import (
@@ -43,6 +44,7 @@ from repro.crypto.group import BilinearGroup
 from repro.errors import ReproError, WorkloadError
 from repro.index.boxes import Box, Point
 from repro.index.gridtree import APGTree
+from repro.obs import ledger as _ledger
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.policy.authoring.registry import PolicyRegistry
@@ -57,10 +59,36 @@ _M_AUTH_POOL = _REG.counter(
 _M_AUTH_POOL_SIZE = _REG.gauge(
     "repro_sp_auth_pool_size", "Authenticators currently pooled.",
 )
+_M_KEM_CACHE = _REG.counter(
+    "repro_sp_kem_cache_total",
+    "CP-ABE encapsulation cache lookups by outcome (hit / miss / evicted).",
+    labelnames=("outcome",),
+)
 _M_QUERIES = _REG.counter(
     "repro_sp_queries_total", "Queries executed by the SP engine.",
     labelnames=("kind",),
 )
+
+#: Bound of each KEM cache: the role sets whose CP-ABE encapsulation an
+#: SP reuses (also emptied on every epoch rotation, so one key serves at
+#: most one epoch), and the response headers whose decapsulated key
+#: material a QueryUser keeps.
+KEM_CACHE_SIZE = 64
+_SEAL_COUNTERS = {"hit": "kem_hits", "miss": "kem_misses"}
+_OPEN_COUNTERS = {"hit": "kem_memo_hits", "miss": "kem_memo_misses"}
+
+
+def _observe_seal(outcome: str) -> None:
+    """SP-side KEM cache outcome: a metric, plus a ledger count per query."""
+    _M_KEM_CACHE.inc(outcome=outcome)
+    if outcome != "evicted":
+        _ledger.ledger().count(_trace.current_trace_id(), **{_SEAL_COUNTERS[outcome]: 1})
+
+
+def _observe_open(outcome: str) -> None:
+    """Client-side header memo outcome, counted in the query's ledger entry."""
+    if outcome != "evicted":
+        _ledger.ledger().count(_trace.current_trace_id(), **{_OPEN_COUNTERS[outcome]: 1})
 
 
 @dataclass
@@ -206,6 +234,11 @@ class ServiceProvider:
     per-missing-role-set authenticators whose LRU caches persist across
     queries, so a repeated (node, role-set) proof is served from cache
     instead of re-derived.
+
+    Sealed responses reuse one CP-ABE encapsulation per claimed role set
+    (a bounded LRU, emptied on every epoch rotation); each response body
+    still gets a fresh nonce.  The authenticator pool and that cache share
+    one lock, so concurrent queries never see either half-updated.
     """
 
     def __init__(
@@ -242,6 +275,9 @@ class ServiceProvider:
         self._aps_cache_size = aps_cache_size
         self._auth_pool_size = max(1, auth_pool_size)
         self._auth_pool: "OrderedDict[tuple, AppAuthenticator]" = OrderedDict()
+        #: Guards the authenticator pool and the KEM cache.
+        self._cache_lock = threading.Lock()
+        self._kem_cache = KemCache(KEM_CACHE_SIZE, self._cache_lock, _observe_seal)
         #: Current DO-issued freshness token per table, attached to every
         #: response for that table.  The SP cannot mint these (no signing
         #: key); the DO pushes a new one on each epoch rotation.
@@ -259,6 +295,7 @@ class ServiceProvider:
                 self._freshness_tokens.pop(table, None)
             else:
                 self._freshness_tokens[table] = token
+            self._kem_cache.clear()
 
     def freshness_token(self, table: str) -> Optional[FreshnessToken]:
         return self._freshness_tokens.get(table)
@@ -286,7 +323,8 @@ class ServiceProvider:
         Queries already in flight finish against the :class:`TableView`
         they captured (the old consistent pair); queries that start
         after this call see only the new pair.  There is no intermediate
-        state in which new data pairs with an old token.
+        state in which new data pairs with an old token.  It also empties
+        the KEM cache, so no CP-ABE encapsulation outlives its epoch.
         """
         with self._table_lock:
             self.trees[table] = tree
@@ -294,6 +332,7 @@ class ServiceProvider:
                 self._freshness_tokens.pop(table, None)
             else:
                 self._freshness_tokens[table] = token
+            self._kem_cache.clear()
 
     # -- crash safety --------------------------------------------------------
     def snapshot_tables(self) -> Dict[str, bytes]:
@@ -351,23 +390,24 @@ class ServiceProvider:
         """
         missing = tuple(self._missing_roles(roles))
         pool = self._auth_pool
-        authenticator = pool.get(missing)
-        if authenticator is None:
-            _M_AUTH_POOL.inc(outcome="miss")
-            authenticator = AppAuthenticator(
-                self.group, self.universe, self.authenticator.mvk,
-                missing_override=list(missing),
-            )
-            if self._aps_cache_size > 0:
-                authenticator.enable_aps_cache(self._aps_cache_size)
-            pool[missing] = authenticator
-            if len(pool) > self._auth_pool_size:
-                pool.popitem(last=False)
-                _M_AUTH_POOL.inc(outcome="evicted")
-        else:
-            _M_AUTH_POOL.inc(outcome="hit")
-            pool.move_to_end(missing)
-        _M_AUTH_POOL_SIZE.set(len(pool))
+        with self._cache_lock:
+            authenticator = pool.get(missing)
+            if authenticator is None:
+                _M_AUTH_POOL.inc(outcome="miss")
+                authenticator = AppAuthenticator(
+                    self.group, self.universe, self.authenticator.mvk,
+                    missing_override=list(missing),
+                )
+                if self._aps_cache_size > 0:
+                    authenticator.enable_aps_cache(self._aps_cache_size)
+                pool[missing] = authenticator
+                if len(pool) > self._auth_pool_size:
+                    pool.popitem(last=False)
+                    _M_AUTH_POOL.inc(outcome="evicted")
+            else:
+                _M_AUTH_POOL.inc(outcome="hit")
+                pool.move_to_end(missing)
+            _M_AUTH_POOL_SIZE.set(len(pool))
         return authenticator
 
     def _respond(
@@ -385,7 +425,12 @@ class ServiceProvider:
             return QueryResponse(
                 kind=kind, query=query, vo=vo, stats=stats, freshness=freshness
             )
-        envelope = encrypt_for_roles(self._cpabe, self.cpabe_public, roles, vo.to_bytes(), rng)
+        payload = vo.to_bytes()
+        t0 = time.perf_counter()
+        envelope = encrypt_for_roles(
+            self._cpabe, self.cpabe_public, roles, payload, rng, cache=self._kem_cache
+        )
+        _ledger.ledger().charge(_trace.current_trace_id(), "seal", time.perf_counter() - t0)
         return QueryResponse(
             kind=kind, query=query, envelope=envelope, stats=stats,
             freshness=freshness,
@@ -507,6 +552,9 @@ class QueryUser:
         self.hierarchy = hierarchy
         self.authenticator = AppAuthenticator(group, universe, credentials.mvk)
         self._cpabe = CpAbeScheme(group)
+        #: Decapsulated key material by exact header bytes; per user, since
+        #: it is only valid for this user's secret key.
+        self._kem_memo = KemCache(KEM_CACHE_SIZE, observe=_observe_open)
 
     @property
     def roles(self) -> frozenset[str]:
@@ -522,7 +570,16 @@ class QueryUser:
             return response.vo
         if response.envelope is None:
             raise ReproError("response carries neither VO nor envelope")
-        data = decrypt_envelope(self._cpabe, self.credentials.cpabe_key, response.envelope)
+        t0 = time.perf_counter()
+        try:
+            data = decrypt_envelope(
+                self._cpabe, self.credentials.cpabe_key, response.envelope,
+                cache=self._kem_memo,
+            )
+        finally:
+            _ledger.ledger().charge(
+                _trace.current_trace_id(), "open", time.perf_counter() - t0
+            )
         return VerificationObject.from_bytes(self.group, data)
 
     def verify(self, response: QueryResponse) -> list[Record]:

@@ -92,7 +92,7 @@ from repro.obs import trace as _trace
 
 #: Server-side ledger stages a loopback round trip may charge inline;
 #: wire_exchange subtracts their delta so "wire" stays exclusive.
-_SERVER_STAGES = ("traverse", "materialize")
+_SERVER_STAGES = ("traverse", "materialize", "seal")
 
 _REG = _metrics.registry()
 _M_REQUESTS = _REG.counter(
@@ -366,8 +366,8 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
     if trace_id is not None:
         # Charge the round trip exclusive of server-side stages charged
         # to this trace *during* the call: on an in-process loopback the
-        # engine runs inline, and counting its time under both "wire"
-        # and "traverse"/"materialize" would sum to ~2x wall.  Across a
+        # engine and the seal run inline, and counting their time under
+        # both "wire" and their own stages would sum to ~2x wall.  Across a
         # real socket nothing nests, and wire = network + remote server
         # time, which is equally honest.
         nested = ledger.stage_seconds(trace_id, _SERVER_STAGES) - nested_before
@@ -394,9 +394,13 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
             )
         raise TransportError(f"SP error frame [{error.code}]: {error.message}")
     response = decode_response(group, body)
+    # ``verify`` opens a sealed response first, which charges "open";
+    # subtract it so "verify" counts only the VO checks.
+    open_before = ledger.stage_seconds(trace_id, ("open",))
     verify_t0 = time.perf_counter()
     result = verify(response)
-    ledger.charge(trace_id, "verify", time.perf_counter() - verify_t0)
+    opened = ledger.stage_seconds(trace_id, ("open",)) - open_before
+    ledger.charge(trace_id, "verify", time.perf_counter() - verify_t0 - opened)
     return result
 
 

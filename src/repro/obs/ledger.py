@@ -13,17 +13,24 @@ stage                     charged by
                           (crypto-free tree walk)
 ``materialize``           :func:`repro.core.engine.materialize`
                           (ABS.Relax batch, APS cache, dedup)
+``seal``                  :meth:`repro.core.system.ServiceProvider._respond`
+                          (CP-ABE KEM, cached per role set, + AES/HMAC)
 ``wire``                  :func:`repro.net.client.wire_exchange` — round-trip
                           time *exclusive* of server-side stages charged to
                           the same trace during the call, so an in-process
                           loopback does not double-count engine work
+``open``                  :meth:`repro.core.system.QueryUser._open`
+                          (CP-ABE decapsulation, memoized per header, +
+                          MAC check and AES)
 ``verify``                :func:`repro.net.client.wire_exchange` (client-side
-                          VO verification)
+                          VO verification, exclusive of ``open``)
 ``merge``                 :meth:`repro.net.sharding.ShardedClient._merge`
                           (scatter-gather VO merge + completeness check)
 ========================  ====================================================
 
-Counters (relax calls, APS cache hits/misses, dedup) and
+Counters (relax calls, APS cache hits/misses, dedup, ``kem_hits`` /
+``kem_misses`` for the SP's encapsulation cache, ``kem_memo_hits`` /
+``kem_memo_misses`` for the client's header memo) and
 :class:`~repro.crypto.groupops.GroupOpStats` deltas accumulate per
 trace the same way.  Entries are bounded LRU; everything is a no-op
 when the obs gate is off or no trace is active (``trace_id=None``).
@@ -38,7 +45,7 @@ from typing import Mapping, Optional, Sequence
 from repro.obs import gate
 
 #: The canonical pipeline stages, in execution order.
-STAGES = ("traverse", "materialize", "wire", "verify", "merge")
+STAGES = ("traverse", "materialize", "seal", "wire", "open", "verify", "merge")
 
 
 class QueryLedger:

@@ -104,8 +104,9 @@ def format_ledger(entries) -> str:
     """Tabular view of :class:`~repro.obs.ledger.QueryLedger` entries.
 
     One row per query (most recent first): trace id, per-stage seconds
-    in pipeline order, their sum, and observed wall time — the live
-    half of the ``repro obs top`` display.
+    in pipeline order (traverse, materialize, seal, wire, open, verify,
+    merge), their sum, and observed wall time — the live half of the
+    ``repro obs top`` display.
     """
     from repro.obs.ledger import STAGES
 

@@ -23,7 +23,9 @@ def test_unknown_stage_rejected():
     ledger = CostLedger()
     with pytest.raises(ValueError, match="unknown ledger stage"):
         ledger.charge(TID, "daydream", 1.0)
-    assert set(STAGES) == {"traverse", "materialize", "wire", "verify", "merge"}
+    assert set(STAGES) == {
+        "traverse", "materialize", "seal", "wire", "open", "verify", "merge",
+    }
 
 
 def test_negative_charge_clamps_to_zero():
@@ -109,8 +111,8 @@ def test_stage_seconds_subtotal_for_wire_exclusivity():
     assert ledger.stage_seconds(None, ("traverse",)) == 0.0
 
 
-def test_traced_query_populates_global_ledger():
-    """End to end: one loopback query charges every client-side stage."""
+def _loopback_client():
+    """A seeded one-record world behind a loopback ResilientClient."""
     import random
 
     from repro.core import DataOwner, Dataset, QueryUser, Record
@@ -118,7 +120,6 @@ def test_traced_query_populates_global_ledger():
     from repro.crypto import simulated
     from repro.index import Domain
     from repro.net import LoopbackTransport, ResilientClient, ResilientSPServer
-    from repro.obs import ledger as ledger_mod
     from repro.policy import RoleUniverse, parse_policy
 
     rng = random.Random(5)
@@ -130,10 +131,17 @@ def test_traced_query_populates_global_ledger():
     provider = owner.outsource({"docs": table})
     user = QueryUser(group, universe, owner.register_user(["analyst"]))
     server = ResilientSPServer(SPServer(provider, rng=rng))
-    client = ResilientClient(
+    return ResilientClient(
         user, LoopbackTransport(server.handle_frame),
         rng=random.Random(6),
     )
+
+
+def test_traced_query_populates_global_ledger():
+    """End to end: one loopback query charges every client-side stage."""
+    from repro.obs import ledger as ledger_mod
+
+    client = _loopback_client()
     records = client.query_range("docs", (0,), (15,), encrypt=False)
     assert records
     entry = ledger_mod.ledger().get(client._last_trace_id)
@@ -145,3 +153,23 @@ def test_traced_query_populates_global_ledger():
     # so the staged total cannot double-count past the observed wall.
     assert entry.stage_total() <= entry.wall_seconds * 1.5
     assert client.stats()["ledger"]["trace_id"] == client._last_trace_id
+
+
+def test_sealed_query_charges_seal_and_open_within_wall():
+    """A sealed query adds seal and open; the stages still sum within wall,
+    and the KEM counters show the first query missing and the second hitting."""
+    from repro.obs import ledger as ledger_mod
+
+    client = _loopback_client()
+    expected = {
+        1: {"kem_misses": 1, "kem_memo_misses": 1},
+        2: {"kem_hits": 1, "kem_memo_hits": 1},
+    }
+    for query in (1, 2):
+        assert client.query_range("docs", (0,), (15,), encrypt=True)
+        entry = ledger_mod.ledger().get(client._last_trace_id)
+        for stage in ("traverse", "materialize", "seal", "wire", "open", "verify"):
+            assert stage in entry.stages, entry.as_dict()
+        assert entry.stage_total() <= entry.wall_seconds
+        kem = {k: v for k, v in entry.counters.items() if k.startswith("kem_")}
+        assert kem == expected[query]
