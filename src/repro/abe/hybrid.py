@@ -20,13 +20,12 @@ miss runs exactly the uncached path.
 from __future__ import annotations
 
 import random
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.abe.cpabe import CpAbeCiphertext, CpAbePublicKey, CpAbeScheme, CpAbeSecretKey
 from repro.crypto.aes import open_sealed, seal
+from repro.memo import BoundedMemo
 from repro.policy.boolexpr import BoolExpr, and_of_attrs
 
 
@@ -41,60 +40,11 @@ class HybridEnvelope:
         return self.header.byte_size() + len(self.body)
 
 
-class KemCache:
-    """Bounded LRU of CP-ABE KEM results for one public key or one secret key.
-
-    A sealer keys it by policy text and stores ``(key_material, header)``;
-    an opener keys it by :func:`header_key` and stores key material.
-    Look-ups and inserts run under ``lock``; the value is computed outside
-    it.  :meth:`clear` starts a new generation, and a value computed before
-    a clear is never stored after it.  Failures (``AccessDeniedError``,
-    ``CryptoError``) propagate and are never stored.  ``observe`` is told
-    each ``"hit"``, ``"miss"`` and ``"evicted"``.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        lock: Optional[threading.Lock] = None,
-        observe: Optional[Callable[[str], None]] = None,
-    ):
-        self.size = max(1, size)
-        self._lock = lock if lock is not None else threading.Lock()
-        self._observe = observe if observe is not None else (lambda _outcome: None)
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._generation = 0
-
-    def get_or_make(self, key: Hashable, make: Callable[[], object]):
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            generation = self._generation
-        if value is not None:
-            self._observe("hit")
-            return value
-        self._observe("miss")
-        value = make()
-        evicted = False
-        with self._lock:
-            if generation == self._generation:
-                self._entries[key] = value
-                if len(self._entries) > self.size:
-                    self._entries.popitem(last=False)
-                    evicted = True
-        if evicted:
-            self._observe("evicted")
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._generation += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+#: The KEM caches are plain bounded memos: a sealer keys one by policy
+#: text and stores ``(key_material, header)``; an opener keys one by
+#: :func:`header_key` and stores key material.  ``AccessDeniedError`` and
+#: ``CryptoError`` propagate and are never stored.
+KemCache = BoundedMemo
 
 
 def header_key(header: CpAbeCiphertext) -> tuple:

@@ -15,8 +15,10 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.abs.keys import AbsKeyPair, AbsSigningKey, AbsVerificationKey
 from repro.abs.relax import relax
@@ -24,6 +26,7 @@ from repro.abs.scheme import AbsScheme, AbsSignature
 from repro.core.records import Record
 from repro.crypto.group import BilinearGroup
 from repro.index.boxes import Box, Point
+from repro.memo import BoundedMemo
 from repro.obs import metrics as _metrics
 from repro.parallel import InFlightTable
 from repro.policy.boolexpr import BoolExpr, or_of_attrs
@@ -37,6 +40,38 @@ _M_INFLIGHT = _REG.counter(
     "concurrent query.",
     labelnames=("outcome",),
 )
+
+#: Accepted verifications a client's verified-entry memo keeps.  The
+#: ``bn254_hot`` benchmark's three users see 23 distinct signatures; a
+#: client whose entries never recur (fresh APS on every read) holds at
+#: most this many 32-byte keys.
+VERIFY_MEMO_SIZE = 32
+
+
+def verify_memo_key(message: bytes, policy: BoolExpr, wire: bytes) -> bytes:
+    """SHA-256 of an injective encoding of ``(message, predicate text, signature bytes)``.
+
+    ABS.Verify reads the predicate only through its span program, and the
+    text fixes the span program (the only trees sharing a text are
+    single-child gates around the same subtree, which compile to the same
+    program).  Two triples share a key only if SHA-256 collides.
+    """
+    text = policy.to_string().encode()
+    return hashlib.sha256(
+        len(message).to_bytes(4, "big") + message
+        + len(text).to_bytes(4, "big") + text
+        + wire
+    ).digest()
+
+
+@functools.lru_cache(maxsize=64)
+def _super_policy(missing_roles: tuple[str, ...]) -> BoolExpr:
+    """``OR(missing_roles)``, built once per attribute list.
+
+    Building it validates every attribute name, which cost more per APS
+    check than the verified-entry memo's key; the result is immutable.
+    """
+    return or_of_attrs(missing_roles)
 
 
 class AppAuthenticator:
@@ -70,6 +105,7 @@ class AppAuthenticator:
         #: queries needing the same (signature, message, missing-role)
         #: derivation wait on one materialization instead of recomputing.
         self._relax_flights = InFlightTable()
+        self._verify_memo: Optional[BoundedMemo] = None
 
     def enable_aps_cache(self, maxsize: int = 4096) -> None:
         """Cache derived APS signatures (SP-side optimization).
@@ -91,6 +127,19 @@ class AppAuthenticator:
 
     def disable_aps_cache(self) -> None:
         self._aps_cache = None
+
+    def enable_verify_memo(self, observe: Optional[Callable[[str], None]] = None) -> None:
+        """Remember accepted verifications of decoded signatures (client side).
+
+        ABS.Verify is a deterministic function of the mvk (fixed for this
+        authenticator), the message, the claim predicate and the
+        signature, so an entry keyed by :func:`verify_memo_key` that
+        verified once verifies again.  Only acceptances are kept; a
+        rejection is recomputed every time, and a signature built in
+        memory (no wire bytes) is always verified afresh.  ``observe`` is
+        told each memo ``"hit"``, ``"miss"`` and ``"evicted"``.
+        """
+        self._verify_memo = BoundedMemo(VERIFY_MEMO_SIZE, observe=observe)
 
     def warm_caches(self) -> None:
         """Precompute the per-mvk static material the hot paths reuse.
@@ -239,9 +288,19 @@ class AppAuthenticator:
         )
 
     # -- user side ----------------------------------------------------------
+    def _verify(self, message: bytes, policy: BoolExpr, signature: AbsSignature) -> bool:
+        """ABS.Verify through the verified-entry memo, when there is one."""
+        memo, wire = self._verify_memo, signature.wire
+        if memo is None or wire is None:
+            return self.scheme.verify(self.mvk, message, policy, signature)
+        return memo.get_or_make(
+            verify_memo_key(message, policy, wire),
+            lambda: self.scheme.verify(self.mvk, message, policy, signature),
+        )
+
     def verify_record(self, record: Record, signature: AbsSignature) -> bool:
         """Verify an accessible record's APP signature under its policy."""
-        return self.scheme.verify(self.mvk, record.message(), record.policy, signature)
+        return self._verify(record.message(), record.policy, signature)
 
     def verify_inaccessible_record(
         self,
@@ -261,7 +320,7 @@ class AppAuthenticator:
         if missing_roles is None:
             missing_roles = self.universe.missing_roles(user_roles)
         message = Record.message_from_hash(key, value_hash)
-        return self.scheme.verify(self.mvk, message, or_of_attrs(missing_roles), aps)
+        return self._verify(message, _super_policy(tuple(missing_roles)), aps)
 
     def verify_inaccessible_node(
         self,
@@ -273,7 +332,7 @@ class AppAuthenticator:
         """Verify an APS signature proving a whole grid box is inaccessible."""
         if missing_roles is None:
             missing_roles = self.universe.missing_roles(user_roles)
-        return self.scheme.verify(self.mvk, box.to_bytes(), or_of_attrs(missing_roles), aps)
+        return self._verify(box.to_bytes(), _super_policy(tuple(missing_roles)), aps)
 
 
 class AppSigner(AppAuthenticator):

@@ -76,6 +76,7 @@ _M_QUERIES = _REG.counter(
 KEM_CACHE_SIZE = 64
 _SEAL_COUNTERS = {"hit": "kem_hits", "miss": "kem_misses"}
 _OPEN_COUNTERS = {"hit": "kem_memo_hits", "miss": "kem_memo_misses"}
+_VERIFY_COUNTERS = {"hit": "verify_memo_hits", "miss": "verify_memo_misses"}
 
 
 def _observe_seal(outcome: str) -> None:
@@ -89,6 +90,12 @@ def _observe_open(outcome: str) -> None:
     """Client-side header memo outcome, counted in the query's ledger entry."""
     if outcome != "evicted":
         _ledger.ledger().count(_trace.current_trace_id(), **{_OPEN_COUNTERS[outcome]: 1})
+
+
+def _observe_verify(outcome: str) -> None:
+    """Client-side verified-entry memo outcome, counted in the query's ledger entry."""
+    if outcome != "evicted":
+        _ledger.ledger().count(_trace.current_trace_id(), **{_VERIFY_COUNTERS[outcome]: 1})
 
 
 @dataclass
@@ -537,7 +544,13 @@ class ServiceProvider:
 
 
 class QueryUser:
-    """A registered user: opens responses and verifies them."""
+    """A registered user: opens responses and verifies them.
+
+    Its authenticator remembers the VO entries it has accepted (see
+    :meth:`AppAuthenticator.enable_verify_memo`), so a warm read re-checks
+    only what it has not verified before; query-box containment, policy
+    evaluation and tiling still run on every read.
+    """
 
     def __init__(
         self,
@@ -551,6 +564,7 @@ class QueryUser:
         self.credentials = credentials
         self.hierarchy = hierarchy
         self.authenticator = AppAuthenticator(group, universe, credentials.mvk)
+        self.authenticator.enable_verify_memo(_observe_verify)
         self._cpabe = CpAbeScheme(group)
         #: Decapsulated key material by exact header bytes; per user, since
         #: it is only valid for this user's secret key.
@@ -580,7 +594,13 @@ class QueryUser:
             _ledger.ledger().charge(
                 _trace.current_trace_id(), "open", time.perf_counter() - t0
             )
-        return VerificationObject.from_bytes(self.group, data)
+        t0 = time.perf_counter()
+        try:
+            return VerificationObject.from_bytes(self.group, data)
+        finally:
+            _ledger.ledger().charge(
+                _trace.current_trace_id(), "codec", time.perf_counter() - t0
+            )
 
     def verify(self, response: QueryResponse) -> list[Record]:
         """Verify an equality/range response; returns accessible records."""

@@ -38,11 +38,34 @@ from repro.crypto.curve import (
 from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS
 from repro.crypto.hashing import hash_bytes, hash_to_int
 from repro.errors import CryptoError, DeserializationError, GroupMismatchError
+from repro.memo import BoundedMemo
+from repro.obs import ledger as _ledger
+from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 
 G1, G2, GT = "G1", "G2", "GT"
 
 #: Serialized element widths in bytes (compressed G1/G2, full GT).
 ELEMENT_BYTES = {G1: 32, G2: 64, GT: 384}
+
+#: Decoded points a BN254 backend keeps per group (G1 and G2 each).  A
+#: warm client re-reads the same signatures and CP-ABE headers; the
+#: ``bn254_hot`` benchmark's three users see 164 distinct points.
+DECODE_MEMO_SIZE = 1024
+
+_M_DECODE_MEMO = _metrics.registry().counter(
+    "repro_decode_memo_total",
+    "BN254 point-decode memo lookups by outcome (hit / miss / evicted).",
+    labelnames=("outcome",),
+)
+_DECODE_COUNTERS = {"hit": "decode_memo_hits", "miss": "decode_memo_misses"}
+
+
+def _observe_decode(outcome: str) -> None:
+    """Point-decode memo outcome: a metric, plus a ledger count per query."""
+    _M_DECODE_MEMO.inc(outcome=outcome)
+    if outcome != "evicted":
+        _ledger.ledger().count(_trace.current_trace_id(), **{_DECODE_COUNTERS[outcome]: 1})
 
 
 class GroupOpStats:
@@ -434,7 +457,7 @@ class BilinearGroup(ABC):
 class BN254Group(BilinearGroup):
     """The real pairing backend over BN254.
 
-    On top of the generic interface this backend keeps two per-instance
+    On top of the generic interface this backend keeps three per-instance
     caches for the protocol's static work:
 
     * a bounded LRU pairing cache keyed on the (G1, G2) serializations —
@@ -442,9 +465,13 @@ class BN254Group(BilinearGroup):
       hit it, and a hit returns the previously computed (bit-identical)
       GT element without running a Miller loop;
     * a ``hash_to_g1`` memo — try-and-increment is re-run constantly for
-      the small, bounded attribute universe.
+      the small, bounded attribute universe;
+    * a point-decode memo per group (G1, G2) keyed on the exact encoding —
+      decompression costs a field square root, and a warm client decodes
+      the same signatures and CP-ABE headers on every read.  It stores
+      only successful decodes, so malformed bytes raise on every call.
 
-    Both honour :attr:`fast_paths` and never leak across instances.
+    All three honour :attr:`fast_paths` and never leak across instances.
     """
 
     name = "bn254"
@@ -457,6 +484,9 @@ class BN254Group(BilinearGroup):
         super().__init__()
         self._pair_cache: "OrderedDict[bytes, GroupElement]" = OrderedDict()
         self._h2g1_cache: "OrderedDict[bytes, GroupElement]" = OrderedDict()
+        self._decode_memos = {
+            kind: BoundedMemo(DECODE_MEMO_SIZE, observe=_observe_decode) for kind in (G1, G2)
+        }
 
     @property
     def order(self) -> int:
@@ -550,6 +580,17 @@ class BN254Group(BilinearGroup):
         return a.value.to_bytes()
 
     def deserialize(self, kind: str, data: bytes, check_subgroup: bool = False) -> GroupElement:
+        """Decode an element; G1/G2 points go through the decode memo.
+
+        ``check_subgroup`` only concerns GT, which is never memoized.
+        """
+        memo = self._decode_memos.get(kind)
+        if memo is None or not self.fast_paths:
+            return self._decode(kind, data, check_subgroup)
+        data = bytes(data)
+        return memo.get_or_make(data, lambda: self._decode(kind, data, check_subgroup))
+
+    def _decode(self, kind: str, data: bytes, check_subgroup: bool) -> GroupElement:
         try:
             if kind == G1:
                 return GroupElement(self, G1, PointG1.from_bytes(data))

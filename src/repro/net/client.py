@@ -93,6 +93,9 @@ from repro.obs import trace as _trace
 #: Server-side ledger stages a loopback round trip may charge inline;
 #: wire_exchange subtracts their delta so "wire" stays exclusive.
 _SERVER_STAGES = ("traverse", "materialize", "seal")
+#: Client-side stages a response's ``verify`` callable charges before it
+#: checks the VO (CP-ABE open, VO decode).
+_OPEN_STAGES = ("open", "codec")
 
 _REG = _metrics.registry()
 _M_REQUESTS = _REG.counter(
@@ -393,13 +396,16 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
                 retry_after=error.retry_after_hint(),
             )
         raise TransportError(f"SP error frame [{error.code}]: {error.message}")
+    decode_t0 = time.perf_counter()
     response = decode_response(group, body)
-    # ``verify`` opens a sealed response first, which charges "open";
-    # subtract it so "verify" counts only the VO checks.
-    open_before = ledger.stage_seconds(trace_id, ("open",))
+    ledger.charge(trace_id, "codec", time.perf_counter() - decode_t0)
+    # ``verify`` opens a sealed response and decodes its VO first, which
+    # charges "open" and "codec"; subtract them so "verify" counts only
+    # the VO checks.
+    open_before = ledger.stage_seconds(trace_id, _OPEN_STAGES)
     verify_t0 = time.perf_counter()
     result = verify(response)
-    opened = ledger.stage_seconds(trace_id, ("open",)) - open_before
+    opened = ledger.stage_seconds(trace_id, _OPEN_STAGES) - open_before
     ledger.charge(trace_id, "verify", time.perf_counter() - verify_t0 - opened)
     return result
 

@@ -22,15 +22,23 @@ stage                     charged by
 ``open``                  :meth:`repro.core.system.QueryUser._open`
                           (CP-ABE decapsulation, memoized per header, +
                           MAC check and AES)
+``codec``                 :func:`repro.net.client.wire_exchange` (response
+                          frame decode) and
+                          :meth:`repro.core.system.QueryUser._open` (VO
+                          decode); points go through the decode memo
 ``verify``                :func:`repro.net.client.wire_exchange` (client-side
-                          VO verification, exclusive of ``open``)
+                          VO verification, exclusive of ``open`` and
+                          ``codec``)
 ``merge``                 :meth:`repro.net.sharding.ShardedClient._merge`
                           (scatter-gather VO merge + completeness check)
 ========================  ====================================================
 
 Counters (relax calls, APS cache hits/misses, dedup, ``kem_hits`` /
 ``kem_misses`` for the SP's encapsulation cache, ``kem_memo_hits`` /
-``kem_memo_misses`` for the client's header memo) and
+``kem_memo_misses`` for the client's header memo, ``decode_memo_hits`` /
+``decode_memo_misses`` for the BN254 point-decode memo,
+``verify_memo_hits`` / ``verify_memo_misses`` for the client's
+verified-entry memo) and
 :class:`~repro.crypto.groupops.GroupOpStats` deltas accumulate per
 trace the same way.  Entries are bounded LRU; everything is a no-op
 when the obs gate is off or no trace is active (``trace_id=None``).
@@ -45,7 +53,7 @@ from typing import Mapping, Optional, Sequence
 from repro.obs import gate
 
 #: The canonical pipeline stages, in execution order.
-STAGES = ("traverse", "materialize", "seal", "wire", "open", "verify", "merge")
+STAGES = ("traverse", "materialize", "seal", "wire", "open", "codec", "verify", "merge")
 
 
 class QueryLedger:

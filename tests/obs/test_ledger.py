@@ -24,7 +24,8 @@ def test_unknown_stage_rejected():
     with pytest.raises(ValueError, match="unknown ledger stage"):
         ledger.charge(TID, "daydream", 1.0)
     assert set(STAGES) == {
-        "traverse", "materialize", "seal", "wire", "open", "verify", "merge",
+        "traverse", "materialize", "seal", "wire", "open", "codec", "verify",
+        "merge",
     }
 
 
@@ -168,7 +169,7 @@ def test_sealed_query_charges_seal_and_open_within_wall():
     for query in (1, 2):
         assert client.query_range("docs", (0,), (15,), encrypt=True)
         entry = ledger_mod.ledger().get(client._last_trace_id)
-        for stage in ("traverse", "materialize", "seal", "wire", "open", "verify"):
+        for stage in ("traverse", "materialize", "seal", "wire", "open", "codec", "verify"):
             assert stage in entry.stages, entry.as_dict()
         assert entry.stage_total() <= entry.wall_seconds
         kem = {k: v for k, v in entry.counters.items() if k.startswith("kem_")}
