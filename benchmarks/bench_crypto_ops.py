@@ -49,7 +49,7 @@ import time
 import pytest
 
 from repro.abe.cpabe import CpAbeScheme
-from repro.abe.hybrid import KemCache, decrypt_envelope, encrypt_for_roles
+from repro.abe.hybrid import decrypt_envelope, encrypt_for_roles
 from repro.abs.batch import BatchItem, batch_verify, batch_verify_unmerged
 from repro.abs.scheme import AbsScheme
 from repro.core.messages import decode_response, encode_response
@@ -57,8 +57,8 @@ from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
 from repro.crypto.group import BN254Group
 from repro.index.boxes import Domain
+from repro.memo import BoundedMemo
 from repro.obs import ledger as obs_ledger
-from repro.obs import trace as obs_trace
 from repro.policy.boolexpr import or_of_attrs, parse_policy
 from repro.policy.roles import RoleUniverse
 from repro.policy.policygen import PolicyGenerator
@@ -257,7 +257,7 @@ def scenario_envelope(
             # timed open gets its own (a re-opened one would hit the pairing
             # cache).  The first seal builds the fixed-base combs; the hit
             # arm's first seal and open fill its cache and memo.
-            cache, memo = KemCache(1), KemCache(1)
+            cache, memo = BoundedMemo(1), BoundedMemo(1)
             decrypt_envelope(
                 scheme, sk, encrypt_for_roles(scheme, keys.public, roles, payload, rng, cache),
                 cache=memo,
@@ -289,8 +289,8 @@ def scenario_warm_read(repeats: int = 3) -> dict:
 
     The service provider's APS and KEM caches are warm after the first
     answer, so every later answer to the same query carries the same
-    signatures and header under a fresh body nonce.  Counts come from
-    the query's ``CostLedger`` entry (observability must be on).
+    signatures and header under a fresh body nonce.  Memo counts come
+    from this thread's ledger tally (observability must be on).
     """
     grp = BN254Group()
     rng = random.Random(SEED + 6)
@@ -306,14 +306,13 @@ def scenario_warm_read(repeats: int = 3) -> dict:
     def read():
         sealed = provider.range_query("t", (0,), (15,), user.roles, encrypt=True, rng=rng)
         wire = encode_response(sealed)
-        before = grp.stats.snapshot()
-        with obs_trace.span("bench.warm_read") as span:
-            t0 = time.perf_counter()
-            response = decode_response(grp, wire)
-            records = user.verify(response)
-            seconds = time.perf_counter() - t0
+        before, tallied = grp.stats.snapshot(), obs_ledger.tally_snapshot()
+        t0 = time.perf_counter()
+        response = decode_response(grp, wire)
+        records = user.verify(response)
+        seconds = time.perf_counter() - t0
         ops = grp.stats.delta(before)
-        counters = obs_ledger.ledger().get(span.trace_id).counters
+        counters = obs_ledger.tally_since(tallied)
         # G1/G2 points decoded: C' and each (C_i, D_i) of the header, then
         # (Y, W, S_1..S_l, P_1..P_t) of each VO entry's signature.
         points = 1 + 2 * len(response.envelope.header.c_rows) + sum(

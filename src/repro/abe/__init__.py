@@ -10,7 +10,6 @@ from repro.abe.cpabe import (
 )
 from repro.abe.hybrid import (
     HybridEnvelope,
-    KemCache,
     decrypt_envelope,
     encrypt_for_policy,
     encrypt_for_roles,
@@ -24,7 +23,6 @@ __all__ = [
     "CpAbeScheme",
     "CpAbeSecretKey",
     "HybridEnvelope",
-    "KemCache",
     "decrypt_envelope",
     "encrypt_for_policy",
     "encrypt_for_roles",

@@ -11,10 +11,12 @@ AES-128-CTR + HMAC-SHA256 seals the payload under a fresh random nonce.
 
 Called without a cache, every seal draws a fresh encapsulation and every
 open pays the (k+2)-pairing decapsulation — the paper's per-response seal.
-A :class:`KemCache` lets a sealer reuse one encapsulation per policy (the
+A :class:`~repro.memo.BoundedMemo` lets a sealer reuse one encapsulation
+per policy (keyed by policy text, storing ``(key_material, header)``; the
 service provider clears it on every epoch rotation) and lets an opener
-memoize decapsulated key material by the header's exact bytes.  A cache
-miss runs exactly the uncached path.
+memoize decapsulated key material by :func:`header_key`.  A cache miss
+runs exactly the uncached path; ``AccessDeniedError`` and ``CryptoError``
+propagate and are never stored.
 """
 
 from __future__ import annotations
@@ -40,13 +42,6 @@ class HybridEnvelope:
         return self.header.byte_size() + len(self.body)
 
 
-#: The KEM caches are plain bounded memos: a sealer keys one by policy
-#: text and stores ``(key_material, header)``; an opener keys one by
-#: :func:`header_key` and stores key material.  ``AccessDeniedError`` and
-#: ``CryptoError`` propagate and are never stored.
-KemCache = BoundedMemo
-
-
 def header_key(header: CpAbeCiphertext) -> tuple:
     """A header's exact canonical bytes: policy text, ``C'``, each ``C_i``, each ``D_i``."""
     return (
@@ -63,7 +58,7 @@ def encrypt_for_policy(
     policy: BoolExpr,
     plaintext: bytes,
     rng: Optional[random.Random] = None,
-    cache: Optional[KemCache] = None,
+    cache: Optional[BoundedMemo] = None,
 ) -> HybridEnvelope:
     """Seal ``plaintext`` so only holders of attributes satisfying ``policy`` open it.
 
@@ -86,7 +81,7 @@ def encrypt_for_roles(
     roles: Iterable[str],
     plaintext: bytes,
     rng: Optional[random.Random] = None,
-    cache: Optional[KemCache] = None,
+    cache: Optional[BoundedMemo] = None,
 ) -> HybridEnvelope:
     """Seal under the conjunction of ``roles`` (the paper's VO wrapping)."""
     return encrypt_for_policy(scheme, pk, and_of_attrs(sorted(set(roles))), plaintext, rng, cache)
@@ -96,7 +91,7 @@ def decrypt_envelope(
     scheme: CpAbeScheme,
     sk: CpAbeSecretKey,
     envelope: HybridEnvelope,
-    cache: Optional[KemCache] = None,
+    cache: Optional[BoundedMemo] = None,
 ) -> bytes:
     """Open a hybrid envelope; raises :class:`AccessDeniedError` or
     :class:`repro.errors.CryptoError` (tamper).

@@ -46,10 +46,6 @@ class AbsSignature:
     The row order of ``s`` and the column order of ``p`` follow the
     canonical monotone span program of the claim predicate, so verifier
     and signer agree on indexing by construction.
-
-    A signature decoded by :meth:`from_wire` keeps the exact bytes it
-    came from as :attr:`wire`; one from :meth:`from_bytes`, built in
-    memory or copied with :func:`dataclasses.replace` has ``wire = None``.
     """
 
     tau: bytes
@@ -65,11 +61,6 @@ class AbsSignature:
             + self.y.group.element_bytes(G1) * (2 + len(self.s))
             + self.y.group.element_bytes(G2) * len(self.p)
         )
-
-    @property
-    def wire(self) -> Optional[bytes]:
-        """The exact encoding this signature was decoded from, if any."""
-        return self.__dict__.get("_wire")
 
     def to_bytes(self) -> bytes:
         out = bytearray()
@@ -116,18 +107,6 @@ class AbsSignature:
             return cls(tau=tau, y=y, w=w, s=tuple(s), p=tuple(p))
         except (IndexError, ValueError) as exc:
             raise DeserializationError(f"malformed ABS signature: {exc}") from exc
-
-    @classmethod
-    def from_wire(cls, group: BilinearGroup, data: bytes) -> "AbsSignature":
-        """Decode a signature received in a VO, keeping ``data`` as :attr:`wire`.
-
-        A client's verified-entry memo keys on those bytes, so building the
-        key costs no re-serialization.  Stored trees and caches decode with
-        :meth:`from_bytes` and keep no second copy.
-        """
-        sig = cls.from_bytes(group, data)
-        object.__setattr__(sig, "_wire", bytes(data))
-        return sig
 
 
 class AbsScheme:

@@ -48,7 +48,7 @@ _M_INFLIGHT = _REG.counter(
 VERIFY_MEMO_SIZE = 32
 
 
-def verify_memo_key(message: bytes, policy: BoolExpr, wire: bytes) -> bytes:
+def verify_memo_key(message: bytes, policy: BoolExpr, signature: AbsSignature) -> bytes:
     """SHA-256 of an injective encoding of ``(message, predicate text, signature bytes)``.
 
     ABS.Verify reads the predicate only through its span program, and the
@@ -60,7 +60,7 @@ def verify_memo_key(message: bytes, policy: BoolExpr, wire: bytes) -> bytes:
     return hashlib.sha256(
         len(message).to_bytes(4, "big") + message
         + len(text).to_bytes(4, "big") + text
-        + wire
+        + signature.to_bytes()
     ).digest()
 
 
@@ -135,9 +135,8 @@ class AppAuthenticator:
         authenticator), the message, the claim predicate and the
         signature, so an entry keyed by :func:`verify_memo_key` that
         verified once verifies again.  Only acceptances are kept; a
-        rejection is recomputed every time, and a signature built in
-        memory (no wire bytes) is always verified afresh.  ``observe`` is
-        told each memo ``"hit"``, ``"miss"`` and ``"evicted"``.
+        rejection is recomputed every time.  ``observe`` is told each
+        memo ``"hit"``, ``"miss"`` and ``"evicted"``.
         """
         self._verify_memo = BoundedMemo(VERIFY_MEMO_SIZE, observe=observe)
 
@@ -290,11 +289,11 @@ class AppAuthenticator:
     # -- user side ----------------------------------------------------------
     def _verify(self, message: bytes, policy: BoolExpr, signature: AbsSignature) -> bool:
         """ABS.Verify through the verified-entry memo, when there is one."""
-        memo, wire = self._verify_memo, signature.wire
-        if memo is None or wire is None:
+        memo = self._verify_memo
+        if memo is None:
             return self.scheme.verify(self.mvk, message, policy, signature)
         return memo.get_or_make(
-            verify_memo_key(message, policy, wire),
+            verify_memo_key(message, policy, signature),
             lambda: self.scheme.verify(self.mvk, message, policy, signature),
         )
 

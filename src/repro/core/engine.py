@@ -686,6 +686,7 @@ def materialize(
     workers: Optional[int] = 1,
     stats: Optional[EngineStats] = None,
     backend: str = "thread",
+    traverse_seconds: Optional[float] = None,
 ) -> VerificationObject:
     """Phase 2: turn a task list into a VO.
 
@@ -695,7 +696,9 @@ def materialize(
     host's CPU count), and ``backend="process"`` ships the jobs to the
     persistent spawn process pool — the only configuration where
     pure-Python pairing math escapes the GIL.  ``stats``, when given, is
-    filled with per-phase costs.
+    filled with per-phase costs.  ``traverse_seconds`` (from
+    :func:`execute`) joins this phase's ledger record, so one query's
+    engine work is one ledger charge.
     """
     if workers is not None and workers < 1:
         raise WorkloadError("workers must be >= 1")
@@ -753,9 +756,12 @@ def materialize(
         _M_GROUP_OPS.inc(value, backend=backend, op=key)
     ledger = _ledger.ledger()
     trace_id = _trace.current_trace_id()
-    ledger.charge(trace_id, "materialize", elapsed)
-    ledger.count(
+    phases = {"materialize": elapsed}
+    if traverse_seconds is not None:
+        phases["traverse"] = traverse_seconds
+    ledger.record(
         trace_id,
+        phases,
         relax_calls=stats.relax_calls - relax0,
         aps_cache_hits=relaxed_hits,
         aps_cache_misses=relaxed_misses,
@@ -797,6 +803,8 @@ def execute(
     elapsed = time.perf_counter() - t0
     stats.traversal_ms = elapsed * 1000.0
     _M_PHASE.observe(elapsed, phase="traverse")
-    _ledger.ledger().charge(_trace.current_trace_id(), "traverse", elapsed)
-    vo = materialize(tasks, authenticator, user_roles, rng, workers, stats, backend)
+    vo = materialize(
+        tasks, authenticator, user_roles, rng, workers, stats, backend,
+        traverse_seconds=elapsed,
+    )
     return vo, stats

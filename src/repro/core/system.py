@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.abe.cpabe import CpAbeKeyPair, CpAbePublicKey, CpAbeScheme, CpAbeSecretKey
-from repro.abe.hybrid import HybridEnvelope, KemCache, decrypt_envelope, encrypt_for_roles
+from repro.abe.hybrid import HybridEnvelope, decrypt_envelope, encrypt_for_roles
 from repro.abs.keys import AbsVerificationKey
 from repro.core.app_signature import AppAuthenticator, AppSigner
 from repro.core.engine import (
@@ -44,6 +44,7 @@ from repro.crypto.group import BilinearGroup
 from repro.errors import ReproError, WorkloadError
 from repro.index.boxes import Box, Point
 from repro.index.gridtree import APGTree
+from repro.memo import BoundedMemo
 from repro.obs import ledger as _ledger
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -87,15 +88,15 @@ def _observe_seal(outcome: str) -> None:
 
 
 def _observe_open(outcome: str) -> None:
-    """Client-side header memo outcome, counted in the query's ledger entry."""
+    """Client-side header memo outcome, tallied for the exchange's ledger record."""
     if outcome != "evicted":
-        _ledger.ledger().count(_trace.current_trace_id(), **{_OPEN_COUNTERS[outcome]: 1})
+        _ledger.tally(_OPEN_COUNTERS[outcome])
 
 
 def _observe_verify(outcome: str) -> None:
-    """Client-side verified-entry memo outcome, counted in the query's ledger entry."""
+    """Client-side verified-entry memo outcome, tallied for the exchange's ledger record."""
     if outcome != "evicted":
-        _ledger.ledger().count(_trace.current_trace_id(), **{_VERIFY_COUNTERS[outcome]: 1})
+        _ledger.tally(_VERIFY_COUNTERS[outcome])
 
 
 @dataclass
@@ -284,7 +285,7 @@ class ServiceProvider:
         self._auth_pool: "OrderedDict[tuple, AppAuthenticator]" = OrderedDict()
         #: Guards the authenticator pool and the KEM cache.
         self._cache_lock = threading.Lock()
-        self._kem_cache = KemCache(KEM_CACHE_SIZE, self._cache_lock, _observe_seal)
+        self._kem_cache = BoundedMemo(KEM_CACHE_SIZE, self._cache_lock, _observe_seal)
         #: Current DO-issued freshness token per table, attached to every
         #: response for that table.  The SP cannot mint these (no signing
         #: key); the DO pushes a new one on each epoch rotation.
@@ -568,7 +569,7 @@ class QueryUser:
         self._cpabe = CpAbeScheme(group)
         #: Decapsulated key material by exact header bytes; per user, since
         #: it is only valid for this user's secret key.
-        self._kem_memo = KemCache(KEM_CACHE_SIZE, observe=_observe_open)
+        self._kem_memo = BoundedMemo(KEM_CACHE_SIZE, observe=_observe_open)
 
     @property
     def roles(self) -> frozenset[str]:
@@ -584,23 +585,20 @@ class QueryUser:
             return response.vo
         if response.envelope is None:
             raise ReproError("response carries neither VO nor envelope")
-        t0 = time.perf_counter()
+        # One ledger record for the CP-ABE open and the VO decode, made
+        # also when either fails.
+        stages, stage, t0 = {}, "open", time.perf_counter()
         try:
             data = decrypt_envelope(
                 self._cpabe, self.credentials.cpabe_key, response.envelope,
                 cache=self._kem_memo,
             )
-        finally:
-            _ledger.ledger().charge(
-                _trace.current_trace_id(), "open", time.perf_counter() - t0
-            )
-        t0 = time.perf_counter()
-        try:
+            stages["open"] = time.perf_counter() - t0
+            stage, t0 = "codec", time.perf_counter()
             return VerificationObject.from_bytes(self.group, data)
         finally:
-            _ledger.ledger().charge(
-                _trace.current_trace_id(), "codec", time.perf_counter() - t0
-            )
+            stages[stage] = time.perf_counter() - t0
+            _ledger.ledger().record(_trace.current_trace_id(), stages)
 
     def verify(self, response: QueryResponse) -> list[Record]:
         """Verify an equality/range response; returns accessible records."""

@@ -130,7 +130,7 @@ class AccessibleRecordEntry:
         key = reader.take_point()
         value = reader.take_bytes()
         policy = parse_policy(reader.take_bytes().decode())
-        sig = AbsSignature.from_wire(group, reader.take_bytes())
+        sig = AbsSignature.from_bytes(group, reader.take_bytes())
         return cls(key=key, value=value, policy=policy, signature=sig, table=table)
 
 
@@ -166,7 +166,7 @@ class InaccessibleRecordEntry:
         table = reader.take_bytes().decode()
         key = reader.take_point()
         value_hash = reader.take_bytes()
-        aps = AbsSignature.from_wire(group, reader.take_bytes())
+        aps = AbsSignature.from_bytes(group, reader.take_bytes())
         return cls(key=key, value_hash=value_hash, aps=aps, table=table)
 
 
@@ -201,7 +201,7 @@ class InaccessibleNodeEntry:
         table = reader.take_bytes().decode()
         lo = reader.take_point()
         hi = reader.take_point()
-        aps = AbsSignature.from_wire(group, reader.take_bytes())
+        aps = AbsSignature.from_bytes(group, reader.take_bytes())
         return cls(box=Box(lo, hi), aps=aps, table=table)
 
 

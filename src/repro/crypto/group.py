@@ -41,7 +41,6 @@ from repro.errors import CryptoError, DeserializationError, GroupMismatchError
 from repro.memo import BoundedMemo
 from repro.obs import ledger as _ledger
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 G1, G2, GT = "G1", "G2", "GT"
 
@@ -62,10 +61,10 @@ _DECODE_COUNTERS = {"hit": "decode_memo_hits", "miss": "decode_memo_misses"}
 
 
 def _observe_decode(outcome: str) -> None:
-    """Point-decode memo outcome: a metric, plus a ledger count per query."""
+    """Point-decode memo outcome: a metric, plus a tally for the exchange's ledger record."""
     _M_DECODE_MEMO.inc(outcome=outcome)
     if outcome != "evicted":
-        _ledger.ledger().count(_trace.current_trace_id(), **{_DECODE_COUNTERS[outcome]: 1})
+        _ledger.tally(_DECODE_COUNTERS[outcome])
 
 
 class GroupOpStats:
@@ -580,12 +579,13 @@ class BN254Group(BilinearGroup):
         return a.value.to_bytes()
 
     def deserialize(self, kind: str, data: bytes, check_subgroup: bool = False) -> GroupElement:
-        """Decode an element; G1/G2 points go through the decode memo.
+        """Decode an element; unchecked G1/G2 decodes go through the decode memo.
 
-        ``check_subgroup`` only concerns GT, which is never memoized.
+        A ``check_subgroup`` decode never uses the memo, so a point cached
+        by an unchecked decode can never stand in for the check.
         """
         memo = self._decode_memos.get(kind)
-        if memo is None or not self.fast_paths:
+        if memo is None or check_subgroup or not self.fast_paths:
             return self._decode(kind, data, check_subgroup)
         data = bytes(data)
         return memo.get_or_make(data, lambda: self._decode(kind, data, check_subgroup))

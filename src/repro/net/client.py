@@ -363,10 +363,13 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
             request_id[_trace.TRACE_ID_BYTES:].hex(),
         )
     ledger = _ledger.ledger()
-    nested_before = ledger.stage_seconds(trace_id, _SERVER_STAGES)
-    wire_t0 = time.perf_counter()
-    reply = transport.round_trip(frame(request_id, payload))
-    if trace_id is not None:
+    # One ledger record per exchange: the stages that ran, plus the memo
+    # look-ups this thread tallied while decoding and verifying.
+    stages, tallied = {}, None
+    try:
+        nested_before = ledger.stage_seconds(trace_id, _SERVER_STAGES)
+        wire_t0 = time.perf_counter()
+        reply = transport.round_trip(frame(request_id, payload))
         # Charge the round trip exclusive of server-side stages charged
         # to this trace *during* the call: on an in-process loopback the
         # engine and the seal run inline, and counting their time under
@@ -374,40 +377,43 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
         # real socket nothing nests, and wire = network + remote server
         # time, which is equally honest.
         nested = ledger.stage_seconds(trace_id, _SERVER_STAGES) - nested_before
-        ledger.charge(
-            trace_id, "wire", (time.perf_counter() - wire_t0) - nested
-        )
-    reply_id, body = unframe(reply)
-    if reply_id != request_id:
-        counters.duplicates_detected += 1
-        _trace.add_event("duplicate_detected")
-        raise TransportError(
-            "response id mismatch: duplicated or replayed frame rejected"
-        )
-    if is_error_frame(body):
-        error = ErrorResponse.from_bytes(body)
-        counters.error_frames += 1
-        _trace.add_event("error_frame", code=error.code)
-        if error.code == ErrorResponse.WORKLOAD:
-            raise WorkloadError(f"SP rejected query: {error.message}")
-        if error.code == ErrorResponse.OVERLOADED:
-            raise OverloadedError(
-                f"SP shed request: {error.message}",
-                retry_after=error.retry_after_hint(),
+        stages["wire"] = (time.perf_counter() - wire_t0) - nested
+        reply_id, body = unframe(reply)
+        if reply_id != request_id:
+            counters.duplicates_detected += 1
+            _trace.add_event("duplicate_detected")
+            raise TransportError(
+                "response id mismatch: duplicated or replayed frame rejected"
             )
-        raise TransportError(f"SP error frame [{error.code}]: {error.message}")
-    decode_t0 = time.perf_counter()
-    response = decode_response(group, body)
-    ledger.charge(trace_id, "codec", time.perf_counter() - decode_t0)
-    # ``verify`` opens a sealed response and decodes its VO first, which
-    # charges "open" and "codec"; subtract them so "verify" counts only
-    # the VO checks.
-    open_before = ledger.stage_seconds(trace_id, _OPEN_STAGES)
-    verify_t0 = time.perf_counter()
-    result = verify(response)
-    opened = ledger.stage_seconds(trace_id, _OPEN_STAGES) - open_before
-    ledger.charge(trace_id, "verify", time.perf_counter() - verify_t0 - opened)
-    return result
+        if is_error_frame(body):
+            error = ErrorResponse.from_bytes(body)
+            counters.error_frames += 1
+            _trace.add_event("error_frame", code=error.code)
+            if error.code == ErrorResponse.WORKLOAD:
+                raise WorkloadError(f"SP rejected query: {error.message}")
+            if error.code == ErrorResponse.OVERLOADED:
+                raise OverloadedError(
+                    f"SP shed request: {error.message}",
+                    retry_after=error.retry_after_hint(),
+                )
+            raise TransportError(f"SP error frame [{error.code}]: {error.message}")
+        tallied = _ledger.tally_snapshot()
+        decode_t0 = time.perf_counter()
+        response = decode_response(group, body)
+        stages["codec"] = time.perf_counter() - decode_t0
+        # ``verify`` opens a sealed response and decodes its VO first, which
+        # charges "open" and "codec"; subtract them so "verify" counts only
+        # the VO checks.
+        open_before = ledger.stage_seconds(trace_id, _OPEN_STAGES)
+        verify_t0 = time.perf_counter()
+        result = verify(response)
+        opened = ledger.stage_seconds(trace_id, _OPEN_STAGES) - open_before
+        stages["verify"] = time.perf_counter() - verify_t0 - opened
+        return result
+    finally:
+        if trace_id is not None:
+            memo_counts = _ledger.tally_since(tallied) if tallied is not None else {}
+            ledger.record(trace_id, stages, **memo_counts)
 
 
 def probe_endpoint(transport, rng: random.Random) -> str:

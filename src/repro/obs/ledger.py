@@ -10,7 +10,8 @@ under the query's trace id:
 stage                     charged by
 ========================  ====================================================
 ``traverse``              :func:`repro.core.engine.execute`
-                          (crypto-free tree walk)
+                          (crypto-free tree walk; recorded together with
+                          ``materialize``)
 ``materialize``           :func:`repro.core.engine.materialize`
                           (ABS.Relax batch, APS cache, dedup)
 ``seal``                  :meth:`repro.core.system.ServiceProvider._respond`
@@ -42,6 +43,12 @@ verified-entry memo) and
 :class:`~repro.crypto.groupops.GroupOpStats` deltas accumulate per
 trace the same way.  Entries are bounded LRU; everything is a no-op
 when the obs gate is off or no trace is active (``trace_id=None``).
+
+A call site that finishes several stages at once records them with one
+:meth:`CostLedger.record`.  Per-item events on the client's hot path
+(memo look-ups, several per VO) are not charged one by one: they bump
+this thread's :func:`tally`, and ``wire_exchange`` folds the exchange's
+tally delta into its single record.
 """
 
 from __future__ import annotations
@@ -109,27 +116,30 @@ class CostLedger:
         return entry
 
     # -- mutators (no-ops when gated off or untraced) ------------------------
-    def charge(self, trace_id: Optional[str], stage: str, seconds: float) -> None:
-        """Add ``seconds`` to ``stage`` for a trace."""
+    def record(self, trace_id: Optional[str], stages: Mapping[str, float],
+               **counters: float) -> None:
+        """Add seconds to each of ``stages`` and accumulate ``counters``, as one charge."""
         if trace_id is None or not gate.enabled():
             return
-        if stage not in STAGES:
-            raise ValueError(f"unknown ledger stage {stage!r}; know {STAGES}")
+        for stage in stages:
+            if stage not in STAGES:
+                raise ValueError(f"unknown ledger stage {stage!r}; know {STAGES}")
         with self._lock:
             entry = self._entry(trace_id)
-            entry.stages[stage] = entry.stages.get(stage, 0.0) + max(0.0, seconds)
-            self.total_charges += 1
-
-    def count(self, trace_id: Optional[str], **counters: float) -> None:
-        """Accumulate named counters (relax calls, cache hits, dedup...)."""
-        if trace_id is None or not gate.enabled():
-            return
-        with self._lock:
-            entry = self._entry(trace_id)
+            for stage, seconds in stages.items():
+                entry.stages[stage] = entry.stages.get(stage, 0.0) + max(0.0, seconds)
             for name, amount in counters.items():
                 if amount:
                     entry.counters[name] = entry.counters.get(name, 0) + amount
             self.total_charges += 1
+
+    def charge(self, trace_id: Optional[str], stage: str, seconds: float) -> None:
+        """Add ``seconds`` to ``stage`` for a trace."""
+        self.record(trace_id, {stage: seconds})
+
+    def count(self, trace_id: Optional[str], **counters: float) -> None:
+        """Accumulate named counters (relax calls, cache hits, dedup...)."""
+        self.record(trace_id, {}, **counters)
 
     def merge_group_ops(self, trace_id: Optional[str],
                         delta: Mapping[str, int]) -> None:
@@ -202,4 +212,35 @@ def ledger() -> CostLedger:
     return _LEDGER
 
 
-__all__ = ["STAGES", "CostLedger", "QueryLedger", "ledger"]
+class _Tally(threading.local):
+    def __init__(self):
+        self.counts: dict[str, int] = {}
+
+
+_TALLY = _Tally()
+
+
+def tally(name: str) -> None:
+    """Count one ``name`` event on this thread (no-op when gated off)."""
+    if gate.enabled():
+        counts = _TALLY.counts
+        counts[name] = counts.get(name, 0) + 1
+
+
+def tally_snapshot() -> dict[str, int]:
+    """This thread's tally so far, for a later :func:`tally_since`."""
+    return dict(_TALLY.counts)
+
+
+def tally_since(before: Mapping[str, int]) -> dict[str, int]:
+    """The events this thread has tallied since ``before`` was taken."""
+    return {
+        name: n - before.get(name, 0)
+        for name, n in _TALLY.counts.items() if n != before.get(name, 0)
+    }
+
+
+__all__ = [
+    "STAGES", "CostLedger", "QueryLedger", "ledger",
+    "tally", "tally_since", "tally_snapshot",
+]

@@ -18,7 +18,6 @@ import pytest
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import (
     HybridEnvelope,
-    KemCache,
     decrypt_envelope,
     encrypt_for_roles,
     header_key,
@@ -30,12 +29,13 @@ from repro.core.system import KEM_CACHE_SIZE, DataOwner, QueryUser, ServiceProvi
 from repro.crypto import bn254, simulated
 from repro.errors import AccessDeniedError, CryptoError, DeserializationError
 from repro.index.boxes import Domain
+from repro.memo import BoundedMemo
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
 
 class Outcomes(list):
-    """A ``KemCache`` observer that records every outcome in order."""
+    """A KEM cache observer that records every outcome in order."""
 
     def __call__(self, outcome):
         self.append(outcome)
@@ -59,7 +59,7 @@ def _seal(kem, roles, payload, cache):
 def test_one_role_set_shares_header_with_distinct_nonces(kem):
     _grp, scheme, keys, rng = kem
     seen = Outcomes()
-    cache = KemCache(4, observe=seen)
+    cache = BoundedMemo(4, observe=seen)
     first = _seal(kem, ["b", "a"], b"one", cache)
     second = _seal(kem, ["a", "b", "a"], b"two", cache)
     assert seen == ["miss", "hit"]
@@ -72,7 +72,7 @@ def test_one_role_set_shares_header_with_distinct_nonces(kem):
 
 def test_another_role_set_never_hits(kem):
     seen = Outcomes()
-    cache = KemCache(4, observe=seen)
+    cache = BoundedMemo(4, observe=seen)
     env_a = _seal(kem, ["a"], b"x", cache)
     env_ab = _seal(kem, ["a", "b"], b"x", cache)
     env_b = _seal(kem, ["b"], b"x", cache)
@@ -82,7 +82,7 @@ def test_another_role_set_never_hits(kem):
 
 
 def test_clear_starts_a_new_encapsulation(kem):
-    cache = KemCache(4)
+    cache = BoundedMemo(4)
     before = _seal(kem, ["a"], b"x", cache)
     cache.clear()
     after = _seal(kem, ["a"], b"x", cache)
@@ -93,7 +93,7 @@ def test_key_drawn_across_a_rotation_is_not_cached():
     """A rotation that lands while a miss is being computed wins: the
     encapsulation reaches its own caller but never enters the cache."""
     seen = Outcomes()
-    cache = KemCache(4, observe=seen)
+    cache = BoundedMemo(4, observe=seen)
 
     def encapsulate_while_rotating():
         cache.clear()
@@ -108,8 +108,8 @@ def test_key_drawn_across_a_rotation_is_not_cached():
 def test_tampered_body_still_fails_the_mac(kem):
     _grp, scheme, keys, rng = kem
     sk = scheme.keygen(keys, ["a"], rng)
-    memo = KemCache(4)
-    envp = _seal(kem, ["a"], b"payload", KemCache(4))
+    memo = BoundedMemo(4)
+    envp = _seal(kem, ["a"], b"payload", BoundedMemo(4))
     assert decrypt_envelope(scheme, sk, envp, cache=memo) == b"payload"
     for i in (0, 12, len(envp.body) - 1):
         body = bytearray(envp.body)
@@ -124,8 +124,8 @@ def test_cached_header_spliced_onto_another_role_sets_body_never_opens(kem):
     """Splice a cached header of one role set onto another set's body; a
     user holding both sets passes the policy and must fail at the MAC."""
     _grp, scheme, keys, rng = kem
-    cache = KemCache(4)
-    memo = KemCache(4)
+    cache = BoundedMemo(4)
+    memo = BoundedMemo(4)
     sk = scheme.keygen(keys, ["a", "b"], rng)
     env_a = _seal(kem, ["a"], b"answer for a", cache)
     env_b = _seal(kem, ["b"], b"answer for b", cache)
@@ -142,7 +142,7 @@ def test_cached_header_spliced_onto_another_role_sets_body_never_opens(kem):
 def test_open_hit_computes_no_pairings(kem):
     grp, scheme, keys, rng = kem
     sk = scheme.keygen(keys, ["a", "b"], rng)
-    cache, memo = KemCache(4), KemCache(4)
+    cache, memo = BoundedMemo(4), BoundedMemo(4)
     first = _seal(kem, ["a", "b"], b"first", cache)
     second = _seal(kem, ["a", "b"], b"second", cache)
     before = grp.stats.snapshot()
@@ -159,8 +159,8 @@ def test_access_denied_is_never_memoized(kem):
     _grp, scheme, keys, rng = kem
     partial = scheme.keygen(keys, ["a"], rng)
     seen = Outcomes()
-    memo = KemCache(4, observe=seen)
-    envp = _seal(kem, ["a", "b"], b"x", KemCache(4))
+    memo = BoundedMemo(4, observe=seen)
+    envp = _seal(kem, ["a", "b"], b"x", BoundedMemo(4))
     for _ in range(2):
         with pytest.raises(AccessDeniedError):
             decrypt_envelope(scheme, partial, envp, cache=memo)
@@ -172,8 +172,8 @@ def test_one_byte_header_mutation_misses_the_memo_and_fails(kem):
     grp, scheme, keys, rng = kem
     sk = scheme.keygen(keys, ["a"], rng)
     seen = Outcomes()
-    memo = KemCache(8, observe=seen)
-    envp = _seal(kem, ["a"], b"x", KemCache(4))
+    memo = BoundedMemo(8, observe=seen)
+    envp = _seal(kem, ["a"], b"x", BoundedMemo(4))
     assert decrypt_envelope(scheme, sk, envp, cache=memo) == b"x"
     encoded = encode_ciphertext(envp.header)
     g1w, g2w = grp.element_bytes("G1"), grp.element_bytes("G2")

@@ -15,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.abs.scheme import AbsSignature
 from repro.core.app_signature import VERIFY_MEMO_SIZE, AppAuthenticator
 from repro.core.messages import decode_response, encode_response
 from repro.core.records import Dataset, Record
@@ -132,15 +131,19 @@ def test_unsealed_wire_reads_hit_too(world):
     assert len(calls) == entries
 
 
-def test_signatures_built_in_memory_are_verified_afresh(world):
+def test_an_in_memory_answer_and_its_decoded_twin_share_entries(world):
+    """The key holds the signature's canonical encoding, so signatures built
+    in memory and the same signatures decoded off the wire hit each other."""
     _group, _universe, _owner, provider, rng = world
     user = _user(world)
     calls = _counting_verify(user.authenticator)
-    user.verify(provider.range_query(TABLE, (0,), (15,), user.roles, rng=rng))
+    first = user.verify(
+        provider.range_query(TABLE, (0,), (15,), user.roles, encrypt=False, rng=rng)
+    )
     entries = len(calls)
-    user.verify(provider.range_query(TABLE, (0,), (15,), user.roles, rng=rng))
-    assert len(calls) == 2 * entries > 0
-    assert len(_memo(user)) == 0
+    assert entries > 0 and len(_memo(user)) == entries
+    assert _values(user.verify(_wire_response(world, user, encrypt=False))) == _values(first)
+    assert len(calls) == entries
 
 
 # -- one byte off is a cold check --------------------------------------------
@@ -352,6 +355,16 @@ def test_fast_paths_off_bypasses_the_decode_memo():
 
 # -- the verified-entry memo's bound -----------------------------------------
 
+def test_a_subgroup_checked_decode_bypasses_the_decode_memo():
+    group = BN254Group()
+    data = group.g1.to_bytes()
+    cached = group.deserialize(G1, data)
+    assert group.deserialize(G1, data) is cached
+    checked = group.deserialize(G1, data, check_subgroup=True)
+    assert checked is not cached and checked.value.xy == cached.value.xy
+    assert len(group._decode_memos[G1]) == 1
+
+
 def test_verified_entry_memo_stays_bounded():
     group = simulated()
     universe = RoleUniverse(ROLES)
@@ -364,7 +377,7 @@ def test_verified_entry_memo_stays_bounded():
     for key in range(VERIFY_MEMO_SIZE + 2):
         record = Record((key,), b"v%d" % key, policy)
         signed = owner.signer.sign_record(record, rng)
-        assert auth.verify_record(record, AbsSignature.from_wire(group, signed.to_bytes()))
+        assert auth.verify_record(record, signed)
     assert len(auth._verify_memo) == VERIFY_MEMO_SIZE
     assert outcomes.count("miss") == VERIFY_MEMO_SIZE + 2
     assert outcomes.count("evicted") == 2

@@ -1,9 +1,11 @@
 """Cost ledger: per-trace stage accounting, counters, and bounds."""
 
+import threading
+
 import pytest
 
 from repro import obs
-from repro.obs.ledger import STAGES, CostLedger
+from repro.obs.ledger import STAGES, CostLedger, tally, tally_since, tally_snapshot
 
 
 TID = "ab" * 8
@@ -17,6 +19,42 @@ def test_charge_accumulates_per_stage():
     entry = ledger.get(TID)
     assert entry.stages == {"traverse": 0.5, "wire": 0.5}
     assert entry.stage_total() == pytest.approx(1.0)
+
+
+def test_record_is_one_charge_for_several_stages_and_counters():
+    ledger = CostLedger()
+    ledger.record(TID, {"wire": 0.5, "codec": 0.25}, verify_memo_hits=3, relax_calls=0)
+    entry = ledger.get(TID)
+    assert entry.stages == {"wire": 0.5, "codec": 0.25}
+    assert entry.counters == {"verify_memo_hits": 3}
+    assert ledger.total_charges == 1
+    with pytest.raises(ValueError, match="unknown ledger stage"):
+        ledger.record(TID, {"verify": 1.0, "daydream": 1.0})
+    assert "verify" not in ledger.get(TID).stages
+    assert ledger.total_charges == 1
+
+
+def test_tally_counts_this_threads_events_while_enabled():
+    before = tally_snapshot()
+    tally("probe_hits")
+    tally("probe_hits")
+    obs.set_enabled(False)
+    try:
+        tally("probe_hits")
+    finally:
+        obs.set_enabled(True)
+    other = []
+
+    def elsewhere():
+        mark = tally_snapshot()
+        tally("probe_misses")
+        other.append(tally_since(mark))
+
+    worker = threading.Thread(target=elsewhere)
+    worker.start()
+    worker.join()
+    assert other == [{"probe_misses": 1}]
+    assert tally_since(before) == {"probe_hits": 2}
 
 
 def test_unknown_stage_rejected():
@@ -174,3 +212,20 @@ def test_sealed_query_charges_seal_and_open_within_wall():
         assert entry.stage_total() <= entry.wall_seconds
         kem = {k: v for k, v in entry.counters.items() if k.startswith("kem_")}
         assert kem == expected[query]
+
+
+@pytest.mark.parametrize("encrypt, charges", [(False, 3), (True, 6)])
+def test_a_warm_client_query_charges_per_layer_not_per_entry(encrypt, charges):
+    """Engine, exchange and wall time are one charge each, however many VO
+    entries the memos serve; a sealed query adds the SP's seal and KEM
+    count and the client's open.  The disabled-mode overhead guard
+    multiplies this count."""
+    from repro.obs import ledger as ledger_mod
+
+    client = _loopback_client()
+    client.query_range("docs", (0,), (15,), encrypt=encrypt)
+    before = ledger_mod.ledger().total_charges
+    assert client.query_range("docs", (0,), (15,), encrypt=encrypt)
+    assert ledger_mod.ledger().total_charges - before == charges
+    counters = ledger_mod.ledger().get(client._last_trace_id).counters
+    assert counters["verify_memo_hits"] > 0
