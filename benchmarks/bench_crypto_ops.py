@@ -26,6 +26,11 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   wall times plus exact pairings, pair-cache hits and point-decode /
   verified-entry memo counts.  A warm read runs no pairing and decodes
   every point of the VO and the CP-ABE header from the memo.
+* ``dem`` — the AES-128-CTR + HMAC-SHA256 envelope alone (no KEM) at
+  16 B to 64 KiB: seal and open with the old one-block-at-a-time T-table
+  kernel (``ttable_aes.py``, kept here as the reference arm) against the
+  library's byte-sliced kernel.  Both arms' envelopes are asserted
+  byte-identical before timing.
 
 Every arm runs on a *fresh* ``BN254Group`` instance (comb/pairing/hash
 caches are per-instance); the old arm additionally sets
@@ -47,6 +52,7 @@ import random
 import time
 
 import pytest
+import ttable_aes
 
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import decrypt_envelope, encrypt_for_roles
@@ -55,6 +61,7 @@ from repro.abs.scheme import AbsScheme
 from repro.core.messages import decode_response, encode_response
 from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
+from repro.crypto import aes
 from repro.crypto.group import BN254Group
 from repro.index.boxes import Domain
 from repro.memo import BoundedMemo
@@ -345,6 +352,42 @@ def scenario_warm_read(repeats: int = 3) -> dict:
     }
 
 
+def scenario_dem(
+    sizes: tuple[int, ...] = (16, 256, 1024, 4096, 65536), repeats: int = 5
+) -> dict:
+    """AES+HMAC seal and open alone: T-table reference arm vs byte-sliced kernel.
+
+    Each timing runs ``max(1, 16384 // size)`` calls so that small payloads
+    are not timed one call at a time; the reported times are per call.
+    """
+    rng = random.Random(SEED + 7)
+    key_material, nonce = rng.randbytes(32), rng.randbytes(12)
+    arms = {}
+    for size in sizes:
+        payload = rng.randbytes(size)
+        envelope = aes.seal(key_material, payload, nonce=nonce)
+        assert ttable_aes.seal(key_material, payload, nonce=nonce) == envelope
+        assert ttable_aes.open_sealed(key_material, envelope) == payload
+        assert aes.open_sealed(key_material, envelope) == payload
+        calls = max(1, 16384 // size)
+        arm = {"payload_bytes": size, "calls_per_timing": calls}
+        for side, impl in (("old", ttable_aes), ("new", aes)):
+            seal_s = _time_best(
+                lambda: [impl.seal(key_material, payload, nonce=nonce) for _ in range(calls)],
+                repeats,
+            )
+            open_s = _time_best(
+                lambda: [impl.open_sealed(key_material, envelope) for _ in range(calls)],
+                repeats,
+            )
+            arm[f"seal_{side}_s"] = round(seal_s / calls, 7)
+            arm[f"open_{side}_s"] = round(open_s / calls, 7)
+        arm["seal_speedup"] = round(arm["seal_old_s"] / arm["seal_new_s"], 3)
+        arm["open_speedup"] = round(arm["open_old_s"] / arm["open_new_s"], 3)
+        arms[f"{size}b"] = arm
+    return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
+
+
 # ----------------------------------------------------------------------
 def run_benchmarks() -> dict:
     results = {
@@ -361,6 +404,7 @@ def run_benchmarks() -> dict:
         "multi_pair": scenario_multi_pair(),
         "envelope": scenario_envelope(),
         "warm_read": scenario_warm_read(),
+        "dem": scenario_dem(),
     }
     return results
 
@@ -384,6 +428,11 @@ def main() -> None:
         print(f"warm_read {side:4s} open+verify {arm['s']*1e3:7.2f} ms   "
               f"{arm['pairings']} pairings   {arm['decode_memo_hits']}/{arm['points']} "
               f"points from the decode memo")
+    for name, arm in results["dem"]["arms"].items():
+        print(f"dem {name:8s} seal old {arm['seal_old_s']*1e3:8.3f} ms new "
+              f"{arm['seal_new_s']*1e3:8.3f} ms x{arm['seal_speedup']}   open old "
+              f"{arm['open_old_s']*1e3:8.3f} ms new {arm['open_new_s']*1e3:8.3f} ms "
+              f"x{arm['open_speedup']}")
     print(f"wrote {JSON_PATH}")
 
 
@@ -438,6 +487,13 @@ def test_smoke_warm_read():
     assert warm["verify_memo_hits"] == cold["verify_memo_misses"]
     assert warm["verify_memo_misses"] == 0
     assert warm["kem_memo_hits"] == 1
+
+
+def test_smoke_dem():
+    """CI smoke: the T-table reference arm and the byte-sliced kernel seal
+    and open identical envelopes, one block and past the counter's low byte."""
+    arms = scenario_dem(sizes=(16, 4112), repeats=1)["arms"]
+    assert set(arms) == {"16b", "4112b"}
 
 
 @pytest.mark.slow

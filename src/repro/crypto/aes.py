@@ -6,16 +6,25 @@ third-party crypto package is available offline, so this module implements
 the forward AES-128 cipher (all that CTR mode needs), a CTR keystream, and
 an authenticated encrypt-then-MAC envelope using HMAC-SHA256.
 
-The cipher is the classic 32-bit T-table formulation: the state is four
-big-endian column words, and each of the nine full rounds is 16 lookups
-in four 256-entry tables that fold SubBytes, ShiftRows and MixColumns
-together (the last round uses the S-box alone).  ``encrypt_block`` and
-the CTR keystream share that one kernel; CTR collects its blocks in a
-list joined once, and the payload is XORed as one big integer.
+The cipher is byte-sliced: one kernel encrypts all N blocks of a payload
+together (the byte-wide form of Kasper and Schwabe's bitsliced AES-CTR,
+CHES 2009).  The state is one big integer of 16 lanes of N bytes, row
+major: lane 4r + c holds state byte r + 4c (row r, column c) of every
+block.  A round is then a few dozen C-level operations on the whole
+state: SubBytes is one ``bytes.translate`` through the S-box, ShiftRows
+re-slices each row's lanes, MixColumns is ``xtime`` through a second
+translate table plus the XOR of row-rotated copies of the state, and
+AddRoundKey is one XOR with a lane-filled round key.  Sixteen
+extended-slice assignments transpose the lanes back to block order.
+``encrypt_blocks`` (ECB), ``encrypt_block`` (N = 1) and the CTR keystream
+share this one kernel; CTR builds its counter lanes directly, and the
+payload is XORed as one big integer.  The kernel's fixed cost per call
+makes it slower than one-block-at-a-time code below roughly 50 to 100
+bytes; every sealed response is larger than that.
 
-Not constant-time: table lookups indexed by key-dependent bytes leak
-through cache timing.  This module exercises the real code path; it does
-not protect production traffic.
+Not constant-time: each ``translate`` lookup is indexed by a
+key-dependent state byte, so cache timing can still leak.  This module
+exercises the real code path; it does not protect production traffic.
 """
 
 from __future__ import annotations
@@ -75,99 +84,109 @@ assert SBOX[0x00] == 0x63 and SBOX[0x53] == 0xED, "AES S-box self-check failed"
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
+# xtime: multiplication by x (i.e. 2) in GF(2^8), as a translate table.
+_XTIME = bytes(_gf_mul(x, 2) for x in range(256))
 
-def _rotr8(word: int) -> int:
-    return (word >> 8) | ((word & 0xFF) << 24)
-
-
-# T-tables: _TE0[x] is the MixColumns column of SubBytes(x) in row 0,
-# i.e. the big-endian word (2*S[x], S[x], S[x], 3*S[x]); _TE1.._TE3 are its
-# byte rotations for rows 1..3.  One full round of one column is then four
-# lookups XORed with a round-key word.
-_TE0 = tuple(
-    (_gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | _gf_mul(s, 3) for s in SBOX
-)
-_TE1 = tuple(_rotr8(t) for t in _TE0)
-_TE2 = tuple(_rotr8(t) for t in _TE1)
-_TE3 = tuple(_rotr8(t) for t in _TE2)
-# Final round (no MixColumns): the S-box shifted into each byte position.
-_S0 = tuple(s << 24 for s in SBOX)
-_S1 = tuple(s << 16 for s in SBOX)
-_S2 = tuple(s << 8 for s in SBOX)
-
-_BLOCK = struct.Struct(">4I")
-_NONCE = struct.Struct(">3I")
+# Lane order: lane L = 4r + c carries state byte r + 4c (row r, column c)
+# of every block, so each state row is four consecutive lanes.
+_LANE_BYTES = tuple(r + 4 * c for r in range(4) for c in range(4))
 
 
-def _expand_key(key: bytes) -> tuple[tuple[int, int, int, int], ...]:
-    """AES-128 key schedule: 11 round keys of four big-endian 32-bit words."""
+def _expand_key(key: bytes) -> tuple[bytes, ...]:
+    """AES-128 key schedule: 11 round keys of 16 bytes, in lane order."""
     if len(key) != 16:
         raise CryptoError("AES-128 requires a 16-byte key")
-    words = list(_BLOCK.unpack(key))
+    words = list(struct.unpack(">4I", key))
     for i in range(4, 44):
         temp = words[i - 1]
         if i % 4 == 0:
-            # SubWord(RotWord(temp)) ^ Rcon
+            # SubWord(RotWord(temp)) ^ Rcon, on a big-endian word.
             temp = (
-                _S0[(temp >> 16) & 0xFF]
-                | _S1[(temp >> 8) & 0xFF]
-                | _S2[temp & 0xFF]
+                (SBOX[(temp >> 16) & 0xFF] ^ _RCON[i // 4 - 1]) << 24
+                | SBOX[(temp >> 8) & 0xFF] << 16
+                | SBOX[temp & 0xFF] << 8
                 | SBOX[temp >> 24]
-            ) ^ (_RCON[i // 4 - 1] << 24)
+            )
         words.append(words[i - 4] ^ temp)
-    return tuple(tuple(words[i : i + 4]) for i in range(0, 44, 4))
-
-
-def _encrypt_words(s0: int, s1: int, s2: int, s3: int, round_keys) -> tuple[int, int, int, int]:
-    """Encrypt one block given as four big-endian column words."""
-    te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
-    k0, k1, k2, k3 = round_keys[0]
-    s0 ^= k0
-    s1 ^= k1
-    s2 ^= k2
-    s3 ^= k3
-    for k0, k1, k2, k3 in round_keys[1:10]:
-        # SubBytes + ShiftRows + MixColumns + AddRoundKey, one column each.
-        s0, s1, s2, s3 = (
-            te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ k0,
-            te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ k1,
-            te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ k2,
-            te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ k3,
-        )
-    # Final round: no MixColumns.
-    t0, t1, t2, sb = _S0, _S1, _S2, SBOX
-    k0, k1, k2, k3 = round_keys[10]
-    return (
-        t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ sb[s3 & 0xFF] ^ k0,
-        t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ sb[s0 & 0xFF] ^ k1,
-        t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ sb[s1 & 0xFF] ^ k2,
-        t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ sb[s2 & 0xFF] ^ k3,
-    )
+    # Gather byte i of all 11 round keys per lane, then split by round.
+    schedule = struct.pack(">44I", *words)
+    lanes = b"".join(schedule[i::16] for i in _LANE_BYTES)
+    return tuple(lanes[j::11] for j in range(11))
 
 
 class AES128:
     """Forward AES-128 cipher with a precomputed key schedule."""
 
     def __init__(self, key: bytes):
-        self._round_keys = _expand_key(key)
+        # Each round key as a translate table mapping lane number -> key byte.
+        self._key_tables = tuple(k + bytes(240) for k in _expand_key(key))
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError("AES block must be 16 bytes")
-        return _BLOCK.pack(*_encrypt_words(*_BLOCK.unpack(block), self._round_keys))
+        return self.encrypt_blocks(block)
+
+    def encrypt_blocks(self, blocks: bytes) -> bytes:
+        """ECB-encrypt whole 16-byte blocks, all in one kernel call."""
+        if len(blocks) % 16:
+            raise CryptoError("AES input must be whole 16-byte blocks")
+        return self._encrypt_lanes(
+            b"".join(blocks[i::16] for i in _LANE_BYTES), len(blocks) // 16
+        )
+
+    def _encrypt_lanes(self, state: bytes, n: int) -> bytes:
+        """Encrypt ``n`` blocks given as 16 lanes of ``n`` bytes each.
+
+        Returns the ``n`` ciphertext blocks in block order.
+        """
+        size, bits, row_bits = 16 * n, 128 * n, 32 * n
+        mask = (1 << bits) - 1
+        lane_ids = b"".join(bytes((lane,)) * n for lane in range(16))
+        keys = [int.from_bytes(lane_ids.translate(t), "big") for t in self._key_tables]
+        s = int.from_bytes(state, "big") ^ keys[0]
+        for k in keys[1:10]:
+            s = int.from_bytes(_sub_shift(s, n), "big")
+            # MixColumns, with u[r] = s[r] ^ s[r+1] (rows taken mod 4; moving
+            # every row up by one rotates the integer by ``row_bits``):
+            # out[r] = 2s[r] ^ 3s[r+1] ^ s[r+2] ^ s[r+3]
+            #        = s[r] ^ xtime(u[r]) ^ (u[r] ^ u[r+2]).
+            u = s ^ ((s << row_bits) & mask) ^ (s >> (bits - row_bits))
+            s ^= (
+                int.from_bytes(u.to_bytes(size, "big").translate(_XTIME), "big")
+                ^ u
+                ^ ((u << 2 * row_bits) & mask)
+                ^ (u >> (bits - 2 * row_bits))
+                ^ k
+            )
+        # Final round: no MixColumns.
+        lanes = (int.from_bytes(_sub_shift(s, n), "big") ^ keys[10]).to_bytes(size, "big")
+        out = bytearray(size)
+        for lane, i in enumerate(_LANE_BYTES):
+            out[i::16] = lanes[lane * n : (lane + 1) * n]
+        return bytes(out)
+
+
+def _sub_shift(s: int, n: int) -> bytes:
+    """SubBytes then ShiftRows (row r rotated left by r lanes) of a lane state."""
+    b = s.to_bytes(16 * n, "big").translate(SBOX)
+    return b"".join((
+        b[: 4 * n],
+        b[5 * n : 8 * n], b[4 * n : 5 * n],
+        b[10 * n : 12 * n], b[8 * n : 10 * n],
+        b[15 * n :], b[12 * n : 15 * n],
+    ))
 
 
 def ctr_keystream(cipher: AES128, nonce: bytes, length: int) -> bytes:
     """CTR keystream: AES(nonce || counter) blocks, counter from 0."""
     if len(nonce) != 12:
         raise CryptoError("CTR nonce must be 12 bytes")
-    n0, n1, n2 = _NONCE.unpack(nonce)
-    round_keys, pack = cipher._round_keys, _BLOCK.pack
-    blocks = [
-        pack(*_encrypt_words(n0, n1, n2, counter, round_keys))
-        for counter in range(-(-length // 16))
-    ]
-    return b"".join(blocks)[:length]
+    n = -(-length // 16)
+    counters = struct.pack(f">{n}I", *range(n))
+    # Block byte i < 12 is nonce byte i; bytes 12..15 are the counter.
+    columns = [nonce[i : i + 1] * n for i in range(12)] + [counters[i::4] for i in range(4)]
+    state = b"".join(columns[i] for i in _LANE_BYTES)
+    return cipher._encrypt_lanes(state, n)[:length]
 
 
 def aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
