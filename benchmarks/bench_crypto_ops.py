@@ -10,6 +10,10 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   the APS signing-heavy setup phase (target >= 2x);
 * ``batched_vo_verify`` — merged shared-base pairing batch vs the
   unmerged small-exponents reference (target >= 3x);
+* ``cold_vo_settle`` — one cold BN254 VO mixing APP entries under AND/OR
+  policies with APS entries: :func:`repro.core.verifier.settle` (one
+  merged product) against per-entry ABS.Verify, with wall times plus
+  exact Miller loops and final exponentiations per arm;
 * ``multi_pair`` — one lockstep multi-pairing (shared Miller-loop
   squarings, batched line inversions, one final exponentiation) vs the
   product of n single ``pair()`` calls, at n = 1, 2, 4, 6 pairs;
@@ -56,14 +60,16 @@ import ttable_aes
 
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import decrypt_envelope, encrypt_for_roles
-from repro.abs.batch import BatchItem, batch_verify, batch_verify_unmerged
+from repro.abs.batch import BatchItem, batch_verify, batch_verify_unmerged, find_invalid
 from repro.abs.scheme import AbsScheme
+from repro.core.app_signature import AppAuthenticator
 from repro.core.messages import decode_response, encode_response
 from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
-from repro.crypto import aes
+from repro.core.verifier import collect_vo, settle
+from repro.crypto import aes, pairing
 from repro.crypto.group import BN254Group
-from repro.index.boxes import Domain
+from repro.index.boxes import Box, Domain
 from repro.memo import BoundedMemo
 from repro.obs import ledger as obs_ledger
 from repro.policy.boolexpr import or_of_attrs, parse_policy
@@ -197,19 +203,93 @@ def scenario_batched_vo(n_items: int = 10, n_attrs: int = 3) -> dict:
     for k in range(n_items):
         message = f"record-{k}".encode()
         sig = scheme.sign(keys.mvk, sk, message, policy, rng)
-        items.append(BatchItem(message=message, attrs=missing, signature=sig))
+        items.append(BatchItem(message=message, policy=policy, signature=sig))
 
     grp.fast_paths = False
-    assert batch_verify_unmerged(scheme, keys.mvk, items, random.Random(7))
-    old_s, ops_old = _timed_ops(
-        grp, lambda: batch_verify_unmerged(scheme, keys.mvk, items, random.Random(7))
-    )
+    assert batch_verify_unmerged(scheme, keys.mvk, items)
+    old_s, ops_old = _timed_ops(grp, lambda: batch_verify_unmerged(scheme, keys.mvk, items))
     grp.fast_paths = True
-    assert batch_verify(scheme, keys.mvk, items, random.Random(7))
-    new_s, ops_new = _timed_ops(
-        grp, lambda: batch_verify(scheme, keys.mvk, items, random.Random(7))
-    )
+    assert batch_verify(scheme, keys.mvk, items)
+    new_s, ops_new = _timed_ops(grp, lambda: batch_verify(scheme, keys.mvk, items))
     return _entry(old_s, new_s, ops_old, ops_new, n_items=n_items, n_attrs=n_attrs)
+
+
+def _pairing_steps(fn) -> dict:
+    """Miller loops and final exponentiations one run of ``fn`` computes."""
+    counts = {"miller_loops": 0, "final_exps": 0}
+    multi_miller, final_exp = pairing._multi_miller, pairing.final_exponentiation
+
+    def counted_miller(pairs):
+        pairs = list(pairs)
+        counts["miller_loops"] += sum(
+            1 for p, q in pairs if not (p.is_identity or q.is_identity)
+        )
+        return multi_miller(pairs)
+
+    def counted_final_exp(f):
+        counts["final_exps"] += 1
+        return final_exp(f)
+
+    pairing._multi_miller, pairing.final_exponentiation = counted_miller, counted_final_exp
+    try:
+        fn()
+    finally:
+        pairing._multi_miller, pairing.final_exponentiation = multi_miller, final_exp
+    return counts
+
+
+COLD_VO_RECORDS = (
+    (1, "R0 and R1"), (3, "R2 and R3"), (5, "R0 or R2"), (6, "(R0 and R1) or R3"),
+    (9, "R3"), (10, "R1 and R2"), (12, "R1 or R3"), (14, "R2"),
+)
+
+
+def scenario_cold_vo_settle(repeats: int = 3) -> dict:
+    """One cold VO's signatures: merged ``settle`` vs per-entry ABS.Verify.
+
+    A user holding ``R0, R1`` reads the whole domain of an 8-record table
+    whose policies mix AND and OR, so the VO carries APP entries under
+    AND/OR policies (AND gates give -1 span-program entries) and APS
+    entries.  The user's pairing-free checks run once, outside the timing.
+    Both arms start cold: the settle arm's authenticator has no memo, and
+    the pairing cache is emptied before every per-entry run.
+    """
+    grp = BN254Group()
+    universe = RoleUniverse(["R0", "R1", "R2", "R3"])
+    dataset = Dataset(Domain.of((0, 15)))
+    for key, policy in COLD_VO_RECORDS:
+        dataset.add(Record((key,), b"row-%d" % key, parse_policy(policy)))
+    owner = DataOwner(grp, universe, rng=random.Random(SEED + 8))
+    provider = owner.outsource({"t": dataset})
+    roles = frozenset({"R0", "R1"})
+    query = Box((0,), (15,))
+    vo = provider.range_query("t", (0,), (15,), roles, encrypt=False,
+                              rng=random.Random(SEED + 9)).vo
+    auth = AppAuthenticator(grp, universe, owner.mvk)
+    records, obligations = collect_vo(vo, auth, query, roles)
+
+    def per_entry():
+        grp._pair_cache.clear()
+        assert find_invalid(auth.scheme, auth.mvk, obligations) == []
+
+    def merged():
+        settle(obligations, auth)
+
+    arms = {}
+    for name, fn in (("per_entry", per_entry), ("settle", merged)):
+        fn()  # builds the attribute-base combs both arms share
+        arms[name] = {"s": round(_time_best(fn, repeats), 6), **_pairing_steps(fn)}
+    return {
+        "host": {"cpu_count": os.cpu_count()},
+        "repeats": repeats,
+        "entries": len(obligations),
+        "app_entries": sum(ob.kind == "APP" for ob in obligations),
+        "aps_entries": sum(ob.kind == "APS" for ob in obligations),
+        "columns": sum(len(ob.signature.p) for ob in obligations),
+        "records": len(records),
+        **arms,
+        "speedup": round(arms["per_entry"]["s"] / arms["settle"]["s"], 3),
+    }
 
 
 def scenario_multi_pair(counts: tuple[int, ...] = (1, 2, 4, 6), repeats: int = 3) -> dict:
@@ -401,6 +481,7 @@ def run_benchmarks() -> dict:
             "aps_table_setup": scenario_aps_setup(shape=(8, 2, 2)),
             "batched_vo_verify": scenario_batched_vo(n_items=10, n_attrs=3),
         },
+        "cold_vo_settle": scenario_cold_vo_settle(),
         "multi_pair": scenario_multi_pair(),
         "envelope": scenario_envelope(),
         "warm_read": scenario_warm_read(),
@@ -415,6 +496,11 @@ def main() -> None:
     for name, entry in results["scenarios"].items():
         print(f"{name:18s} old {entry['old_s']*1e3:9.1f} ms   "
               f"new {entry['new_s']*1e3:9.1f} ms   x{entry['speedup']}")
+    cold = results["cold_vo_settle"]
+    for side in ("per_entry", "settle"):
+        arm = cold[side]
+        print(f"cold_vo_settle {side:9s} {arm['s']*1e3:9.1f} ms   "
+              f"{arm['miller_loops']} Miller loops   {arm['final_exps']} final exps")
     for name, arm in results["multi_pair"]["arms"].items():
         print(f"multi_pair {name:10s} old {arm['old_s']*1e3:9.1f} ms   "
               f"new {arm['new_s']*1e3:9.1f} ms   x{arm['speedup']}")
@@ -452,6 +538,18 @@ def test_smoke_batched_vo():
     assert entry["ops_new"]["pairings"] < entry["ops_old"]["pairings"]
     # The naive arm has no memo: every item is checked in full.
     assert entry["ops_old"]["pairings"] == 2 * (2 + 4)
+
+
+def test_smoke_cold_vo_settle():
+    """CI smoke: a cold VO settles with one final exponentiation and fewer
+    Miller loops than per-entry verification, which pays one final
+    exponentiation per pairing."""
+    result = scenario_cold_vo_settle(repeats=1)
+    per_entry, merged = result["per_entry"], result["settle"]
+    assert result["app_entries"] > 0 and result["aps_entries"] > 0
+    assert merged["final_exps"] == 1
+    assert per_entry["final_exps"] == per_entry["miller_loops"]
+    assert merged["miller_loops"] < per_entry["miller_loops"]
 
 
 def test_smoke_multi_pair():

@@ -221,7 +221,9 @@ def scenario_verification_window(backend: str, num_queries: int = 4) -> dict:
         user.verify(resp)
     per_response_s = time.perf_counter() - t0
 
-    window = VerificationWindow(user, size=num_queries, rng=random.Random(SEED + 30))
+    # A second user: the first one's verified-entry memo now holds every entry.
+    cold_user = QueryUser(owner.group, universe, owner.register_user(USER_ROLES))
+    window = VerificationWindow(cold_user, size=num_queries)
     t0 = time.perf_counter()
     for resp in responses:
         window.verify(resp)

@@ -300,49 +300,3 @@ class AbsScheme:
             if lhs != rhs:
                 return False
         return True
-
-    def verify_batched(
-        self,
-        mvk: AbsVerificationKey,
-        message: bytes,
-        policy: BoolExpr,
-        sig: AbsSignature,
-    ) -> bool:
-        """Verification with one shared final exponentiation per equation.
-
-        Behaviourally identical to :meth:`verify`; each check becomes a
-        product-of-pairings equal to the identity, so backends that share
-        the final exponentiation across a multi-pairing (BN254) compute
-        each column with a single final exponentiation.  Span-program
-        entries in {0, +-1} are applied to the cheap G1 argument.
-        """
-        grp = self.group
-        msp = get_msp(policy, grp.order)
-        if len(sig.s) != msp.n_rows or len(sig.p) != msp.n_cols:
-            return False
-        if sig.y.is_identity:
-            return False
-        if not grp.multi_pair([(sig.w, mvk.a0_pub), (~sig.y, mvk.h0)]).is_identity:
-            return False
-        cg = self._message_base(mvk, sig.tau, message)
-        bases = [mvk.attribute_base(label) for label in msp.labels]
-        order = grp.order
-        for j in range(msp.n_cols):
-            pairs = []
-            for i in range(msp.n_rows):
-                m_ij = msp.matrix[i][j]
-                if m_ij == 0:
-                    continue
-                if m_ij == 1:
-                    left = sig.s[i]
-                elif m_ij == order - 1:
-                    left = ~sig.s[i]
-                else:
-                    left = sig.s[i] ** m_ij
-                pairs.append((left, bases[i]))
-            pairs.append((~cg, sig.p[j]))
-            if j == 0:
-                pairs.append((~sig.y, mvk.h))
-            if not grp.multi_pair(pairs).is_identity:
-                return False
-        return True

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.abs.keys import AbsKeyPair, AbsSigningKey, AbsVerificationKey
 from repro.abs.relax import relax
@@ -287,6 +287,27 @@ class AppAuthenticator:
         )
 
     # -- user side ----------------------------------------------------------
+    def memo_generation(self) -> Optional[int]:
+        """The verified-entry memo's generation, or ``None`` without a memo.
+
+        Read it before :meth:`known` and pass it to :meth:`remember`, so
+        that a memo cleared in between keeps nothing checked before.
+        """
+        memo = self._verify_memo
+        return memo.generation if memo is not None else None
+
+    def known(self, key: bytes) -> bool:
+        """Whether the memo holds an accepted :func:`verify_memo_key`."""
+        memo = self._verify_memo
+        return memo is not None and memo.get(key) is not None
+
+    def remember(self, keys: Iterable[bytes], generation: int) -> None:
+        """Remember accepted entries' keys (see :meth:`memo_generation`)."""
+        memo = self._verify_memo
+        if memo is not None:
+            for key in keys:
+                memo.put(key, True, generation)
+
     def _verify(self, message: bytes, policy: BoolExpr, signature: AbsSignature) -> bool:
         """ABS.Verify through the verified-entry memo, when there is one."""
         memo = self._verify_memo
@@ -296,6 +317,17 @@ class AppAuthenticator:
             verify_memo_key(message, policy, signature),
             lambda: self.scheme.verify(self.mvk, message, policy, signature),
         )
+
+    def super_policy(self, user_roles, missing_roles: Sequence[str] | None = None) -> BoolExpr:
+        """The predicate a user's APS signatures verify under: ``OR(A \\ A)``.
+
+        The verifier rebuilds it from its *own* role set (it never sees a
+        record's true policy).  ``missing_roles`` may be supplied for the
+        hierarchical optimization (Section 8.1).
+        """
+        if missing_roles is None:
+            missing_roles = self.universe.missing_roles(user_roles)
+        return _super_policy(tuple(missing_roles))
 
     def verify_record(self, record: Record, signature: AbsSignature) -> bool:
         """Verify an accessible record's APP signature under its policy."""
@@ -309,17 +341,9 @@ class AppAuthenticator:
         aps: AbsSignature,
         missing_roles: Sequence[str] | None = None,
     ) -> bool:
-        """Verify an APS signature proving record inaccessibility.
-
-        The verifier rebuilds the super policy from its *own* role set (it
-        never sees the record's true policy).  ``missing_roles`` may be
-        supplied for the hierarchical optimization (Section 8.1); by
-        default it is ``A \\ A``.
-        """
-        if missing_roles is None:
-            missing_roles = self.universe.missing_roles(user_roles)
+        """Verify an APS signature proving record inaccessibility."""
         message = Record.message_from_hash(key, value_hash)
-        return self._verify(message, _super_policy(tuple(missing_roles)), aps)
+        return self._verify(message, self.super_policy(user_roles, missing_roles), aps)
 
     def verify_inaccessible_node(
         self,
@@ -329,9 +353,7 @@ class AppAuthenticator:
         missing_roles: Sequence[str] | None = None,
     ) -> bool:
         """Verify an APS signature proving a whole grid box is inaccessible."""
-        if missing_roles is None:
-            missing_roles = self.universe.missing_roles(user_roles)
-        return self._verify(box.to_bytes(), _super_policy(tuple(missing_roles)), aps)
+        return self._verify(box.to_bytes(), self.super_policy(user_roles, missing_roles), aps)
 
 
 class AppSigner(AppAuthenticator):

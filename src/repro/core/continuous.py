@@ -170,7 +170,7 @@ def verify_continuous_vo(
     query bounds (they are data-dependent intervals), so coverage is
     checked on the clipped union.
     """
-    from repro.core.verifier import _verify_entry
+    from repro.core.verifier import collect_entries, settle
 
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     clipped = []
@@ -187,9 +187,6 @@ def verify_continuous_vo(
         cursor = part.hi[0] + 1
     if cursor != query.hi[0] + 1:
         raise CompletenessError("VO does not cover the full query interval")
-    records = []
-    for entry in vo:
-        record = _verify_entry(entry, authenticator, query, user_roles, None)
-        if record is not None:
-            records.append(record)
-    return records
+    accessible, obligations = collect_entries(vo, authenticator, query, user_roles)
+    settle(obligations, authenticator)
+    return [record for _entry, record in accessible]

@@ -33,7 +33,7 @@ from typing import Optional
 from repro.core.app_signature import AppAuthenticator
 from repro.core.range_query import range_vo
 from repro.core.records import Record
-from repro.core.verifier import verify_vo
+from repro.core.verifier import collect_vo, settle
 from repro.core.vo import VerificationObject
 from repro.errors import CompletenessError, SoundnessError, WorkloadError
 from repro.index.boxes import Box
@@ -104,12 +104,13 @@ def verify_inequality_join_vo(
     proof is rejected.
     """
     user_roles = authenticator.universe.validate_user_roles(user_roles)
-    r_records = verify_vo(
+    r_records, obligations = collect_vo(
         bundle.r_vo, authenticator, bundle.query, user_roles, missing_roles
     )
     if not r_records:
         if bundle.s_vo is not None:
             raise SoundnessError("S-side proof present despite an empty R side")
+        settle(obligations, authenticator)
         return []
     r_min = min(record.key[0] for record in r_records)
     domain_max = domain.bounds[0][1]
@@ -120,9 +121,12 @@ def verify_inequality_join_vo(
             f"S-side proof covers {bundle.s_range}, expected "
             f"[{r_min}..{domain_max}]"
         )
-    s_records = verify_vo(
+    s_records, s_obligations = collect_vo(
         bundle.s_vo, authenticator, bundle.s_range, user_roles, missing_roles
     )
+    # Both proofs settle in one product; the S range above was derived
+    # from R records whose signatures this settle checks.
+    settle(obligations + s_obligations, authenticator)
     pairs = []
     for r in sorted(r_records, key=lambda rec: rec.key):
         for s in sorted(s_records, key=lambda rec: rec.key):

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from repro.core.app_signature import AppAuthenticator
 from repro.core.engine import EngineStats, materialize, traverse_multiway_join
 from repro.core.records import Record
-from repro.core.verifier import _verify_entry
+from repro.core.verifier import collect_entries, settle
 from repro.core.vo import AccessibleRecordEntry, VerificationObject
 from repro.errors import CompletenessError, SoundnessError, WorkloadError
 from repro.index.boxes import Box, boxes_cover_clipped
@@ -114,11 +114,11 @@ def verify_multiway_join_vo(
             raise SoundnessError(f"results of table {name!r} do not pair with the driver")
     if not boxes_cover_clipped(coverage, query):
         raise CompletenessError("multi-way join VO does not tile the query range")
-    verified: dict[tuple[str, tuple], Record] = {}
-    for entry in vo:
-        record = _verify_entry(entry, authenticator, query, user_roles, missing_roles)
-        if record is not None:
-            verified[(entry.table, entry.key)] = record
+    accessible, obligations = collect_entries(
+        vo, authenticator, query, user_roles, missing_roles
+    )
+    settle(obligations, authenticator)
+    verified = {(entry.table, entry.key): record for entry, record in accessible}
     results = []
     for key in sorted(driver_keys):
         results.append(

@@ -6,6 +6,15 @@ signatures under the super policy the verifier rebuilds from its *own*
 role set.  Completeness: entry regions tile the query range exactly (one
 and only one proof per unit of indexing space).
 
+Every verifier here runs the same two steps.  The **collector**
+(:func:`collect_entries`; :func:`collect_vo` adds the tiling) makes every
+check that needs no pairing — query containment, policy evaluation,
+tiling, join pairing-up — and turns each entry into an
+:class:`Obligation`: message, claim predicate, signature and the region
+it vouches for.  :func:`settle` then checks all of a VO's obligations
+with one merged pairing product (:func:`repro.abs.batch.batch_verify`),
+skipping those the user's verified-entry memo already holds.
+
 Raises :class:`SoundnessError` / :class:`CompletenessError`; returns the
 verified accessible records.
 
@@ -24,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.app_signature import AppAuthenticator
+from repro.abs.batch import BatchItem, verify_or_find_invalid
+from repro.core.app_signature import AppAuthenticator, verify_memo_key
 from repro.core.freshness import (
     FreshnessToken,
     ShardRoster,
@@ -36,44 +46,132 @@ from repro.core.vo import (
     InaccessibleNodeEntry,
     InaccessibleRecordEntry,
     VerificationObject,
-    VOEntry,
 )
 from repro.errors import CompletenessError, SoundnessError, VerificationError
 from repro.index.boxes import Box, boxes_cover_clipped
 
 
-def _verify_entry(
-    entry: VOEntry,
+@dataclass(frozen=True)
+class Obligation(BatchItem):
+    """One signature a VO entry asks the user to check.
+
+    ``kind`` is ``"APP"`` for an accessible record's signature and
+    ``"APS"`` for an inaccessibility proof; ``region`` is what it vouches
+    for, and names the entry when the check fails.
+    """
+
+    region: Box
+    kind: str
+
+    def failure(self) -> str:
+        return f"{self.kind} signature invalid for region {self.region}"
+
+
+def collect_entries(
+    vo: VerificationObject,
     authenticator: AppAuthenticator,
     query: Box,
     user_roles,
-    missing_roles: Optional[Sequence[str]],
-) -> Optional[Record]:
-    """Check one entry; returns the record for accessible entries."""
-    if isinstance(entry, AccessibleRecordEntry):
-        if not query.contains_point(entry.key):
-            raise SoundnessError(f"result key {entry.key} outside the query range")
-        if not entry.policy.evaluate(user_roles):
-            raise SoundnessError(
-                f"result record {entry.key} is not accessible under the user roles"
+    missing_roles: Optional[Sequence[str]] = None,
+) -> tuple[list[tuple[AccessibleRecordEntry, Record]], list[Obligation]]:
+    """The pairing-free checks of every entry, and the signatures they leave.
+
+    ``user_roles`` must already be validated.  Checks each accessible
+    entry's query containment and policy; returns ``(entry, record)`` for
+    the accessible entries and every entry's obligation, in VO order.
+    """
+    super_policy = authenticator.super_policy(user_roles, missing_roles)
+    accessible: list[tuple[AccessibleRecordEntry, Record]] = []
+    obligations: list[Obligation] = []
+    for entry in vo:
+        if isinstance(entry, AccessibleRecordEntry):
+            if not query.contains_point(entry.key):
+                raise SoundnessError(f"result key {entry.key} outside the query range")
+            if not entry.policy.evaluate(user_roles):
+                raise SoundnessError(
+                    f"result record {entry.key} is not accessible under the user roles"
+                )
+            record = entry.record()
+            accessible.append((entry, record))
+            obligation = Obligation(
+                record.message(), entry.policy, entry.signature, entry.region, "APP"
             )
-        record = entry.record()
-        if not authenticator.verify_record(record, entry.signature):
-            raise SoundnessError(f"APP signature invalid for record {entry.key}")
-        return record
-    if isinstance(entry, InaccessibleRecordEntry):
-        if not authenticator.verify_inaccessible_record(
-            entry.key, entry.value_hash, user_roles, entry.aps, missing_roles
-        ):
-            raise SoundnessError(f"APS signature invalid for cell {entry.key}")
-        return None
-    if isinstance(entry, InaccessibleNodeEntry):
-        if not authenticator.verify_inaccessible_node(
-            entry.box, user_roles, entry.aps, missing_roles
-        ):
-            raise SoundnessError(f"APS signature invalid for box {entry.box}")
-        return None
-    raise SoundnessError(f"unknown VO entry type {type(entry).__name__}")
+        elif isinstance(entry, InaccessibleRecordEntry):
+            message = Record.message_from_hash(entry.key, entry.value_hash)
+            obligation = Obligation(message, super_policy, entry.aps, entry.region, "APS")
+        elif isinstance(entry, InaccessibleNodeEntry):
+            obligation = Obligation(
+                entry.box.to_bytes(), super_policy, entry.aps, entry.region, "APS"
+            )
+        else:
+            raise SoundnessError(f"unknown VO entry type {type(entry).__name__}")
+        obligations.append(obligation)
+    return accessible, obligations
+
+
+def collect_vo(
+    vo: VerificationObject,
+    authenticator: AppAuthenticator,
+    query: Box,
+    user_roles,
+    missing_roles: Optional[Sequence[str]] = None,
+) -> tuple[list[Record], list[Obligation]]:
+    """Everything :func:`verify_vo` checks except the signatures.
+
+    :func:`collect_entries` after the tiling check; returns the
+    accessible records and every entry's obligation.
+    """
+    if not boxes_cover_clipped([entry.region for entry in vo], query):
+        raise CompletenessError("VO entries do not tile the query range exactly")
+    accessible, obligations = collect_entries(
+        vo, authenticator, query, user_roles, missing_roles
+    )
+    return [record for _entry, record in accessible], obligations
+
+
+def settle_failures(
+    obligations: Sequence[Obligation], authenticator: AppAuthenticator
+) -> list[int]:
+    """Indexes of the obligations that fail; ``[]`` when all hold.
+
+    Obligations the user's verified-entry memo already holds are skipped.
+    The rest are checked with one merged pairing product; only when it
+    fails does per-signature ABS.Verify find the culprits.  Every ``P_j``
+    must lie in G2 first, because the product's soundness depends on it
+    (``docs/SECURITY.md``).  On success every checked key is remembered,
+    unless the memo was cleared meanwhile.
+    """
+    generation = authenticator.memo_generation()
+    keys = None if generation is None else [
+        verify_memo_key(ob.message, ob.policy, ob.signature) for ob in obligations
+    ]
+    cold = [
+        i for i in range(len(obligations)) if keys is None or not authenticator.known(keys[i])
+    ]
+    if not cold:
+        return []
+    in_subgroup = authenticator.group.in_subgroup
+    outside = [
+        i for i in cold if not all(in_subgroup(p) for p in obligations[i].signature.p)
+    ]
+    if outside:
+        return outside
+    bad = verify_or_find_invalid(
+        authenticator.scheme, authenticator.mvk, [obligations[i] for i in cold]
+    )
+    if bad:
+        return [cold[i] for i in bad]
+    if keys is not None:
+        authenticator.remember((keys[i] for i in cold), generation)
+    return []
+
+
+def settle(obligations: Sequence[Obligation], authenticator: AppAuthenticator) -> None:
+    """Check every obligation; raise :class:`SoundnessError` naming the first
+    failing entry's region."""
+    bad = settle_failures(obligations, authenticator)
+    if bad:
+        raise SoundnessError(obligations[bad[0]].failure())
 
 
 def verify_vo(
@@ -90,18 +188,12 @@ def verify_vo(
     ``missing_roles`` overrides the default super-policy attribute list
     ``A \\ A`` (used by the hierarchical-role optimization).
     ``collect_ops``, when given, is filled with the group-operation
-    counts (mults, pairings, cache hits, ...) this verification cost.
+    counts (mults, pairings, ...) this verification cost.
     """
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     before = authenticator.group.stats.snapshot() if collect_ops is not None else None
-    regions = [entry.region for entry in vo]
-    if not boxes_cover_clipped(regions, query):
-        raise CompletenessError("VO entries do not tile the query range exactly")
-    records = []
-    for entry in vo:
-        record = _verify_entry(entry, authenticator, query, user_roles, missing_roles)
-        if record is not None:
-            records.append(record)
+    records, obligations = collect_vo(vo, authenticator, query, user_roles, missing_roles)
+    settle(obligations, authenticator)
     if collect_ops is not None:
         collect_ops.update(authenticator.group.stats.delta(before))
     return records
@@ -131,15 +223,13 @@ def verify_join_vo(
     inaccessible region (from either table) must tile the query range.
     Soundness additionally requires each R result to have exactly one
     matching S result on the same key.  ``collect_ops``, when given, is
-    filled with the group-operation counts this verification cost
-    (parity with :func:`verify_vo` / :func:`verify_vo_batched`).
+    filled with the group-operation counts this verification cost.
     """
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     before = authenticator.group.stats.snapshot() if collect_ops is not None else None
     left_access: dict = {}
     right_access: dict = {}
     coverage: list[Box] = []
-    records: dict = {}
     for entry in vo:
         if isinstance(entry, AccessibleRecordEntry):
             bucket = left_access if entry.table == left_table else right_access
@@ -156,105 +246,18 @@ def verify_join_vo(
         raise SoundnessError("join results do not pair up on the join key")
     if not boxes_cover_clipped(coverage, query):
         raise CompletenessError("join VO does not tile the query range exactly")
-    pairs = []
-    for entry in vo:
-        record = _verify_entry(entry, authenticator, query, user_roles, missing_roles)
-        if record is not None:
-            records[(entry.table, entry.key)] = record
-    for key in sorted(left_access):
-        pairs.append(
-            JoinPair(left=records[(left_table, key)], right=records[(right_table, key)])
-        )
+    accessible, obligations = collect_entries(
+        vo, authenticator, query, user_roles, missing_roles
+    )
+    settle(obligations, authenticator)
+    records = {(entry.table, entry.key): record for entry, record in accessible}
+    pairs = [
+        JoinPair(left=records[(left_table, key)], right=records[(right_table, key)])
+        for key in sorted(left_access)
+    ]
     if collect_ops is not None:
         collect_ops.update(authenticator.group.stats.delta(before))
     return pairs
-
-
-def collect_vo_batch_items(
-    vo: VerificationObject,
-    authenticator: AppAuthenticator,
-    query: Box,
-    user_roles,
-    missing_roles: Optional[Sequence[str]] = None,
-) -> tuple[list[Record], list, list[VOEntry]]:
-    """Everything :func:`verify_vo_batched` checks *except* the APS batch.
-
-    Validates roles, checks the completeness tiling, eagerly verifies
-    every accessible record's APP signature, and returns
-    ``(records, batch_items, item_entries)`` — the deferred APS
-    obligations (one :class:`~repro.abs.batch.BatchItem` per
-    inaccessible entry) aligned with the entries they came from.
-    Callers settle them with
-    :func:`repro.abs.batch.verify_or_find_invalid`, either per VO
-    (:func:`verify_vo_batched`) or merged across a whole window of
-    responses (:class:`repro.net.window.VerificationWindow`).
-    """
-    from repro.abs.batch import BatchItem
-
-    user_roles = authenticator.universe.validate_user_roles(user_roles)
-    if missing_roles is None:
-        missing_roles = authenticator.universe.missing_roles(user_roles)
-    # Warm the shared G2 attribute bases (and their comb tables) once,
-    # outside any per-entry work.
-    for role in missing_roles:
-        authenticator.mvk.attribute_base(role)
-    regions = [entry.region for entry in vo]
-    if not boxes_cover_clipped(regions, query):
-        raise CompletenessError("VO entries do not tile the query range exactly")
-    records: list[Record] = []
-    items: list = []
-    item_entries: list[VOEntry] = []
-    attrs = tuple(missing_roles)
-    for entry in vo:
-        if isinstance(entry, AccessibleRecordEntry):
-            record = _verify_entry(entry, authenticator, query, user_roles, missing_roles)
-            records.append(record)
-        elif isinstance(entry, InaccessibleRecordEntry):
-            message = Record.message_from_hash(entry.key, entry.value_hash)
-            items.append(BatchItem(message=message, attrs=attrs, signature=entry.aps))
-            item_entries.append(entry)
-        elif isinstance(entry, InaccessibleNodeEntry):
-            items.append(
-                BatchItem(message=entry.box.to_bytes(), attrs=attrs, signature=entry.aps)
-            )
-            item_entries.append(entry)
-        else:
-            raise SoundnessError(f"unknown VO entry type {type(entry).__name__}")
-    return records, items, item_entries
-
-
-def verify_vo_batched(
-    vo: VerificationObject,
-    authenticator: AppAuthenticator,
-    query: Box,
-    user_roles,
-    missing_roles: Optional[Sequence[str]] = None,
-    rng=None,
-    collect_ops: Optional[dict] = None,
-) -> list[Record]:
-    """Like :func:`verify_vo`, batching all APS checks into one pairing
-    product (small-exponents technique, see :mod:`repro.abs.batch`).
-
-    On the real pairing backend the APS checks dominate verification;
-    the batch merges every shared-base pairing into one Miller loop over
-    a multi-exponentiated G1 aggregate and shares a single final
-    exponentiation across the whole VO.  On a batch failure, the slow
-    path pinpoints the offending entry so error messages stay as precise
-    as the naive verifier's.
-    """
-    from repro.abs.batch import verify_or_find_invalid
-
-    before = authenticator.group.stats.snapshot() if collect_ops is not None else None
-    records, items, item_entries = collect_vo_batch_items(
-        vo, authenticator, query, user_roles, missing_roles
-    )
-    bad = verify_or_find_invalid(authenticator.scheme, authenticator.mvk, items, rng)
-    if bad:
-        entry = item_entries[bad[0]]
-        raise SoundnessError(f"APS signature invalid for {entry.region}")
-    if collect_ops is not None:
-        collect_ops.update(authenticator.group.stats.delta(before))
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.crypto import tower
-from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS as P, G2_COFACTOR, fp_inv
+from repro.crypto.field import BN_U, CURVE_ORDER, FIELD_MODULUS as P, G2_COFACTOR, fp_inv
 from repro.errors import CryptoError
 
 
@@ -652,9 +652,42 @@ class PointG2(_Point):
             y = tower.fp2_neg(y)
         return cls((x, y))
 
+    def in_subgroup(self) -> bool:
+        """G2 membership by the endomorphism test for BN curves.
+
+        ``Q`` lies in G2 iff ``[u+1]Q + psi([u]Q) + psi^2([u]Q) = psi^3([2u]Q)``
+        (Scott, 2021; El Housni-Guillevic-Piellard, 2022): one 63-bit
+        scalar multiplication by the BN parameter ``u`` instead of the
+        254-bit ``[r]Q``.
+        """
+        if self.xy is None:
+            return True
+        ops = self._ops
+        uq_jac = _jac_scalar_mul(self.xy, BN_U, ops)
+        uq = _jac_to_affine(uq_jac, ops)
+        if uq is None:
+            return False
+        psi1 = g2_psi(uq)
+        psi2 = g2_psi(psi1)
+        lhs = _jac_add_affine(uq_jac, self.xy, ops)  # [u+1]Q
+        lhs = _jac_add_affine(_jac_add_affine(lhs, psi1, ops), psi2, ops)
+        x3, y3 = g2_psi(psi2)
+        rhs = _jac_double((x3, y3, ops.one), ops)
+        return _jac_to_affine(lhs, ops) == _jac_to_affine(rhs, ops)
+
     def clear_cofactor(self) -> "PointG2":
         """Map a twist point into the order-r subgroup."""
         return _g2_cofactor_mul(self)
+
+
+def g2_psi(xy):
+    """The endomorphism ``psi`` (untwist, p-power Frobenius, twist) on an
+    affine E'(Fp2) point; it acts on G2 as multiplication by ``p``."""
+    x, y = xy
+    return (
+        tower.fp2_mul(tower.fp2_conj(x), tower.GAMMA[1]),  # XI^((p-1)/3)
+        tower.fp2_mul(tower.fp2_conj(y), tower.GAMMA[2]),  # XI^((p-1)/2)
+    )
 
 
 def _fp2_parity(y) -> int:

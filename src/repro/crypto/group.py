@@ -420,6 +420,14 @@ class BilinearGroup(ABC):
     def element_bytes(self, kind: str) -> int:
         return ELEMENT_BYTES[kind]
 
+    def in_subgroup(self, element: GroupElement) -> bool:
+        """Whether ``element`` lies in the order-r subgroup of its kind.
+
+        Every element of a backend that represents elements by their
+        exponents does; point backends override this.
+        """
+        return True
+
     @abstractmethod
     def deserialize(self, kind: str, data: bytes, check_subgroup: bool = False) -> GroupElement:
         """Inverse of :meth:`GroupElement.to_bytes`.
@@ -578,6 +586,15 @@ class BN254Group(BilinearGroup):
             return bytes(out)
         return a.value.to_bytes()
 
+    def in_subgroup(self, element: GroupElement) -> bool:
+        # E(Fp) has prime order r, so every decoded G1 point is in G1; the
+        # twist has a cofactor, and Fp12 is far larger than GT.
+        if element.kind == G2:
+            return element.value.in_subgroup()
+        if element.kind == GT:
+            return tower.fp12_pow(element.value, CURVE_ORDER) == tower.FP12_ONE
+        return True
+
     def deserialize(self, kind: str, data: bytes, check_subgroup: bool = False) -> GroupElement:
         """Decode an element; unchecked G1/G2 decodes go through the decode memo.
 
@@ -591,12 +608,14 @@ class BN254Group(BilinearGroup):
         return memo.get_or_make(data, lambda: self._decode(kind, data, check_subgroup))
 
     def _decode(self, kind: str, data: bytes, check_subgroup: bool) -> GroupElement:
+        if kind not in (G1, G2, GT):
+            raise CryptoError(f"unknown group kind {kind!r}")
         try:
             if kind == G1:
-                return GroupElement(self, G1, PointG1.from_bytes(data))
-            if kind == G2:
-                return GroupElement(self, G2, PointG2.from_bytes(data))
-            if kind == GT:
+                element = GroupElement(self, G1, PointG1.from_bytes(data))
+            elif kind == G2:
+                element = GroupElement(self, G2, PointG2.from_bytes(data))
+            else:
                 if len(data) != 384:
                     raise CryptoError("GT encoding must be 384 bytes")
                 ints = [int.from_bytes(data[i : i + 32], "big") for i in range(0, 384, 32)]
@@ -606,12 +625,12 @@ class BN254Group(BilinearGroup):
                     ((ints[0], ints[1]), (ints[2], ints[3]), (ints[4], ints[5])),
                     ((ints[6], ints[7]), (ints[8], ints[9]), (ints[10], ints[11])),
                 )
-                if check_subgroup and tower.fp12_pow(value, CURVE_ORDER) != tower.FP12_ONE:
-                    raise CryptoError("GT encoding is outside the order-r subgroup")
-                return GroupElement(self, GT, value)
+                element = GroupElement(self, GT, value)
+            if check_subgroup and not self.in_subgroup(element):
+                raise CryptoError(f"{kind} encoding is outside the order-r subgroup")
+            return element
         except CryptoError as exc:
             raise DeserializationError(str(exc)) from exc
-        raise CryptoError(f"unknown group kind {kind!r}")
 
     def hash_to_g1(self, *parts) -> GroupElement:
         """Try-and-increment hash to the curve (G1 cofactor is 1).

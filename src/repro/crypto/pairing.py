@@ -29,15 +29,13 @@ addition chain; a direct-exponentiation fallback
 
 from __future__ import annotations
 
-from repro.crypto.curve import _FP_OPS, PointG1, PointG2, batch_inv
+from repro.crypto.curve import _FP_OPS, PointG1, PointG2, batch_inv, g2_psi
 from repro.crypto.field import ATE_LOOP_COUNT, BN_U, CURVE_ORDER, FIELD_MODULUS as P
 from repro.crypto.tower import (
     FP12_ONE,
     fp12_cyclotomic_pow,
     fp12_cyclotomic_sq,
-    Fp2,
     Fp12,
-    fp2_conj,
     fp2_mul,
     fp2_mul_scalar,
     fp2_neg,
@@ -52,22 +50,8 @@ from repro.crypto.tower import (
     fp12_mul_line,
     fp12_pow,
     fp12_sq,
-    GAMMA,
 )
 from repro.errors import CryptoError
-
-# Frobenius twist constants for points on E'(Fp2):
-#   pi(x, y) = (conj(x) * XI^((p-1)/3), conj(y) * XI^((p-1)/2))
-_TWIST_X_COEFF: Fp2 = GAMMA[1]  # XI^((p-1)/3)
-_TWIST_Y_COEFF: Fp2 = GAMMA[2]  # XI^((p-1)/2)
-
-
-def _g2_frobenius(xy):
-    (x, y) = xy
-    return (
-        fp2_mul(fp2_conj(x), _TWIST_X_COEFF),
-        fp2_mul(fp2_conj(y), _TWIST_Y_COEFF),
-    )
 
 
 def _step(f: Fp12, ps, ts, qs) -> tuple[Fp12, list]:
@@ -126,8 +110,8 @@ def _multi_miller(pairs) -> Fp12:
         if bit == "1":
             f, ts = _step(f, ps, ts, qs)
     # Two final Frobenius-twisted additions: Q1 = pi(Q), Q2 = -pi^2(Q).
-    q1s = [_g2_frobenius(q) for q in qs]
-    q2s = [(x, fp2_neg(y)) for x, y in map(_g2_frobenius, q1s)]
+    q1s = [g2_psi(q) for q in qs]
+    q2s = [(x, fp2_neg(y)) for x, y in map(g2_psi, q1s)]
     f, ts = _step(f, ps, ts, q1s)
     f, _ = _step(f, ps, ts, q2s)
     return f

@@ -20,9 +20,12 @@ class BoundedMemo:
 
     Look-ups and inserts run under ``lock``; the value is computed outside
     it.  :meth:`clear` starts a new generation, and a value computed before
-    a clear is never stored after it.  Failures are never stored: an
-    exception propagates, and a ``None`` or ``False`` result is returned
-    to its caller but not kept, so the next call computes it again.
+    a clear is never stored after it: :meth:`get_or_make` sees to that
+    itself, and a caller of :meth:`get` and :meth:`put` reads
+    :attr:`generation` before its look-ups and hands it to :meth:`put`.
+    Failures are never stored: an exception propagates, and a ``None`` or
+    ``False`` result is returned to its caller but not kept, so the next
+    call computes it again.
     ``observe`` is told each ``"hit"``, ``"miss"`` and ``"evicted"``.
     """
 
@@ -38,19 +41,27 @@ class BoundedMemo:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._generation = 0
 
-    def get_or_make(self, key: Hashable, make: Callable[[], object]):
+    @property
+    def generation(self) -> int:
+        """The current generation; pass it to :meth:`put` for a value
+        computed from what was read after this call."""
+        with self._lock:
+            return self._generation
+
+    def get(self, key: Hashable):
+        """The stored value for ``key`` (marked recently used), or ``None``."""
         with self._lock:
             value = self._entries.get(key)
             if value is not None:
                 self._entries.move_to_end(key)
-            generation = self._generation
-        if value is not None:
-            self._observe("hit")
-            return value
-        self._observe("miss")
-        value = make()
+        self._observe("hit" if value is not None else "miss")
+        return value
+
+    def put(self, key: Hashable, value, generation: int) -> None:
+        """Store ``value`` unless it is a failure or a :meth:`clear` came
+        after ``generation`` was read."""
         if value is None or value is False:
-            return value
+            return
         evicted = False
         with self._lock:
             if generation == self._generation:
@@ -60,6 +71,14 @@ class BoundedMemo:
                     evicted = True
         if evicted:
             self._observe("evicted")
+
+    def get_or_make(self, key: Hashable, make: Callable[[], object]):
+        generation = self.generation
+        value = self.get(key)
+        if value is not None:
+            return value
+        value = make()
+        self.put(key, value, generation)
         return value
 
     def clear(self) -> None:

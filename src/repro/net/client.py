@@ -486,7 +486,7 @@ class QueryClient:
         if verification_window is not None:
             from repro.net.window import VerificationWindow
 
-            self.window = VerificationWindow(user, verification_window, rng=self.rng)
+            self.window = VerificationWindow(user, verification_window)
 
     def stats(self) -> dict:
         """One operational snapshot: counters, endpoint state, obs registry.

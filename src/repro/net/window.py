@@ -1,19 +1,19 @@
 """Cross-query windowed VO verification (client side).
 
-One response's APS checks already collapse into a single merged pairing
-product (:func:`repro.abs.batch.batch_verify`, 4.11× over naive on one
-VO).  The signatures in *consecutive* responses share the same super
-policy too — the same user keeps the same missing-role set — so the
-merge compounds across queries: a :class:`VerificationWindow` defers the
-APS batch over up to ``size`` responses and settles them all through one
-bilinearity-merged check at flush time.
+Every response's signatures already settle in one merged pairing product
+(:func:`repro.core.verifier.settle`).  The APS signatures in
+*consecutive* responses share the same super policy too — the same user
+keeps the same missing-role set — so the merge compounds across queries:
+a :class:`VerificationWindow` defers the APS obligations of up to
+``size`` responses and settles them all through one product at flush
+time.
 
 The trade-off is explicit and opt-in: within a window, results are
 **provisional** — structural checks (completeness tiling, accessible
 records' APP signatures, envelope decryption) still run per response,
 but a forged APS is only caught at the next flush.  The flush attributes
 the failure exactly (which response, which region, via the
-``find_invalid`` fallback) and raises
+per-signature fallback) and raises
 :class:`~repro.errors.SoundnessError`; an application that acts on
 provisional results must be prepared to unwind them when the window it
 belongs to fails.  Latency-sensitive, trust-eager callers should keep
@@ -23,12 +23,10 @@ throughput-oriented callers amortize the pairing cost over the window.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.verifier import collect_vo_batch_items
+from repro.core.verifier import collect_vo, settle, settle_failures
 from repro.errors import ReproError, SoundnessError
 from repro.obs import metrics as _metrics
 
@@ -51,8 +49,8 @@ class _PendingResponse:
 
     seq: int
     query: object
-    first_item: int  # offset of its items in the window's flat batch
-    item_regions: tuple
+    first_item: int  # offset of its obligations in the window's flat batch
+    count: int
 
 
 class VerificationWindow:
@@ -65,17 +63,15 @@ class VerificationWindow:
     demand via :meth:`flush` — call it before trusting the provisional
     results of a batch of queries (and at shutdown).
 
-    Join responses are out of scope: their pairing structure interleaves
-    per-pair APP checks that this window has no obligation ledger for —
-    clients keep verifying joins per response.
+    Join responses are out of scope: clients keep verifying joins per
+    response.
     """
 
-    def __init__(self, user, size: int = 8, rng: Optional[random.Random] = None):
+    def __init__(self, user, size: int = 8):
         if size < 1:
             raise ReproError("verification window size must be >= 1")
         self.user = user
         self.size = size
-        self.rng = rng
         self._lock = threading.Lock()
         self._items: list = []
         self._responses: list[_PendingResponse] = []
@@ -101,10 +97,13 @@ class VerificationWindow:
         """
         user = self.user
         vo = user._open(response)
-        records, items, item_entries = collect_vo_batch_items(
-            vo, user.authenticator, response.query, user.roles,
-            user._missing_roles(),
+        authenticator = user.authenticator
+        roles = authenticator.universe.validate_user_roles(user.roles)
+        records, obligations = collect_vo(
+            vo, authenticator, response.query, roles, user._missing_roles()
         )
+        settle([ob for ob in obligations if ob.kind == "APP"], authenticator)
+        items = [ob for ob in obligations if ob.kind == "APS"]
         if items:
             _M_DEFERRED.inc(len(items))
         flush_batch = None
@@ -115,7 +114,7 @@ class VerificationWindow:
                     seq=self._seq,
                     query=response.query,
                     first_item=len(self._items),
-                    item_regions=tuple(entry.region for entry in item_entries),
+                    count=len(items),
                 )
             )
             self._items.extend(items)
@@ -149,17 +148,12 @@ class VerificationWindow:
 
     def _settle(self, items: list, responses: list[_PendingResponse],
                 trigger: str) -> int:
-        from repro.abs.batch import verify_or_find_invalid
-
-        authenticator = self.user.authenticator
-        bad = verify_or_find_invalid(
-            authenticator.scheme, authenticator.mvk, items, self.rng
-        )
+        bad = settle_failures(items, self.user.authenticator)
         if bad:
             self.failures += 1
             _M_WINDOW.inc(trigger=trigger, outcome="invalid")
             blamed = sorted(
-                (self._attribute(responses, index) for index in bad),
+                ((*self._attribute(responses, index), items[index].region) for index in bad),
                 key=lambda b: b[0],
             )
             detail = "; ".join(
@@ -177,9 +171,8 @@ class VerificationWindow:
 
     @staticmethod
     def _attribute(responses: list[_PendingResponse], item_index: int):
-        """Map a flat batch index back to (response seq, query, region)."""
+        """Map a flat batch index back to (response seq, query)."""
         for pending in responses:
-            offset = item_index - pending.first_item
-            if 0 <= offset < len(pending.item_regions):
-                return pending.seq, pending.query, pending.item_regions[offset]
+            if 0 <= item_index - pending.first_item < pending.count:
+                return pending.seq, pending.query
         raise ReproError(f"batch index {item_index} outside the window ledger")

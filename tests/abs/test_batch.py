@@ -1,4 +1,4 @@
-"""Tests for small-exponents batch verification of APS signatures."""
+"""Tests for small-exponents batch verification of APS signatures (OR predicates)."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from repro.abs.batch import (
     BatchItem,
     batch_verify,
-    batch_verify_same_predicate,
     batch_verify_unmerged,
     find_invalid,
     verify_or_find_invalid,
@@ -15,10 +14,14 @@ from repro.abs.batch import (
 from repro.abs.relax import relax
 from repro.abs.scheme import AbsScheme, AbsSignature
 from repro.crypto import bn254, simulated
-from repro.errors import CryptoError
-from repro.policy.boolexpr import parse_policy
+from repro.policy.boolexpr import or_of_attrs, parse_policy
 
 ROLES = ["R0", "R1", "R2", "R3"]
+
+
+def _item(message, attrs, signature):
+    """An APS-shaped batch item: ``signature`` under ``OR(attrs)``."""
+    return BatchItem(message=message, policy=or_of_attrs(attrs), signature=signature)
 
 
 @pytest.fixture(scope="module")
@@ -34,25 +37,25 @@ def env():
         policy = parse_policy("R2 and R3")
         sig = scheme.sign(keys.mvk, sk, message, policy, rng)
         aps, _ = relax(scheme, keys.mvk, sig, message, policy, list(missing), rng)
-        items.append(BatchItem(message=message, attrs=missing, signature=aps))
+        items.append(_item(message, missing, aps))
     return rng, scheme, keys, items, missing
 
 
 def test_valid_batch_accepts(env):
     rng, scheme, keys, items, missing = env
-    assert batch_verify(scheme, keys.mvk, items, rng)
+    assert batch_verify(scheme, keys.mvk, items)
 
 
 def test_empty_batch_accepts(env):
     rng, scheme, keys, items, missing = env
-    assert batch_verify(scheme, keys.mvk, [], rng)
+    assert batch_verify(scheme, keys.mvk, [])
 
 
 def test_single_tampered_message_rejects(env):
     rng, scheme, keys, items, missing = env
     bad = list(items)
-    bad[3] = BatchItem(message=b"FORGED", attrs=missing, signature=items[3].signature)
-    assert not batch_verify(scheme, keys.mvk, bad, rng)
+    bad[3] = _item(b"FORGED", missing, items[3].signature)
+    assert not batch_verify(scheme, keys.mvk, bad)
     assert find_invalid(scheme, keys.mvk, bad) == [3]
 
 
@@ -62,21 +65,21 @@ def test_single_tampered_component_rejects(env):
     forged = AbsSignature(
         tau=sig.tau, y=sig.y, w=sig.w * scheme.group.g1, s=sig.s, p=sig.p
     )
-    bad = [BatchItem(message=items[0].message, attrs=missing, signature=forged)] + list(items[1:])
-    assert not batch_verify(scheme, keys.mvk, bad, rng)
+    bad = [_item(items[0].message, missing, forged)] + list(items[1:])
+    assert not batch_verify(scheme, keys.mvk, bad)
     assert find_invalid(scheme, keys.mvk, bad) == [0]
 
 
 def test_wrong_predicate_rejects(env):
     rng, scheme, keys, items, missing = env
-    bad = [BatchItem(message=items[0].message, attrs=("R1", "R3"), signature=items[0].signature)]
-    assert not batch_verify(scheme, keys.mvk, bad, rng)
+    bad = [_item(items[0].message, ("R1", "R3"), items[0].signature)]
+    assert not batch_verify(scheme, keys.mvk, bad)
 
 
 def test_shape_mismatch_rejects(env):
     rng, scheme, keys, items, missing = env
-    bad = [BatchItem(message=items[0].message, attrs=("R2",), signature=items[0].signature)]
-    assert not batch_verify(scheme, keys.mvk, bad, rng)
+    bad = [_item(items[0].message, ("R2",), items[0].signature)]
+    assert not batch_verify(scheme, keys.mvk, bad)
 
 
 def test_identity_y_rejects(env):
@@ -91,28 +94,18 @@ def test_identity_y_rejects(env):
     )
     assert not batch_verify(
         scheme, keys.mvk,
-        [BatchItem(message=items[0].message, attrs=missing, signature=forged)],
-        rng,
+        [_item(items[0].message, missing, forged)],
     )
-
-
-def test_same_predicate_wrapper(env):
-    rng, scheme, keys, items, missing = env
-    messages = [item.message for item in items]
-    sigs = [item.signature for item in items]
-    assert batch_verify_same_predicate(scheme, keys.mvk, messages, sigs, list(missing), rng)
-    with pytest.raises(CryptoError):
-        batch_verify_same_predicate(scheme, keys.mvk, messages[:-1], sigs, list(missing), rng)
 
 
 def test_verify_or_find_invalid_localizes_failures(env):
     rng, scheme, keys, items, missing = env
-    assert verify_or_find_invalid(scheme, keys.mvk, items, rng) == []
-    assert verify_or_find_invalid(scheme, keys.mvk, [], rng) == []
+    assert verify_or_find_invalid(scheme, keys.mvk, items) == []
+    assert verify_or_find_invalid(scheme, keys.mvk, []) == []
     bad = list(items)
-    bad[1] = BatchItem(message=b"FORGED-1", attrs=missing, signature=items[1].signature)
-    bad[4] = BatchItem(message=b"FORGED-4", attrs=missing, signature=items[4].signature)
-    assert verify_or_find_invalid(scheme, keys.mvk, bad, rng) == [1, 4]
+    bad[1] = _item(b"FORGED-1", missing, items[1].signature)
+    bad[4] = _item(b"FORGED-4", missing, items[4].signature)
+    assert verify_or_find_invalid(scheme, keys.mvk, bad) == [1, 4]
 
 
 def test_verify_or_find_invalid_fails_closed(env, monkeypatch):
@@ -122,19 +115,19 @@ def test_verify_or_find_invalid_fails_closed(env, monkeypatch):
     rng, scheme, keys, items, missing = env
     monkeypatch.setattr(batch_mod, "batch_verify", lambda *a, **k: False)
     monkeypatch.setattr(batch_mod, "find_invalid", lambda *a, **k: [])
-    assert verify_or_find_invalid(scheme, keys.mvk, items, rng) == [0]
+    assert verify_or_find_invalid(scheme, keys.mvk, items) == [0]
 
 
 def test_merged_agrees_with_unmerged_oracle(env):
     """The pairing-merged batch and the one-pairing-per-term reference
     accept/reject identically (same randomized equation)."""
     rng, scheme, keys, items, missing = env
-    assert batch_verify(scheme, keys.mvk, items, random.Random(77))
-    assert batch_verify_unmerged(scheme, keys.mvk, items, random.Random(77))
+    assert batch_verify(scheme, keys.mvk, items)
+    assert batch_verify_unmerged(scheme, keys.mvk, items)
     bad = list(items)
-    bad[2] = BatchItem(message=b"FORGED", attrs=missing, signature=items[2].signature)
-    assert not batch_verify(scheme, keys.mvk, bad, random.Random(77))
-    assert not batch_verify_unmerged(scheme, keys.mvk, bad, random.Random(77))
+    bad[2] = _item(b"FORGED", missing, items[2].signature)
+    assert not batch_verify(scheme, keys.mvk, bad)
+    assert not batch_verify_unmerged(scheme, keys.mvk, bad)
 
 
 def test_merged_agrees_with_unmerged_on_real_pairing(rng):
@@ -147,12 +140,12 @@ def test_merged_agrees_with_unmerged_on_real_pairing(rng):
         message = b"m%d" % i
         sig = scheme.sign(keys.mvk, sk, message, policy, rng)
         aps, _ = relax(scheme, keys.mvk, sig, message, policy, ["A"], rng)
-        items.append(BatchItem(message=message, attrs=("A",), signature=aps))
-    assert batch_verify(scheme, keys.mvk, items, random.Random(5))
-    assert batch_verify_unmerged(scheme, keys.mvk, items, random.Random(5))
-    bad = [items[0], BatchItem(message=b"x", attrs=("A",), signature=items[1].signature)]
-    assert not batch_verify(scheme, keys.mvk, bad, random.Random(5))
-    assert not batch_verify_unmerged(scheme, keys.mvk, bad, random.Random(5))
+        items.append(_item(message, ("A",), aps))
+    assert batch_verify(scheme, keys.mvk, items)
+    assert batch_verify_unmerged(scheme, keys.mvk, items)
+    bad = [items[0], _item(b"x", ("A",), items[1].signature)]
+    assert not batch_verify(scheme, keys.mvk, bad)
+    assert not batch_verify_unmerged(scheme, keys.mvk, bad)
 
 
 def test_batch_on_real_pairing(rng):
@@ -165,7 +158,7 @@ def test_batch_on_real_pairing(rng):
         message = b"m%d" % i
         sig = scheme.sign(keys.mvk, sk, message, policy, rng)
         aps, _ = relax(scheme, keys.mvk, sig, message, policy, ["A"], rng)
-        items.append(BatchItem(message=message, attrs=("A",), signature=aps))
-    assert batch_verify(scheme, keys.mvk, items, rng)
-    items[1] = BatchItem(message=b"x", attrs=("A",), signature=items[1].signature)
-    assert not batch_verify(scheme, keys.mvk, items, rng)
+        items.append(_item(message, ("A",), aps))
+    assert batch_verify(scheme, keys.mvk, items)
+    items[1] = _item(b"x", ("A",), items[1].signature)
+    assert not batch_verify(scheme, keys.mvk, items)

@@ -1,16 +1,26 @@
-"""Tests for the batched (shared-final-exponentiation) ABS verification."""
+"""One-signature batches under general span-program predicates.
+
+:func:`repro.abs.batch.batch_verify` merges every equation of every item
+into one pairing product; AND gates give span programs with -1 entries,
+whose rows enter the product through ``S_i^-1``.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.abs.batch import BatchItem, batch_verify
 from repro.abs.relax import relax
 from repro.abs.scheme import AbsScheme, AbsSignature
 from repro.crypto import simulated
 from repro.policy.boolexpr import And, Attr, Or, parse_policy
 
 ROLES = [f"R{i}" for i in range(5)]
+
+
+def _batched(scheme, keys, message, policy, sig):
+    return batch_verify(scheme, keys.mvk, [BatchItem(message, policy, sig)])
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +51,20 @@ def test_batched_agrees_with_naive_on_valid(policy, message):
     sk = scheme.keygen(keys, ROLES, rng)
     sig = scheme.sign(keys.mvk, sk, message, policy, rng)
     assert scheme.verify(keys.mvk, message, policy, sig)
-    assert scheme.verify_batched(keys.mvk, message, policy, sig)
+    assert _batched(scheme, keys, message, policy, sig)
 
 
 def test_batched_rejects_wrong_message(env):
     scheme, keys, sk, rng = env
     policy = parse_policy("R0 and R1")
     sig = scheme.sign(keys.mvk, sk, b"m", policy, rng)
-    assert not scheme.verify_batched(keys.mvk, b"x", policy, sig)
+    assert not _batched(scheme, keys, b"x", policy, sig)
 
 
 def test_batched_rejects_wrong_policy(env):
     scheme, keys, sk, rng = env
     sig = scheme.sign(keys.mvk, sk, b"m", parse_policy("R0 and R1"), rng)
-    assert not scheme.verify_batched(keys.mvk, b"m", parse_policy("R0 or R1"), sig)
+    assert not _batched(scheme, keys, b"m", parse_policy("R0 or R1"), sig)
 
 
 def test_batched_rejects_identity_y(env):
@@ -67,7 +77,7 @@ def test_batched_rejects_identity_y(env):
         s=sig.s,
         p=sig.p,
     )
-    assert not scheme.verify_batched(keys.mvk, b"m", Attr("R0"), forged)
+    assert not _batched(scheme, keys, b"m", Attr("R0"), forged)
 
 
 def test_batched_rejects_tampered_component(env):
@@ -78,7 +88,7 @@ def test_batched_rejects_tampered_component(env):
         tau=sig.tau, y=sig.y, w=sig.w,
         s=tuple(si * scheme.group.g1 for si in sig.s), p=sig.p,
     )
-    assert not scheme.verify_batched(keys.mvk, b"m", policy, bad)
+    assert not _batched(scheme, keys, b"m", policy, bad)
 
 
 def test_batched_accepts_relaxed_signature(env):
@@ -88,7 +98,7 @@ def test_batched_accepts_relaxed_signature(env):
     relaxed, super_policy = relax(
         scheme, keys.mvk, sig, b"m", policy, ["R0", "R3"], rng
     )
-    assert scheme.verify_batched(keys.mvk, b"m", super_policy, relaxed)
+    assert _batched(scheme, keys, b"m", super_policy, relaxed)
 
 
 def test_batched_real_pairing(real_group, rng):
@@ -97,5 +107,5 @@ def test_batched_real_pairing(real_group, rng):
     sk = scheme.keygen(keys, ["A", "B"], rng)
     policy = parse_policy("A or B")
     sig = scheme.sign(keys.mvk, sk, b"m", policy, rng)
-    assert scheme.verify_batched(keys.mvk, b"m", policy, sig)
-    assert not scheme.verify_batched(keys.mvk, b"x", policy, sig)
+    assert _batched(scheme, keys, b"m", policy, sig)
+    assert not _batched(scheme, keys, b"x", policy, sig)

@@ -92,14 +92,15 @@ def test_aps_cache_eviction(aps_env):
     assert auth.aps_cache_misses == 3
 
 
-def test_verify_vo_batched_matches_naive():
-    """The batched VO verifier accepts/extracts exactly like the naive one
-    and pinpoints tampered entries."""
+def test_verify_vo_matches_per_entry_oracle():
+    """The merged-product VO verifier accepts/extracts exactly like
+    per-entry ABS.Verify and names the tampered entry's region."""
     import random
 
+    from repro.abs.batch import find_invalid
     from repro.core.range_query import clip_query, range_vo
     from repro.core.records import Dataset, Record
-    from repro.core.verifier import verify_vo, verify_vo_batched
+    from repro.core.verifier import collect_vo, verify_vo
     from repro.core.vo import InaccessibleRecordEntry, VerificationObject
     from repro.errors import SoundnessError
     from repro.index.boxes import Domain
@@ -116,16 +117,23 @@ def test_verify_vo_batched_matches_naive():
     roles = frozenset({"RoleA"})
     query = clip_query(tree, (0,), (15,))
     vo = range_vo(tree, auth, query, roles, rng)
-    naive = sorted(r.value for r in verify_vo(vo, auth, query, roles))
-    batched = sorted(r.value for r in verify_vo_batched(vo, auth, query, roles, rng=rng))
-    assert naive == batched
-    # Tamper with one APS payload: the batch fails and the entry is named.
+    records, obligations = collect_vo(vo, auth, query, roles)
+    assert find_invalid(auth.scheme, auth.mvk, obligations) == []
+    naive = sorted(r.value for r in records)
+    merged = sorted(r.value for r in verify_vo(vo, auth, query, roles))
+    assert naive == merged
+    # Tamper with one APS payload: the product fails and the entry is named.
     entries = []
+    tampered = None
     for e in vo:
-        if isinstance(e, InaccessibleRecordEntry):
+        if isinstance(e, InaccessibleRecordEntry) and tampered is None:
             e = InaccessibleRecordEntry(key=e.key, value_hash=b"\x00" * 32, aps=e.aps)
+            tampered = e.region
         entries.append(e)
+    import re
+
     import pytest as _pytest
 
-    with _pytest.raises(SoundnessError):
-        verify_vo_batched(VerificationObject(entries=entries), auth, query, roles, rng=rng)
+    expected = re.escape(f"APS signature invalid for region {tampered}")
+    with _pytest.raises(SoundnessError, match=expected):
+        verify_vo(VerificationObject(entries=entries), auth, query, roles)

@@ -9,6 +9,7 @@ check does, a rejection is never remembered, and one user's memo serves
 nobody else.
 """
 
+import dataclasses
 import random
 import sys
 import threading
@@ -81,16 +82,21 @@ def _values(records):
 
 
 def _counting_verify(authenticator):
-    """Count the ABS.Verify calls an authenticator makes (memo misses)."""
+    """Record the key of each entry an authenticator checks afresh (memo misses).
+
+    Every entry :func:`~repro.core.verifier.settle` does not find in the
+    memo goes into its pairing product.
+    """
     calls = []
-    scheme = authenticator.scheme
-    original = scheme.verify
+    original = authenticator.known
 
-    def verify(*args):
-        calls.append(args[1])
-        return original(*args)
+    def known(key):
+        hit = original(key)
+        if not hit:
+            calls.append(key)
+        return hit
 
-    scheme.verify = verify
+    authenticator.known = known
     return calls
 
 
@@ -381,6 +387,66 @@ def test_verified_entry_memo_stays_bounded():
     assert len(auth._verify_memo) == VERIFY_MEMO_SIZE
     assert outcomes.count("miss") == VERIFY_MEMO_SIZE + 2
     assert outcomes.count("evicted") == 2
+
+
+def test_memo_get_and_put_follow_the_get_or_make_rules():
+    outcomes = []
+    memo = BoundedMemo(2, observe=outcomes.append)
+    generation = memo.generation
+    assert memo.get("a") is None
+    memo.put("a", 1, generation)
+    memo.put("f", False, generation)
+    memo.put("n", None, generation)
+    assert memo.get("a") == 1 and memo.get("f") is None and memo.get("n") is None
+    memo.clear()
+    memo.put("stale", 2, generation)  # read before the clear: dropped
+    assert memo.get("stale") is None and len(memo) == 0
+    generation = memo.generation
+    for key in "xyz":
+        memo.put(key, key, generation)
+    assert len(memo) == 2 and memo.get("x") is None
+    assert outcomes.count("evicted") == 1
+    assert outcomes.count("hit") == 1
+
+
+def _tampered_last_aps(response, group):
+    """The response with its last APS replaced by another entry's APS."""
+    entries = list(response.vo.entries)
+    last = max(i for i, e in enumerate(entries) if not isinstance(e, AccessibleRecordEntry))
+    donor = next(e for e in entries if not isinstance(e, AccessibleRecordEntry))
+    entries[last] = dataclasses.replace(entries[last], aps=donor.aps)
+    return QueryResponse("range", response.query, vo=VerificationObject(entries=entries))
+
+
+def test_a_rejected_batch_remembers_nothing(world):
+    group = world[0]
+    user = _user(world)
+    response = _wire_response(world, user, encrypt=False)
+    with pytest.raises(SoundnessError):
+        user.verify(_tampered_last_aps(response, group))
+    assert len(_memo(user)) == 0  # not even the entries that were valid
+    calls = _counting_verify(user.authenticator)
+    user.verify(response)
+    assert len(calls) == len(response.vo.entries) == len(_memo(user))
+
+
+def test_a_clear_racing_a_settle_stores_nothing_from_before_it(world, monkeypatch):
+    import repro.core.verifier as verifier_mod
+
+    user = _user(world)
+    response = _wire_response(world, user, encrypt=False)
+    original = verifier_mod.verify_or_find_invalid
+
+    def clear_midway(*args):
+        _memo(user).clear()
+        return original(*args)
+
+    monkeypatch.setattr(verifier_mod, "verify_or_find_invalid", clear_midway)
+    assert user.verify(response)
+    assert len(_memo(user)) == 0
+    monkeypatch.setattr(verifier_mod, "verify_or_find_invalid", original)
+    user.verify(response)
+    assert len(_memo(user)) == len(response.vo.entries)
 
 
 # -- what the ledger shows ----------------------------------------------------

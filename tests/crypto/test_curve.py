@@ -94,6 +94,47 @@ def test_g2_cofactor_clears_into_subgroup():
     assert cleared.in_subgroup()
 
 
+def _twist_point(x0):
+    x = (x0, 3)
+    while True:
+        y = tower.fp2_sqrt(tower.fp2_add(tower.fp2_mul(tower.fp2_sq(x), x), TWIST_B))
+        if y is not None:
+            return PointG2((x, y))
+        x = (x[0] + 1, x[1])
+
+
+def test_fast_g2_membership_agrees_with_the_order_check():
+    """The endomorphism test accepts exactly the points [r]Q sends to O:
+    G2 points, random twist points, pure cofactor-part points [r]T and
+    their sums with G2 points."""
+    from repro.crypto.curve import _FP2_OPS, _jac_scalar_mul, _jac_to_affine
+
+    def by_order(pt):
+        return _jac_scalar_mul(pt.xy, CURVE_ORDER, _FP2_OPS)[2] == _FP2_OPS.zero
+
+    twists = [_twist_point(x0) for x0 in (5, 11, 2**200 + 9)]
+    cofactor_parts = [
+        PointG2(_jac_to_affine(_jac_scalar_mul(t.xy, CURVE_ORDER, _FP2_OPS), _FP2_OPS))
+        for t in twists
+    ]
+    members = [G2_GENERATOR * k for k in (1, 2, 12345, CURVE_ORDER - 1)]
+    mixed = [c + m for c, m in zip(cofactor_parts, members)]
+    for pt in twists + cofactor_parts + members + mixed:
+        assert pt.in_subgroup() == by_order(pt)
+    assert all(m.in_subgroup() for m in members)
+    assert not any(pt.in_subgroup() for pt in twists + cofactor_parts + mixed)
+    assert PointG2(None).in_subgroup()
+
+
+def test_a_subgroup_checked_g2_decode_rejects_a_twist_point():
+    group = bn254()
+    data = _twist_point(5).to_bytes()
+    assert group.deserialize("G2", data).value == _twist_point(5)
+    with pytest.raises(DeserializationError, match="subgroup"):
+        group.deserialize("G2", data, check_subgroup=True)
+    assert group.deserialize("G2", G2_GENERATOR.to_bytes(), check_subgroup=True)
+
+
 def test_g1_serialization_roundtrip():
     for k in (1, 2, 7, 123456, CURVE_ORDER - 1):
         p = G1_GENERATOR * k

@@ -94,7 +94,7 @@ def test_joins_bypass_the_window(env):
 def test_tampered_aps_caught_and_attributed(env):
     """Flush blames the forged response; its window-mates stay unnamed."""
     provider = env.server.provider
-    window = VerificationWindow(env.user, size=10, rng=random.Random(9))
+    window = VerificationWindow(env.user, size=10)
     clean = provider.range_query("docs", (0,), (15,), USER_ROLES,
                                  rng=random.Random(21))
     window.verify(clean)
@@ -116,7 +116,7 @@ def test_tampered_aps_caught_and_attributed(env):
 
 def test_tamper_caught_on_auto_flush_too(env):
     provider = env.server.provider
-    window = VerificationWindow(env.user, size=2, rng=random.Random(13))
+    window = VerificationWindow(env.user, size=2)
     tampered = provider.range_query("docs", (0,), (15,), USER_ROLES,
                                     rng=random.Random(23))
     idxs = _inaccessible_indexes(tampered.vo)
@@ -131,7 +131,7 @@ def test_tamper_caught_on_auto_flush_too(env):
 def test_structural_tamper_still_fails_eagerly(env):
     """Completeness violations are not deferrable."""
     provider = env.server.provider
-    window = VerificationWindow(env.user, size=5, rng=random.Random(17))
+    window = VerificationWindow(env.user, size=5)
     resp = provider.range_query("docs", (0,), (31,), USER_ROLES,
                                 rng=random.Random(25))
     resp.vo.entries.pop()  # break the tiling
