@@ -35,6 +35,15 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   kernel (``ttable_aes.py``, kept here as the reference arm) against the
   library's byte-sliced kernel.  Both arms' envelopes are asserted
   byte-identical before timing.
+* ``fixed_base`` — one G1 and one G2 base: comb table build and per-
+  exponent evaluation with the old 254-bit width-6 comb on generic point
+  arithmetic (``wide_comb.py``, the reference arm) against the library's
+  GLV-split width-7 comb on straight-line kernels; outputs asserted equal.
+* ``do_sign`` — a warmed DO signer's ABS.Sign over one small table (8
+  records under AND, OR and mixed policies), on a ``WideCombGroup``
+  (reference combs behind ``pow_fixed``) and on the library's backend:
+  wall time per table plus exact op counts; signatures asserted
+  byte-identical.
 
 Every arm runs on a *fresh* ``BN254Group`` instance (comb/pairing/hash
 caches are per-instance); the old arm additionally sets
@@ -57,6 +66,7 @@ import time
 
 import pytest
 import ttable_aes
+import wide_comb
 
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import decrypt_envelope, encrypt_for_roles
@@ -68,6 +78,7 @@ from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
 from repro.core.verifier import collect_vo, settle
 from repro.crypto import aes, pairing
+from repro.crypto.curve import _FP2_OPS, _FP_OPS, G1_GENERATOR, G2_GENERATOR, FixedBaseComb
 from repro.crypto.group import BN254Group
 from repro.index.boxes import Box, Domain
 from repro.memo import BoundedMemo
@@ -468,6 +479,68 @@ def scenario_dem(
     return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
 
 
+def scenario_fixed_base(n_exps: int = 8, repeats: int = 3) -> dict:
+    """One fixed base per group: table build and per-exponent evaluation, old vs new comb."""
+    rng = random.Random(SEED + 12)
+    order = BN254Group().order
+    arms = {}
+    for kind, gen, ops in (("G1", G1_GENERATOR, _FP_OPS), ("G2", G2_GENERATOR, _FP2_OPS)):
+        base = gen * rng.randrange(1, order)
+        exps = [rng.randrange(order) for _ in range(n_exps)]
+        arm = {"n_exps": n_exps}
+        outputs = {}
+        for side, make in (
+            ("old", lambda: wide_comb.WideComb(base.xy, ops)),
+            ("new", lambda: FixedBaseComb(base.xy, ops)),
+        ):
+            comb = make()
+            outputs[side] = [comb.mul(e) for e in exps]
+            arm[f"build_{side}_s"] = round(_time_best(make, repeats), 6)
+            evals = _time_best(lambda: [comb.mul(e) for e in exps], repeats)
+            arm[f"eval_{side}_s"] = round(evals / n_exps, 7)
+            tables = (comb.table,) if side == "old" else (comb.table[1:], comb.phi_table[1:])
+            arm[f"table_points_{side}"] = sum(len(t) for t in tables)
+        assert outputs["old"] == outputs["new"]
+        arm["build_speedup"] = round(arm["build_old_s"] / arm["build_new_s"], 3)
+        arm["eval_speedup"] = round(arm["eval_old_s"] / arm["eval_new_s"], 3)
+        arms[kind] = arm
+    return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
+
+
+def scenario_do_sign(repeats: int = 3) -> dict:
+    """A warmed DO signer's ABS.Sign over one small table, reference combs vs GLV combs.
+
+    Each arm signs the ``COLD_VO_RECORDS`` table (AND, OR and mixed
+    policies over 4 roles) with per-record seeded rngs, after
+    ``warm_caches`` has built every fixed-base comb, so the timed region
+    is signing alone.
+    """
+    universe = RoleUniverse(["R0", "R1", "R2", "R3"])
+    records = [Record((key,), b"row-%d" % key, parse_policy(policy))
+               for key, policy in COLD_VO_RECORDS]
+    arms, signatures = {}, {}
+    for name, grp in (("wide_comb", wide_comb.WideCombGroup()), ("glv_comb", BN254Group())):
+        signer = DataOwner(grp, universe, rng=random.Random(SEED + 10)).signer
+        signer.warm_caches()
+
+        def sign_table():
+            return [signer.sign_record(rec, random.Random(SEED + 11 + i))
+                    for i, rec in enumerate(records)]
+
+        signatures[name] = [sig.to_bytes() for sig in sign_table()]
+        seconds, ops = _timed_ops(grp, sign_table, repeats)
+        arms[name] = {"s": round(seconds, 6),
+                      "per_signature_ms": round(seconds / len(records) * 1e3, 3), "ops": ops}
+    assert signatures["wide_comb"] == signatures["glv_comb"]
+    return {
+        "host": {"cpu_count": os.cpu_count()},
+        "repeats": repeats,
+        "signatures": len(records),
+        **arms,
+        "speedup": round(arms["wide_comb"]["s"] / arms["glv_comb"]["s"], 3),
+    }
+
+
 # ----------------------------------------------------------------------
 def run_benchmarks() -> dict:
     results = {
@@ -486,6 +559,8 @@ def run_benchmarks() -> dict:
         "envelope": scenario_envelope(),
         "warm_read": scenario_warm_read(),
         "dem": scenario_dem(),
+        "fixed_base": scenario_fixed_base(),
+        "do_sign": scenario_do_sign(),
     }
     return results
 
@@ -519,6 +594,13 @@ def main() -> None:
               f"{arm['seal_new_s']*1e3:8.3f} ms x{arm['seal_speedup']}   open old "
               f"{arm['open_old_s']*1e3:8.3f} ms new {arm['open_new_s']*1e3:8.3f} ms "
               f"x{arm['open_speedup']}")
+    for kind, arm in results["fixed_base"]["arms"].items():
+        print(f"fixed_base {kind} build old {arm['build_old_s']*1e3:7.2f} ms new "
+              f"{arm['build_new_s']*1e3:7.2f} ms   eval old {arm['eval_old_s']*1e3:6.3f} ms "
+              f"new {arm['eval_new_s']*1e3:6.3f} ms x{arm['eval_speedup']}")
+    sign = results["do_sign"]
+    print(f"do_sign {sign['signatures']} signatures   wide_comb {sign['wide_comb']['s']*1e3:8.1f} ms"
+          f"   glv_comb {sign['glv_comb']['s']*1e3:8.1f} ms   x{sign['speedup']}")
     print(f"wrote {JSON_PATH}")
 
 
@@ -592,6 +674,24 @@ def test_smoke_dem():
     and open identical envelopes, one block and past the counter's low byte."""
     arms = scenario_dem(sizes=(16, 4112), repeats=1)["arms"]
     assert set(arms) == {"16b", "4112b"}
+
+
+def test_smoke_fixed_base():
+    """CI smoke: the reference and GLV combs agree on G1 and G2; the GLV
+    table holds 2 x 127 points against the reference's 63."""
+    arms = scenario_fixed_base(n_exps=2, repeats=1)["arms"]
+    assert set(arms) == {"G1", "G2"}
+    for arm in arms.values():
+        assert arm["table_points_old"] == 63 and arm["table_points_new"] == 254
+
+
+def test_smoke_do_sign():
+    """CI smoke: both arms sign the table byte-identically from warm combs,
+    building none while signing; the message base costs one multi_pow a row."""
+    result = scenario_do_sign(repeats=1)
+    for name in ("wide_comb", "glv_comb"):
+        assert "combs_built" not in result[name]["ops"]
+    assert result["glv_comb"]["ops"]["multi_pows"] >= result["signatures"]
 
 
 @pytest.mark.slow

@@ -70,8 +70,7 @@ def relax(
         rows_by_label.setdefault(msp.labels[i], []).append(i)
     # Appended rows exponentiate the message base; the appended
     # attribute bases accumulate into P~_1 as one multi-exponentiation.
-    appended = len(kept_list) - len(rows_by_label)
-    _cg, cg_pow = scheme._message_base_powers(mvk, sig.tau, message, uses=appended)
+    cg_pow = scheme._message_base_powers(mvk, sig.tau, message)
     append_bases = []
     append_exps = []
     new_s = []

@@ -181,25 +181,21 @@ class AbsScheme:
         """
         return mvk.c * self.group.pow_fixed(mvk.g, self.message_hash(tau, message))
 
-    def _message_base_powers(
-        self, mvk: AbsVerificationKey, tau: bytes, message: bytes, uses: int = 1
-    ):
-        """``(cg, e -> cg^e)`` — the message base plus a fast power oracle.
+    def _message_base_powers(self, mvk: AbsVerificationKey, tau: bytes, message: bytes):
+        """``e -> (C g^hash)^e``, the power oracle of the message base.
 
-        ``cg`` is fresh per signature (``tau`` is random).  With fast
-        paths on, a comb built on ``cg`` itself amortizes over ``uses``
-        >= 3 exponentiations; below that, ``cg^e`` splits as
-        ``C^e * g^(hash * e)`` over the two *persistent* combs.
+        ``C g^hash`` is fresh per signature (``tau`` is random), so with
+        fast paths on its powers split as ``C^e * g^(hash * e)``: one
+        multi-exponentiation, which runs as one shared scan of the two
+        *persistent* combs of ``C`` and ``g`` once they are built.
         """
         grp = self.group
-        h = self.message_hash(tau, message)
-        cg = mvk.c * grp.pow_fixed(mvk.g, h)
         if not grp.fast_paths:
-            return cg, lambda e: cg**e
-        if uses >= 3:
-            return cg, lambda e: grp.pow_fixed(cg, e)
+            cg = self._message_base(mvk, tau, message)
+            return lambda e: cg**e
+        h = self.message_hash(tau, message)
         order = grp.order
-        return cg, lambda e: grp.pow_fixed(mvk.c, e) * grp.pow_fixed(mvk.g, h * e % order)
+        return lambda e: grp.multi_pow((mvk.c, mvk.g), (e, h * e % order))
 
     # ------------------------------------------------------------------
     def sign(
@@ -220,7 +216,7 @@ class AbsScheme:
         if v is None:
             raise PolicyError("signing key attributes do not satisfy the claim predicate")
         tau = (rng.getrandbits(256).to_bytes(32, "big") if rng is not None else os.urandom(32))
-        _cg, cg_pow = self._message_base_powers(mvk, tau, message, uses=msp.n_rows)
+        cg_pow = self._message_base_powers(mvk, tau, message)
         r0 = grp.random_scalar(rng)
         r = [grp.random_scalar(rng) for _ in range(msp.n_rows)]
         # K_base, K0, and K_u are fixed across every signature under this

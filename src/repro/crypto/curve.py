@@ -5,15 +5,20 @@
   y^2 = x^3 + 3/XI, whose full group order is r * c2.
 
 Points are stored in affine coordinates; scalar multiplication runs in
-Jacobian coordinates internally.  The arithmetic is written generically over
-a small field-operation table so G1 (ints) and G2 (Fp2 tuples) share one
-implementation.
+Jacobian coordinates on straight-line kernels specialized per curve: G1 on
+plain ints, G2 on unpacked Fp2 pairs, both with lazy reduction and fully
+reduced outputs.  Every exponent takes one of two paths, both GLV-split
+(:mod:`repro.crypto.glv`): a fixed-base comb (:class:`FixedBaseComb`) or
+Straus/Pippenger (:func:`multi_scalar_mul`, which ``__mul__`` uses too).
+The generic field-operation tables (:class:`FieldOps`) remain only off the
+hot path: inversion, ``is_on_curve`` and the affine oracle in
+``_Point.__add__``/``double``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.crypto import tower
 from repro.crypto.field import BN_U, CURVE_ORDER, FIELD_MODULUS as P, G2_COFACTOR, fp_inv
@@ -59,56 +64,229 @@ _FP2_OPS = FieldOps(
 #: b coefficient of the twist: 3 / XI in Fp2.
 TWIST_B = tower.fp2_mul(tower.fp2_mul_scalar(tower.FP2_ONE, 3), tower.fp2_inv(tower.XI))
 
-#: Lazily-bound GLV multiplier for G1 (set on first PointG1 scalar mult).
-_glv_mul = None
+#: Jacobian identities: any point with ``z = 0`` is the point at infinity.
+_G1_INF = (1, 1, 0)
+_G2_INF = (tower.FP2_ONE, tower.FP2_ONE, tower.FP2_ZERO)
 
 
-def _jac_double(pt, ops: FieldOps):
+# -- G1 kernels: Jacobian (x, y, z) over plain ints -----------------------
+# a = 0 doubling (dbl-2009-l) and additions (add-2007-bl, madd-2007-bl).
+# Sums and small multiples stay unreduced; every product that is compared
+# or returned is reduced, so outputs are canonical in [0, p).
+
+
+def _g1_double(pt):
     x, y, z = pt
-    if y == ops.zero:
-        return (ops.one, ops.one, ops.zero)
-    a = ops.sq(x)
-    b = ops.sq(y)
-    c = ops.sq(b)
-    t = ops.sub(ops.sq(ops.add(x, b)), ops.add(a, c))
-    d = ops.add(t, t)  # 2*((x+b)^2 - a - c)
-    e = ops.add(ops.add(a, a), a)  # 3a (curve a-coeff is 0)
-    f = ops.sq(e)
-    x3 = ops.sub(f, ops.add(d, d))
-    c8 = ops.add(ops.add(ops.add(c, c), ops.add(c, c)), ops.add(ops.add(c, c), ops.add(c, c)))
-    y3 = ops.sub(ops.mul(e, ops.sub(d, x3)), c8)
-    z3 = ops.mul(ops.add(y, y), z)
-    return (x3, y3, z3)
+    a = x * x % P
+    b = y * y % P
+    d = 4 * x * b % P  # 2((x + b)^2 - a - c) with c = b^2
+    e = 3 * a
+    x3 = (e * e - 2 * d) % P
+    # y = 0 (never on a prime-order curve) or z = 0 gives z3 = 0: infinity.
+    return (x3, (e * (d - x3) - 8 * b * b) % P, 2 * y * z % P)
 
 
-def _jac_add(p1, p2, ops: FieldOps):
+def _g1_add(p1, p2):
     x1, y1, z1 = p1
     x2, y2, z2 = p2
-    if z1 == ops.zero:
+    if not z1:
         return p2
-    if z2 == ops.zero:
+    if not z2:
         return p1
-    z1z1 = ops.sq(z1)
-    z2z2 = ops.sq(z2)
-    u1 = ops.mul(x1, z2z2)
-    u2 = ops.mul(x2, z1z1)
-    s1 = ops.mul(ops.mul(y1, z2), z2z2)
-    s2 = ops.mul(ops.mul(y2, z1), z1z1)
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    u2 = x2 * z1z1 % P
+    s1 = y1 * z2 * z2z2 % P
+    s2 = y2 * z1 * z1z1 % P
     if u1 == u2:
-        if s1 != s2:
-            return (ops.one, ops.one, ops.zero)
-        return _jac_double(p1, ops)
-    h = ops.sub(u2, u1)
-    i = ops.sq(ops.add(h, h))
-    j = ops.mul(h, i)
-    r = ops.add(ops.sub(s2, s1), ops.sub(s2, s1))
-    v = ops.mul(u1, i)
-    x3 = ops.sub(ops.sub(ops.sq(r), j), ops.add(v, v))
-    s1j = ops.mul(s1, j)
-    y3 = ops.sub(ops.mul(r, ops.sub(v, x3)), ops.add(s1j, s1j))
-    z3 = ops.mul(ops.mul(z1, z2), ops.add(h, h))
-    # z3 = 2*z1*z2*h; adjust: above computes (z1*z2)*2h which equals 2*z1*z2*h
-    return (x3, y3, z3)
+        return _g1_double(p1) if s1 == s2 else _G1_INF
+    h = u2 - u1
+    i = 4 * h * h % P  # (2h)^2
+    j = h * i % P
+    r = 2 * (s2 - s1)
+    v = u1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    return (x3, (r * (v - x3) - 2 * s1 * j) % P, 2 * z1 * z2 * h % P)
+
+
+def _g1_add_affine(pt, aff):
+    """Mixed addition: Jacobian ``pt`` plus affine ``aff`` (z2 = 1)."""
+    x1, y1, z1 = pt
+    x2, y2 = aff
+    if not z1:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % P
+    u2 = x2 * z1z1 % P
+    s2 = y2 * z1 * z1z1 % P
+    if u2 == x1:
+        return _g1_double(pt) if s2 == y1 else _G1_INF
+    h = u2 - x1
+    hh = h * h % P
+    i = 4 * hh
+    j = h * i % P
+    r = 2 * (s2 - y1)
+    v = x1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    return (x3, (r * (v - x3) - 2 * y1 * j) % P, 2 * z1 * h % P)  # 2 z1 h = (z1+h)^2-z1z1-hh
+
+
+# -- G2 kernels: the same formulas on unpacked Fp2 = Fp[i]/(i^2 + 1) -------
+# Products are Karatsuba (three int multiplications); each Fp2 output
+# coefficient is reduced once, after any sums folded into it.
+
+
+def _g2_double(pt):
+    (x0, x1), (y0, y1), (z0, z1) = pt
+    a0 = (x0 + x1) * (x0 - x1) % P  # a = x^2
+    a1 = 2 * x0 * x1 % P
+    b0 = (y0 + y1) * (y0 - y1) % P  # b = y^2
+    b1 = 2 * y0 * y1 % P
+    c0 = (b0 + b1) * (b0 - b1) % P  # c = b^2
+    c1 = 2 * b0 * b1 % P
+    t0 = x0 * b0  # d = 4 x b
+    t1 = x1 * b1
+    d0 = 4 * (t0 - t1) % P
+    d1 = 4 * ((x0 + x1) * (b0 + b1) - t0 - t1) % P
+    e0 = 3 * a0  # e = 3a
+    e1 = 3 * a1
+    x30 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P  # x3 = e^2 - 2d
+    x31 = (2 * e0 * e1 - 2 * d1) % P
+    u0 = d0 - x30  # y3 = e (d - x3) - 8c
+    u1 = d1 - x31
+    t0 = e0 * u0
+    t1 = e1 * u1
+    y30 = (t0 - t1 - 8 * c0) % P
+    y31 = ((e0 + e1) * (u0 + u1) - t0 - t1 - 8 * c1) % P
+    t0 = y0 * z0  # z3 = 2 y z
+    t1 = y1 * z1
+    return (
+        (x30, x31),
+        (y30, y31),
+        (2 * (t0 - t1) % P, 2 * ((y0 + y1) * (z0 + z1) - t0 - t1) % P),
+    )
+
+
+def _g2_add(p1, p2):
+    (x10, x11), (y10, y11), (z10, z11) = p1
+    (x20, x21), (y20, y21), (z20, z21) = p2
+    if not (z10 or z11):
+        return p2
+    if not (z20 or z21):
+        return p1
+    a0 = (z10 + z11) * (z10 - z11) % P  # z1z1
+    a1 = 2 * z10 * z11 % P
+    b0 = (z20 + z21) * (z20 - z21) % P  # z2z2
+    b1 = 2 * z20 * z21 % P
+    t0 = x10 * b0  # u1 = x1 z2z2
+    t1 = x11 * b1
+    u10 = (t0 - t1) % P
+    u11 = ((x10 + x11) * (b0 + b1) - t0 - t1) % P
+    t0 = x20 * a0  # u2 = x2 z1z1
+    t1 = x21 * a1
+    u20 = (t0 - t1) % P
+    u21 = ((x20 + x21) * (a0 + a1) - t0 - t1) % P
+    t0 = z20 * b0  # w2 = z2 z2z2
+    t1 = z21 * b1
+    w0 = (t0 - t1) % P
+    w1 = ((z20 + z21) * (b0 + b1) - t0 - t1) % P
+    t0 = y10 * w0  # s1 = y1 z2 z2z2
+    t1 = y11 * w1
+    s10 = (t0 - t1) % P
+    s11 = ((y10 + y11) * (w0 + w1) - t0 - t1) % P
+    t0 = z10 * a0  # w1 = z1 z1z1
+    t1 = z11 * a1
+    w0 = (t0 - t1) % P
+    w1 = ((z10 + z11) * (a0 + a1) - t0 - t1) % P
+    t0 = y20 * w0  # s2 = y2 z1 z1z1
+    t1 = y21 * w1
+    s20 = (t0 - t1) % P
+    s21 = ((y20 + y21) * (w0 + w1) - t0 - t1) % P
+    if u10 == u20 and u11 == u21:
+        return _g2_double(p1) if s10 == s20 and s11 == s21 else _G2_INF
+    t0 = z10 * z20  # z3 = (2 z1 z2) h
+    t1 = z11 * z21
+    w0 = 2 * (t0 - t1) % P
+    w1 = 2 * ((z10 + z11) * (z20 + z21) - t0 - t1) % P
+    return _g2_add_tail(
+        u10, u11, u20 - u10, u21 - u11, s10, s11, 2 * (s20 - s10), 2 * (s21 - s11), w0, w1
+    )
+
+
+def _g2_add_tail(x0, x1, h0, h1, y0, y1, r0, r1, z0, z1):
+    """Shared end of the G2 additions from ``h = u2 - x1`` and ``r = 2(s2 - y1)``.
+
+    ``(x, y)`` are ``(u1, s1)`` of the first operand and ``(z0, z1)`` the
+    factor multiplied by ``h`` for z3.
+    """
+    s = h0 + h1  # i = 4 h^2
+    i0 = 4 * s * (h0 - h1) % P
+    i1 = 8 * h0 * h1 % P
+    t0 = h0 * i0  # j = h i
+    t1 = h1 * i1
+    j0 = (t0 - t1) % P
+    j1 = (s * (i0 + i1) - t0 - t1) % P
+    t0 = x0 * i0  # v = x i
+    t1 = x1 * i1
+    v0 = (t0 - t1) % P
+    v1 = ((x0 + x1) * (i0 + i1) - t0 - t1) % P
+    x30 = ((r0 + r1) * (r0 - r1) - j0 - 2 * v0) % P  # x3 = r^2 - j - 2v
+    x31 = (2 * r0 * r1 - j1 - 2 * v1) % P
+    a0 = v0 - x30  # y3 = r (v - x3) - 2 y j
+    a1 = v1 - x31
+    t0 = r0 * a0
+    t1 = r1 * a1
+    t2 = y0 * j0
+    t3 = y1 * j1
+    y30 = (t0 - t1 - 2 * (t2 - t3)) % P
+    y31 = ((r0 + r1) * (a0 + a1) - t0 - t1 - 2 * ((y0 + y1) * (j0 + j1) - t2 - t3)) % P
+    t0 = z0 * h0  # z3 = z h
+    t1 = z1 * h1
+    return ((x30, x31), (y30, y31), ((t0 - t1) % P, ((z0 + z1) * s - t0 - t1) % P))
+
+
+def _g2_add_affine(pt, aff):
+    """Mixed addition: Jacobian ``pt`` plus affine ``aff`` (z2 = 1)."""
+    (x0, x1), (y0, y1), (z0, z1) = pt
+    if not (z0 or z1):
+        return (aff[0], aff[1], tower.FP2_ONE)
+    (ax0, ax1), (ay0, ay1) = aff
+    a0 = (z0 + z1) * (z0 - z1) % P  # z1z1
+    a1 = 2 * z0 * z1 % P
+    t0 = ax0 * a0  # u2 = x2 z1z1
+    t1 = ax1 * a1
+    u0 = (t0 - t1) % P
+    u1 = ((ax0 + ax1) * (a0 + a1) - t0 - t1) % P
+    t0 = z0 * a0  # w = z1 z1z1
+    t1 = z1 * a1
+    w0 = (t0 - t1) % P
+    w1 = ((z0 + z1) * (a0 + a1) - t0 - t1) % P
+    t0 = ay0 * w0  # s2 = y2 w
+    t1 = ay1 * w1
+    s0 = (t0 - t1) % P
+    s1 = ((ay0 + ay1) * (w0 + w1) - t0 - t1) % P
+    if u0 == x0 and u1 == x1:
+        return _g2_double(pt) if s0 == y0 and s1 == y1 else _G2_INF
+    return _g2_add_tail(
+        x0, x1, u0 - x0, u1 - x1, y0, y1, 2 * (s0 - y0), 2 * (s1 - y1), 2 * z0, 2 * z1
+    )
+
+
+class Kernels(NamedTuple):
+    """One curve's straight-line Jacobian kernels and its point at infinity."""
+
+    double: Callable
+    add: Callable
+    add_affine: Callable
+    infinity: tuple
+    one: Any
+
+
+G1_KERNELS = Kernels(_g1_double, _g1_add, _g1_add_affine, _G1_INF, 1)
+G2_KERNELS = Kernels(_g2_double, _g2_add, _g2_add_affine, _G2_INF, tower.FP2_ONE)
+
+#: Field-operation table -> that field's curve kernels.
+_KERNELS = {id(_FP_OPS): G1_KERNELS, id(_FP2_OPS): G2_KERNELS}
 
 
 def wnaf_digits(k: int, width: int = 4) -> list[int]:
@@ -137,23 +315,13 @@ def wnaf_digits(k: int, width: int = 4) -> list[int]:
 
 
 def _jac_scalar_mul(xy, k: int, ops: FieldOps):
-    """wNAF scalar multiplication in Jacobian coordinates."""
-    digits = wnaf_digits(k)
-    base = (xy[0], xy[1], ops.one)
-    # Precompute odd multiples 1P, 3P, 5P, 7P.
-    double_base = _jac_double(base, ops)
-    table = [base]
-    for _ in range(3):
-        table.append(_jac_add(table[-1], double_base, ops))
-    acc = (ops.one, ops.one, ops.zero)
-    for d in reversed(digits):
-        acc = _jac_double(acc, ops)
-        if d > 0:
-            acc = _jac_add(acc, table[d >> 1], ops)
-        elif d < 0:
-            x, y, z = table[(-d) >> 1]
-            acc = _jac_add(acc, (x, ops.neg(y), z), ops)
-    return acc
+    """wNAF multiplication by any non-negative ``k``, not reduced mod r.
+
+    The path for scalars that are not exponents: the order checks ``[r]Q``,
+    ``[u]Q`` and the G2 cofactor.  Exponents go through
+    :func:`multi_scalar_mul`, which GLV-splits them.
+    """
+    return _jac_straus([xy], [k], ops)
 
 
 def _jac_to_affine(pt, ops: FieldOps):
@@ -163,32 +331,6 @@ def _jac_to_affine(pt, ops: FieldOps):
     zi = ops.inv(z)
     zi2 = ops.sq(zi)
     return (ops.mul(x, zi2), ops.mul(y, ops.mul(zi, zi2)))
-
-
-def _jac_add_affine(p1, aff, ops: FieldOps):
-    """Mixed addition: Jacobian ``p1`` plus affine ``aff`` (z2 = 1)."""
-    x1, y1, z1 = p1
-    if z1 == ops.zero:
-        return (aff[0], aff[1], ops.one)
-    x2, y2 = aff
-    z1z1 = ops.sq(z1)
-    u2 = ops.mul(x2, z1z1)
-    s2 = ops.mul(ops.mul(y2, z1), z1z1)
-    if u2 == x1:
-        if s2 != y1:
-            return (ops.one, ops.one, ops.zero)
-        return _jac_double(p1, ops)
-    h = ops.sub(u2, x1)
-    hh = ops.sq(h)
-    i = ops.add(ops.add(hh, hh), ops.add(hh, hh))
-    j = ops.mul(h, i)
-    r = ops.add(ops.sub(s2, y1), ops.sub(s2, y1))
-    v = ops.mul(x1, i)
-    x3 = ops.sub(ops.sub(ops.sq(r), j), ops.add(v, v))
-    y1j = ops.mul(y1, j)
-    y3 = ops.sub(ops.mul(r, ops.sub(v, x3)), ops.add(y1j, y1j))
-    z3 = ops.sub(ops.sub(ops.sq(ops.add(z1, h)), z1z1), hh)
-    return (x3, y3, z3)
 
 
 def batch_inv(values: list, ops: FieldOps) -> list:
@@ -229,70 +371,126 @@ def _batch_to_affine(pts, ops: FieldOps):
     return out
 
 
-#: Comb parameters: teeth count and scalar width covered by the table.
-COMB_WIDTH = 6
-SCALAR_BITS = CURVE_ORDER.bit_length()
+#: Comb teeth.  An evaluation costs ceil(126 / width) doublings and up to
+#: twice as many mixed additions; each extra tooth doubles the table, which
+#: at width 7 is 2 x 127 affine points (the base's and its endomorphism
+#: image's).
+COMB_WIDTH = 7
 
 
 class FixedBaseComb:
-    """Lim-Lee fixed-base comb over one affine point.
+    """Lim-Lee fixed-base comb over the GLV halves of the scalar.
 
-    The 254-bit exponent is read as ``width`` interleaved rows of
-    ``cols = ceil(bits / width)`` bits; the table holds every nonzero
-    row-combination ``sum_i b_i * base^(2^(i*cols))`` in *affine* form,
-    so evaluation is ``cols`` doublings plus at most ``cols`` mixed
-    additions — ~2-3x cheaper than a one-off wNAF/GLV multiplication
-    once the table is amortized over a handful of exponentiations.
+    ``k`` splits as ``k1 + k2 * lam`` with ``|k1|, |k2| < 2^GLV_HALF_BITS``
+    (:mod:`repro.crypto.glv`); each half is read as ``width`` interleaved
+    rows of ``cols = ceil(GLV_HALF_BITS / width)`` bits.  ``table`` holds
+    every nonzero row combination ``sum_i b_i * base^(2^(i*cols))`` in
+    affine form, and ``phi_table`` the same points under the endomorphism
+    ``(x, y) -> (beta x, y)`` — the table of ``lam * base`` at the cost of
+    one multiplication per entry.  An evaluation is one scan of ``cols``
+    doublings with up to two mixed additions per column.
     """
 
-    __slots__ = ("ops", "width", "cols", "table")
+    __slots__ = ("ops", "width", "cols", "table", "phi_table")
 
-    def __init__(self, xy, ops: FieldOps, width: int = COMB_WIDTH, bits: int = SCALAR_BITS):
+    def __init__(self, xy, ops: FieldOps, width: int = COMB_WIDTH):
+        from repro.crypto.glv import GLV_HALF_BITS
+
         if xy is None:
             raise CryptoError("cannot build a comb table for the identity")
+        kern = _KERNELS[id(ops)]
         self.ops = ops
         self.width = width
-        self.cols = -(-bits // width)
-        spine = [(xy[0], xy[1], ops.one)]
+        self.cols = -(-GLV_HALF_BITS // width)
+        double, add = kern.double, kern.add
+        spine = [(xy[0], xy[1], kern.one)]
         for _ in range(1, width):
             pt = spine[-1]
             for _ in range(self.cols):
-                pt = _jac_double(pt, ops)
+                pt = double(pt)
             spine.append(pt)
-        # Subset sums: table[j] = sum of spine[i] over the set bits of j+1.
-        # All entries are nonzero: the subset exponents are distinct powers
-        # 2^(i*cols) summing to < 2^(bits) < 2*order, never 0 mod order.
+        # Subset sums: jac[j] = sum of spine[i] over the set bits of j.
+        # All are nonzero: the subset exponents are distinct sums of powers
+        # 2^(i*cols) below 2^(width*cols) < r, never 0 mod r.
         jac: list = [None] * (1 << width)
         for i in range(width):
             jac[1 << i] = spine[i]
         for j in range(3, 1 << width):
             low = j & -j
             if jac[j] is None:
-                jac[j] = _jac_add(jac[j ^ low], jac[low], ops)
-        self.table = _batch_to_affine(jac[1:], ops)
+                jac[j] = add(jac[j ^ low], jac[low])
+        # Index 0 stands for the zero digit and is never read.
+        self.table = [None] + _batch_to_affine(jac[1:], ops)
+        beta = _msm_endo(ops)[0]
+        mul = ops.mul
+        self.phi_table = [None] + [(mul(x, beta), y) for x, y in self.table[1:]]
 
     def mul(self, k: int):
         """``k * base`` as affine xy (``None`` for the identity)."""
+        return comb_mul([self], [k])
+
+
+#: width -> the 512 nine-bit values with bit j moved to bit width * j.
+_SPREAD: dict = {}
+
+
+def _comb_digits(k: int, width: int, cols: int) -> list[int]:
+    """Column digits of a non-negative ``k < 2^(width*cols)``, top column first.
+
+    Bit ``t * cols + c`` of ``k`` is bit ``t`` of column ``c``'s digit.  Each
+    row is spread nine bits at a time so that its bit ``c`` lands on bit
+    ``width * c + t``; the digits are then the ``width``-bit chunks.
+    """
+    spread = _SPREAD.get(width)
+    if spread is None:
+        spread = _SPREAD[width] = tuple(
+            sum(((b >> j) & 1) << (width * j) for j in range(9)) for b in range(512)
+        )
+    row_mask = (1 << cols) - 1
+    stride = 9 * width
+    spread_rows = 0
+    for tooth in range(width):
+        row = (k >> (tooth * cols)) & row_mask
+        shift = tooth
+        while row:
+            spread_rows |= spread[row & 511] << shift
+            row >>= 9
+            shift += stride
+    mask = (1 << width) - 1
+    return [(spread_rows >> s) & mask for s in range(width * (cols - 1), -1, -width)]
+
+
+def comb_mul(combs, scalars):
+    """``sum_i scalars[i] * base_i`` over same-shape combs, as affine xy.
+
+    Every scalar is reduced mod r and GLV-split; all halves share one scan
+    of ``cols`` doublings.  A negative half reads its table with ``y``
+    negated.
+    """
+    from repro.crypto.glv import decompose
+
+    first = combs[0]
+    ops, width, cols = first.ops, first.width, first.cols
+    kern = _KERNELS[id(ops)]
+    lanes = []
+    for comb, k in zip(combs, scalars):
         if k < 0:
             raise CryptoError("comb evaluation expects a non-negative scalar")
-        ops = self.ops
-        cols = self.cols
-        acc = None
-        for col in range(cols - 1, -1, -1):
-            if acc is not None:
-                acc = _jac_double(acc, ops)
-            digit = 0
-            for tooth in range(self.width):
-                digit |= ((k >> (tooth * cols + col)) & 1) << tooth
+        if comb.ops is not ops or comb.cols != cols or comb.width != width:
+            raise CryptoError("a joint comb scan needs combs of one shape")
+        for table, half in zip((comb.table, comb.phi_table), decompose(k % CURVE_ORDER)):
+            if half:
+                lanes.append((table, _comb_digits(abs(half), width, cols), half < 0))
+    double, add_affine, neg = kern.double, kern.add_affine, ops.neg
+    acc = kern.infinity
+    for col in range(cols):
+        acc = double(acc)
+        for table, digits, negative in lanes:
+            digit = digits[col]
             if digit:
-                aff = self.table[digit - 1]
-                if acc is None:
-                    acc = (aff[0], aff[1], ops.one)
-                else:
-                    acc = _jac_add_affine(acc, aff, ops)
-        if acc is None:
-            return None
-        return _jac_to_affine(acc, ops)
+                entry = table[digit]
+                acc = add_affine(acc, (entry[0], neg(entry[1])) if negative else entry)
+    return _jac_to_affine(acc, ops)
 
 
 #: Scalars longer than this are GLV-split before a multi-exponentiation.
@@ -303,14 +501,14 @@ GLV_MSM_BITS = 130
 _MSM_ENDO: dict = {}
 
 
-def _msm_endo(ops: FieldOps, sample_xy):
+def _msm_endo(ops: FieldOps):
     """The (beta, lam) pair for GLV-splitting scalars on this field.
 
     BN curves have j-invariant 0 over Fp *and* Fp2, so both G1 and the
     twist carry the endomorphism ``(x, y) -> (beta * x, y)``.  On the
     order-r subgroup it acts as one of the two cube roots of unity mod
-    r; which one depends on the field, so it is resolved once against a
-    sample subgroup point (the action is a fixed scalar on the whole
+    r; which one depends on the field, so it is resolved once against
+    the group's generator (the action is a fixed scalar on the whole
     subgroup).
     """
     cached = _MSM_ENDO.get(id(ops))
@@ -319,8 +517,10 @@ def _msm_endo(ops: FieldOps, sample_xy):
     from repro.crypto.glv import BETA, LAM
 
     betas = (BETA, BETA * BETA % P)
+    sample_xy = G1_GENERATOR.xy
     if ops is not _FP_OPS:
         betas = tuple(tower.fp2_mul_scalar(tower.FP2_ONE, b) for b in betas)
+        sample_xy = G2_GENERATOR.xy
     lam_pt = _jac_to_affine(_jac_scalar_mul(sample_xy, LAM, ops), ops)
     for beta in betas:
         if (ops.mul(sample_xy[0], beta), sample_xy[1]) == lam_pt:
@@ -333,7 +533,7 @@ def _glv_split(points, scalars, ops: FieldOps):
     """Expand (P_i, k_i) into half-length (point, |k|) pairs via GLV."""
     from repro.crypto.glv import decompose
 
-    beta, _lam = _msm_endo(ops, points[0])
+    beta, _lam = _msm_endo(ops)
     new_points = []
     new_scalars = []
     for xy, k in zip(points, scalars):
@@ -365,19 +565,19 @@ def multi_scalar_mul(points, scalars, ops: FieldOps):
     """``sum_i scalars[i] * points[i]`` as affine xy (``None`` = identity).
 
     ``points`` are affine xy tuples (no identities), ``scalars`` positive
-    ints.  The two classic multi-exponentiation strategies are dispatched
-    by estimated addition count: Straus joint-wNAF interleaving (shared
-    doublings, per-point odd-multiple tables) wins for small batches;
-    Pippenger bucketing wins once its per-window bucket-sum overhead
-    amortizes over many points — large batches of short scalars, the
-    small-exponents batch-verification shape.
+    ints.  Full-width scalars are GLV-split first, so a single point
+    becomes a two-point product of half-length scalars.  The two classic
+    multi-exponentiation strategies are dispatched by estimated addition
+    count: Straus joint-wNAF interleaving (shared doublings, per-point
+    odd-multiple tables) wins for small batches; Pippenger bucketing wins
+    once its per-window bucket-sum overhead amortizes over many points —
+    large batches of short scalars, the small-exponents batch-verification
+    shape.
     """
     if len(points) != len(scalars):
         raise CryptoError("multi_scalar_mul arguments must align")
     if not points:
         return None
-    if len(points) == 1:
-        return _jac_to_affine(_jac_scalar_mul(points[0], scalars[0], ops), ops)
     bits = max(k.bit_length() for k in scalars)
     if bits > GLV_MSM_BITS:
         # Full-width scalars: halve the shared doubling count by GLV-
@@ -401,48 +601,52 @@ def _jac_straus(points, scalars, ops: FieldOps, width: int = 4):
 
     The per-point odd-multiple tables are normalized to affine with one
     shared batch inversion, so every scan addition is a mixed addition.
+    Each table lists ``P, 3P, ...`` then their negations in reverse, so a
+    digit ``d`` reads entry ``d >> 1`` (negative indices for ``d < 0``).
     """
+    kern = _KERNELS[id(ops)]
+    double, add, add_affine, neg = kern.double, kern.add, kern.add_affine, ops.neg
     digit_lists = [wnaf_digits(k, width) for k in scalars]
     table_size = (1 << (width - 1)) // 2
     jac_entries = []
     for xy in points:
-        base = (xy[0], xy[1], ops.one)
-        double_base = _jac_double(base, ops)
+        base = (xy[0], xy[1], kern.one)
+        double_base = double(base)
         jac_entries.append(base)
         for _ in range(table_size - 1):
-            jac_entries.append(_jac_add(jac_entries[-1], double_base, ops))
-    # Odd multiples of a non-identity subgroup point are never the
-    # identity (the subgroup order is an odd prime), so no Nones here.
+            jac_entries.append(add(jac_entries[-1], double_base))
+    # P, 3P, 5P, 7P are never the identity: neither E(Fp) (order r) nor
+    # the twist (order r * c2) has a point of order 2 to 7, so no Nones.
     affine = _batch_to_affine(jac_entries, ops)
-    tables = [affine[i * table_size : (i + 1) * table_size] for i in range(len(points))]
-    acc = (ops.one, ops.one, ops.zero)
+    tables = []
+    for i in range(len(points)):
+        odd = affine[i * table_size : (i + 1) * table_size]
+        tables.append(odd + [(x, neg(y)) for x, y in reversed(odd)])
+    lanes = list(zip(tables, digit_lists))
+    acc = kern.infinity
     for i in range(max(map(len, digit_lists)) - 1, -1, -1):
-        acc = _jac_double(acc, ops)
-        for table, digits in zip(tables, digit_lists):
-            if i >= len(digits):
-                continue
-            d = digits[i]
-            if d > 0:
-                acc = _jac_add_affine(acc, table[d >> 1], ops)
-            elif d < 0:
-                x, y = table[(-d) >> 1]
-                acc = _jac_add_affine(acc, (x, ops.neg(y)), ops)
+        acc = double(acc)
+        for table, digits in lanes:
+            if i < len(digits):
+                d = digits[i]
+                if d:
+                    acc = add_affine(acc, table[d >> 1])
     return acc
 
 
 def _jac_pippenger(points, scalars, ops: FieldOps, c: int | None = None):
     """Pippenger bucket method over unsigned radix-2^c windows."""
+    kern = _KERNELS[id(ops)]
+    double, add, add_affine, one = kern.double, kern.add, kern.add_affine, kern.one
     bits = max(k.bit_length() for k in scalars)
     if c is None:
         c = _pippenger_window(len(points), bits)[0]
     mask = (1 << c) - 1
     nwin = -(-max(1, bits) // c)
-    identity = (ops.one, ops.one, ops.zero)
-    acc = identity
+    acc = kern.infinity
     for w in range(nwin - 1, -1, -1):
-        if acc[2] != ops.zero:
-            for _ in range(c):
-                acc = _jac_double(acc, ops)
+        for _ in range(c):
+            acc = double(acc)
         shift = w * c
         buckets: list = [None] * (1 << c)
         for xy, k in zip(points, scalars):
@@ -450,20 +654,16 @@ def _jac_pippenger(points, scalars, ops: FieldOps, c: int | None = None):
             if not digit:
                 continue
             cur = buckets[digit]
-            buckets[digit] = (
-                (xy[0], xy[1], ops.one) if cur is None else _jac_add_affine(cur, xy, ops)
-            )
+            buckets[digit] = (xy[0], xy[1], one) if cur is None else add_affine(cur, xy)
         running = None
         window_sum = None
         for digit in range(mask, 0, -1):
             if buckets[digit] is not None:
-                running = (
-                    buckets[digit] if running is None else _jac_add(running, buckets[digit], ops)
-                )
+                running = buckets[digit] if running is None else add(running, buckets[digit])
             if running is not None:
-                window_sum = running if window_sum is None else _jac_add(window_sum, running, ops)
+                window_sum = running if window_sum is None else add(window_sum, running)
         if window_sum is not None:
-            acc = _jac_add(acc, window_sum, ops)
+            acc = add(acc, window_sum)
     return acc
 
 
@@ -527,12 +727,12 @@ class _Point:
         return self + (-other)
 
     def __mul__(self, k: int):
-        cls, ops = type(self), self._ops
+        """``k * self`` through the GLV split and Straus (:func:`multi_scalar_mul`)."""
+        cls = type(self)
         k %= CURVE_ORDER
         if k == 0 or self.xy is None:
             return cls(None)
-        aff = _jac_to_affine(_jac_scalar_mul(self.xy, k, ops), ops)
-        return cls(aff)
+        return cls(multi_scalar_mul([self.xy], [k], self._ops))
 
     __rmul__ = __mul__
 
@@ -562,19 +762,6 @@ class PointG1(_Point):
 
     _ops = _FP_OPS
     _b = 3
-
-    def __mul__(self, k: int):
-        # G1 uses GLV decomposition (j = 0 endomorphism) — ~1.5x faster
-        # than generic wNAF.  Lazy import: repro.crypto.glv imports this
-        # module to validate its constants.
-        global _glv_mul
-        if _glv_mul is None:
-            from repro.crypto.glv import glv_mul as _imported
-
-            _glv_mul = _imported
-        return _glv_mul(self, k)
-
-    __rmul__ = __mul__
 
     def to_bytes(self) -> bytes:
         """Compressed encoding: 32 bytes, top bits = flags.
@@ -669,10 +856,10 @@ class PointG2(_Point):
             return False
         psi1 = g2_psi(uq)
         psi2 = g2_psi(psi1)
-        lhs = _jac_add_affine(uq_jac, self.xy, ops)  # [u+1]Q
-        lhs = _jac_add_affine(_jac_add_affine(lhs, psi1, ops), psi2, ops)
+        lhs = _g2_add_affine(uq_jac, self.xy)  # [u+1]Q
+        lhs = _g2_add_affine(_g2_add_affine(lhs, psi1), psi2)
         x3, y3 = g2_psi(psi2)
-        rhs = _jac_double((x3, y3, ops.one), ops)
+        rhs = _g2_double((x3, y3, tower.FP2_ONE))
         return _jac_to_affine(lhs, ops) == _jac_to_affine(rhs, ops)
 
     def clear_cofactor(self) -> "PointG2":
@@ -702,16 +889,9 @@ def _fp2_parity(y) -> int:
 
 def _g2_cofactor_mul(pt: PointG2) -> PointG2:
     """Multiply by the G2 cofactor (a full-width scalar, not mod r)."""
-    ops = _FP2_OPS
     if pt.xy is None:
         return pt
-    jac = (pt.xy[0], pt.xy[1], ops.one)
-    acc = (ops.one, ops.one, ops.zero)
-    for bit in bin(G2_COFACTOR)[2:]:
-        acc = _jac_double(acc, ops)
-        if bit == "1":
-            acc = _jac_add(acc, jac, ops)
-    return PointG2(_jac_to_affine(acc, ops))
+    return PointG2(_jac_to_affine(_jac_scalar_mul(pt.xy, G2_COFACTOR, _FP2_OPS), _FP2_OPS))
 
 
 #: Standard generator of G1.

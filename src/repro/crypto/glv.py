@@ -1,15 +1,18 @@
-"""GLV scalar multiplication for G1 (Gallant-Lambert-Vanstone).
+"""GLV scalar decomposition for BN254 (Gallant-Lambert-Vanstone).
 
 BN curves have j-invariant 0, so E(Fp) carries the efficient
 endomorphism ``phi(x, y) = (beta * x, y)`` where ``beta`` is a primitive
 cube root of unity in Fp; on the order-r subgroup, ``phi`` acts as
-multiplication by ``lam`` with ``lam^2 + lam + 1 = 0 (mod r)``.
+multiplication by ``lam`` with ``lam^2 + lam + 1 = 0 (mod r)``.  The
+twist carries the same endomorphism over Fp2 (resolved per field by
+``repro.crypto.curve._msm_endo``).
 
 A scalar ``k`` decomposes as ``k = k1 + k2 * lam (mod r)`` with
-``|k1|, |k2| ~ sqrt(r)`` (lattice basis from the extended Euclidean
-algorithm, per the original GLV paper), halving the doubling count of a
-scalar multiplication via a simultaneous double-and-add on
-``(P, phi(P))``.
+``|k1|, |k2| < 2^GLV_HALF_BITS`` (lattice basis from the extended
+Euclidean algorithm, per the original GLV paper; the bound is derived
+from the basis and checked at import).  Every BN254 exponentiation scans
+the two halves together — a fixed-base comb over ``(P, phi(P))`` or
+Straus over the same pair — halving its doubling count.
 
 The (beta, lam) pairing is validated numerically at import: out of the
 two cube roots on each side, the pair satisfying ``phi(G) = lam * G`` is
@@ -67,17 +70,17 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 def _select_constants() -> tuple[int, int]:
     """Pick (beta mod p, lam mod r) with phi(G) = lam*G on the generator."""
-    from repro.crypto.curve import G1_GENERATOR, PointG1, _Point
+    from repro.crypto.curve import _FP_OPS, G1_GENERATOR, _jac_scalar_mul, _jac_to_affine
 
     betas = _cube_roots_of_unity(P)
     lams = _cube_roots_of_unity(R)
     gx, gy = G1_GENERATOR.xy
     for beta in betas:
-        phi_g = PointG1((gx * beta % P, gy))
         for lam in lams:
-            # Use the generic wNAF path directly: PointG1.__mul__ routes
-            # through this module, which is still initializing here.
-            if _Point.__mul__(G1_GENERATOR, lam) == phi_g:
+            # Plain wNAF: PointG1.__mul__ GLV-splits through this module,
+            # which is still initializing here.
+            lam_g = _jac_to_affine(_jac_scalar_mul((gx, gy), lam, _FP_OPS), _FP_OPS)
+            if lam_g == (gx * beta % P, gy):
                 return beta, lam
     raise CryptoError("no (beta, lam) pairing found — curve constants broken")
 
@@ -89,38 +92,55 @@ def _lattice_basis() -> tuple[tuple[int, int], tuple[int, int]]:
     """Short basis of the GLV lattice {(a, b) : a + b*lam = 0 mod r}.
 
     Extended Euclid on (r, lam); stop at the first remainder below
-    sqrt(r) (the classic GLV construction).
+    sqrt(r) (the classic GLV construction).  ``v1`` comes from that
+    remainder; ``v2`` is the shorter of its two neighbours.
     """
     limit = math.isqrt(R)
-    r0, r1 = R, LAM
-    t0, t1 = 0, 1
-    seq = [(r0, t0), (r1, t1)]
+    seq = [(R, 0), (LAM, 1)]  # (r_i, t_i) with r_i = t_i * lam (mod r)
     while seq[-1][0] >= limit:
         q = seq[-2][0] // seq[-1][0]
         seq.append((seq[-2][0] - q * seq[-1][0], seq[-2][1] - q * seq[-1][1]))
-    rl, tl = seq[-1]
-    rl1, tl1 = seq[-2]
-    v1 = (rl, -tl)
-    # Choose the shorter of the two neighbours for v2.
-    rl2, tl2 = seq[-3] if len(seq) >= 3 else seq[-2]
-    cand_a = (rl1, -tl1)
-    cand_b = (seq[-1][0] - 0, 0)  # placeholder, replaced below
-    # Standard choice: v2 = (r_{l+1}, -t_{l+1}) from one more step.
+    (rl, tl), (rl1, tl1) = seq[-1], seq[-2]
     q = rl1 // rl
-    r_next, t_next = rl1 - q * rl, tl1 - q * tl
-    cand_b = (r_next, -t_next)
+    before, after = (rl1, -tl1), (rl1 - q * rl, -(tl1 - q * tl))
+
     def norm(v):
         return v[0] * v[0] + v[1] * v[1]
-    v2 = cand_a if norm(cand_a) <= norm(cand_b) else cand_b
-    return v1, v2
+
+    return (rl, -tl), (before if norm(before) <= norm(after) else after)
 
 
 _V1, _V2 = _lattice_basis()
 
 
+def _half_bound(v1: tuple[int, int], v2: tuple[int, int]) -> int:
+    """Largest ``|k1|`` or ``|k2|`` that :func:`decompose` can return.
+
+    With ``det(v1, v2) = r``, the exact solution of
+    ``(k, 0) = x1 * v1 + x2 * v2`` is ``x1 = b2 k / r``, ``x2 = -b1 k / r``,
+    so ``(k1, k2) = -(c1 - x1) v1 - (c2 - x2) v2`` for the rounded
+    ``c1, c2``.  Rounding by ``floor(x + (r - 1) / 2r)`` errs by less than
+    ``1/2 + 1/2r``, hence ``|k1| < (|a1| + |a2|) / 2 + 1`` and likewise
+    ``|k2|`` with ``b1, b2`` (``|a_i|, |b_i| < r``).
+    """
+    (a1, b1), (a2, b2) = v1, v2
+    if a1 * b2 - a2 * b1 != R:
+        raise CryptoError("GLV basis determinant is not r — decompose() would not reduce")
+    return max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2 + 1
+
+
+#: Bits per half that the fixed-base comb tables cover.
+GLV_HALF_BITS = 126
+
+#: Proven bound: ``|k1|, |k2| <= HALF_BOUND`` for every scalar.
+HALF_BOUND = _half_bound(_V1, _V2)
+if HALF_BOUND >> GLV_HALF_BITS:
+    raise CryptoError(f"GLV halves need {HALF_BOUND.bit_length()} bits, combs cover {GLV_HALF_BITS}")
+
+
 def decompose(k: int) -> tuple[int, int]:
     """Split ``k mod r`` into (k1, k2) with ``k1 + k2*lam = k (mod r)``
-    and both halves of roughly sqrt(r) magnitude (possibly negative)."""
+    and ``|k1|, |k2| <= HALF_BOUND`` (either may be negative or zero)."""
     k %= R
     (a1, b1), (a2, b2) = _V1, _V2
     # Round k*(b2, -b1)/r to the nearest lattice vector.
@@ -129,37 +149,3 @@ def decompose(k: int) -> tuple[int, int]:
     k1 = k - c1 * a1 - c2 * a2
     k2 = -c1 * b1 - c2 * b2
     return k1, k2
-
-
-def glv_mul(point, k: int):
-    """GLV multiplication on G1: ``k * point`` via the endomorphism.
-
-    Runs a simultaneous (Strauss-Shamir) double-and-add over the two
-    half-length scalars in Jacobian coordinates.
-    """
-    from repro.crypto.curve import _FP_OPS, _jac_add, _jac_double, _jac_to_affine, PointG1
-
-    if not isinstance(point, PointG1):
-        raise CryptoError("GLV multiplication applies to G1 points only")
-    k %= R
-    if k == 0 or point.xy is None:
-        return PointG1(None)
-    k1, k2 = decompose(k)
-    x, y = point.xy
-    ops = _FP_OPS
-    p1 = (x, y if k1 >= 0 else -y % P, 1)
-    p2 = (x * BETA % P, y if k2 >= 0 else -y % P, 1)
-    e1, e2 = abs(k1), abs(k2)
-    both = _jac_add(p1, p2, ops)
-    acc = (ops.one, ops.one, ops.zero)
-    for i in range(max(e1.bit_length(), e2.bit_length()) - 1, -1, -1):
-        acc = _jac_double(acc, ops)
-        b1 = (e1 >> i) & 1
-        b2 = (e2 >> i) & 1
-        if b1 and b2:
-            acc = _jac_add(acc, both, ops)
-        elif b1:
-            acc = _jac_add(acc, p1, ops)
-        elif b2:
-            acc = _jac_add(acc, p2, ops)
-    return PointG1(_jac_to_affine(acc, ops))

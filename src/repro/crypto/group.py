@@ -33,6 +33,7 @@ from repro.crypto.curve import (
     G2_GENERATOR,
     PointG1,
     PointG2,
+    comb_mul,
     multi_scalar_mul,
 )
 from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS
@@ -240,8 +241,12 @@ class BilinearGroup(ABC):
 
     name: str = "abstract"
 
-    #: Max number of per-base comb tables kept (LRU).
-    COMB_CACHE_MAX = 256
+    #: Max number of per-base comb tables kept (LRU).  On BN254 the larger
+    #: table, G2's (2 x 127 affine Fp2 points), holds about 83.5 KB of
+    #: CPython objects, so the tables stay below 64 x 84 KB = 5.4 MB.  A
+    #: world needs one table per fixed base: the ``bn254_hot`` benchmark
+    #: builds 22 (docs/PERFORMANCE.md, "Set-up breakdown").
+    COMB_CACHE_MAX = 64
 
     def __init__(self):
         self._g1 = None
@@ -502,19 +507,14 @@ class BN254Group(BilinearGroup):
     def _make_comb(self, base: GroupElement) -> Callable[[int], GroupElement]:
         if base.kind == GT or base.value.is_identity:
             return super()._make_comb(base)
-        if base.kind == G1:
-            ops, cls = _FP_OPS, PointG1
-        else:
-            ops, cls = _FP2_OPS, PointG2
-        comb = FixedBaseComb(base.value.xy, ops)
-        return lambda e: GroupElement(self, base.kind, cls(comb.mul(e)))
+        return _PointComb(self, base.kind, FixedBaseComb(base.value.xy, _POINT_KINDS[base.kind][0]))
 
     def _multi_pow(
         self, kind: str, bases: Sequence[GroupElement], exponents: Sequence[int]
     ) -> GroupElement:
         if kind == GT or not self.fast_paths:
             return super()._multi_pow(kind, bases, exponents)
-        ops, cls = (_FP_OPS, PointG1) if kind == G1 else (_FP2_OPS, PointG2)
+        ops, cls = _POINT_KINDS[kind]
         kept = [
             (base, e)
             for base, e in ((b, e % CURVE_ORDER) for b, e in zip(bases, exponents))
@@ -522,20 +522,22 @@ class BN254Group(BilinearGroup):
         ]
         if not kept:
             return self.identity(kind)
-        if len(kept) <= 3:
-            # Small products over protocol-fixed bases (e.g. attribute
-            # bases in span-program columns): when every base already
-            # has a comb table, n comb evaluations undercut a fresh
-            # multi-exponentiation.  Combs are never *built* here — a
-            # cold base means the MSM below is the right tool.
-            combs = [self._combs.get((kind, self._serialize(b))) for b, _ in kept]
-            if all(combs):
-                acc = combs[0](kept[0][1])
-                for comb, (_, e) in zip(combs[1:], kept[1:]):
-                    acc = self._op(acc, comb(e))
-                return acc
-        points = [b.value.xy for b, _ in kept]
         scalars = [e for _, e in kept]
+        # Products over protocol-fixed bases (the message base's C and g,
+        # the attribute bases of a span-program column): when every base
+        # already has a comb table, one shared comb scan (18 doublings, up
+        # to 36 mixed additions a base) undercuts a fresh GLV-split Straus
+        # (127 doublings, ~57 a base).  Combs are never *built* here — a
+        # cold base means the MSM below is the right tool.
+        combs = []
+        for base, _ in kept:
+            comb = self._combs.get((kind, self._serialize(base)))
+            if comb is None:
+                break
+            combs.append(comb.comb)
+        else:
+            return GroupElement(self, kind, cls(comb_mul(combs, scalars)))
+        points = [b.value.xy for b, _ in kept]
         return GroupElement(self, kind, cls(multi_scalar_mul(points, scalars, ops)))
 
     def _generator(self, kind: str) -> GroupElement:
@@ -696,6 +698,23 @@ class BN254Group(BilinearGroup):
         value = _pairing.multi_pairing((a.value, b.value) for a, b in pairs)
         return GroupElement(self, GT, value)
 
+
+class _PointComb:
+    """``pow_fixed``'s table for a G1/G2 base: ``e -> base ** e`` on a comb."""
+
+    __slots__ = ("group", "kind", "comb")
+
+    def __init__(self, group: BN254Group, kind: str, comb: FixedBaseComb):
+        self.group = group
+        self.kind = kind
+        self.comb = comb
+
+    def __call__(self, e: int) -> GroupElement:
+        return GroupElement(self.group, self.kind, _POINT_KINDS[self.kind][1](self.comb.mul(e)))
+
+
+#: Point kinds -> (field-operation table, point class).
+_POINT_KINDS = {G1: (_FP_OPS, PointG1), G2: (_FP2_OPS, PointG2)}
 
 _DEFAULT_BN254: BN254Group | None = None
 _BN254_LOCK = threading.Lock()

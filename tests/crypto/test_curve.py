@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import bn254, tower
+from repro.crypto import bn254, curve, tower
 from repro.crypto.curve import (
     G1_GENERATOR,
     G2_GENERATOR,
@@ -16,6 +16,7 @@ from repro.crypto.curve import (
 )
 from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS
 from repro.errors import CryptoError, DeserializationError
+from tests.crypto.textbook import textbook_mul
 
 rng = random.Random(101)
 
@@ -266,3 +267,79 @@ def test_accepted_g2_encodings_reencode_to_themselves(data):
     except CryptoError:
         return
     assert point.to_bytes() == data
+
+
+# -- straight-line Jacobian kernels against the affine oracle ----------------
+
+KERNEL_CURVES = {
+    "G1": (G1_GENERATOR, curve._FP_OPS, curve.G1_KERNELS),
+    "G2": (G2_GENERATOR, curve._FP2_OPS, curve.G2_KERNELS),
+}
+
+
+def _to_jacobian(point, z, ops):
+    """``point`` as ``(x z^2, y z^3, z)``; the identity as the kernels' infinity."""
+    if point.is_identity:
+        return KERNEL_CURVES["G1" if ops is curve._FP_OPS else "G2"][2].infinity
+    z2 = ops.sq(z)
+    return (ops.mul(point.xy[0], z2), ops.mul(point.xy[1], ops.mul(z2, z)), z)
+
+
+def _from_jacobian(pt, cls, ops):
+    coords = [c for v in pt for c in ((v,) if isinstance(v, int) else v)]
+    assert all(0 <= c < FIELD_MODULUS for c in coords), "kernel output not fully reduced"
+    return cls(curve._jac_to_affine(pt, ops))
+
+
+def _check_kernels(p, q, zp, zq, ops, kern):
+    cls = type(p)
+    jp, jq = _to_jacobian(p, zp, ops), _to_jacobian(q, zq, ops)
+    assert _from_jacobian(kern.double(jp), cls, ops) == p.double()
+    assert _from_jacobian(kern.add(jp, jq), cls, ops) == p + q
+    if not q.is_identity:
+        assert _from_jacobian(kern.add_affine(jp, q.xy), cls, ops) == p + q
+
+
+OPERANDS = ["random", "same", "negated", "left_identity", "right_identity"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNEL_CURVES)),
+    st.sampled_from(OPERANDS),
+    st.integers(min_value=1, max_value=CURVE_ORDER - 1),
+    st.integers(min_value=1, max_value=CURVE_ORDER - 1),
+    st.lists(st.integers(min_value=1, max_value=FIELD_MODULUS - 1), min_size=4, max_size=4),
+)
+def test_kernels_match_affine_oracle(name, operands, a, b, zs):
+    gen, ops, kern = KERNEL_CURVES[name]
+    p, q = gen * a, gen * b
+    if operands == "same":
+        q = p
+    elif operands == "negated":
+        q = -p
+    elif operands == "left_identity":
+        p = type(p).identity()
+    elif operands == "right_identity":
+        q = type(q).identity()
+    if name == "G1":
+        zp, zq = zs[0], zs[1]
+    else:
+        zp, zq = (zs[0], zs[1]), (zs[2], zs[3])
+    _check_kernels(p, q, zp, zq, ops, kern)
+
+
+def test_g2_kernels_on_twist_points_with_a_zero_coordinate():
+    """Twist points off G2 (one with ``y0 = 0``) take the same formulas."""
+    ops, kern = curve._FP2_OPS, curve.G2_KERNELS
+    odd = _twist_point_with_zero_y0()
+    for p, q in ((odd, _twist_point(5)), (odd, odd), (odd, -odd), (_twist_point(11), odd)):
+        _check_kernels(p, q, (3, 0), (0, 7), ops, kern)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CURVES))
+def test_scalar_mul_matches_double_and_add(name):
+    gen, _ops, _kern = KERNEL_CURVES[name]
+    r = CURVE_ORDER
+    for k in (0, 1, 2, r - 1, r, r + 5, -7, 0xDECAF, (1 << 253) + 12345):
+        assert gen * k == textbook_mul(gen, k % r)

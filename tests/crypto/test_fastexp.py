@@ -2,11 +2,14 @@
 
 Cross-checks every precomputed path — fixed-base combs, Straus and
 Pippenger multi-exponentiation, the GLV-split MSM, the pairing and
-hash-to-curve caches — against the naive double-and-add / per-element
-implementations, including the edge scalars 0, 1, order-1 and order.
+hash-to-curve caches — against textbook affine double-and-add
+(``tests.crypto.textbook``) and per-element implementations, including
+the edge scalars 0, 1, order-1 and order and scalars whose GLV halves
+are negative or zero.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -26,14 +29,22 @@ from repro.crypto.curve import (
     _jac_straus,
     _jac_to_affine,
     _msm_endo,
-    _Point,
+    comb_mul,
     multi_scalar_mul,
 )
 from repro.crypto.field import CURVE_ORDER as R
+from repro.crypto.glv import LAM, decompose
 from repro.crypto.group import BN254Group, G1, G2, GT
 from repro.errors import CryptoError, GroupMismatchError
+from tests.crypto.textbook import textbook_mul
 
 EDGE_SCALARS = (0, 1, R - 1, R)
+
+# (k1, k2) GLV halves -> the scalar k1 + k2 * lam: zero, negative and
+# mixed-sign halves, down to the one-bit halves.
+HALF_PATTERNS = [(5, 0), (-5, 0), (0, 5), (0, -5), (3, -5), (-3, 5), (-3, -5), (1, -1),
+                 (-(1 << 120) - 7, 1 << 119), ((1 << 125) + 3, -(1 << 124))]
+SIGNED_HALF_SCALARS = tuple((k1 + k2 * LAM) % R for k1, k2 in HALF_PATTERNS)
 
 G1_CASE = (G1_GENERATOR, PointG1, _FP_OPS)
 G2_CASE = (G2_GENERATOR, PointG2, _FP2_OPS)
@@ -42,18 +53,39 @@ G2_CASE = (G2_GENERATOR, PointG2, _FP2_OPS)
 def _naive_sum(points, scalars, cls):
     acc = cls(None)
     for p, k in zip(points, scalars):
-        acc = acc + _Point.__mul__(p, k % R)
+        acc = acc + textbook_mul(p, k)
     return acc
 
 
 # -- curve-level cross-checks -------------------------------------------
+def test_signed_half_scalars_hit_their_patterns():
+    assert [decompose(k) for k in SIGNED_HALF_SCALARS] == HALF_PATTERNS
+
+
 @pytest.mark.parametrize("gen,cls,ops", [G1_CASE, G2_CASE], ids=["G1", "G2"])
 def test_comb_matches_double_and_add(gen, cls, ops):
-    base = _Point.__mul__(gen, 0xDECAF)
+    base = textbook_mul(gen, 0xDECAF)
     comb = FixedBaseComb(base.xy, ops)
     rng = random.Random(5)
-    for k in EDGE_SCALARS + tuple(rng.randrange(R) for _ in range(6)):
-        assert cls(comb.mul(k % R)) == _Point.__mul__(base, k)
+    scalars = EDGE_SCALARS + SIGNED_HALF_SCALARS + tuple(rng.randrange(R) for _ in range(6))
+    for k in scalars:
+        want = textbook_mul(base, k)
+        assert cls(comb.mul(k)) == want
+        assert base * k == want
+
+
+@pytest.mark.parametrize("gen,cls,ops", [G1_CASE, G2_CASE], ids=["G1", "G2"])
+def test_joint_comb_scan_matches_double_and_add(gen, cls, ops):
+    rng = random.Random(11)
+    bases = [textbook_mul(gen, rng.randrange(1, R)) for _ in range(3)]
+    combs = [FixedBaseComb(b.xy, ops) for b in bases]
+    for scalars in ([0, 0, 0], [R - 1, 1, R], list(SIGNED_HALF_SCALARS[:3]),
+                    [rng.randrange(R) for _ in range(3)]):
+        assert cls(comb_mul(combs, scalars)) == _naive_sum(bases, scalars, cls)
+    assert cls(comb_mul(combs[:1], [R - 1])) == -bases[0]
+    # Tables of different shapes cannot share a scan.
+    with pytest.raises(CryptoError):
+        comb_mul([combs[0], FixedBaseComb(bases[1].xy, ops, width=6)], [1, 2])
 
 
 def test_comb_rejects_identity_base_and_negative_scalar():
@@ -67,7 +99,7 @@ def test_comb_rejects_identity_base_and_negative_scalar():
 @pytest.mark.parametrize("gen,cls,ops", [G1_CASE, G2_CASE], ids=["G1", "G2"])
 def test_straus_and_pippenger_agree_with_naive(gen, cls, ops):
     rng = random.Random(6)
-    points = [_Point.__mul__(gen, rng.randrange(1, R)) for _ in range(5)]
+    points = [textbook_mul(gen, rng.randrange(1, R)) for _ in range(5)]
     scalars = [rng.getrandbits(64) | 1 for _ in range(5)]
     want = _naive_sum(points, scalars, cls)
     xys = [p.xy for p in points]
@@ -81,24 +113,24 @@ def test_straus_and_pippenger_agree_with_naive(gen, cls, ops):
 def test_msm_glv_split_full_width(gen, cls, ops):
     """Full-width scalars route through the GLV split; edges included."""
     rng = random.Random(7)
-    points = [_Point.__mul__(gen, rng.randrange(1, R)) for _ in range(4)]
-    for scalars in ([1, R - 1, R, rng.randrange(R)], [R, R, R, R]):
+    points = [textbook_mul(gen, rng.randrange(1, R)) for _ in range(4)]
+    for scalars in ([1, R - 1, R, rng.randrange(R)], [R, R, R, R], list(SIGNED_HALF_SCALARS[6:])):
         want = _naive_sum(points, scalars, cls)
         got = cls(multi_scalar_mul([p.xy for p in points], scalars, ops))
         assert got == want
 
 
 def test_endomorphism_acts_as_lambda_on_g2():
-    beta, lam = _msm_endo(_FP2_OPS, G2_GENERATOR.xy)
-    point = _Point.__mul__(G2_GENERATOR, 1234)
+    beta, lam = _msm_endo(_FP2_OPS)
+    point = textbook_mul(G2_GENERATOR, 1234)
     phi = PointG2((_FP2_OPS.mul(point.xy[0], beta), point.xy[1]))
-    assert phi == _Point.__mul__(point, lam)
+    assert phi == textbook_mul(point, lam)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=R - 1), min_size=2, max_size=4))
 @settings(max_examples=8, deadline=None)
 def test_msm_matches_naive_property(scalars):
-    points = [_Point.__mul__(G1_GENERATOR, 2 * i + 3) for i in range(len(scalars))]
+    points = [textbook_mul(G1_GENERATOR, 2 * i + 3) for i in range(len(scalars))]
     want = _naive_sum(points, scalars, PointG1)
     assert PointG1(multi_scalar_mul([p.xy for p in points], scalars, _FP_OPS)) == want
 
@@ -260,3 +292,49 @@ def test_singleton_survives_thread_hammer(mod, attr, factory):
         assert len({id(g) for g in seen}) == 1
     finally:
         setattr(mod, attr, saved)
+
+
+# -- comb-table memory bound --------------------------------------------
+#: Stated per-table bound (docs/PERFORMANCE.md, "Caches"): a G2 table,
+#: the larger, is 2 x 127 affine Fp2 points.
+G2_TABLE_BYTES_MAX = 84_000
+
+
+def _deep_size(obj, seen) -> int:
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (list, tuple)):
+        size += sum(_deep_size(item, seen) for item in obj)
+    return size
+
+
+def test_comb_tables_fit_the_stated_memory_bound():
+    sizes = {}
+    for name, gen, ops in (("G1", G1_GENERATOR, _FP_OPS), ("G2", G2_GENERATOR, _FP2_OPS)):
+        comb = FixedBaseComb(textbook_mul(gen, 0xC0FFEE).xy, ops)
+        assert len(comb.table) - 1 == len(comb.phi_table) - 1 == 127
+        seen = set()
+        sizes[name] = _deep_size(comb.table, seen) + _deep_size(comb.phi_table, seen)
+    assert sizes["G1"] < sizes["G2"] <= G2_TABLE_BYTES_MAX
+    assert BN254Group.COMB_CACHE_MAX * G2_TABLE_BYTES_MAX <= 5_400_000
+
+
+def test_comb_cache_evicts_least_recent_at_the_bound():
+    grp = BN254Group()
+    bound = grp.COMB_CACHE_MAX
+    bases = [grp.g1 ** (i + 2) for i in range(bound + 1)]
+    for base in bases[:bound]:
+        grp.pow_fixed(base, 1)
+    grp.pow_fixed(bases[0], 3)  # refresh the oldest: bases[1] is now least recent
+    assert grp.stats.combs_built == bound
+    grp.pow_fixed(bases[bound], 1)
+    assert len(grp._combs) == bound
+    keys = set(grp._combs)
+    assert (G1, bases[1].to_bytes()) not in keys
+    assert (G1, bases[0].to_bytes()) in keys and (G1, bases[bound].to_bytes()) in keys
+    before = grp.stats.combs_built
+    assert grp.pow_fixed(bases[1], 5) == bases[1] ** 5  # rebuilt on demand
+    assert grp.stats.combs_built == before + 1
+    assert len(grp._combs) == bound
