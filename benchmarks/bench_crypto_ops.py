@@ -27,8 +27,8 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   hosts.
 * ``warm_read`` — one sealed BN254 response opened and verified by a
   ``QueryUser`` cold, then a second response to the same query warm:
-  wall times plus exact pairings, pair-cache hits and point-decode /
-  verified-entry memo counts.  A warm read runs no pairing and decodes
+  wall times plus exact pairings and point-decode / verified-entry memo
+  counts.  A warm read runs no pairing and decodes
   every point of the VO and the CP-ABE header from the memo.
 * ``dem`` — the AES-128-CTR + HMAC-SHA256 envelope alone (no KEM) at
   16 B to 64 KiB: seal and open with the old one-block-at-a-time T-table
@@ -45,11 +45,13 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   wall time per table plus exact op counts; signatures asserted
   byte-identical.
 
-Every arm runs on a *fresh* ``BN254Group`` instance (comb/pairing/hash
-caches are per-instance); the old arm additionally sets
-``fast_paths = False`` so ``pow_fixed``/``pair`` take the generic path.
-Both arms consume the same rng stream, so their outputs are asserted
-bit-identical before any timing is trusted.
+Every arm runs on a *fresh* group instance (comb tables and memos are
+per-instance).  The old arms of ``pow_fixed_*``, ``multi_pow``,
+``aps_table_setup``, ``batched_vo_verify`` and ``multi_pair`` run on
+``generic_group.GenericGroup``, whose ``pow_fixed``/``multi_pow`` are the
+generic ``**`` paths (``generic_group.py``).  Both arms consume the same
+rng stream, so their outputs are asserted bit-identical before any timing
+is trusted.
 
 Fast ``test_smoke_*`` functions run in CI (``-m "not slow"``); the full
 comparison behind ``BENCH_crypto.json`` is ``@pytest.mark.slow`` or
@@ -64,6 +66,7 @@ import pathlib
 import random
 import time
 
+import generic_group
 import pytest
 import ttable_aes
 import wide_comb
@@ -124,23 +127,23 @@ def _entry(old_s: float, new_s: float, ops_old: dict, ops_new: dict, **extra) ->
 # ----------------------------------------------------------------------
 def scenario_pow_fixed(kind: str, n_exps: int = 8) -> dict:
     """Repeated exponentiations of one fixed base: comb vs generic ``**``."""
-    grp = BN254Group()
-    rng = random.Random(SEED)
-    if kind == "G1":
-        base = grp.g1 ** grp.random_scalar(rng)
-    elif kind == "G2":
-        base = grp.g2 ** grp.random_scalar(rng)
-    else:
-        base = grp.pair(grp.g1, grp.g2) ** grp.random_scalar(rng)
-    exps = [grp.random_scalar(rng) for _ in range(n_exps)]
 
-    grp.fast_paths = False
-    old_out = [grp.pow_fixed(base, e) for e in exps]
-    old_s, ops_old = _timed_ops(grp, lambda: [grp.pow_fixed(base, e) for e in exps])
+    def world(grp):
+        rng = random.Random(SEED)
+        if kind == "G1":
+            base = grp.g1 ** grp.random_scalar(rng)
+        elif kind == "G2":
+            base = grp.g2 ** grp.random_scalar(rng)
+        else:
+            base = grp.pair(grp.g1, grp.g2) ** grp.random_scalar(rng)
+        return base, [grp.random_scalar(rng) for _ in range(n_exps)]
 
-    grp.fast_paths = True
+    grp_old, grp = generic_group.GenericGroup(), BN254Group()
+    (base_old, exps), (base, _) = world(grp_old), world(grp)
+    old_out = [grp_old.pow_fixed(base_old, e).to_bytes() for e in exps]
+    old_s, ops_old = _timed_ops(grp_old, lambda: [grp_old.pow_fixed(base_old, e) for e in exps])
     grp.pow_fixed(base, 1)  # build the comb outside the timed region
-    new_out = [grp.pow_fixed(base, e) for e in exps]
+    new_out = [grp.pow_fixed(base, e).to_bytes() for e in exps]
     new_s, ops_new = _timed_ops(grp, lambda: [grp.pow_fixed(base, e) for e in exps])
 
     assert old_out == new_out
@@ -149,27 +152,31 @@ def scenario_pow_fixed(kind: str, n_exps: int = 8) -> dict:
 
 def scenario_multi_pow(n: int = 24, bits: int = 64) -> dict:
     """One n-term multi-exponentiation vs the naive per-term product."""
-    grp = BN254Group()
-    rng = random.Random(SEED + 1)
-    bases = [grp.g1 ** grp.random_scalar(rng) for _ in range(n)]
-    exps = [rng.getrandbits(bits) | 1 for _ in range(n)]
+
+    def world(grp):
+        rng = random.Random(SEED + 1)
+        bases = [grp.g1 ** grp.random_scalar(rng) for _ in range(n)]
+        return bases, [rng.getrandbits(bits) | 1 for _ in range(n)]
+
+    grp_old, grp = generic_group.GenericGroup(), BN254Group()
+    (bases_old, exps), (bases, _) = world(grp_old), world(grp)
 
     def naive():
-        out = bases[0] ** exps[0]
-        for b, e in zip(bases[1:], exps[1:]):
+        out = bases_old[0] ** exps[0]
+        for b, e in zip(bases_old[1:], exps[1:]):
             out = out * b**e
         return out
 
-    grp.fast_paths = False
-    old_s, ops_old = _timed_ops(grp, naive)
-    grp.fast_paths = True
+    old_s, ops_old = _timed_ops(grp_old, naive)
     new_s, ops_new = _timed_ops(grp, lambda: grp.multi_pow(bases, exps))
-    assert naive() == grp.multi_pow(bases, exps)
+    assert naive().to_bytes() == grp.multi_pow(bases, exps).to_bytes()
     return _entry(old_s, new_s, ops_old, ops_new, n=n, bits=bits)
 
 
-def _build_table(grp: BN254Group, workload, dataset):
+def _build_table(grp: BN254Group, workload, dataset, scheme_cls=None):
     owner = DataOwner(grp, workload.universe, rng=random.Random(SEED + 2))
+    if scheme_cls is not None:
+        owner.signer.scheme = scheme_cls(grp)
     tree = owner.build_tree(dataset)
     return owner, tree
 
@@ -180,10 +187,9 @@ def scenario_aps_setup(shape: tuple[int, ...] = (8, 2, 2), repeats: int = 2) -> 
     workload = gen.generate()
     dataset = TpchGenerator(TpchConfig(scale=0.3, shape=shape, seed=SEED)).lineitem(workload)
 
-    grp_old = BN254Group()
-    grp_old.fast_paths = False
+    grp_old, generic = generic_group.GenericGroup(), generic_group.GenericAbsScheme
     old_s, ops_old = _timed_ops(
-        grp_old, lambda: _build_table(grp_old, workload, dataset), repeats
+        grp_old, lambda: _build_table(grp_old, workload, dataset, generic), repeats
     )
     grp_new = BN254Group()
     new_s, ops_new = _timed_ops(
@@ -191,8 +197,8 @@ def scenario_aps_setup(shape: tuple[int, ...] = (8, 2, 2), repeats: int = 2) -> 
     )
 
     # Same seeds + same rng consumption: the signed trees must agree bit
-    # for bit, fast paths on or off.
-    _, tree_old = _build_table(grp_old, workload, dataset)
+    # for bit on either group.
+    _, tree_old = _build_table(grp_old, workload, dataset, generic)
     _, tree_new = _build_table(grp_new, workload, dataset)
     sig_old = tree_old.root.signature.to_bytes()
     sig_new = tree_new.root.signature.to_bytes()
@@ -202,24 +208,28 @@ def scenario_aps_setup(shape: tuple[int, ...] = (8, 2, 2), repeats: int = 2) -> 
 
 def scenario_batched_vo(n_items: int = 10, n_attrs: int = 3) -> dict:
     """Batched APS verification: merged pairings vs unmerged reference."""
-    grp = BN254Group()
-    scheme = AbsScheme(grp)
-    rng = random.Random(SEED + 3)
-    keys = scheme.setup(rng)
-    roles = [f"R{i}" for i in range(n_attrs + 2)]
-    sk = scheme.keygen(keys, roles, rng)
-    missing = tuple(roles[:n_attrs])
-    policy = or_of_attrs(missing)
-    items = []
-    for k in range(n_items):
-        message = f"record-{k}".encode()
-        sig = scheme.sign(keys.mvk, sk, message, policy, rng)
-        items.append(BatchItem(message=message, policy=policy, signature=sig))
 
-    grp.fast_paths = False
-    assert batch_verify_unmerged(scheme, keys.mvk, items)
-    old_s, ops_old = _timed_ops(grp, lambda: batch_verify_unmerged(scheme, keys.mvk, items))
-    grp.fast_paths = True
+    def world(grp):
+        scheme = AbsScheme(grp)
+        rng = random.Random(SEED + 3)
+        keys = scheme.setup(rng)
+        roles = [f"R{i}" for i in range(n_attrs + 2)]
+        sk = scheme.keygen(keys, roles, rng)
+        policy = or_of_attrs(tuple(roles[:n_attrs]))
+        items = []
+        for k in range(n_items):
+            message = f"record-{k}".encode()
+            sig = scheme.sign(keys.mvk, sk, message, policy, rng)
+            items.append(BatchItem(message=message, policy=policy, signature=sig))
+        return scheme, keys, items
+
+    grp_old, grp = generic_group.GenericGroup(), BN254Group()
+    (scheme_old, keys_old, items_old), (scheme, keys, items) = world(grp_old), world(grp)
+    assert [i.signature.to_bytes() for i in items_old] == [i.signature.to_bytes() for i in items]
+    assert batch_verify_unmerged(scheme_old, keys_old.mvk, items_old)
+    old_s, ops_old = _timed_ops(
+        grp_old, lambda: batch_verify_unmerged(scheme_old, keys_old.mvk, items_old)
+    )
     assert batch_verify(scheme, keys.mvk, items)
     new_s, ops_new = _timed_ops(grp, lambda: batch_verify(scheme, keys.mvk, items))
     return _entry(old_s, new_s, ops_old, ops_new, n_items=n_items, n_attrs=n_attrs)
@@ -263,7 +273,7 @@ def scenario_cold_vo_settle(repeats: int = 3) -> dict:
     AND/OR policies (AND gates give -1 span-program entries) and APS
     entries.  The user's pairing-free checks run once, outside the timing.
     Both arms start cold: the settle arm's authenticator has no memo, and
-    the pairing cache is emptied before every per-entry run.
+    no backend caches pairings.
     """
     grp = BN254Group()
     universe = RoleUniverse(["R0", "R1", "R2", "R3"])
@@ -280,7 +290,6 @@ def scenario_cold_vo_settle(repeats: int = 3) -> dict:
     records, obligations = collect_vo(vo, auth, query, roles)
 
     def per_entry():
-        grp._pair_cache.clear()
         assert find_invalid(auth.scheme, auth.mvk, obligations) == []
 
     def merged():
@@ -304,15 +313,14 @@ def scenario_cold_vo_settle(repeats: int = 3) -> dict:
 
 
 def scenario_multi_pair(counts: tuple[int, ...] = (1, 2, 4, 6), repeats: int = 3) -> dict:
-    """``multi_pair`` over n pairs vs the product of n uncached ``pair()`` calls."""
+    """``multi_pair`` over n pairs vs the product of n ``pair()`` calls."""
     rng = random.Random(SEED + 5)
     scalars = [(rng.randrange(1, 1 << 64), rng.randrange(1, 1 << 64)) for _ in range(max(counts))]
     arms = {}
     for n in counts:
-        # The old arm has fast_paths off, so pair() skips its cache and
-        # every repeat runs all n pairings.
-        grp_old, grp_new = BN254Group(), BN254Group()
-        grp_old.fast_paths = False
+        # Every repeat of the old arm runs all n pairings, one final
+        # exponentiation each.
+        grp_old, grp_new = generic_group.GenericGroup(), BN254Group()
         old_pairs = [(grp_old.g1**a, grp_old.g2**b) for a, b in scalars[:n]]
         new_pairs = [(grp_new.g1**a, grp_new.g2**b) for a, b in scalars[:n]]
 
@@ -352,9 +360,9 @@ def scenario_envelope(
         for size in sizes:
             payload = rng.randbytes(size)
             # Every miss-arm response carries a fresh envelope, so each
-            # timed open gets its own (a re-opened one would hit the pairing
-            # cache).  The first seal builds the fixed-base combs; the hit
-            # arm's first seal and open fill its cache and memo.
+            # timed open gets its own.  The first seal builds the
+            # fixed-base combs; the hit arm's first seal and open fill its
+            # cache and memo.
             cache, memo = BoundedMemo(1), BoundedMemo(1)
             decrypt_envelope(
                 scheme, sk, encrypt_for_roles(scheme, keys.public, roles, payload, rng, cache),

@@ -461,10 +461,7 @@ def adversarial_subdrills(owner, tables, user, client) -> list:
         ].query_range(TABLE, sub.lo, sub.hi)
 
     def merge(answer_list):
-        return verify_sharded(
-            tables.roster, query, answer_list,
-            user.group, user.universe, user.credentials.mvk,
-        )
+        return verify_sharded(tables.roster, query, answer_list, user.authenticator)
 
     # A coordinator silently dropping one shard's VO.
     try:

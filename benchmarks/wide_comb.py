@@ -151,7 +151,7 @@ class WideCombGroup(BN254Group):
         return lambda e: GroupElement(self, base.kind, point_cls(comb.mul(e)))
 
     def _multi_pow(self, kind, bases, exponents):
-        if kind == GT or not self.fast_paths:
+        if kind == GT:
             return super()._multi_pow(kind, bases, exponents)
         kept = [(b, e % CURVE_ORDER) for b, e in zip(bases, exponents)]
         kept = [(b, e) for b, e in kept if e and not b.value.is_identity]

@@ -84,10 +84,10 @@ print(f"[user] verified inventory now: {sorted(r.value.decode() for r in records
 # -- 5. freshness: the stale snapshot is rejected -----------------------------
 token_old = issue_token(owner.signer, "inventory", epoch=100, rng=rng)
 token_new = issue_token(owner.signer, "inventory", epoch=112, rng=rng)
-verify_token(group, universe, owner.mvk, token_new, now_epoch=112, max_age=5)
+verify_token(auth, token_new, now_epoch=112, max_age=5)
 print("[user] current freshness token accepted")
 try:
-    verify_token(group, universe, owner.mvk, token_old, now_epoch=112, max_age=5)
+    verify_token(auth, token_old, now_epoch=112, max_age=5)
     raise SystemExit("BUG: stale token accepted")
 except VerificationError as exc:
     print(f"[user] stale snapshot rejected: {exc}")

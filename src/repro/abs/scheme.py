@@ -184,15 +184,12 @@ class AbsScheme:
     def _message_base_powers(self, mvk: AbsVerificationKey, tau: bytes, message: bytes):
         """``e -> (C g^hash)^e``, the power oracle of the message base.
 
-        ``C g^hash`` is fresh per signature (``tau`` is random), so with
-        fast paths on its powers split as ``C^e * g^(hash * e)``: one
-        multi-exponentiation, which runs as one shared scan of the two
-        *persistent* combs of ``C`` and ``g`` once they are built.
+        ``C g^hash`` is fresh per signature (``tau`` is random), so its
+        powers split as ``C^e * g^(hash * e)``: one multi-exponentiation,
+        which runs as one shared scan of the two *persistent* combs of
+        ``C`` and ``g`` once they are built.
         """
         grp = self.group
-        if not grp.fast_paths:
-            cg = self._message_base(mvk, tau, message)
-            return lambda e: cg**e
         h = self.message_hash(tau, message)
         order = grp.order
         return lambda e: grp.multi_pow((mvk.c, mvk.g), (e, h * e % order))

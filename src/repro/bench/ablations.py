@@ -114,7 +114,7 @@ def run_ablation_verification(
     """A3: naive vs batched (one merged pairing product) verification."""
     group = get_backend(backend)
     rng = random.Random(43)
-    from repro.abs.batch import BatchItem, batch_verify
+    from repro.abs.batch import BatchItem, batch_verify, find_invalid
     from repro.abs.scheme import AbsScheme
     from repro.policy.boolexpr import or_of_attrs
 
@@ -129,14 +129,14 @@ def run_ablation_verification(
         roles = [f"R{i}" for i in range(n)]
         sk = scheme.keygen(keys, roles, rng)
         policy = or_of_attrs(roles)
-        sig = scheme.sign(keys.mvk, sk, b"m", policy, rng)
+        item = BatchItem(b"m", policy, scheme.sign(keys.mvk, sk, b"m", policy, rng))
         t0 = time.perf_counter()
         for _ in range(repeats):
-            assert scheme.verify(keys.mvk, b"m", policy, sig)
+            assert not find_invalid(scheme, keys.mvk, [item])
         naive = (time.perf_counter() - t0) / repeats
         t0 = time.perf_counter()
         for _ in range(repeats):
-            assert batch_verify(scheme, keys.mvk, [BatchItem(b"m", policy, sig)])
+            assert batch_verify(scheme, keys.mvk, [item])
         batched = (time.perf_counter() - t0) / repeats
         result.add_row(n, millis(naive), millis(batched), naive / batched)
     return result

@@ -46,7 +46,7 @@ class QueryCost:
     """Averaged per-query costs (the paper's reported metrics).
 
     ``sp_ops``/``user_ops`` carry the logical group-operation counts
-    (mults, pows, pairings, cache hits — see
+    (mults, pows, pairings, memo hits — see
     :class:`repro.crypto.GroupOpStats`) of the SP and user phases, so
     speedups can be traced to the operations saved rather than asserted
     from wall-clock alone.

@@ -20,6 +20,7 @@ import hashlib
 import random
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.abs.batch import BatchItem, verify_or_find_invalid
 from repro.abs.keys import AbsKeyPair, AbsSigningKey, AbsVerificationKey
 from repro.abs.relax import relax
 from repro.abs.scheme import AbsScheme, AbsSignature
@@ -308,15 +309,42 @@ class AppAuthenticator:
             for key in keys:
                 memo.put(key, True, generation)
 
+    def settle_failures(self, items: Sequence[BatchItem]) -> list[int]:
+        """Indexes of the ``items`` whose signatures fail; ``[]`` when all hold.
+
+        The one rule by which the library accepts a signature, in order:
+
+        1. items the verified-entry memo already holds are skipped;
+        2. every cold ``P_j`` must lie in G2, because the merged
+           product's soundness depends on it (``docs/SECURITY.md``);
+        3. the cold items are checked with one merged pairing product;
+        4. only when it fails does per-signature ABS.Verify name the
+           culprits (:func:`~repro.abs.batch.verify_or_find_invalid`).
+
+        On success every checked key is remembered, unless the memo was
+        cleared meanwhile.
+        """
+        generation = self.memo_generation()
+        keys = None if generation is None else [
+            verify_memo_key(item.message, item.policy, item.signature) for item in items
+        ]
+        cold = [i for i in range(len(items)) if keys is None or not self.known(keys[i])]
+        if not cold:
+            return []
+        in_subgroup = self.group.in_subgroup
+        outside = [i for i in cold if not all(in_subgroup(p) for p in items[i].signature.p)]
+        if outside:
+            return outside
+        bad = verify_or_find_invalid(self.scheme, self.mvk, [items[i] for i in cold])
+        if bad:
+            return [cold[i] for i in bad]
+        if keys is not None:
+            self.remember((keys[i] for i in cold), generation)
+        return []
+
     def _verify(self, message: bytes, policy: BoolExpr, signature: AbsSignature) -> bool:
-        """ABS.Verify through the verified-entry memo, when there is one."""
-        memo = self._verify_memo
-        if memo is None:
-            return self.scheme.verify(self.mvk, message, policy, signature)
-        return memo.get_or_make(
-            verify_memo_key(message, policy, signature),
-            lambda: self.scheme.verify(self.mvk, message, policy, signature),
-        )
+        """Whether one signature settles (:meth:`settle_failures`)."""
+        return not self.settle_failures([BatchItem(message, policy, signature)])
 
     def super_policy(self, user_roles, missing_roles: Sequence[str] | None = None) -> BoolExpr:
         """The predicate a user's APS signatures verify under: ``OR(A \\ A)``.

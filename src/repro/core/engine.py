@@ -586,7 +586,7 @@ def _relax_worker_init(backend_name: str, mvk_bytes: bytes,
 
     Rebuilds the process-local group singleton, deserializes the
     verification key, and pre-warms the caches every relax touches
-    (generator + attribute-base Lim-Lee combs, the pairing LRU) so the
+    (generator + attribute-base Lim-Lee combs, e(g1, g2)) so the
     worker's first job runs at steady-state speed.
     """
     from repro.crypto.group import resolve_pickle_backend

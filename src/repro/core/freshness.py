@@ -38,9 +38,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.abs.keys import AbsVerificationKey
-from repro.abs.scheme import AbsScheme, AbsSignature
-from repro.core.app_signature import AppSigner
+from repro.abs.batch import BatchItem
+from repro.abs.scheme import AbsSignature
+from repro.core.app_signature import AppAuthenticator, AppSigner
 from repro.crypto.hashing import hash_bytes
 from repro.errors import (
     DeserializationError,
@@ -50,7 +50,6 @@ from repro.errors import (
 )
 from repro.index.boxes import Box, Point, boxes_cover_exactly
 from repro.policy.boolexpr import or_of_attrs
-from repro.policy.roles import RoleUniverse
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,18 @@ def _epoch_message(tree_id: str, epoch: int) -> bytes:
     return hash_bytes(b"freshness", tree_id, epoch)
 
 
+def _signed_by_owner(
+    authenticator: AppAuthenticator, message: bytes, signature: AbsSignature
+) -> bool:
+    """Whether ``signature`` signs ``message`` under ``OR(universe)``.
+
+    Settled like a VO entry (:meth:`AppAuthenticator.settle_failures`):
+    a signature the caller's verified-entry memo holds costs no pairing.
+    """
+    policy = or_of_attrs(authenticator.universe.roles)
+    return not authenticator.settle_failures([BatchItem(message, policy, signature)])
+
+
 def issue_token(
     signer: AppSigner,
     tree_id: str,
@@ -105,9 +116,7 @@ def issue_token(
 
 
 def verify_token(
-    group,
-    universe: RoleUniverse,
-    mvk: AbsVerificationKey,
+    authenticator: AppAuthenticator,
     token: FreshnessToken,
     now_epoch: int,
     max_age: int,
@@ -115,7 +124,9 @@ def verify_token(
 ) -> None:
     """User side: check a token's signature, binding, and age.
 
-    Raises :class:`VerificationError` on any failure:
+    ``authenticator`` is the caller's own (a user's, so a token it
+    already accepted hits its verified-entry memo).  Raises
+    :class:`VerificationError` on any failure:
 
     * the ABS signature is invalid (token forged);
     * the token names a different tree (cross-table replay);
@@ -135,10 +146,8 @@ def verify_token(
         )
     if age < -max_age:
         raise VerificationError("freshness token is from the future")
-    scheme = AbsScheme(group)
-    policy = or_of_attrs(universe.roles)
-    if not scheme.verify(
-        mvk, _epoch_message(token.tree_id, token.epoch), policy, token.signature
+    if not _signed_by_owner(
+        authenticator, _epoch_message(token.tree_id, token.epoch), token.signature
     ):
         raise VerificationError("freshness token signature invalid")
 
@@ -169,9 +178,7 @@ def sign_ingest_payload(
 
 
 def verify_ingest_payload(
-    group,
-    universe: RoleUniverse,
-    mvk: AbsVerificationKey,
+    authenticator: AppAuthenticator,
     payload: bytes,
     signature_bytes: bytes,
 ) -> None:
@@ -183,10 +190,8 @@ def verify_ingest_payload(
     state.  Malformed signature bytes raise
     :class:`~repro.errors.DeserializationError`.
     """
-    signature = AbsSignature.from_bytes(group, signature_bytes)
-    scheme = AbsScheme(group)
-    policy = or_of_attrs(universe.roles)
-    if not scheme.verify(mvk, _ingest_message(payload), policy, signature):
+    signature = AbsSignature.from_bytes(authenticator.group, signature_bytes)
+    if not _signed_by_owner(authenticator, _ingest_message(payload), signature):
         raise VerificationError(
             "ingest frame signature does not verify under the DO's key"
         )
@@ -349,9 +354,7 @@ def issue_roster_token(
 
 
 def verify_roster_token(
-    group,
-    universe: RoleUniverse,
-    mvk: AbsVerificationKey,
+    authenticator: AppAuthenticator,
     roster: ShardRoster,
     token: FreshnessToken,
     now_version: Optional[int] = None,
@@ -370,7 +373,7 @@ def verify_roster_token(
             f"{roster.version}"
         )
     verify_token(
-        group, universe, mvk, token,
+        authenticator, token,
         now_epoch=roster.version if now_version is None else now_version,
         max_age=max_age,
         expected_tree_id=roster.binding_id(),
@@ -398,9 +401,7 @@ def issue_shard_token(
 
 
 def check_shard_token(
-    group,
-    universe: RoleUniverse,
-    mvk: AbsVerificationKey,
+    authenticator: AppAuthenticator,
     roster: ShardRoster,
     shard_id: str,
     token: Optional[FreshnessToken],
@@ -429,7 +430,7 @@ def check_shard_token(
             f"{descriptor.epoch} (stale or rolled-back shard)"
         )
     verify_token(
-        group, universe, mvk, token,
+        authenticator, token,
         now_epoch=descriptor.epoch, max_age=0, expected_tree_id=expected_tree,
     )
 

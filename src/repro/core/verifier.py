@@ -12,8 +12,10 @@ check that needs no pairing — query containment, policy evaluation,
 tiling, join pairing-up — and turns each entry into an
 :class:`Obligation`: message, claim predicate, signature and the region
 it vouches for.  :func:`settle` then checks all of a VO's obligations
-with one merged pairing product (:func:`repro.abs.batch.batch_verify`),
-skipping those the user's verified-entry memo already holds.
+through :meth:`AppAuthenticator.settle_failures
+<repro.core.app_signature.AppAuthenticator.settle_failures>`: one merged
+pairing product, skipping those the user's verified-entry memo already
+holds.
 
 Raises :class:`SoundnessError` / :class:`CompletenessError`; returns the
 verified accessible records.
@@ -33,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.abs.batch import BatchItem, verify_or_find_invalid
-from repro.core.app_signature import AppAuthenticator, verify_memo_key
+from repro.abs.batch import BatchItem
+from repro.core.app_signature import AppAuthenticator
 from repro.core.freshness import (
     FreshnessToken,
     ShardRoster,
@@ -129,47 +131,10 @@ def collect_vo(
     return [record for _entry, record in accessible], obligations
 
 
-def settle_failures(
-    obligations: Sequence[Obligation], authenticator: AppAuthenticator
-) -> list[int]:
-    """Indexes of the obligations that fail; ``[]`` when all hold.
-
-    Obligations the user's verified-entry memo already holds are skipped.
-    The rest are checked with one merged pairing product; only when it
-    fails does per-signature ABS.Verify find the culprits.  Every ``P_j``
-    must lie in G2 first, because the product's soundness depends on it
-    (``docs/SECURITY.md``).  On success every checked key is remembered,
-    unless the memo was cleared meanwhile.
-    """
-    generation = authenticator.memo_generation()
-    keys = None if generation is None else [
-        verify_memo_key(ob.message, ob.policy, ob.signature) for ob in obligations
-    ]
-    cold = [
-        i for i in range(len(obligations)) if keys is None or not authenticator.known(keys[i])
-    ]
-    if not cold:
-        return []
-    in_subgroup = authenticator.group.in_subgroup
-    outside = [
-        i for i in cold if not all(in_subgroup(p) for p in obligations[i].signature.p)
-    ]
-    if outside:
-        return outside
-    bad = verify_or_find_invalid(
-        authenticator.scheme, authenticator.mvk, [obligations[i] for i in cold]
-    )
-    if bad:
-        return [cold[i] for i in bad]
-    if keys is not None:
-        authenticator.remember((keys[i] for i in cold), generation)
-    return []
-
-
 def settle(obligations: Sequence[Obligation], authenticator: AppAuthenticator) -> None:
     """Check every obligation; raise :class:`SoundnessError` naming the first
     failing entry's region."""
-    bad = settle_failures(obligations, authenticator)
+    bad = authenticator.settle_failures(obligations)
     if bad:
         raise SoundnessError(obligations[bad[0]].failure())
 
@@ -311,9 +276,7 @@ def verify_sharded(
     roster: ShardRoster,
     query: Box,
     answers: Sequence[ShardAnswer],
-    group,
-    universe,
-    mvk,
+    authenticator: AppAuthenticator,
     allow_partial: bool = False,
     key=None,
 ):
@@ -381,9 +344,7 @@ def verify_sharded(
             if expected_box is not None:
                 missing_boxes.append(expected_box)
             continue
-        check_shard_token(
-            group, universe, mvk, roster, descriptor.shard_id, answer.token
-        )
+        check_shard_token(authenticator, roster, descriptor.shard_id, answer.token)
         if answer.box != expected_box:
             raise CompletenessError(
                 f"shard {descriptor.shard_id!r} answered for {answer.box}, "

@@ -18,44 +18,30 @@ the real backend byte-for-byte.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Sequence
 
 from repro.crypto.field import CURVE_ORDER
 from repro.crypto.group import (
     ELEMENT_BYTES,
     G1,
-    G2,
-    GT,
     BilinearGroup,
     GroupElement,
     register_pickle_backend,
 )
-from repro.errors import CryptoError, DeserializationError, GroupMismatchError
+from repro.errors import CryptoError, DeserializationError
 
 
 class SimulatedGroup(BilinearGroup):
     """Bilinear-group simulation tracking exponents mod the BN254 order.
 
-    The pairing cache and ``hash_to_g1`` memo mirror
-    :class:`~repro.crypto.group.BN254Group` *counter semantics* exactly
-    (a cache hit bumps only the hit counter, never ``pairings`` /
-    ``h2g1_misses``; both honour :attr:`fast_paths`), so
+    The ``hash_to_g1`` memo and the pairing counters are the base class's,
+    shared with :class:`~repro.crypto.group.BN254Group`, so
     :class:`~repro.crypto.group.GroupOpStats` deltas measured on this
-    backend predict the real backend's cache behaviour op-for-op even
-    though the simulated computations are trivially cheap.
+    backend predict the real backend's op-for-op even though the
+    simulated computations are trivially cheap.
     """
 
     name = "simulated"
-
-    #: Same bounds as BN254Group, so eviction behaviour matches too.
-    PAIR_CACHE_MAX = 1024
-    H2G1_CACHE_MAX = 4096
-
-    def __init__(self):
-        super().__init__()
-        self._pair_cache: "OrderedDict[tuple[int, int], GroupElement]" = OrderedDict()
-        self._h2g1_cache: "OrderedDict[tuple, GroupElement]" = OrderedDict()
 
     @property
     def order(self) -> int:
@@ -100,14 +86,10 @@ class SimulatedGroup(BilinearGroup):
             raise DeserializationError(f"{kind} exponent out of range")
         return GroupElement(self, kind, value)
 
-    # -- fast paths: exponent tracking makes these exact and O(1)/O(n) -------
+    # -- exponent tracking makes these exact and O(1)/O(n) ------------------
     def pow_fixed(self, base: GroupElement, exponent: int) -> GroupElement:
-        # Same O(1) computation either way; honour fast_paths so the op
-        # counters classify the call like the point backends do.
-        if self.fast_paths:
-            self.stats.pows_fixed += 1
-        else:
-            self.stats.pows += 1
+        # No comb to build; count the call as the point backends do.
+        self.stats.pows_fixed += 1
         return GroupElement(self, base.kind, base.value * exponent % CURVE_ORDER)
 
     def _multi_pow(
@@ -118,39 +100,11 @@ class SimulatedGroup(BilinearGroup):
             total += base.value * e
         return GroupElement(self, kind, total % CURVE_ORDER)
 
-    def hash_to_g1(self, *parts) -> GroupElement:
-        if self.fast_paths:
-            cached = self._h2g1_cache.get(parts)
-            if cached is not None:
-                self._h2g1_cache.move_to_end(parts)
-                self.stats.h2g1_hits += 1
-                return cached
-        element = GroupElement(self, G1, self.hash_to_scalar(b"h2g1", *parts))
-        if self.fast_paths:
-            self.stats.h2g1_misses += 1
-            self._h2g1_cache[parts] = element
-            if len(self._h2g1_cache) > self.H2G1_CACHE_MAX:
-                self._h2g1_cache.popitem(last=False)
-        return element
+    def _hash_to_g1(self, *parts) -> GroupElement:
+        return GroupElement(self, G1, self.hash_to_scalar(b"h2g1", *parts))
 
-    def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if a.kind != G1 or b.kind != G2:
-            raise GroupMismatchError("pair() expects (G1, G2)")
-        if not self.fast_paths:
-            self.stats.pairings += 1
-            return GroupElement(self, GT, a.value * b.value % CURVE_ORDER)
-        key = (a.value, b.value)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self._pair_cache.move_to_end(key)
-            self.stats.pair_cache_hits += 1
-            return cached
-        self.stats.pairings += 1
-        out = GroupElement(self, GT, a.value * b.value % CURVE_ORDER)
-        self._pair_cache[key] = out
-        if len(self._pair_cache) > self.PAIR_CACHE_MAX:
-            self._pair_cache.popitem(last=False)
-        return out
+    def _multi_pair(self, pairs) -> int:
+        return sum(a.value * b.value for a, b in pairs) % CURVE_ORDER
 
 
 _DEFAULT: SimulatedGroup | None = None

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 import threading
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Callable, Sequence
 
 from repro.crypto import pairing as _pairing
@@ -73,10 +72,11 @@ class GroupOpStats:
 
     Counts API-level group operations (not field multiplications):
     ``ops`` covers ``*``/``/``, ``pows`` the generic ``**`` path,
-    ``pows_fixed``/``multi_pows`` the precomputed fast paths, and
-    ``pairings`` every pairing evaluated (cache hits excluded — those
-    are the pairings *not* computed).  :mod:`repro.bench.harness`
-    snapshots these around each measured phase.
+    ``pows_fixed``/``multi_pows`` the precomputed paths, and
+    ``pairings`` every pairing evaluated.  No backend caches pairings,
+    so ``pair_cache_hits`` stays 0; it is kept for report readers that
+    look it up.  :mod:`repro.bench.harness` snapshots these around each
+    measured phase.
     """
 
     __slots__ = (
@@ -225,7 +225,7 @@ class BilinearGroup(ABC):
     """Asymmetric (Type-3) bilinear group ``e: G1 x G2 -> GT``.
 
     Besides the naive per-element operators, the interface exposes two
-    precomputation-aware fast paths:
+    precomputation-aware paths:
 
     * :meth:`pow_fixed` — exponentiation backed by a lazily built,
       per-base fixed-base comb table, for the protocol's *fixed* bases
@@ -233,10 +233,10 @@ class BilinearGroup(ABC):
     * :meth:`multi_pow` — one multi-exponentiation for products
       ``prod_i base_i^{e_i}`` (Straus/Pippenger on point backends).
 
-    Both agree exactly with the naive ``**`` path; setting
-    :attr:`fast_paths` to ``False`` routes them (and the backend caches)
-    through the naive implementations for A/B measurement.  All caches
-    and comb tables are per-instance — elements never cross backends.
+    Both agree exactly with the naive ``**`` path.  Every pairing goes
+    through :meth:`multi_pair`; :meth:`pair` is its one-pair case.  The
+    comb tables and the ``hash_to_g1`` memo are per-instance bounded
+    LRUs — elements never cross backends.
     """
 
     name: str = "abstract"
@@ -248,13 +248,16 @@ class BilinearGroup(ABC):
     #: builds 22 (docs/PERFORMANCE.md, "Set-up breakdown").
     COMB_CACHE_MAX = 64
 
+    #: Max memoized ``hash_to_g1`` results (LRU).
+    H2G1_CACHE_MAX = 4096
+
     def __init__(self):
         self._g1 = None
         self._g2 = None
         self._gt = None
         self.stats = GroupOpStats()
-        self.fast_paths = True
-        self._combs: "OrderedDict[tuple, Callable[[int], GroupElement]]" = OrderedDict()
+        self._combs = BoundedMemo(self.COMB_CACHE_MAX)
+        self._h2g1_cache = BoundedMemo(self.H2G1_CACHE_MAX, observe=self._observe_h2g1)
 
     # -- public API ----------------------------------------------------------
     @property
@@ -295,15 +298,14 @@ class BilinearGroup(ABC):
         """One-time warm-up for a freshly spawned worker process.
 
         Builds the generator comb tables and evaluates the canonical GT
-        generator (seeding the pairing cache on backends that have one),
-        so the first real relax job does not pay lazy-initialization
-        cost.  Callers with protocol context (a verification key, an
-        attribute universe) should follow with the richer
-        ``AppAuthenticator.warm_caches()``.
+        generator, so the first real relax job does not pay
+        lazy-initialization cost.  Callers with protocol context (a
+        verification key, an attribute universe) should follow with the
+        richer ``AppAuthenticator.warm_caches()``.
         """
         self.pow_fixed(self.g1, 1)
         self.pow_fixed(self.g2, 1)
-        self.gt  # noqa: B018 — property evaluation seeds the pairing cache
+        self.gt  # noqa: B018 — property evaluation caches e(g1, g2)
 
     def random_scalar(self, rng: random.Random | None = None) -> int:
         """Uniform nonzero scalar in [1, order)."""
@@ -314,22 +316,34 @@ class BilinearGroup(ABC):
         """Deterministically hash values into [1, order)."""
         return hash_to_int(*parts, modulus=self.order, domain=b"repro-scalar")
 
-    @abstractmethod
     def hash_to_g1(self, *parts) -> GroupElement:
-        """Random-oracle style hash into G1 (used by CP-ABE)."""
+        """Random-oracle style hash into G1 (used by CP-ABE).
 
-    @abstractmethod
+        Memoized per input in a bounded LRU (:attr:`H2G1_CACHE_MAX`): the
+        attribute universe CP-ABE hashes is small and static.
+        """
+        return self._h2g1_cache.get_or_make(parts, lambda: self._hash_to_g1(*parts))
+
+    def _observe_h2g1(self, outcome: str) -> None:
+        if outcome == "hit":
+            self.stats.h2g1_hits += 1
+        elif outcome == "miss":
+            self.stats.h2g1_misses += 1
+
     def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        """Bilinear pairing e(a in G1, b in G2) -> GT."""
+        """Bilinear pairing e(a in G1, b in G2) -> GT: the one-pair :meth:`multi_pair`."""
+        return self.multi_pair([(a, b)])
 
     def multi_pair(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> GroupElement:
-        """prod_i e(a_i, b_i); backends may share the final exponentiation."""
-        acc = self.identity(GT)
+        """prod_i e(a_i, b_i) over (G1, G2) pairs; counts ``len(pairs)`` pairings."""
+        pairs = list(pairs)
         for a, b in pairs:
-            acc = acc * self.pair(a, b)
-        return acc
+            if a.kind != G1 or b.kind != G2:
+                raise GroupMismatchError("a pairing expects (G1, G2) arguments")
+        self.stats.pairings += len(pairs)
+        return GroupElement(self, GT, self._multi_pair(pairs))
 
-    # -- precomputation fast paths -------------------------------------------
+    # -- precomputation paths --------------------------------------------------
     def pow_fixed(self, base: GroupElement, exponent: int) -> GroupElement:
         """``base ** exponent`` through a per-base fixed-base comb table.
 
@@ -337,22 +351,15 @@ class BilinearGroup(ABC):
         kept in a per-instance LRU (:attr:`COMB_CACHE_MAX` bases); it
         amortizes after ~2 exponentiations.  Agrees exactly with ``**``.
         """
-        exponent %= self.order
-        if not self.fast_paths:
-            self.stats.pows += 1
-            return self._pow(base, exponent)
         self.stats.pows_fixed += 1
-        key = (base.kind, self._serialize(base))
-        comb = self._combs.get(key)
-        if comb is None:
-            comb = self._make_comb(base)
-            self.stats.combs_built += 1
-            self._combs[key] = comb
-            if len(self._combs) > self.COMB_CACHE_MAX:
-                self._combs.popitem(last=False)
-        else:
-            self._combs.move_to_end(key)
-        return comb(exponent)
+        comb = self._combs.get_or_make(
+            (base.kind, self._serialize(base)), lambda: self._build_comb(base)
+        )
+        return comb(exponent % self.order)
+
+    def _build_comb(self, base: GroupElement) -> Callable[[int], GroupElement]:
+        self.stats.combs_built += 1
+        return self._make_comb(base)
 
     def multi_pow(
         self, bases: Sequence[GroupElement], exponents: Sequence[int]
@@ -445,6 +452,12 @@ class BilinearGroup(ABC):
 
     # -- backend hooks ---------------------------------------------------------
     @abstractmethod
+    def _hash_to_g1(self, *parts) -> GroupElement: ...
+
+    @abstractmethod
+    def _multi_pair(self, pairs: list[tuple[GroupElement, GroupElement]]): ...
+
+    @abstractmethod
     def _generator(self, kind: str) -> GroupElement: ...
 
     @abstractmethod
@@ -469,33 +482,18 @@ class BilinearGroup(ABC):
 class BN254Group(BilinearGroup):
     """The real pairing backend over BN254.
 
-    On top of the generic interface this backend keeps three per-instance
-    caches for the protocol's static work:
-
-    * a bounded LRU pairing cache keyed on the (G1, G2) serializations —
-      the ``e(g, pk)``-style pairs a verifier recomputes per VO entry
-      hit it, and a hit returns the previously computed (bit-identical)
-      GT element without running a Miller loop;
-    * a ``hash_to_g1`` memo — try-and-increment is re-run constantly for
-      the small, bounded attribute universe;
-    * a point-decode memo per group (G1, G2) keyed on the exact encoding —
-      decompression costs a field square root, and a warm client decodes
-      the same signatures and CP-ABE headers on every read.  It stores
-      only successful decodes, so malformed bytes raise on every call.
-
-    All three honour :attr:`fast_paths` and never leak across instances.
+    On top of the generic comb and ``hash_to_g1`` memos this backend keeps
+    a point-decode memo per group (G1, G2) keyed on the exact encoding:
+    decompression costs a field square root, and a warm client decodes
+    the same signatures and CP-ABE headers on every read.  It stores only
+    successful decodes, so malformed bytes raise on every call, and it
+    never leaks across instances.
     """
 
     name = "bn254"
 
-    #: Max cached pairings / hash-to-curve results (LRU).
-    PAIR_CACHE_MAX = 1024
-    H2G1_CACHE_MAX = 4096
-
     def __init__(self):
         super().__init__()
-        self._pair_cache: "OrderedDict[bytes, GroupElement]" = OrderedDict()
-        self._h2g1_cache: "OrderedDict[bytes, GroupElement]" = OrderedDict()
         self._decode_memos = {
             kind: BoundedMemo(DECODE_MEMO_SIZE, observe=_observe_decode) for kind in (G1, G2)
         }
@@ -512,7 +510,7 @@ class BN254Group(BilinearGroup):
     def _multi_pow(
         self, kind: str, bases: Sequence[GroupElement], exponents: Sequence[int]
     ) -> GroupElement:
-        if kind == GT or not self.fast_paths:
+        if kind == GT:
             return super()._multi_pow(kind, bases, exponents)
         ops, cls = _POINT_KINDS[kind]
         kept = [
@@ -604,7 +602,7 @@ class BN254Group(BilinearGroup):
         by an unchecked decode can never stand in for the check.
         """
         memo = self._decode_memos.get(kind)
-        if memo is None or check_subgroup or not self.fast_paths:
+        if memo is None or check_subgroup:
             return self._decode(kind, data, check_subgroup)
         data = bytes(data)
         return memo.get_or_make(data, lambda: self._decode(kind, data, check_subgroup))
@@ -634,31 +632,11 @@ class BN254Group(BilinearGroup):
         except CryptoError as exc:
             raise DeserializationError(str(exc)) from exc
 
-    def hash_to_g1(self, *parts) -> GroupElement:
-        """Try-and-increment hash to the curve (G1 cofactor is 1).
-
-        Results are memoized per seed (bounded LRU): the attribute
-        universe hashed by CP-ABE is small and static, while each
-        try-and-increment run costs several field square roots.
-        """
-        seed = hash_bytes(b"repro-h2c", *parts)
-        if self.fast_paths:
-            cached = self._h2g1_cache.get(seed)
-            if cached is not None:
-                self._h2g1_cache.move_to_end(seed)
-                self.stats.h2g1_hits += 1
-                return cached
-        element = self._hash_to_g1_uncached(seed)
-        if self.fast_paths:
-            self.stats.h2g1_misses += 1
-            self._h2g1_cache[seed] = element
-            if len(self._h2g1_cache) > self.H2G1_CACHE_MAX:
-                self._h2g1_cache.popitem(last=False)
-        return element
-
-    def _hash_to_g1_uncached(self, seed: bytes) -> GroupElement:
+    def _hash_to_g1(self, *parts) -> GroupElement:
+        """Try-and-increment hash to the curve (G1 cofactor is 1)."""
         from repro.crypto.field import fp_sqrt
 
+        seed = hash_bytes(b"repro-h2c", *parts)
         counter = 0
         while True:
             x = hash_to_int(seed, counter, modulus=FIELD_MODULUS, domain=b"repro-h2c-x")
@@ -670,33 +648,8 @@ class BN254Group(BilinearGroup):
                 return GroupElement(self, G1, PointG1((x, y)))
             counter += 1
 
-    def pair(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if a.kind != G1 or b.kind != G2:
-            raise GroupMismatchError("pair() expects (G1, G2)")
-        if not self.fast_paths:
-            self.stats.pairings += 1
-            return GroupElement(self, GT, _pairing.pairing(a.value, b.value))
-        key = a.value.to_bytes() + b.value.to_bytes()
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            self._pair_cache.move_to_end(key)
-            self.stats.pair_cache_hits += 1
-            return cached
-        self.stats.pairings += 1
-        out = GroupElement(self, GT, _pairing.pairing(a.value, b.value))
-        self._pair_cache[key] = out
-        if len(self._pair_cache) > self.PAIR_CACHE_MAX:
-            self._pair_cache.popitem(last=False)
-        return out
-
-    def multi_pair(self, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> GroupElement:
-        pairs = list(pairs)
-        for a, b in pairs:
-            if a.kind != G1 or b.kind != G2:
-                raise GroupMismatchError("multi_pair() expects (G1, G2) pairs")
-        self.stats.pairings += len(pairs)
-        value = _pairing.multi_pairing((a.value, b.value) for a, b in pairs)
-        return GroupElement(self, GT, value)
+    def _multi_pair(self, pairs):
+        return _pairing.multi_pairing((a.value, b.value) for a, b in pairs)
 
 
 class _PointComb:

@@ -381,10 +381,7 @@ class ServerIngest:
             # Journal entries were verified at append time, so replay
             # does not (and, key-less, could not re-)sign-check them.
             try:
-                verify_ingest_payload(
-                    self.group, self.provider.universe,
-                    self.provider.authenticator.mvk, payload, signature_bytes,
-                )
+                verify_ingest_payload(self.provider.authenticator, payload, signature_bytes)
             except VerificationError:
                 _M_INGEST.inc(outcome="auth_failed")
                 raise
@@ -927,9 +924,8 @@ class FreshnessGuard:
                 f"response for table {self.table!r} carries no freshness token"
             )
         verify_token(
-            self.user.group, self.user.universe, self.user.credentials.mvk,
-            token, now_epoch=int(self.now_epoch()), max_age=self.max_age,
-            expected_tree_id=self.table,
+            self.user.authenticator, token, now_epoch=int(self.now_epoch()),
+            max_age=self.max_age, expected_tree_id=self.table,
         )
         records = self.user.verify(response)
         self.last_epoch = token.epoch

@@ -306,8 +306,7 @@ class _ShardUser:
 
     def verify(self, response) -> ShardAnswer:
         check_shard_token(
-            self.user.group, self.user.universe, self.user.credentials.mvk,
-            self.roster, self.shard_id, response.freshness,
+            self.user.authenticator, self.roster, self.shard_id, response.freshness
         )
         records = self.user.verify(response)
         return ShardAnswer(
@@ -366,10 +365,7 @@ class ShardedClient:
         scatter_retries: int = 1,
         cluster_options: Optional[dict] = None,
     ):
-        verify_roster_token(
-            user.group, user.universe, user.credentials.mvk, roster,
-            roster_token,
-        )
+        verify_roster_token(user.authenticator, roster, roster_token)
         expected_ids = {d.shard_id for d in roster.shards}
         if set(transports) != expected_ids:
             raise ReproError(
@@ -413,10 +409,7 @@ class ShardedClient:
         partition bounds must match the roster being replaced — a
         repartition is a different deployment, not a refresh.
         """
-        verify_roster_token(
-            self.user.group, self.user.universe, self.user.credentials.mvk,
-            roster, roster_token,
-        )
+        verify_roster_token(self.user.authenticator, roster, roster_token)
         if roster.table != self.roster.table:
             raise ReproError(
                 f"roster refresh changes the table: {self.roster.table!r} -> "
@@ -571,8 +564,7 @@ class ShardedClient:
         merge_t0 = time.perf_counter()
         try:
             result = verify_sharded(
-                self.roster, query, list(answers.values()),
-                self.user.group, self.user.universe, self.user.credentials.mvk,
+                self.roster, query, list(answers.values()), self.user.authenticator,
                 allow_partial=self.allow_partial, key=key,
             )
         except CompletenessError as exc:

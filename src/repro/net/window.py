@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.core.verifier import collect_vo, settle, settle_failures
+from repro.core.verifier import collect_vo, settle
 from repro.errors import ReproError, SoundnessError
 from repro.obs import metrics as _metrics
 
@@ -148,7 +148,7 @@ class VerificationWindow:
 
     def _settle(self, items: list, responses: list[_PendingResponse],
                 trigger: str) -> int:
-        bad = settle_failures(items, self.user.authenticator)
+        bad = self.user.authenticator.settle_failures(items)
         if bad:
             self.failures += 1
             _M_WINDOW.inc(trigger=trigger, outcome="invalid")

@@ -13,7 +13,7 @@ The dominant SP cost for range/join queries is the batch of independent
   - ``backend="process"`` — a **persistent, spawn-safe process pool**.
     Function and items must be picklable; each worker runs a one-time
     ``initializer`` (e.g. rebuilding the bilinear-group singleton and
-    pre-warming its comb/pairing caches) and then serves jobs for the
+    pre-warming its comb tables) and then serves jobs for the
     life of the interpreter.  This is the backend that makes cold
     ``ABS.Relax`` batches actually scale with cores.
 

@@ -51,8 +51,7 @@ def fetch(provider, user, rng):
 
 def check(user, token, now_epoch):
     verify_token(
-        user.group, user.universe, user.credentials.mvk, token,
-        now_epoch=now_epoch, max_age=0, expected_tree_id=TABLE,
+        user.authenticator, token, now_epoch=now_epoch, max_age=0, expected_tree_id=TABLE
     )
 
 
@@ -92,8 +91,7 @@ def test_rotation_interleaved_with_upsert_and_delete(any_group):
     # fails for any other tree id.
     with pytest.raises(VerificationError, match="expected"):
         verify_token(
-            user.group, user.universe, user.credentials.mvk, token3,
-            now_epoch=3, max_age=0, expected_tree_id="other",
+            user.authenticator, token3, now_epoch=3, max_age=0, expected_tree_id="other"
         )
 
 

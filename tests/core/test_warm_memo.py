@@ -351,14 +351,6 @@ def test_decode_memo_returns_the_decoded_element_and_stays_bounded():
     assert again is not first and again == first
 
 
-def test_fast_paths_off_bypasses_the_decode_memo():
-    group = BN254Group()
-    group.fast_paths = False
-    data = group.g1.to_bytes()
-    assert group.deserialize(G1, data) is not group.deserialize(G1, data)
-    assert len(group._decode_memos[G1]) == 0
-
-
 # -- the verified-entry memo's bound -----------------------------------------
 
 def test_a_subgroup_checked_decode_bypasses_the_decode_memo():
@@ -431,20 +423,20 @@ def test_a_rejected_batch_remembers_nothing(world):
 
 
 def test_a_clear_racing_a_settle_stores_nothing_from_before_it(world, monkeypatch):
-    import repro.core.verifier as verifier_mod
+    import repro.core.app_signature as app_signature_mod
 
     user = _user(world)
     response = _wire_response(world, user, encrypt=False)
-    original = verifier_mod.verify_or_find_invalid
+    original = app_signature_mod.verify_or_find_invalid
 
     def clear_midway(*args):
         _memo(user).clear()
         return original(*args)
 
-    monkeypatch.setattr(verifier_mod, "verify_or_find_invalid", clear_midway)
+    monkeypatch.setattr(app_signature_mod, "verify_or_find_invalid", clear_midway)
     assert user.verify(response)
     assert len(_memo(user)) == 0
-    monkeypatch.setattr(verifier_mod, "verify_or_find_invalid", original)
+    monkeypatch.setattr(app_signature_mod, "verify_or_find_invalid", original)
     user.verify(response)
     assert len(_memo(user)) == len(response.vo.entries)
 

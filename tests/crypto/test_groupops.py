@@ -1,20 +1,25 @@
 """GroupOpStats semantics and backend counter parity.
 
 The metrics registry's per-backend series are only meaningful if both
-backends count the same events the same way: a cache hit must bump the
-hit counter *instead of* the work counter, ``fast_paths=False`` must
-route everything through the naive counters, and per-thread deltas must
-merge back losslessly.  These tests pin that contract.
+backends count the same events the same way: every pairing counts, a
+memo hit must bump the hit counter *instead of* the work counter, and
+per-thread deltas must merge back losslessly.  These tests pin that
+contract.
 """
 
 import random
 
 import pytest
 
+from repro.abs.batch import BatchItem
+from repro.core.app_signature import AppAuthenticator
+from repro.core.system import DataOwner
 from repro.crypto.fastgroup import SimulatedGroup
 from repro.crypto.group import BN254Group, GroupOpStats
 from repro.errors import CryptoError
 from repro.parallel import parallel_map
+from repro.policy.boolexpr import or_of_attrs
+from repro.policy.roles import RoleUniverse
 
 
 # -- reset / snapshot / merge --------------------------------------------------
@@ -90,27 +95,41 @@ def test_per_thread_deltas_merge_to_serial_totals():
 
 @pytest.mark.parametrize("backend_cls", [SimulatedGroup, BN254Group])
 def test_pair_cache_hit_counts_hit_not_pairing(backend_cls):
+    """A re-checked signature is served by the verified-entry memo.
+
+    The memo is the only cache in front of the pairings: the second
+    settle of the same signature runs no pairing, and no backend counts
+    a pairing-level hit.
+    """
     group = backend_cls()
-    a, b = group.g1 ** 7, group.g2 ** 9
+    universe = RoleUniverse(["R0", "R1"])
+    owner = DataOwner(group, universe, rng=random.Random(31))
+    signer = owner.signer
+    policy = or_of_attrs(universe.roles)
+    signature = signer.scheme.sign(signer.mvk, signer.signing_key, b"msg", policy,
+                                   random.Random(32))
+    auth = AppAuthenticator(group, universe, owner.mvk)
+    auth.enable_verify_memo()
+    items = [BatchItem(b"msg", policy, signature)]
     group.stats.reset()
-    group.pair(a, b)
-    assert group.stats.pairings == 1
+    assert auth.settle_failures(items) == []
+    assert group.stats.pairings > 0
+    cold = group.stats.pairings
+    assert auth.settle_failures(items) == []
+    assert group.stats.pairings == cold, "a memo hit must not run a pairing"
     assert group.stats.pair_cache_hits == 0
-    repeat = group.pair(a, b)
-    assert group.stats.pairings == 1, "a cache hit must not count as a pairing"
-    assert group.stats.pair_cache_hits == 1
-    assert repeat == group.pair(a, b)
 
 
 @pytest.mark.parametrize("backend_cls", [SimulatedGroup, BN254Group])
 def test_pair_without_fast_paths_always_counts_pairings(backend_cls):
+    """No backend caches pairings: a repeat runs again and counts again."""
     group = backend_cls()
-    group.fast_paths = False
     a, b = group.g1 ** 7, group.g2 ** 9
     group.stats.reset()
-    group.pair(a, b)
-    group.pair(a, b)
-    assert group.stats.pairings == 2
+    first = group.pair(a, b)
+    assert group.pair(a, b) == first
+    assert group.multi_pair([(a, b), (a, b)]) == first * first
+    assert group.stats.pairings == 4
     assert group.stats.pair_cache_hits == 0
 
 
@@ -130,35 +149,23 @@ def test_h2g1_memo_hit_miss_counters(backend_cls):
 
 
 @pytest.mark.parametrize("backend_cls", [SimulatedGroup, BN254Group])
-def test_h2g1_without_fast_paths_never_memoizes(backend_cls):
+def test_h2g1_memo_is_bounded(backend_cls, monkeypatch):
+    monkeypatch.setattr(backend_cls, "H2G1_CACHE_MAX", 4)
     group = backend_cls()
-    group.fast_paths = False
+    first = group.hash_to_g1(b"role", 0)
+    for i in range(1, 5):
+        group.hash_to_g1(b"role", i)
+    assert len(group._h2g1_cache) == 4
     group.stats.reset()
-    a = group.hash_to_g1(b"role", 1)
-    b = group.hash_to_g1(b"role", 1)
-    assert a == b  # still deterministic
-    assert group.stats.h2g1_hits == 0
-    assert group.stats.h2g1_misses == 0  # naive path counts nothing
+    assert group.hash_to_g1(b"role", 0) == first  # evicted: recomputed, a miss
+    assert (group.stats.h2g1_hits, group.stats.h2g1_misses) == (0, 1)
+    group.hash_to_g1(b"role", 4)  # still held: a hit
+    assert (group.stats.h2g1_hits, group.stats.h2g1_misses) == (1, 1)
 
 
 def test_cache_bounds_match_between_backends():
-    assert SimulatedGroup.PAIR_CACHE_MAX == BN254Group.PAIR_CACHE_MAX
     assert SimulatedGroup.H2G1_CACHE_MAX == BN254Group.H2G1_CACHE_MAX
-
-
-def test_pair_cache_eviction_is_bounded():
-    group = SimulatedGroup()
-    group.PAIR_CACHE_MAX = 4
-    g2 = group.g2
-    for i in range(1, 8):
-        group.pair(group.g1 ** i, g2)
-    assert len(group._pair_cache) == 4
-    group.stats.reset()
-    group.pair(group.g1 ** 1, g2)  # evicted: recomputed, not a hit
-    assert group.stats.pairings == 1
-    assert group.stats.pair_cache_hits == 0
-    group.pair(group.g1 ** 7, g2)  # most recent: still cached
-    assert group.stats.pair_cache_hits == 1
+    assert SimulatedGroup.COMB_CACHE_MAX == BN254Group.COMB_CACHE_MAX
 
 
 def test_simulated_backend_workload_counter_trace_matches_bn254():

@@ -8,7 +8,8 @@ width-6 comb with generic (``FieldOps``-dispatched) point arithmetic;
 however the kernels, combs or dispatch change, the encoded elements must
 not move a bit.  Each signing case runs three ways: on a cold group (no
 comb tables yet), on a group whose fixed bases already have combs (as a
-warmed ``AppAuthenticator`` does), and with ``fast_paths`` off.
+warmed ``AppAuthenticator`` does), and ``naive``: on ``TextbookGroup``,
+whose ``pow_fixed`` and ``multi_pow`` are textbook double-and-add.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from repro.abs.relax import relax
 from repro.abs.scheme import AbsScheme
 from repro.crypto.group import BN254Group
 from repro.policy.boolexpr import parse_policy
+from tests.crypto.textbook import TextbookGroup
 
 ROLES = ("R0", "R1", "R2", "R3", "R4", "R5")
 
@@ -67,9 +69,7 @@ def _warm(grp, keys, sk):
 
 
 def _group(mode):
-    grp = BN254Group()
-    grp.fast_paths = mode != "naive"
-    return grp
+    return TextbookGroup() if mode == "naive" else BN254Group()
 
 
 def _key_bytes(sk):

@@ -194,8 +194,7 @@ def test_coordinator_dropping_a_shard_vo_is_completeness_error(world):
     kept = [a for sid, a in answers.items() if sid != "shard1"]
     with pytest.raises(CompletenessError, match="shard1"):
         verify_sharded(
-            tables.roster, query, kept,
-            user.group, user.universe, user.credentials.mvk,
+            tables.roster, query, kept, user.authenticator,
         )
 
 
@@ -204,8 +203,7 @@ def test_coordinator_duplicating_a_shard_is_verification_error(world):
     doubled = list(answers.values()) + [answers["shard0"]]
     with pytest.raises(VerificationError, match="duplicate"):
         verify_sharded(
-            tables.roster, query, doubled,
-            user.group, user.universe, user.credentials.mvk,
+            tables.roster, query, doubled, user.authenticator,
         )
 
 
@@ -231,8 +229,7 @@ def test_genuinely_signed_stale_shard_token_is_rejected(world):
     )
     with pytest.raises(VerificationError, match="stale or rolled-back"):
         verify_sharded(
-            tables.roster, query, list(answers.values()),
-            user.group, user.universe, user.credentials.mvk,
+            tables.roster, query, list(answers.values()), user.authenticator,
         )
 
 
@@ -247,8 +244,7 @@ def test_rerouted_shard_answer_is_rejected(world):
     )
     with pytest.raises(VerificationError, match="shard token names"):
         verify_sharded(
-            tables.roster, query, [forged, answers["shard1"]],
-            user.group, user.universe, user.credentials.mvk,
+            tables.roster, query, [forged, answers["shard1"]], user.authenticator,
         )
 
 
@@ -264,8 +260,7 @@ def test_narrowed_shard_box_is_completeness_error(world):
     rest = [a for sid, a in answers.items() if sid != "shard0"]
     with pytest.raises(CompletenessError):
         verify_sharded(
-            tables.roster, query, [narrowed] + rest,
-            user.group, user.universe, user.credentials.mvk,
+            tables.roster, query, [narrowed] + rest, user.authenticator,
         )
 
 
