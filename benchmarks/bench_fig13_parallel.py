@@ -8,7 +8,7 @@ DESIGN.md, Substitution 4).
 from conftest import save_report
 
 from repro.bench.experiments import run_fig13
-from repro.parallel import MakespanSimulator, parallel_map
+from repro.parallel import MakespanSimulator
 
 
 def test_makespan_scheduler(benchmark):
@@ -16,12 +16,6 @@ def test_makespan_scheduler(benchmark):
     results = benchmark(lambda: sim.sweep((1, 2, 4, 8, 16, 32)))
     assert results[0].speedup == 1.0
     assert results[-1].speedup > 1.0
-
-
-def test_parallel_map_thread_pool(benchmark):
-    items = list(range(256))
-    out = benchmark(lambda: parallel_map(lambda x: x * x, items, workers=4))
-    assert out == [x * x for x in items]
 
 
 def test_fig13_report(benchmark):

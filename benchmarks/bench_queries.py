@@ -1,30 +1,29 @@
 """Microbenchmark for two-phase query serving (engine + SP pool).
 
 Times end-to-end range-query serving on a seeded single-table system and
-writes ``BENCH_queries.json`` at the repo root.  Six arms, crossing the
-materializer's worker count / executor backend with the SP authenticator
-pool's APS-cache state:
+writes ``BENCH_queries.json`` at the repo root.  Four arms, crossing where
+the materializer runs ``ABS.Relax`` with the SP authenticator pool's
+APS-cache state:
 
-* ``serial_cold``   — workers=1, authenticator pool reset before each run;
-* ``parallel_cold`` — thread workers=N, pool reset before each run;
-* ``process_cold``  — process workers=N (persistent spawn pool), pool reset;
-* ``serial_warm`` / ``parallel_warm`` / ``process_warm`` — same, with the
-  pool retained from the matching cold run.
+* ``serial_cold``  — workers=1 (inline), authenticator pool reset before
+  each run;
+* ``process_cold`` — workers=N on the persistent spawn process pool, pool
+  reset before each run;
+* ``serial_warm`` / ``process_warm`` — same, with the pool retained from
+  the matching cold run.
 
 Each arm reports wall-clock plus the engine's per-phase stats
 (``traversal_ms`` / ``relax_ms``, relax invocations, APS cache hits), so
 a speedup is traceable to the ``ABS.Relax`` calls it avoided.  On a
-single-CPU host the cold parallel/process arms track the serial one (the
-GIL serializes thread-backend relax work, and one core caps the process
-pool); the warm arms show the pooled cache's effect, which is
+single-CPU host the cold process arm tracks the serial one (one core caps
+the pool); the warm arms show the pooled cache's effect, which is
 scheduling-independent.  The JSON records the host context (CPU count,
 Python version) next to the numbers so cross-host comparisons stay
 honest.
 
-Two cross-query scenarios ride along: ``relax_dedup`` measures the
+One cross-query scenario rides along: ``relax_dedup`` measures the
 single-flight table collapsing concurrent identical queries onto one
-derivation, and ``verification_window`` measures client-side windowed
-APS batching against per-response verification.
+derivation.
 
 Fast ``test_smoke_*`` functions run in CI (``-m "not slow"``) on the
 simulated backend; the full BN254 comparison behind
@@ -50,7 +49,6 @@ from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
 from repro.crypto import get_backend
 from repro.index.boxes import Domain
-from repro.net.window import VerificationWindow
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
@@ -85,48 +83,36 @@ def build_system(backend: str, num_records: int = 16):
     return universe, owner, sp
 
 
-def _run_arm(sp, rng, workers: int, cold: bool, repeats: int,
-             relax_backend: str = "thread") -> dict:
+def _run_arm(sp, rng, workers: int, cold: bool, repeats: int) -> dict:
     """Best-of-``repeats`` for one arm; cold arms reset the pool each run."""
     best_s = float("inf")
     stats = None
     vo_bytes = 0
-    previous_backend = sp.relax_backend
-    sp.relax_backend = relax_backend
-    try:
-        for _ in range(repeats):
-            if cold:
-                sp._auth_pool.clear()
-            t0 = time.perf_counter()
-            resp = sp.range_query("T", *QUERY, USER_ROLES, rng=rng, workers=workers)
-            elapsed = time.perf_counter() - t0
-            if elapsed < best_s:
-                best_s = elapsed
-                stats = resp.stats
-                vo_bytes = resp.byte_size()
-    finally:
-        sp.relax_backend = previous_backend
+    for _ in range(repeats):
+        if cold:
+            sp._auth_pool.clear()
+        t0 = time.perf_counter()
+        resp = sp.range_query("T", *QUERY, USER_ROLES, rng=rng, workers=workers)
+        elapsed = time.perf_counter() - t0
+        if elapsed < best_s:
+            best_s = elapsed
+            stats = resp.stats
+            vo_bytes = resp.byte_size()
     entry = {"seconds": round(best_s, 6), "vo_bytes": vo_bytes}
     entry.update(stats.as_dict())
     return entry
 
 
-def scenario_query_serving(backend: str, workers: int = 4, repeats: int = 2) -> dict:
-    """The six-arm serial/thread/process x cold/warm comparison."""
+def scenario_query_serving(backend: str, workers: int = 2, repeats: int = 2) -> dict:
+    """The four-arm serial/process x cold/warm comparison."""
     universe, owner, sp = build_system(backend)
     rng = random.Random(SEED + 1)
     arms = {}
     # Cold arms first; each leaves the pool warm for the matching warm arm.
     arms["serial_cold"] = _run_arm(sp, rng, workers=1, cold=True, repeats=repeats)
     arms["serial_warm"] = _run_arm(sp, rng, workers=1, cold=False, repeats=repeats)
-    arms["parallel_cold"] = _run_arm(sp, rng, workers=workers, cold=True, repeats=repeats)
-    arms["parallel_warm"] = _run_arm(sp, rng, workers=workers, cold=False, repeats=repeats)
-    arms["process_cold"] = _run_arm(
-        sp, rng, workers=workers, cold=True, repeats=repeats, relax_backend="process"
-    )
-    arms["process_warm"] = _run_arm(
-        sp, rng, workers=workers, cold=False, repeats=repeats, relax_backend="process"
-    )
+    arms["process_cold"] = _run_arm(sp, rng, workers=workers, cold=True, repeats=repeats)
+    arms["process_warm"] = _run_arm(sp, rng, workers=workers, cold=False, repeats=repeats)
 
     # Sanity: the served VO verifies for the benchmark user.
     user = QueryUser(owner.group, universe, owner.register_user(USER_ROLES))
@@ -196,57 +182,12 @@ def scenario_relax_dedup(backend: str, concurrency: int = 3) -> dict:
     }
 
 
-def scenario_verification_window(backend: str, num_queries: int = 4) -> dict:
-    """Client-side windowed APS batching vs per-response verification.
-
-    The same ``num_queries`` disjoint range responses are verified twice:
-    once per response (each carries its own merged batch check), once
-    through a :class:`VerificationWindow` sized to the whole set (one
-    merged check for all of them at flush).
-    """
-    universe, owner, sp = build_system(backend)
-    user = QueryUser(owner.group, universe, owner.register_user(USER_ROLES))
-    lo, hi = QUERY[0][0], QUERY[1][0]
-    step = (hi - lo + 1) // num_queries
-    responses = [
-        sp.range_query(
-            "T", (lo + i * step,), (lo + (i + 1) * step - 1,), USER_ROLES,
-            rng=random.Random(SEED + 20 + i),
-        )
-        for i in range(num_queries)
-    ]
-
-    t0 = time.perf_counter()
-    for resp in responses:
-        user.verify(resp)
-    per_response_s = time.perf_counter() - t0
-
-    # A second user: the first one's verified-entry memo now holds every entry.
-    cold_user = QueryUser(owner.group, universe, owner.register_user(USER_ROLES))
-    window = VerificationWindow(cold_user, size=num_queries)
-    t0 = time.perf_counter()
-    for resp in responses:
-        window.verify(resp)
-    window.flush()
-    windowed_s = time.perf_counter() - t0
-    return {
-        "backend": backend,
-        "num_queries": num_queries,
-        "window_size": num_queries,
-        "per_response_seconds": round(per_response_s, 6),
-        "windowed_seconds": round(windowed_s, 6),
-        "responses_settled": window.settled,
-        "speedup": round(per_response_s / windowed_s, 3) if windowed_s else None,
-    }
-
-
 def host_context() -> dict:
     """The context any cross-host speedup claim needs next to the numbers."""
     return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "relax_backends": ["thread", "process"],
     }
 
 
@@ -259,7 +200,6 @@ def run_benchmarks() -> dict:
         "scenarios": {
             "query_serving_bn254": scenario_query_serving("bn254"),
             "relax_dedup_bn254": scenario_relax_dedup("bn254"),
-            "verification_window_bn254": scenario_verification_window("bn254"),
         },
     }
 
@@ -291,22 +231,17 @@ def main() -> None:
 
 # -- pytest entry points ------------------------------------------------
 def test_smoke_query_serving_arms():
-    """CI smoke: all six arms run on the simulated backend; warm arms
+    """CI smoke: all four arms run on the simulated backend; warm arms
     serve every APS from the pooled cache."""
     scenario = scenario_query_serving("simulated", workers=2, repeats=1)
     arms = scenario["arms"]
-    assert set(arms) == {
-        "serial_cold", "serial_warm", "parallel_cold", "parallel_warm",
-        "process_cold", "process_warm",
-    }
+    assert set(arms) == {"serial_cold", "serial_warm", "process_cold", "process_warm"}
     assert arms["serial_cold"]["relax_calls"] > 0
     assert arms["serial_cold"]["aps_cache_hits"] == 0
-    for warm in ("serial_warm", "parallel_warm", "process_warm"):
+    for warm in ("serial_warm", "process_warm"):
         assert arms[warm]["relax_calls"] == 0
         assert arms[warm]["aps_cache_hits"] == arms["serial_cold"]["relax_calls"]
-    assert arms["parallel_cold"]["workers"] == 2
-    assert arms["parallel_cold"]["vo_bytes"] == arms["serial_cold"]["vo_bytes"]
-    assert arms["process_cold"]["backend"] == "process"
+    assert arms["process_cold"]["workers"] == 2
     assert arms["process_cold"]["relax_calls"] == arms["serial_cold"]["relax_calls"]
     assert arms["process_cold"]["vo_bytes"] == arms["serial_cold"]["vo_bytes"]
 
@@ -316,7 +251,6 @@ def test_smoke_host_context_recorded():
     host = host_context()
     assert host["cpu_count"] >= 1
     assert host["python"].count(".") == 2
-    assert host["relax_backends"] == ["thread", "process"]
 
 
 def test_smoke_relax_dedup_scenario():
@@ -328,14 +262,6 @@ def test_smoke_relax_dedup_scenario():
     assert scenario["relax_dedup_hits"] >= 0
     assert scenario["sequential_cold_seconds"] > 0
     assert scenario["concurrent_cold_seconds"] > 0
-
-
-def test_smoke_verification_window_scenario():
-    """CI smoke: the windowed path settles every response it deferred."""
-    scenario = scenario_verification_window("simulated", num_queries=4)
-    assert scenario["responses_settled"] == 4
-    assert scenario["per_response_seconds"] > 0
-    assert scenario["windowed_seconds"] > 0
 
 
 def test_smoke_per_phase_stats_populated():
@@ -358,7 +284,7 @@ def test_full_bench_warm_serving_faster():
     JSON_PATH.write_text(json.dumps(results, indent=2) + "\n")
     scenario = results["scenarios"]["query_serving_bn254"]
     assert scenario["speedups"]["serial_warm_vs_serial_cold"] > 1.5
-    assert scenario["speedups"]["parallel_warm_vs_serial_cold"] > 1.5
+    assert scenario["speedups"]["process_warm_vs_serial_cold"] > 1.5
 
 
 if __name__ == "__main__":

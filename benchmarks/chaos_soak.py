@@ -511,11 +511,11 @@ ACCEPTANCE_SPANS = (
 
 
 def traced_acceptance(client, endpoints):
-    """One process-backend query, end to end, fully assembled and costed.
+    """One process-pool query, end to end, fully assembled and costed.
 
     This is the drill's observability acceptance check: after the chaos
-    schedule has run dry, every live replica is switched to the
-    process-pool relax backend and its warm authenticator pool dropped
+    schedule has run dry, every live replica is switched to two
+    process-pool relax workers and its warm authenticator pool dropped
     (so the query performs real relax work in worker processes), one
     full-range query is issued, and the assembled trace plus its cost
     ledger entry are checked for the shapes operators rely on —
@@ -530,9 +530,8 @@ def traced_acceptance(client, endpoints):
     saved = {}
     for name, endpoint in endpoints.items():
         provider = endpoint.server.server.provider
-        saved[name] = (provider.workers, provider.relax_backend)
+        saved[name] = provider.workers
         provider.workers = 2
-        provider.relax_backend = "process"
         # Drop the pooled authenticators (and their warm APS caches): the
         # drill has run this exact query dozens of times, and a cache-hit
         # answer would leave the pool with nothing to do.
@@ -542,7 +541,7 @@ def traced_acceptance(client, endpoints):
     finally:
         for name, endpoint in endpoints.items():
             provider = endpoint.server.server.provider
-            provider.workers, provider.relax_backend = saved[name]
+            provider.workers = saved[name]
 
     violations = []
     if isinstance(result, PartialResult):

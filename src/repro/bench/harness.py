@@ -53,7 +53,7 @@ class QueryCost:
 
     The SP phase is further split along the two-phase engine's seam:
     ``traversal_seconds`` (crypto-free tree walk) vs. ``relax_seconds``
-    (APS materialization, across ``workers`` threads), plus the APS
+    (APS materialization, inline or on ``workers`` pool processes), plus the APS
     cache hits the materializer scored.
 
     ``registry_delta`` is the measurement's view over the global obs
@@ -204,7 +204,7 @@ def measure_range(
 ) -> QueryCost:
     """Time one range query end-to-end on a prepared setup.
 
-    ``workers`` fans the APS materialization over that many threads;
+    ``workers`` > 1 runs the APS materialization on that many pool processes;
     ``auth`` substitutes a caller-held authenticator (e.g. an SP's
     pooled, APS-cached one) for the setup's default.
     """

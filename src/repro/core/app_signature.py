@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
+import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.abs.batch import BatchItem, verify_or_find_invalid
@@ -41,6 +42,15 @@ _M_INFLIGHT = _REG.counter(
     "concurrent query.",
     labelnames=("outcome",),
 )
+_M_INFLIGHT_FALLBACK = _REG.counter(
+    "repro_relax_inflight_fallback_total",
+    "Foreign in-flight relax waits that fell back to local derivation "
+    "(owner errored or never published).",
+)
+
+#: One relax derivation: the APP signature, the message it covers, and
+#: the predicate it was signed under.
+RelaxRequest = tuple[AbsSignature, bytes, BoolExpr]
 
 #: Accepted verifications a client's verified-entry memo keeps.  The
 #: ``bn254_hot`` benchmark's three users see 23 distinct signatures; a
@@ -98,8 +108,9 @@ class AppAuthenticator:
         #: predicate instead of the full ``A \ A`` — the hierarchical-role
         #: optimization (Section 8.1) plugs in its maximal-missing set here.
         self.missing_override = list(missing_override) if missing_override else None
-        self._aps_cache: "OrderedDict | None" = None
-        self._aps_cache_max = 0
+        self._aps_cache: Optional[BoundedMemo] = None
+        #: Guards the two counters below, which concurrent queries share.
+        self._aps_count_lock = threading.Lock()
         self.aps_cache_hits = 0
         self.aps_cache_misses = 0
         #: Single-flight table for cross-query relax dedup: concurrent
@@ -119,12 +130,10 @@ class AppAuthenticator:
         holds that exact proof); derivations for *different* role sets
         never share cache entries.
         """
-        from collections import OrderedDict
-
-        self._aps_cache = OrderedDict()
-        self._aps_cache_max = maxsize
-        self.aps_cache_hits = 0
-        self.aps_cache_misses = 0
+        self._aps_cache = BoundedMemo(maxsize)
+        with self._aps_count_lock:
+            self.aps_cache_hits = 0
+            self.aps_cache_misses = 0
 
     def disable_aps_cache(self) -> None:
         self._aps_cache = None
@@ -177,8 +186,7 @@ class AppAuthenticator:
             return None
         cached = cache.get(key)
         if cached is not None:
-            cache.move_to_end(key)
-            self.aps_cache_hits += 1
+            self._count_aps(hits=1)
         return cached
 
     def aps_cache_put(self, key: Optional[tuple], aps: AbsSignature) -> None:
@@ -186,10 +194,13 @@ class AppAuthenticator:
         cache = self._aps_cache
         if cache is None or key is None:
             return
-        self.aps_cache_misses += 1
-        cache[key] = aps
-        if len(cache) > self._aps_cache_max:
-            cache.popitem(last=False)
+        self._count_aps(misses=1)
+        cache.put(key, aps, cache.generation)
+
+    def _count_aps(self, hits: int = 0, misses: int = 0) -> None:
+        with self._aps_count_lock:
+            self.aps_cache_hits += hits
+            self.aps_cache_misses += misses
 
     # -- cross-query single-flight dedup -------------------------------------
     def relax_begin(self, key: Optional[tuple]):
@@ -216,6 +227,87 @@ class AppAuthenticator:
             timeout = self.INFLIGHT_WAIT_TIMEOUT
         return self._relax_flights.wait(slot, timeout)
 
+    def derive_batch(
+        self,
+        requests: Sequence[RelaxRequest],
+        missing_roles: Sequence[str],
+        rng: Optional[random.Random] = None,
+        run: Optional[Callable[[list], list]] = None,
+    ) -> tuple[list[AbsSignature], int]:
+        """The APS signature of every request, and the ABS.Relax calls run.
+
+        Every relax derivation of the library goes through here:
+
+        1. a cached APS is reused, and a request repeated within the
+           batch shares its first occurrence's derivation; both count as
+           cache hits;
+        2. every other request claims its in-flight slot: the owner
+           derives it, and a request a concurrent query owns waits for
+           that query's result;
+        3. the owned derivations run: inline in request order on ``rng``
+           when ``run`` is ``None``, else ``run(jobs)`` is handed
+           ``(request, seed)`` pairs, with seeds drawn from ``rng`` in
+           request order, and returns their APS signatures in order;
+        4. owned results are cached and published before any foreign
+           flight is awaited, so two batches never wait on each other.
+           A flight whose owner failed or timed out is derived locally.
+        """
+        out: list = [None] * len(requests)
+        sharing: dict[tuple, list[int]] = {}
+        owned: list = []
+        foreign: list = []
+        for index, (signature, message, _policy) in enumerate(requests):
+            key = self.aps_cache_key(signature, message, missing_roles)
+            if key is not None:
+                cached = self.aps_cache_get(key)
+                if cached is not None:
+                    out[index] = cached
+                    continue
+                if key in sharing:
+                    sharing[key].append(index)
+                    self._count_aps(hits=1)
+                    continue
+                sharing[key] = [index]
+            seed = rng.getrandbits(64) if run is not None and rng is not None else None
+            slot, owner = self.relax_begin(key)
+            (owned if owner else foreign).append((key, slot, index, seed))
+        try:
+            if run is None:
+                results = [self._relax(requests[index], missing_roles, rng)
+                           for _key, _slot, index, _seed in owned]
+            else:
+                results = run([(requests[index], seed) for _key, _slot, index, seed in owned])
+        except BaseException as exc:
+            for key, slot, _index, _seed in owned:
+                self.relax_publish(key, slot, error=exc)
+            raise
+        for (key, slot, index, _seed), aps in zip(owned, results):
+            self.aps_cache_put(key, aps)
+            self.relax_publish(key, slot, value=aps)
+            for position in sharing.get(key, (index,)):
+                out[position] = aps
+        relaxed = len(owned)
+        for key, slot, index, seed in foreign:
+            try:
+                aps = self.relax_wait(slot)
+            except Exception:
+                # The owning query errored or never published: derive here
+                # rather than fail a query that did nothing wrong.
+                _M_INFLIGHT_FALLBACK.inc()
+                job_rng = random.Random(seed) if seed is not None else rng
+                aps = self._relax(requests[index], missing_roles, job_rng)
+                relaxed += 1
+                self.aps_cache_put(key, aps)
+            for position in sharing[key]:
+                out[position] = aps
+        return out, relaxed
+
+    def _relax(self, request: RelaxRequest, missing_roles: Sequence[str],
+               rng: Optional[random.Random]) -> AbsSignature:
+        signature, message, policy = request
+        aps, _ = relax(self.scheme, self.mvk, signature, message, policy, missing_roles, rng)
+        return aps
+
     def derive_aps(
         self,
         signature: AbsSignature,
@@ -225,30 +317,7 @@ class AppAuthenticator:
         rng: Optional[random.Random] = None,
     ) -> AbsSignature:
         """ABS.Relax an APP signature to the super policy ``OR(missing_roles)``."""
-        key = self.aps_cache_key(signature, message, missing_roles)
-        cached = self.aps_cache_get(key)
-        if cached is not None:
-            return cached
-        slot, owner = self.relax_begin(key)
-        if not owner:
-            try:
-                return self.relax_wait(slot)
-            except Exception:
-                # Owner errored or never published; fall through and
-                # derive locally — correctness over dedup.
-                pass
-        try:
-            aps, _ = relax(
-                self.scheme, self.mvk, signature, message, policy, missing_roles, rng
-            )
-        except BaseException as exc:
-            if owner:
-                self.relax_publish(key, slot, error=exc)
-            raise
-        self.aps_cache_put(key, aps)
-        if owner:
-            self.relax_publish(key, slot, value=aps)
-        return aps
+        return self.derive_batch([(signature, message, policy)], missing_roles, rng)[0][0]
 
     def missing_roles_for(self, user_roles) -> list[str]:
         """The super-predicate attribute list used for APS derivation."""

@@ -13,17 +13,17 @@ planner.  This module splits the work into two phases:
 * **Phase 2 — materialization** (:func:`materialize`): turn descriptors
   into VO entries.  Accessible tasks copy the stored APP signature; the
   independent ``ABS.Relax`` derivations (the dominant SP cost, paper
-  Section 8.2) are dispatched through
-  :func:`repro.parallel.parallel_map` with a configurable worker count,
-  after consulting the authenticator's APS cache so repeated proofs are
-  never re-derived.
+  Section 8.2) go through the authenticator's one relax bookkeeping
+  (APS cache, in-batch dedup, cross-query single flight), which runs the
+  derivations it owns inline or on the process pool of
+  :func:`repro.parallel.parallel_map`.
 
-With ``workers=1`` and a shared ``rng`` the materializer consumes
-randomness in task order, making its output byte-identical to the
+With ``workers=1`` the owned derivations run inline and consume the
+shared ``rng`` in task order, making the output byte-identical to the
 historical single-phase builders (golden-tested).  With ``workers > 1``
 each relax job gets an independent seed pre-drawn in task order, so the
 output is deterministic for a given seed regardless of scheduling (the
-APS bytes differ from the serial stream, but sizes and validity do not).
+APS bytes differ from the inline stream, but sizes and validity do not).
 """
 
 from __future__ import annotations
@@ -76,15 +76,6 @@ _M_GROUP_OPS = _REG.counter(
     "Group operations charged to engine materialization, by backend and op.",
     labelnames=("backend", "op"),
 )
-
-_M_INFLIGHT_FALLBACK = _REG.counter(
-    "repro_relax_inflight_fallback_total",
-    "Foreign in-flight relax waits that fell back to local derivation "
-    "(owner errored or never published).",
-)
-
-#: Materialization executor backends (``materialize(backend=...)``).
-RELAX_BACKENDS = ("thread", "process")
 
 #: Task kinds (also the keys of :attr:`EngineStats.tasks`).
 ACCESSIBLE_RECORD = "accessible_record"
@@ -159,7 +150,7 @@ def _inaccessible_node(node: IndexNode, table: str) -> ProofTask:
 
 # ----------------------------------------------------------------------
 # Phase 1: crypto-free traversals.  Emission order matches the historical
-# single-phase builders exactly (the serial materializer relies on this
+# single-phase builders exactly (the inline materializer relies on this
 # for byte-identical output).
 # ----------------------------------------------------------------------
 def traverse_equality(
@@ -338,7 +329,6 @@ class EngineStats:
 
     kind: str = ""
     workers: int = 1
-    backend: str = "thread"
     traversal_ms: float = 0.0
     relax_ms: float = 0.0
     tasks: dict = field(default_factory=dict)
@@ -355,7 +345,6 @@ class EngineStats:
         return {
             "kind": self.kind,
             "workers": self.workers,
-            "backend": self.backend,
             "traversal_ms": round(self.traversal_ms, 3),
             "relax_ms": round(self.relax_ms, 3),
             "tasks": dict(self.tasks),
@@ -389,183 +378,6 @@ def _entry_for(task: ProofTask, aps: Optional[AbsSignature]) -> VOEntry:
     raise ReproError(f"unknown proof task kind {task.kind!r}")
 
 
-def _materialize_serial(
-    tasks: Sequence[ProofTask],
-    authenticator: AppAuthenticator,
-    user_roles,
-    rng: Optional[random.Random],
-    stats: EngineStats,
-) -> list[VOEntry]:
-    """Derive in task order with a shared rng (byte-identical to the
-    historical single-phase builders for the same seed)."""
-    entries: list[VOEntry] = []
-    for task in tasks:
-        if task.needs_relax:
-            hits_before = authenticator.aps_cache_hits
-            if task.kind == INACCESSIBLE_RECORD:
-                aps = authenticator.derive_record_aps(
-                    task.record, task.signature, user_roles, rng
-                )
-            else:
-                aps = authenticator.derive_node_aps(
-                    task.box, task.policy, task.signature, user_roles, rng
-                )
-            if authenticator.aps_cache_hits == hits_before:
-                stats.relax_calls += 1
-        else:
-            aps = None
-        entries.append(_entry_for(task, aps))
-    return entries
-
-
-#: One planned relax derivation: (cache key, in-flight slot, first task
-#: index, task, pre-drawn seed).
-_RelaxJob = tuple[Optional[tuple], object, int, ProofTask, Optional[int]]
-
-
-def _plan_relax(
-    tasks: Sequence[ProofTask],
-    authenticator: AppAuthenticator,
-    missing: Sequence[str],
-    rng: Optional[random.Random],
-):
-    """Phase-2 work planning shared by the thread and process paths.
-
-    Consults the APS cache, collapses duplicate derivations within the
-    batch (``pending``), and claims an in-flight slot per remaining key
-    so *concurrent queries* sharing APS work dedup against each other:
-    flights this call owns go to ``jobs`` (we derive and publish);
-    flights another query already owns go to ``foreign`` (we wait for its
-    result instead of recomputing).  Seeds are pre-drawn in task order —
-    for a single in-flight query every ``begin`` returns ownership, so
-    the rng stream is identical to the historical planner.
-    """
-    aps_by_index: dict[int, AbsSignature] = {}
-    pending: dict[tuple, list[int]] = {}
-    jobs: list[_RelaxJob] = []
-    foreign: list[_RelaxJob] = []
-    for index, task in enumerate(tasks):
-        if not task.needs_relax:
-            continue
-        key = authenticator.aps_cache_key(task.signature, task.relax_message(), missing)
-        if key is not None:
-            cached = authenticator.aps_cache_get(key)
-            if cached is not None:
-                aps_by_index[index] = cached
-                continue
-            positions = pending.get(key)
-            if positions is not None:  # duplicate within this batch
-                positions.append(index)
-                continue
-            pending[key] = [index]
-        seed = rng.getrandbits(64) if rng is not None else None
-        slot, owner = authenticator.relax_begin(key)
-        (jobs if owner else foreign).append((key, slot, index, task, seed))
-    return aps_by_index, pending, jobs, foreign
-
-
-def _local_relax(
-    authenticator: AppAuthenticator,
-    task: ProofTask,
-    missing: Sequence[str],
-    seed: Optional[int],
-) -> AbsSignature:
-    job_rng = random.Random(seed) if seed is not None else None
-    aps, _ = relax(
-        authenticator.scheme, authenticator.mvk, task.signature,
-        task.relax_message(), task.relax_policy(), missing, job_rng,
-    )
-    return aps
-
-
-def _settle_relax(
-    authenticator: AppAuthenticator,
-    aps_by_index: dict[int, AbsSignature],
-    pending: dict[tuple, list[int]],
-    jobs: list[_RelaxJob],
-    results: Sequence[AbsSignature],
-    foreign: list[_RelaxJob],
-    missing: Sequence[str],
-    stats: EngineStats,
-) -> None:
-    """Publish owned results, then settle flights owned by other queries."""
-    for (key, slot, index, _task, _seed), aps in zip(jobs, results):
-        if key is not None:
-            authenticator.aps_cache_put(key, aps)
-        authenticator.relax_publish(key, slot, value=aps)
-        if key is not None:
-            for position in pending[key]:
-                aps_by_index[position] = aps
-        else:
-            aps_by_index[index] = aps
-    stats.relax_calls += len(jobs)
-    for key, slot, index, task, seed in foreign:
-        try:
-            aps = authenticator.relax_wait(slot)
-        except Exception:
-            # The owning query errored or never published: derive locally
-            # rather than failing a query that did nothing wrong.
-            _M_INFLIGHT_FALLBACK.inc()
-            aps = _local_relax(authenticator, task, missing, seed)
-            stats.relax_calls += 1
-            if key is not None:
-                authenticator.aps_cache_put(key, aps)
-        for position in pending.get(key, (index,)):
-            aps_by_index[position] = aps
-
-
-def _abort_relax(authenticator: AppAuthenticator, jobs: list[_RelaxJob],
-                 exc: BaseException) -> None:
-    """Release owned flights on failure so concurrent waiters never hang."""
-    for key, slot, _index, _task, _seed in jobs:
-        authenticator.relax_publish(key, slot, error=exc)
-
-
-def _materialize_parallel(
-    tasks: Sequence[ProofTask],
-    authenticator: AppAuthenticator,
-    user_roles,
-    rng: Optional[random.Random],
-    workers: int,
-    stats: EngineStats,
-) -> list[VOEntry]:
-    """Dispatch relax jobs through thread-backed :func:`parallel_map`.
-
-    The APS cache is consulted (and filled) in the dispatching thread, so
-    worker threads never touch shared mutable state; identical derivations
-    within one batch are deduplicated when the cache is enabled, and
-    derivations already in flight for a *concurrent* query are awaited
-    instead of recomputed.  Seeds are pre-drawn in task order, making the
-    output deterministic for a given ``rng`` seed regardless of thread
-    scheduling.
-    """
-    missing = authenticator.missing_roles_for(user_roles)
-    aps_by_index, pending, jobs, foreign = _plan_relax(tasks, authenticator, missing, rng)
-
-    scheme, mvk = authenticator.scheme, authenticator.mvk
-
-    def run_job(job) -> AbsSignature:
-        _key, _slot, _index, task, seed = job
-        job_rng = random.Random(seed) if seed is not None else None
-        aps, _ = relax(
-            scheme, mvk, task.signature, task.relax_message(),
-            task.relax_policy(), missing, job_rng,
-        )
-        return aps
-
-    try:
-        results = parallel_map(
-            run_job, jobs, workers=min(workers, max(1, len(jobs)))
-        )
-    except BaseException as exc:
-        _abort_relax(authenticator, jobs, exc)
-        raise
-    _settle_relax(
-        authenticator, aps_by_index, pending, jobs, results, foreign, missing, stats
-    )
-    return [_entry_for(task, aps_by_index.get(i)) for i, task in enumerate(tasks)]
-
-
 # ----------------------------------------------------------------------
 # Process-pool materialization.
 #
@@ -574,8 +386,8 @@ def _materialize_parallel(
 # pool initializer below) and every job travels as picklable primitives:
 # serialized signatures in, serialized signatures out.  Group elements
 # round-trip losslessly through ``to_bytes``/``deserialize``, and relax
-# randomness comes only from the pre-drawn per-job seed — so the process
-# path is byte-identical to the thread path for the same rng.
+# randomness comes only from the pre-drawn per-job seed — so the VO is
+# the same for a given rng at any worker count above one.
 # ----------------------------------------------------------------------
 _WORKER_CTX: dict = {}
 
@@ -608,8 +420,8 @@ def _relax_worker_job(job: tuple) -> tuple[bytes, dict]:
 
     ``job`` is ``(signature bytes, message, policy, missing roles, seed)``;
     returns ``(APS bytes, group-op delta)`` so the dispatcher can fold the
-    worker's op counts back into its own stats (counter parity with a
-    serial run of the same workload).
+    worker's op counts back into its own stats (counter parity with an
+    inline run of the same workload).
     """
     try:
         group = _WORKER_CTX["group"]
@@ -628,36 +440,24 @@ def _relax_worker_job(job: tuple) -> tuple[bytes, dict]:
     return aps.to_bytes(), group.stats.delta(before)
 
 
-def _materialize_process(
-    tasks: Sequence[ProofTask],
-    authenticator: AppAuthenticator,
-    user_roles,
-    rng: Optional[random.Random],
-    workers: int,
-    stats: EngineStats,
-) -> list[VOEntry]:
-    """Dispatch relax jobs to the persistent spawn process pool.
+def _pool_runner(authenticator: AppAuthenticator, missing: Sequence[str], workers: int):
+    """``run`` for :meth:`~repro.core.app_signature.AppAuthenticator.derive_batch`
+    that ships owned derivations to the persistent spawn process pool.
 
-    This is the path where cold batches actually scale with cores: the
-    pairing math runs in separate interpreters, free of the GIL.  Even
-    ``workers=1`` routes through the pool — process jobs depend on
-    worker-initializer state the dispatching process does not have.
+    The pairing math then runs in separate interpreters, free of the
+    GIL; the workers' group-op deltas merge back into the dispatcher's
+    counters.
     """
-    missing = authenticator.missing_roles_for(user_roles)
-    aps_by_index, pending, jobs, foreign = _plan_relax(tasks, authenticator, missing, rng)
-
     group = authenticator.group
-    payloads = [
-        (task.signature.to_bytes(), task.relax_message(), task.relax_policy(),
-         list(missing), seed)
-        for _key, _slot, _index, task, seed in jobs
-    ]
-    try:
+
+    def run(jobs: list) -> list[AbsSignature]:
         raw = parallel_map(
             _relax_worker_job,
-            payloads,
+            [
+                (signature.to_bytes(), message, policy, list(missing), seed)
+                for (signature, message, policy), seed in jobs
+            ],
             workers=workers,
-            backend="process",
             initializer=_relax_worker_init,
             initargs=(
                 group.name,
@@ -665,17 +465,13 @@ def _materialize_process(
                 tuple(authenticator.universe.roles),
             ),
         )
-    except BaseException as exc:
-        _abort_relax(authenticator, jobs, exc)
-        raise
-    results = []
-    for aps_bytes, ops_delta in raw:
-        results.append(AbsSignature.from_bytes(group, aps_bytes))
-        group.stats.merge(ops_delta)
-    _settle_relax(
-        authenticator, aps_by_index, pending, jobs, results, foreign, missing, stats
-    )
-    return [_entry_for(task, aps_by_index.get(i)) for i, task in enumerate(tasks)]
+        results = []
+        for aps_bytes, ops_delta in raw:
+            results.append(AbsSignature.from_bytes(group, aps_bytes))
+            group.stats.merge(ops_delta)
+        return results
+
+    return run
 
 
 def materialize(
@@ -685,33 +481,26 @@ def materialize(
     rng: Optional[random.Random] = None,
     workers: Optional[int] = 1,
     stats: Optional[EngineStats] = None,
-    backend: str = "thread",
     traverse_seconds: Optional[float] = None,
 ) -> VerificationObject:
     """Phase 2: turn a task list into a VO.
 
-    ``user_roles`` must already be validated (the traversal's roles);
-    ``workers`` > 1 routes all ``ABS.Relax`` work through
-    :func:`repro.parallel.parallel_map` (``None`` auto-sizes from the
-    host's CPU count), and ``backend="process"`` ships the jobs to the
-    persistent spawn process pool — the only configuration where
-    pure-Python pairing math escapes the GIL.  ``stats``, when given, is
-    filled with per-phase costs.  ``traverse_seconds`` (from
+    ``user_roles`` must already be validated (the traversal's roles).
+    Every ``ABS.Relax`` derivation goes through
+    :meth:`~repro.core.app_signature.AppAuthenticator.derive_batch`, and
+    ``workers`` only decides where the owned ones run: inline on ``rng``
+    for ``workers=1``, else on the persistent spawn process pool
+    (``None`` auto-sizes from the host's CPU count).  ``stats``, when
+    given, is filled with per-phase costs.  ``traverse_seconds`` (from
     :func:`execute`) joins this phase's ledger record, so one query's
     engine work is one ledger charge.
     """
     if workers is not None and workers < 1:
         raise WorkloadError("workers must be >= 1")
-    if backend not in RELAX_BACKENDS:
-        raise WorkloadError(
-            f"unknown materialization backend {backend!r}; expected one of "
-            f"{RELAX_BACKENDS}"
-        )
     workers = resolve_workers(workers)
     if stats is None:
         stats = EngineStats(workers=workers)
     stats.workers = workers
-    stats.backend = backend
     call_tasks = {kind: 0 for kind in TASK_KINDS}
     for task in tasks:
         call_tasks[task.kind] = call_tasks.get(task.kind, 0) + 1
@@ -724,21 +513,18 @@ def materialize(
     relax0 = stats.relax_calls
     ops_before = authenticator.group.stats.snapshot()
     t0 = time.perf_counter()
-    with _trace.span("engine.materialize", workers=workers, backend=backend) as mat_span:
-        if backend == "process":
-            # Always through the pool: process jobs need initializer state.
-            entries = _materialize_process(
-                tasks, authenticator, user_roles, rng, workers, stats
-            )
-        elif workers == 1:
-            entries = _materialize_serial(tasks, authenticator, user_roles, rng, stats)
-        else:
-            entries = _materialize_parallel(
-                tasks, authenticator, user_roles, rng, workers, stats
-            )
-        mat_span.set_attributes(
-            tasks=len(tasks), relax_calls=stats.relax_calls - relax0
+    with _trace.span("engine.materialize", workers=workers) as mat_span:
+        relaxing = [task for task in tasks if task.needs_relax]
+        missing = authenticator.missing_roles_for(user_roles)
+        run = None if workers == 1 else _pool_runner(authenticator, missing, workers)
+        derived, relaxed = authenticator.derive_batch(
+            [(task.signature, task.relax_message(), task.relax_policy()) for task in relaxing],
+            missing, rng, run,
         )
+        stats.relax_calls += relaxed
+        aps = iter(derived)
+        entries = [_entry_for(task, next(aps) if task.needs_relax else None) for task in tasks]
+        mat_span.set_attributes(tasks=len(tasks), relax_calls=relaxed)
     elapsed = time.perf_counter() - t0
     stats.relax_ms += elapsed * 1000.0
     relaxed_hits = authenticator.aps_cache_hits - hits0
@@ -788,14 +574,13 @@ def execute(
     user_roles,
     rng: Optional[random.Random] = None,
     workers: Optional[int] = 1,
-    backend: str = "thread",
 ) -> tuple[VerificationObject, EngineStats]:
     """Run both phases, timing each: returns ``(vo, stats)``.
 
     ``traversal`` is a zero-argument closure over one of the
     ``traverse_*`` functions with validated roles.
     """
-    stats = EngineStats(kind=kind, workers=workers or 0, backend=backend)
+    stats = EngineStats(kind=kind, workers=workers or 0)
     t0 = time.perf_counter()
     with _trace.span("engine.traverse", kind=kind) as trav_span:
         tasks = traversal()
@@ -804,7 +589,7 @@ def execute(
     stats.traversal_ms = elapsed * 1000.0
     _M_PHASE.observe(elapsed, phase="traverse")
     vo = materialize(
-        tasks, authenticator, user_roles, rng, workers, stats, backend,
+        tasks, authenticator, user_roles, rng, workers, stats,
         traverse_seconds=elapsed,
     )
     return vo, stats

@@ -27,7 +27,6 @@ from repro.abe.hybrid import HybridEnvelope, decrypt_envelope, encrypt_for_roles
 from repro.abs.keys import AbsVerificationKey
 from repro.core.app_signature import AppAuthenticator, AppSigner
 from repro.core.engine import (
-    RELAX_BACKENDS,
     EngineStats,
     execute,
     traverse_equality,
@@ -237,11 +236,11 @@ class ServiceProvider:
     """The (untrusted) service provider: answers authenticated queries.
 
     Queries run through the two-phase engine: a crypto-free traversal
-    followed by proof materialization that dispatches ``ABS.Relax`` work
-    across ``workers`` threads.  APS derivations route through a pool of
-    per-missing-role-set authenticators whose LRU caches persist across
-    queries, so a repeated (node, role-set) proof is served from cache
-    instead of re-derived.
+    followed by proof materialization that runs ``ABS.Relax`` work inline
+    or across ``workers`` process-pool workers.  APS derivations route
+    through a pool of per-missing-role-set authenticators whose LRU
+    caches persist across queries, so a repeated (node, role-set) proof
+    is served from cache instead of re-derived.
 
     Sealed responses reuse one CP-ABE encapsulation per claimed role set
     (a bounded LRU, emptied on every epoch rotation); each response body
@@ -260,7 +259,6 @@ class ServiceProvider:
         workers: Optional[int] = 1,
         aps_cache_size: int = 4096,
         auth_pool_size: int = 16,
-        relax_backend: str = "thread",
     ):
         self.group = group
         self.universe = universe
@@ -269,17 +267,10 @@ class ServiceProvider:
         self._cpabe = CpAbeScheme(group)
         self.trees = dict(trees)
         self.hierarchy = hierarchy
-        #: Workers the materializer fans ``ABS.Relax`` batches over
-        #: (``None`` auto-sizes from the host's CPU count).
+        #: Where the materializer runs ``ABS.Relax`` batches: inline for
+        #: 1, else on that many process-pool workers (``None`` auto-sizes
+        #: from the host's CPU count).
         self.workers = workers
-        #: ``"thread"`` (GIL-bound, zero-copy) or ``"process"`` (true
-        #: multicore via the persistent spawn pool).
-        if relax_backend not in RELAX_BACKENDS:
-            raise WorkloadError(
-                f"unknown relax backend {relax_backend!r}; expected one of "
-                f"{RELAX_BACKENDS}"
-            )
-        self.relax_backend = relax_backend
         self._aps_cache_size = aps_cache_size
         self._auth_pool_size = max(1, auth_pool_size)
         self._auth_pool: "OrderedDict[tuple, AppAuthenticator]" = OrderedDict()
@@ -449,7 +440,6 @@ class ServiceProvider:
         effective_workers = self.workers if workers is None else workers
         with _trace.span(
             "sp.query", kind=kind, workers=effective_workers or 0,
-            backend=self.relax_backend,
         ) as sp_span:
             _M_QUERIES.inc(kind=kind)
             authenticator = self.authenticator_for(roles)
@@ -461,7 +451,6 @@ class ServiceProvider:
                 user_roles,
                 rng,
                 effective_workers,
-                backend=self.relax_backend,
             )
             if stats is not None:
                 sp_span.set_attributes(

@@ -3,10 +3,9 @@
 :class:`QueryClient` is the user side of the protocol, defined once:
 it builds the three queries (equality / range / join), runs each under
 one ``client.query``/``cluster.query`` span with its ``CostLedger`` wall
-time, opens and verifies every response (optionally through a deferred
-:class:`~repro.net.window.VerificationWindow`), and classifies failed
-attempts into :class:`ClientStats`.  Its two subclasses differ only in
-their attempt loop.  :class:`ResilientClient` speaks through one
+time, opens and verifies every response before returning it, and
+classifies failed attempts into :class:`ClientStats`.  Its two
+subclasses differ only in their attempt loop.  :class:`ResilientClient` speaks through one
 :class:`~repro.net.transport.Transport` that is allowed to fail.  Per
 logical query it:
 
@@ -456,9 +455,9 @@ class QueryClient:
     """The user-side query pipeline both per-endpoint clients share.
 
     Builds the three queries, runs each under one root span (named by
-    :attr:`SPAN`) with its ``CostLedger`` wall time, verifies responses
-    (deferred through a :class:`~repro.net.window.VerificationWindow`
-    when opted in), and owns the deadline and backoff arithmetic.  A
+    :attr:`SPAN`) with its ``CostLedger`` wall time, verifies every
+    response before returning it, and owns the deadline and backoff
+    arithmetic.  A
     subclass supplies ``counters`` and the attempt loop,
     ``_execute_traced(request, verify, query_span)``.
     """
@@ -471,22 +470,12 @@ class QueryClient:
     QUANTILES_PREFIX = "repro_"
 
     def __init__(self, user, policy: Optional[RetryPolicy],
-                 clock: Optional[Clock], rng: Optional[random.Random],
-                 verification_window: Optional[int]):
+                 clock: Optional[Clock], rng: Optional[random.Random]):
         self.user = user
         self.policy = policy or RetryPolicy()
         self.clock = clock or Clock()
         self.rng = rng or random.Random()
         self._last_trace_id: Optional[str] = None
-        #: Opt-in deferred verification: equality/range APS checks settle
-        #: in one bilinearity-merged batch every ``verification_window``
-        #: responses instead of per response (results are provisional
-        #: until :meth:`flush_window`; see :mod:`repro.net.window`).
-        self.window = None
-        if verification_window is not None:
-            from repro.net.window import VerificationWindow
-
-            self.window = VerificationWindow(user, verification_window)
 
     def stats(self) -> dict:
         """One operational snapshot: counters, endpoint state, obs registry.
@@ -512,35 +501,20 @@ class QueryClient:
             "ledger": last.as_dict() if last is not None else None,
         }
 
-    def _verify_vo(self):
-        """Per-response verifier for equality/range: windowed when opted in."""
-        return self.window.verify if self.window is not None else self.user.verify
-
-    def flush_window(self) -> int:
-        """Settle all deferred verification now; returns responses settled.
-
-        No-op (returns 0) when no verification window is configured.
-        Raises :class:`~repro.errors.SoundnessError` with the failing
-        response and region if a deferred APS signature is invalid.
-        """
-        if self.window is None:
-            return 0
-        return self.window.flush()
-
     # -- public queries ------------------------------------------------------
     def query_equality(self, table: str, key, encrypt: bool = True):
         request = QueryRequest(
             kind="equality", table=table, lo=tuple(key), hi=tuple(key),
             roles=self.user.roles, encrypt=encrypt,
         )
-        return self._execute(request, self._verify_vo())
+        return self._execute(request, self.user.verify)
 
     def query_range(self, table: str, lo, hi, encrypt: bool = True):
         request = QueryRequest(
             kind="range", table=table, lo=tuple(lo), hi=tuple(hi),
             roles=self.user.roles, encrypt=encrypt,
         )
-        return self._execute(request, self._verify_vo())
+        return self._execute(request, self.user.verify)
 
     def query_join(self, left: str, right: str, lo, hi, encrypt: bool = True):
         request = QueryRequest(
@@ -607,9 +581,8 @@ class ResilientClient(QueryClient):
         breaker: Optional[CircuitBreaker] = None,
         clock: Optional[Clock] = None,
         rng: Optional[random.Random] = None,
-        verification_window: Optional[int] = None,
     ):
-        super().__init__(user, policy, clock, rng, verification_window)
+        super().__init__(user, policy, clock, rng)
         self.transport = transport
         self.breaker = breaker or CircuitBreaker(clock=self.clock)
         self.counters = ClientStats()

@@ -271,11 +271,6 @@ class ReplicatedClient(QueryClient):
     full failover pass: every currently-eligible endpoint is tried in
     health order before the client sleeps a backoff.  The deadline spans
     all attempts, exactly like the single-endpoint client.
-
-    With ``verification_window`` set, a tamper is only *attributed* at
-    flush time, after the tampering endpoint may have served more
-    queries — quarantine still happens, just later; latency-sensitive
-    Byzantine detection should keep it off.
     """
 
     SPAN = "cluster.query"
@@ -296,7 +291,6 @@ class ReplicatedClient(QueryClient):
         hedge_min_samples: int = 16,
         latency_reservoir: int = 128,
         suspicion_decay: int = 8,
-        verification_window: Optional[int] = None,
     ):
         if not transports:
             raise ReproError("a replicated client needs at least one endpoint")
@@ -306,7 +300,7 @@ class ReplicatedClient(QueryClient):
             raise ReproError("hedge_percentile must be in (0, 1) or None")
         if suspicion_decay < 1:
             raise ReproError("suspicion_decay must be >= 1")
-        super().__init__(user, policy, clock, rng, verification_window)
+        super().__init__(user, policy, clock, rng)
         self.quarantine_window = quarantine_window
         self.hedge_percentile = hedge_percentile
         self.hedge_min_samples = max(2, hedge_min_samples)

@@ -3,19 +3,13 @@
 The dominant SP cost for range/join queries is the batch of independent
 ``ABS.Relax`` operations — embarrassingly parallel.  This module provides:
 
-* :func:`parallel_map` — run a function over items with a worker pool.
-  Two backends share one calling convention:
-
-  - ``backend="thread"`` — a :class:`ThreadPoolExecutor`.  CPython's GIL
-    serializes pure-Python pairing math, so this backend only helps when
-    the work releases the GIL (I/O, C extensions) — but the code path is
-    identical to a free-threaded deployment;
-  - ``backend="process"`` — a **persistent, spawn-safe process pool**.
-    Function and items must be picklable; each worker runs a one-time
-    ``initializer`` (e.g. rebuilding the bilinear-group singleton and
-    pre-warming its comb tables) and then serves jobs for the
-    life of the interpreter.  This is the backend that makes cold
-    ``ABS.Relax`` batches actually scale with cores.
+* :func:`parallel_map` — run a function over items on a **persistent,
+  spawn-safe process pool**.  Function and items must be picklable; each
+  worker runs a one-time ``initializer`` (e.g. rebuilding the
+  bilinear-group singleton and pre-warming its comb tables) and then
+  serves jobs for the life of the interpreter.  Pure-Python pairing math
+  holds the GIL, so separate interpreters are what make cold
+  ``ABS.Relax`` batches scale with cores;
 
 * :class:`InFlightTable` — single-flight deduplication for identical
   concurrent computations (the SP uses it to collapse relax tasks shared
@@ -40,7 +34,7 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -58,9 +52,6 @@ R = TypeVar("R")
 #: speedup and a mistyped ``workers=10**6`` would exhaust the process.
 MAX_WORKERS = 128
 
-#: Executor backends accepted by :func:`parallel_map`.
-BACKENDS = ("thread", "process")
-
 #: Persistent process pools kept alive between batches (LRU by config).
 #: A spawn-start worker costs ~100 ms plus the initializer's warm-up, so
 #: paying it once per (workers, initializer) configuration — instead of
@@ -75,24 +66,14 @@ _M_JOBS = _REG.counter(
 _M_BATCHES = _REG.counter(
     "repro_parallel_batches_total", "parallel_map invocations.",
 )
-_M_BACKEND = _REG.counter(
-    "repro_parallel_backend_total",
-    "parallel_map invocations by executor backend "
-    "(inline = workers==1 or a trivial batch).",
-    labelnames=("backend",),
-)
 _M_SATURATED = _REG.counter(
     "repro_parallel_workers_saturated_total",
     "Jobs that had to queue because every worker was busy "
     "(batch size beyond worker count).",
 )
-_M_QUEUE_WAIT = _REG.histogram(
-    "repro_parallel_queue_wait_seconds",
-    "Per-job wait between submission and execution start (thread backend).",
-)
 _M_EXEC = _REG.histogram(
     "repro_parallel_exec_seconds",
-    "Per-job execution time (submission-to-result for the process backend).",
+    "Per-job execution time: the batch's wall time over its job count.",
 )
 _M_POOLS = _REG.counter(
     "repro_parallel_process_pools_total",
@@ -123,11 +104,9 @@ def resolve_workers(workers: Optional[int]) -> int:
 def _annotate(exc: BaseException, index: int) -> BaseException:
     """Attach the failing item's index to a worker exception.
 
-    Runs in the *dispatching* process, after any pickling boundary, so
-    the annotation survives both backends identically: thread workers
-    re-raise the original object, process workers re-raise the unpickled
-    copy — either way the caller sees ``exc.parallel_map_index`` and the
-    Python >= 3.11 exception note.
+    Runs in the *dispatching* process, on the unpickled copy of the
+    worker's exception, so the caller sees ``exc.parallel_map_index`` and
+    the Python >= 3.11 exception note.
 
     When a span is active, the failure is additionally recorded as a
     ``worker_exception`` event on it — carrying the worker-side
@@ -154,15 +133,6 @@ def _annotate(exc: BaseException, index: int) -> BaseException:
             if worker_span is not None:
                 _relay.attach_worker_span(current, worker_span)
     return exc
-
-
-def _call_observed(fn: Callable[[T], R], item: T, submitted: float) -> R:
-    start = time.perf_counter()
-    _M_QUEUE_WAIT.observe(start - submitted)
-    try:
-        return fn(item)
-    finally:
-        _M_EXEC.observe(time.perf_counter() - start)
 
 
 class _RelayedResult:
@@ -375,39 +345,31 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: Optional[int] = 1,
-    backend: str = "thread",
     initializer: Optional[Callable] = None,
     initargs: tuple = (),
     timeout: Optional[float] = None,
 ) -> list[R]:
-    """Map ``fn`` over ``items`` with a worker pool (order preserved).
+    """Map ``fn`` over ``items`` on the persistent process pool (order preserved).
 
     ``workers=None`` auto-sizes from :func:`os.cpu_count` (clamped to
-    :data:`MAX_WORKERS`).  ``backend`` selects the executor:
-    ``"thread"`` (default, zero-copy, GIL-bound) or ``"process"``
-    (persistent spawn pool; ``fn``, ``items``, and results must be
-    picklable, and ``initializer(*initargs)`` runs once per worker
-    before its first job — see :func:`process_pool`).
+    :data:`MAX_WORKERS`).  ``fn``, ``items`` and results must be
+    picklable, and ``initializer(*initargs)`` runs once per worker before
+    its first job (see :func:`process_pool`).  Even a single-item batch
+    goes through the pool: jobs may rely on initializer state the
+    dispatching process does not have.
 
     A worker exception is re-raised annotated with the failing item's
     index (``exc.parallel_map_index``, plus an exception note on
-    Python >= 3.11).  The annotation is applied on the dispatching side,
-    after any pickling boundary, so it holds for both backends — a batch
-    of thousands of ``ABS.Relax`` jobs pinpoints the job that failed no
-    matter where it ran.  ``timeout`` (seconds, whole batch) bounds how
-    long the dispatcher waits on stuck workers.
+    Python >= 3.11), so a batch of thousands of ``ABS.Relax`` jobs
+    pinpoints the job that failed.  ``timeout`` (seconds, whole batch)
+    bounds how long the dispatcher waits on stuck workers.
 
-    When observability is on, each job records an execution-time
-    histogram sample (thread jobs also record queue wait), and jobs
-    beyond the worker count bump
+    When observability is on, each job records the batch's amortized
+    execution time, and jobs beyond the worker count bump
     ``repro_parallel_workers_saturated_total`` — the signal that a batch
     was limited by ``workers`` rather than by work.
     """
     items = list(items)
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown parallel_map backend {backend!r}; expected one of {BACKENDS}"
-        )
     workers = resolve_workers(workers)
     observed = _gate.enabled()
     if observed:
@@ -416,53 +378,9 @@ def parallel_map(
             _M_JOBS.inc(len(items))
         if len(items) > workers:
             _M_SATURATED.inc(len(items) - workers)
-    if backend == "process":
-        if observed:
-            _M_BACKEND.inc(backend="process")
-        return _process_map(fn, items, workers, initializer, initargs, timeout, observed)
-    if workers == 1 or len(items) <= 1:
-        if observed:
-            _M_BACKEND.inc(backend="inline")
-        out = []
-        for index, item in enumerate(items):
-            try:
-                if observed:
-                    out.append(_call_observed(fn, item, time.perf_counter()))
-                else:
-                    out.append(fn(item))
-            except Exception as exc:
-                raise _annotate(exc, index)
-        return out
-    if observed:
-        _M_BACKEND.inc(backend="thread")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        if observed:
-            submitted = time.perf_counter()
-            futures = [pool.submit(_call_observed, fn, item, submitted) for item in items]
-        else:
-            futures = [pool.submit(fn, item) for item in items]
-        return _collect(futures, timeout)
-
-
-def _process_map(
-    fn: Callable[[T], R],
-    items: list[T],
-    workers: int,
-    initializer: Optional[Callable],
-    initargs: tuple,
-    timeout: Optional[float],
-    observed: bool,
-) -> list[R]:
-    """Dispatch a batch to the persistent process pool.
-
-    Even a single-item batch goes through the pool: process jobs may rely
-    on worker-initializer state (warmed caches, rebuilt singletons) that
-    the dispatching process does not have, so inlining them would change
-    semantics, not just performance.
-    """
     if not items:
         return []
-    pool: Executor = process_pool(workers, initializer, initargs)
+    pool = process_pool(workers, initializer, initargs)
     start = time.perf_counter()
     trace_id = _trace.current_trace_id() if observed else None
     try:

@@ -1,6 +1,8 @@
 """Tests for the MSP memoization and SP-side APS cache."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -90,6 +92,52 @@ def test_aps_cache_eviction(aps_env):
     auth.derive_record_aps(record, sig, frozenset({"RoleB"}), rng)
     assert auth.aps_cache_hits == 0
     assert auth.aps_cache_misses == 3
+
+
+def test_aps_cache_survives_thread_hammer(aps_env):
+    """Eight threads thrash a two-slot APS cache over six keys.
+
+    Evictions race look-ups on every call: a look-up must never fail on a
+    key evicted under it, a hit must return what was stored for its key,
+    and every look-up is counted exactly once (a hit at look-up, a miss
+    at insert).
+    """
+    rng, universe, auth, record, sig = aps_env
+    auth.enable_aps_cache(maxsize=2)
+    keys = [auth.aps_cache_key(sig, b"hammer-%d" % i, ["RoleB"]) for i in range(6)]
+    values = [object() for _ in keys]
+    rounds = 2000
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    barrier = threading.Barrier(8)
+    errors = []
+
+    def worker(seed):
+        pick = random.Random(seed)
+        barrier.wait()
+        try:
+            for _ in range(rounds):
+                i = pick.randrange(len(keys))
+                got = auth.aps_cache_get(keys[i])
+                if got is None:
+                    auth.aps_cache_put(keys[i], values[i])
+                else:
+                    assert got is values[i]
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert auth.aps_cache_hits + auth.aps_cache_misses == 8 * rounds
+    assert len(auth._aps_cache) <= 2
 
 
 def test_verify_vo_matches_per_entry_oracle():

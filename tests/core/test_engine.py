@@ -5,8 +5,9 @@
   adapters must produce byte-identical VOs when run with the same seed.
 * **Plan/execute agreement** — ``plan_*_query`` counts and ``vo_bytes``
   must match the materialized VO byte-for-byte, on both backends.
-* **Parallel materialization** — multi-worker VOs verify, match the
-  serial VO's shape/size, and are deterministic for a given seed.
+* **Parallel materialization** — multi-worker VOs (on the process pool)
+  verify, match the inline VO's shape/size, and are deterministic for a
+  given seed.
 * **SP authenticator pool** — the APS LRU cache survives across
   consecutive same-role queries.
 """
@@ -50,8 +51,15 @@ from repro.crypto import bn254, simulated
 from repro.errors import ReproError
 from repro.index.boxes import Box, Domain
 from repro.index.kdtree import APKDTree
+from repro.parallel import shutdown_process_pools
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _pool_cleanup():
+    yield
+    shutdown_process_pools()
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Process-pool relax backend and cross-query single-flight dedup.
+"""Process-pool relax materialization and cross-query single-flight dedup.
 
-The spawn-pool materializer must be *indistinguishable* from the thread
-materializer: seeds are pre-drawn in task order and every group element
-crosses the process boundary as canonical bytes, so the VO a process
-pool produces is byte-identical to the threaded one — scheduling,
-worker count, and pickling must not leak into the proof.  The dedup
-tests pin the single-flight contract on the authenticator: concurrent
-queries needing the same APS derivation perform it once.
+With ``workers > 1`` seeds are pre-drawn in task order and every group
+element crosses the process boundary as canonical bytes, so the VO is
+a pure function of the seed — scheduling, worker count, and pickling
+must not leak into the proof.  It is pinned to the digest an in-process
+thread pool produced for the same seed before the pool became the only
+multi-worker path.  The dedup tests pin the single-flight contract on
+the authenticator: concurrent queries needing the same APS derivation
+perform it once.
 """
+
+import hashlib
 
 import random
 import threading
@@ -29,13 +32,17 @@ from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser, ServiceProvider
 from repro.core.verifier import verify_vo
 from repro.crypto import simulated
-from repro.errors import ReproError, WorkloadError
+from repro.errors import ReproError
 from repro.index.boxes import Domain
 from repro.parallel import shutdown_process_pools
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
 POLICIES = ["RoleA", "RoleB", "RoleA and RoleB", "RoleB or RoleC"]
+
+#: SHA-256 of the seed-99 two-worker range VO below, as the in-process
+#: thread pool produced it (3674 bytes).
+THREAD_VO_DIGEST = "d79de985c2dda3714e7099e9e963acb85998c4f668c856ec791dd65096bb57dc"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -57,56 +64,63 @@ def env():
     return universe, owner, tree, auth
 
 
-def _materialize(env, backend, workers, seed=99, stats=None):
+def _materialize(env, workers, seed=99, stats=None):
     universe, owner, tree, auth = env
     query = clip_query(tree, (0,), (31,))
     tasks = traverse_range(tree, query, frozenset({"RoleA"}))
     vo = materialize(
         tasks, auth, frozenset({"RoleA"}), random.Random(seed),
-        workers=workers, backend=backend, stats=stats,
+        workers=workers, stats=stats,
     )
     return vo, query, auth
 
 
 def test_process_vo_byte_identical_to_thread(env):
-    thread_vo, query, auth = _materialize(env, "thread", workers=2)
-    process_vo, _, _ = _materialize(env, "process", workers=2)
-    assert process_vo.to_bytes() == thread_vo.to_bytes()
+    process_vo, query, auth = _materialize(env, workers=2)
+    assert hashlib.sha256(process_vo.to_bytes()).hexdigest() == THREAD_VO_DIGEST
     verify_vo(process_vo, auth, query, frozenset({"RoleA"}))
 
 
 def test_process_backend_deterministic(env):
-    one, _, _ = _materialize(env, "process", workers=2, seed=7)
-    two, _, _ = _materialize(env, "process", workers=2, seed=7)
+    one, _, _ = _materialize(env, workers=2, seed=7)
+    two, _, _ = _materialize(env, workers=2, seed=7)
     assert one.to_bytes() == two.to_bytes()
 
 
 def test_process_group_op_counters_match_thread(env):
-    """Worker-side op deltas merge back into the parent's counters."""
-    thread_stats = EngineStats()
+    """Worker-side op deltas merge back into the parent's counters.
+
+    The reference is the in-process (inline) path, which is what the
+    deleted thread pool ran per job.
+    """
+    inline_stats = EngineStats()
     process_stats = EngineStats()
-    _materialize(env, "thread", workers=2, stats=thread_stats)
-    _materialize(env, "process", workers=2, stats=process_stats)
-    assert process_stats.relax_calls == thread_stats.relax_calls > 0
-    assert process_stats.group_ops == thread_stats.group_ops
+    _materialize(env, workers=1, stats=inline_stats)
+    _materialize(env, workers=2, stats=process_stats)
+    assert process_stats.relax_calls == inline_stats.relax_calls > 0
+    assert process_stats.group_ops == inline_stats.group_ops
 
 
 def test_execute_records_backend(env):
+    """``EngineStats.workers`` records where relax ran: 2 is the pool."""
     universe, owner, tree, auth = env
     query = clip_query(tree, (0,), (31,))
     roles = frozenset({"RoleA"})
     vo, stats = execute(
         "range", lambda: traverse_range(tree, query, roles),
-        auth, roles, random.Random(5), workers=2, backend="process",
+        auth, roles, random.Random(5), workers=2,
     )
-    assert stats.backend == "process"
+    assert stats.workers == 2
     assert stats.relax_calls > 0
     verify_vo(vo, auth, query, roles)
 
 
 def test_unknown_backend_rejected(env):
-    with pytest.raises(WorkloadError, match="backend"):
-        _materialize(env, "fiber", workers=2)
+    """The executor switch is gone: a caller still passing it fails loudly."""
+    universe, owner, tree, auth = env
+    tasks = traverse_range(tree, clip_query(tree, (0,), (31,)), frozenset({"RoleA"}))
+    with pytest.raises(TypeError, match="backend"):
+        materialize(tasks, auth, frozenset({"RoleA"}), workers=2, backend="process")
 
 
 def test_worker_job_requires_initializer():
@@ -122,13 +136,12 @@ def test_sp_process_backend_serves_and_pools(env):
     universe, owner, tree, auth = env
     sp = ServiceProvider(
         group=owner.group, universe=universe, mvk=owner.mvk,
-        cpabe_public=owner.cpabe_public, trees={"T": tree},
-        relax_backend="process", workers=2,
+        cpabe_public=owner.cpabe_public, trees={"T": tree}, workers=2,
     )
     rng = random.Random(11)
     roles = frozenset({"RoleA"})
     first = sp.range_query("T", (0,), (31,), roles, rng=rng)
-    assert first.stats.backend == "process"
+    assert first.stats.workers == 2
     assert first.stats.relax_calls > 0
     second = sp.range_query("T", (0,), (31,), roles, rng=rng)
     assert second.stats.relax_calls == 0
@@ -138,12 +151,13 @@ def test_sp_process_backend_serves_and_pools(env):
 
 
 def test_sp_rejects_unknown_relax_backend(env):
+    """``ServiceProvider(relax_backend=)`` is gone: passing it fails loudly."""
     universe, owner, tree, auth = env
-    with pytest.raises(WorkloadError, match="relax backend"):
+    with pytest.raises(TypeError, match="relax_backend"):
         ServiceProvider(
             group=owner.group, universe=universe, mvk=owner.mvk,
             cpabe_public=owner.cpabe_public, trees={"T": tree},
-            relax_backend="fiber",
+            relax_backend="process",
         )
 
 

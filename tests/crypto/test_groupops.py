@@ -17,7 +17,6 @@ from repro.core.system import DataOwner
 from repro.crypto.fastgroup import SimulatedGroup
 from repro.crypto.group import BN254Group, GroupOpStats
 from repro.errors import CryptoError
-from repro.parallel import parallel_map
 from repro.policy.boolexpr import or_of_attrs
 from repro.policy.roles import RoleUniverse
 
@@ -82,8 +81,8 @@ def test_per_thread_deltas_merge_to_serial_totals():
     merged = GroupOpStats()
     merged.merge(group.stats.delta(baseline))
     before = group.stats.snapshot()
-    parallel_map(lambda i: group.pair(group.g1 ** i, group.g2) and None,
-                 range(1, 6), workers=1)
+    for i in range(1, 6):
+        group.pair(group.g1 ** i, group.g2)
     for i in range(1, 6):
         group.hash_to_g1(b"attr", i % 3)
     merged.merge(group.stats.delta(before))

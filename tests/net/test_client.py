@@ -1,12 +1,17 @@
 """Tests for the resilient client: retries, deadlines, breaker, detection."""
 
+import dataclasses
 import random
 
 import pytest
 
+from repro.core.messages import decode_response, encode_response
+from repro.core.vo import InaccessibleNodeEntry, InaccessibleRecordEntry
+
 from repro.errors import (
     AccessDeniedError,
     CircuitOpenError,
+    CompletenessError,
     CryptoError,
     DeadlineExceededError,
     DeserializationError,
@@ -29,6 +34,7 @@ from repro.net import (
     Transport,
 )
 from repro.net.client import count_wire_error
+from repro.net.transport import frame, unframe
 
 from .conftest import NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO, ResealTransport, run_query
 
@@ -323,3 +329,49 @@ def test_every_half_open_exit_resolves_the_probe(env, path):
     # window has passed, the breaker admits the next probe.
     clock.advance(10.0)
     assert breaker.allow()
+
+
+# -- structured VO tampers, caught before the client returns -------------------
+
+class VOTamperTransport(Transport):
+    """A Byzantine SP: rewrites the entry list of every plaintext VO."""
+
+    def __init__(self, inner, group, mutate):
+        self.inner = inner
+        self.group = group
+        self.mutate = mutate
+        self.tampered = 0
+
+    def round_trip(self, request_frame):
+        request_id, body = unframe(self.inner.round_trip(request_frame))
+        response = decode_response(self.group, body)
+        self.mutate(response.vo.entries)
+        self.tampered += 1
+        return frame(request_id, encode_response(response))
+
+
+def _swap_first_two_aps(entries):
+    """Cross-wire two APS signatures: each valid, each on the wrong message."""
+    i, j = [
+        k for k, e in enumerate(entries)
+        if isinstance(e, (InaccessibleRecordEntry, InaccessibleNodeEntry))
+    ][:2]
+    entries[i], entries[j] = (
+        dataclasses.replace(entries[i], aps=entries[j].aps),
+        dataclasses.replace(entries[j], aps=entries[i].aps),
+    )
+
+
+@pytest.mark.parametrize("mutate, error, detail", [
+    (_swap_first_two_aps, SoundnessError, "APS signature invalid for region"),
+    (lambda entries: entries.pop(), CompletenessError, "tile"),
+], ids=["swapped-aps", "popped-entry"])
+def test_structured_vo_tamper_never_returned(env, mutate, error, detail):
+    """Every response is verified before it is returned: a forged APS and
+    a dropped entry are each rejected on every attempt, naming the fault."""
+    transport = VOTamperTransport(loopback(env), env.group, mutate)
+    client = make_client(env, transport, policy=RetryPolicy(max_attempts=2, base_delay=0.01))
+    with pytest.raises(error, match=detail):
+        client.query_range("docs", (0,), (31,), encrypt=False)
+    assert transport.tampered == 2
+    assert client.counters.verification_failures == 2

@@ -107,7 +107,6 @@ def build_sharded(backend="thread", fail_shard=None):
     for sid, provider in tables.providers.items():
         if backend == "process":
             provider.workers = 2
-            provider.relax_backend = "process"
         handler = ResilientSPServer(SPServer(provider, rng=rng)).handle_frame
         transports[sid] = {
             rid: RecordingTransport(

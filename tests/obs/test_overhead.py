@@ -9,7 +9,11 @@ import time
 
 from repro import obs
 from repro.obs import metrics as _metrics
-from repro.parallel import parallel_map
+from repro.parallel import parallel_map, shutdown_process_pools
+
+
+def _square(x):
+    return x * x
 
 
 def test_disabled_instruments_record_nothing():
@@ -35,10 +39,13 @@ def test_disabled_parallel_map_still_correct_but_unobserved():
     jobs = reg.counter("repro_parallel_jobs_total")
     before = jobs.value()
     obs.set_enabled(False)
-    assert parallel_map(lambda x: x * x, range(8), workers=3) == [
-        x * x for x in range(8)
-    ]
-    obs.set_enabled(True)
+    try:
+        assert parallel_map(_square, range(8), workers=3) == [
+            x * x for x in range(8)
+        ]
+    finally:
+        obs.set_enabled(True)
+        shutdown_process_pools()
     assert jobs.value() == before
 
 
