@@ -25,25 +25,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-import random
 import time
 
 import pytest
 
-from repro.core.messages import SPServer
-from repro.core.records import Dataset, Record
-from repro.core.system import DataOwner, QueryUser
-from repro.crypto import get_backend
-from repro.index.boxes import Domain
-from repro.net import (
-    LoopbackTransport,
-    RangeShardMap,
-    ResilientSPServer,
-    ShardedClient,
-    outsource_sharded,
-)
-from repro.policy.boolexpr import parse_policy
-from repro.policy.roles import RoleUniverse
+from repro.bench.world import build_world
 
 SEED = 7400
 JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sharding.json"
@@ -51,40 +37,13 @@ JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sharding.jso
 TABLE = "docs"
 SHARD_COUNTS = (1, 2, 4)
 NUM_RECORDS = 16
-DOMAIN = Domain.of((0, 63))
+DOMAIN = (0, 63)
 POLICIES = ["analyst", "manager", "analyst or manager"]
-USER_ROLES = ["analyst"]
+ROWS = tuple(
+    ((4 * i,), b"payload-%04d" % i, POLICIES[i % len(POLICIES)])
+    for i in range(NUM_RECORDS)
+)
 EQUALITY_KEY = (8,)
-
-
-def build_sharded_system(backend: str, shards: int):
-    group = get_backend(backend)
-    universe = RoleUniverse(["analyst", "manager"])
-    dataset = Dataset(DOMAIN)
-    for i in range(NUM_RECORDS):
-        dataset.add(Record(
-            (4 * i,), b"payload-%04d" % i,
-            parse_policy(POLICIES[i % len(POLICIES)]),
-        ))
-    owner = DataOwner(group, universe, rng=random.Random(SEED))
-    tables = outsource_sharded(
-        owner, TABLE, dataset, RangeShardMap(shards),
-        rng=random.Random(SEED + 1),
-    )
-    transports = {
-        sid: {"r0": LoopbackTransport(
-            ResilientSPServer(
-                SPServer(provider, rng=random.Random(SEED + 2))
-            ).handle_frame
-        )}
-        for sid, provider in tables.providers.items()
-    }
-    user = QueryUser(group, universe, owner.register_user(USER_ROLES))
-    client = ShardedClient(
-        user, tables.roster, tables.roster_token, transports,
-        rng=random.Random(SEED + 3),
-    )
-    return client
 
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
@@ -102,7 +61,9 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 def scenario_shard_scaling(backend: str, repeats: int = 3) -> dict:
     arms = {}
     for shards in SHARD_COUNTS:
-        client = build_sharded_system(backend, shards)
+        client = build_world(
+            {TABLE: ROWS}, DOMAIN, seed=SEED, backend=backend, shards=shards,
+        ).client
         range_s, range_records = _best_of(
             lambda: client.query_range(TABLE, (0,), (63,), encrypt=False),
             repeats,
@@ -126,7 +87,7 @@ def run_benchmarks() -> dict:
     return {
         "seed": SEED,
         "records": NUM_RECORDS,
-        "domain": list(DOMAIN.bounds),
+        "domain": [list(DOMAIN)],
         "scenarios": {"shard_scaling_bn254": scenario_shard_scaling("bn254")},
     }
 

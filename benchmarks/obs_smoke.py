@@ -24,21 +24,14 @@ Two modes:
 Run:  PYTHONPATH=src python benchmarks/obs_smoke.py [--guard]
 """
 
-import random
 import sys
 import time
 
 from repro import obs
-from repro.core import DataOwner, Dataset, QueryUser, Record
-from repro.core.messages import SPServer
-from repro.crypto import simulated
-from repro.index import Domain
+from repro.bench.world import build_world
+from repro.cli import DEMO_ROLES, DEMO_ROWS
 from repro.net import (
     STATS_REQUEST,
-    FakeClock,
-    LoopbackTransport,
-    ResilientClient,
-    ResilientSPServer,
     RetryPolicy,
     decode_stats_response,
     frame,
@@ -47,33 +40,14 @@ from repro.net import (
 from repro.net.client import fetch_trace_spans
 from repro.obs import ledger as obs_ledger
 from repro.obs.metrics import parse_exposition, registry, render_prometheus
-from repro.policy import RoleUniverse, parse_policy
 
 EXPECTED_SPANS = (
     "client.query", "client.attempt", "server.handle_frame",
     "sp.handle", "sp.query", "engine.traverse", "engine.materialize",
 )
 OVERHEAD_BUDGET = 0.02
-
-
-def build_stack(seed=7, detach=False):
-    rng = random.Random(seed)
-    group = simulated()
-    universe = RoleUniverse(["analyst", "manager", "auditor"])
-    table = Dataset(Domain.of((0, 31)))
-    table.add(Record((4,), b"quarterly forecast", parse_policy("analyst or manager")))
-    table.add(Record((11,), b"salary table", parse_policy("manager")))
-    table.add(Record((18,), b"audit trail", parse_policy("auditor and manager")))
-    owner = DataOwner(group, universe, rng=rng)
-    provider = owner.outsource({"docs": table})
-    user = QueryUser(group, universe, owner.register_user(["analyst"]))
-    server = ResilientSPServer(SPServer(provider, rng=rng))
-    transport = LoopbackTransport(server.handle_frame, detach=detach)
-    client = ResilientClient(
-        user, transport, policy=RetryPolicy(max_attempts=6),
-        clock=FakeClock(), rng=random.Random(seed + 1),
-    )
-    return client, transport
+#: One resilient client over one SP serving the demo table.
+STACK = dict(seed=7, universe=DEMO_ROLES, policy=RetryPolicy(max_attempts=6))
 
 
 def smoke() -> int:
@@ -81,7 +55,8 @@ def smoke() -> int:
         print("FAIL: smoke mode needs REPRO_OBS=1", file=sys.stderr)
         return 1
     obs.reset_for_tests()
-    client, transport = build_stack()
+    world = build_world({"docs": DEMO_ROWS}, (0, 31), **STACK)
+    client, transport = world.client, world.endpoints["sp0"]
     records = client.query_range("docs", (0,), (31,), encrypt=False)
     assert records, "query returned no accessible records"
 
@@ -120,7 +95,8 @@ def relay_smoke() -> int:
     for the query.  Returns the number of reassembled server spans.
     """
     obs.reset_for_tests()
-    client, transport = build_stack(detach=True)
+    world = build_world({"docs": DEMO_ROWS}, (0, 31), link="detached", **STACK)
+    client, transport = world.client, world.endpoints["sp0"]
     records = client.query_range("docs", (0,), (31,), encrypt=False)
     assert records, "detached query returned no accessible records"
 
@@ -179,7 +155,7 @@ def guard() -> int:
     if obs.enabled():
         print("FAIL: guard mode needs REPRO_OBS=0", file=sys.stderr)
         return 1
-    client, _ = build_stack()
+    client = build_world({"docs": DEMO_ROWS}, (0, 31), **STACK).client
     _time_workload(client, repeats=1)  # warm the APS/auth pools once
     disabled_time = _time_workload(client)
 

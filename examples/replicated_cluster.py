@@ -23,65 +23,24 @@ result the client returned was verified and equal to ground truth.
 Run:  python examples/replicated_cluster.py
 """
 
-import random
-
-from repro.core import DataOwner, Dataset, QueryUser, Record
-from repro.core.messages import SPServer
-from repro.core.system import ServiceProvider
-from repro.crypto import simulated
-from repro.index import Domain
-from repro.net import (
-    ChaosController,
-    ChaosEndpoint,
-    FakeClock,
-    ReplicatedClient,
-    RetryPolicy,
-    parse_schedule,
-)
-from repro.policy import RoleUniverse, parse_policy
+from repro.bench.world import build_world
+from repro.net import ChaosController, RetryPolicy, parse_schedule
 
 SEED = 20260806
-rng = random.Random(SEED)
-group = simulated()
-universe = RoleUniverse(["analyst", "manager"])
 
-# -- 1. outsource once; replicas cold-start from the snapshots ---------------
-reports = Dataset(Domain.of((0, 31)))
-reports.add(Record((4,), b"forecast", parse_policy("analyst or manager")))
-reports.add(Record((11,), b"salaries", parse_policy("manager")))
-reports.add(Record((23,), b"minutes", parse_policy("analyst")))
-owner = DataOwner(group, universe, rng=rng)
-provider = owner.outsource({"reports": reports})
-snapshots = provider.snapshot_tables()
-user = QueryUser(group, universe, owner.register_user(["analyst"]))
-truth = sorted([b"forecast", b"minutes"])
-
-
-def factory():
-    restored = ServiceProvider.from_snapshots(
-        group, owner.universe, owner.mvk, owner.cpabe_public, snapshots,
-    )
-    return SPServer(restored, rng=random.Random(SEED + 17))
-
-
-clock = FakeClock()
-endpoints = {
-    name: ChaosEndpoint(
-        name, factory, group, rng=random.Random(SEED + i), clock=clock,
-        max_in_flight=16, retry_after=1.0,
-    )
-    for i, name in enumerate(("sp0", "sp1", "sp2"))
-}
-client = ReplicatedClient(
-    user,
-    dict(endpoints),
+# -- 1. outsource once; three replicas cold-start from the snapshots --------
+world = build_world(
+    {"reports": [
+        ((4,), b"forecast", "analyst or manager"),
+        ((11,), b"salaries", "manager"),
+        ((23,), b"minutes", "analyst"),
+    ]},
+    (0, 31), seed=SEED, replicas=3, link="chaos", max_in_flight=16,
     policy=RetryPolicy(max_attempts=8, base_delay=0.02, deadline=30.0),
-    clock=clock,
-    rng=random.Random(SEED + 100),
-    quarantine_window=1000.0,
-    failure_threshold=3,
-    reset_timeout=5.0,
+    quarantine_window=1000.0, failure_threshold=3, reset_timeout=5.0,
 )
+client, endpoints, clock = world.client, world.endpoints, world.clock
+truth = sorted(world.truth("reports").values())
 
 # -- 2. the chaos script -----------------------------------------------------
 controller = ChaosController(parse_schedule("""

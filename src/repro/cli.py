@@ -23,6 +23,15 @@ import sys
 import time
 
 
+#: The demo's role universe and its ``docs`` rows: key, value, policy.
+DEMO_ROLES = ("analyst", "manager", "auditor")
+DEMO_ROWS = (
+    ((4,), b"quarterly forecast", "analyst or manager"),
+    ((11,), b"salary table", "manager"),
+    ((18,), b"audit trail", "auditor and manager"),
+)
+
+
 def demo_documents(with_policies: bool = True):
     """The demo's role universe and three-record ``docs`` table.
 
@@ -34,14 +43,9 @@ def demo_documents(with_policies: bool = True):
     from repro.index import Domain
     from repro.policy import RoleUniverse, parse_policy
 
-    universe = RoleUniverse(["analyst", "manager", "auditor"])
+    universe = RoleUniverse(list(DEMO_ROLES))
     table = Dataset(Domain.of((0, 31)))
-    rows = [
-        ((4,), b"quarterly forecast", "analyst or manager"),
-        ((11,), b"salary table", "manager"),
-        ((18,), b"audit trail", "auditor and manager"),
-    ]
-    for key, value, policy in rows:
+    for key, value, policy in DEMO_ROWS:
         table.add(Record(key, value, parse_policy(policy) if with_policies else None))
     return universe, table
 
@@ -153,94 +157,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.core import DataOwner, QueryUser
-    from repro.core.messages import SPServer
-    from repro.crypto import get_backend
-    from repro.net import (
-        FakeClock,
-        FaultyTransport,
-        LoopbackTransport,
-        ResilientClient,
-        ResilientSPServer,
-        RetryPolicy,
-    )
-
-    if not obs.enabled():
-        print("observability is disabled (REPRO_OBS=0); nothing to show",
-              file=sys.stderr)
-        return 1
-    rng = random.Random(args.seed)
-    group = get_backend(args.backend)
-    universe, table = demo_documents()
-    owner = DataOwner(group, universe, rng=rng)
-    provider = owner.outsource({"docs": table})
-    user = QueryUser(group, universe, owner.register_user(["analyst"]))
-    server = ResilientSPServer(SPServer(provider, rng=rng))
-    clock = FakeClock()
-    transport: object = LoopbackTransport(server.handle_frame)
-    if args.fault_rate > 0:
-        transport = FaultyTransport(
-            transport, rng=random.Random(args.seed + 1),
-            rates={"bitflip": args.fault_rate}, clock=clock,
-        )
-    client = ResilientClient(
-        user, transport,
-        policy=RetryPolicy(max_attempts=6), clock=clock,
-        rng=random.Random(args.seed + 2),
-    )
-    records = client.query_range("docs", (0,), (31,), encrypt=False)
-    print(f"verified {len(records)} accessible record(s)\n")
-    print(obs.format_trace(obs.tracer().last_trace().to_dict()))
-    print()
-    print(obs.format_metrics(), end="")
-    return 0
-
-
-def _obs_sharded_world(seed: int, backend: str, queries: int = 6):
-    """A 2-shard x 2-replica loopback deployment, pre-warmed with queries.
-
-    Every transport is a detached loopback, so server spans root their
-    own traces and flow back through the span relay — the same topology
-    ``repro obs top`` and ``repro obs trace`` are meant to demonstrate.
-    """
-    from repro.core import DataOwner, QueryUser
-    from repro.core.messages import SPServer
-    from repro.crypto import get_backend
-    from repro.net import LoopbackTransport, ResilientSPServer, RetryPolicy
-    from repro.net.sharding import RangeShardMap, ShardedClient, outsource_sharded
-
-    rng = random.Random(seed)
-    group = get_backend(backend)
-    universe, table = demo_documents()
-    owner = DataOwner(group, universe, rng=rng)
-    tables = outsource_sharded(owner, "docs", table, RangeShardMap(2), rng=rng)
-    user = QueryUser(
-        group, universe, owner.register_user(["analyst", "manager", "auditor"])
-    )
-    transports = {
-        shard_id: {
-            name: LoopbackTransport(
-                ResilientSPServer(SPServer(provider, rng=rng)).handle_frame,
-                detach=True,
-            )
-            for name in ("r0", "r1")
-        }
-        for shard_id, provider in tables.providers.items()
-    }
-    client = ShardedClient(
-        user, tables.roster, tables.roster_token, transports,
-        shard_policy=RetryPolicy(max_attempts=3),
-        rng=random.Random(seed + 1),
-    )
-    ranges = [((0,), (31,)), ((0,), (15,)), ((16,), (31,)), ((4,), (18,))]
-    for i in range(queries):
-        lo, hi = ranges[i % len(ranges)]
-        client.query_range("docs", lo, hi, encrypt=False)
-    return client
-
-
 def _obs_gate_check() -> bool:
     from repro import obs
 
@@ -251,13 +167,61 @@ def _obs_gate_check() -> bool:
     return True
 
 
+def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro import obs
+    from repro.bench.world import build_world
+    from repro.net import FaultyTransport, RetryPolicy
+
+    if not _obs_gate_check():
+        return 1
+    world = build_world(
+        {"docs": DEMO_ROWS}, (0, 31), seed=args.seed, backend=args.backend,
+        universe=DEMO_ROLES, policy=RetryPolicy(max_attempts=6),
+    )
+    client = world.client
+    if args.fault_rate > 0:
+        client.transport = FaultyTransport(
+            client.transport, rng=random.Random(args.seed + 1),
+            rates={"bitflip": args.fault_rate}, clock=world.clock,
+        )
+    records = client.query_range("docs", (0,), (31,), encrypt=False)
+    print(f"verified {len(records)} accessible record(s)\n")
+    print(obs.format_trace(obs.tracer().last_trace().to_dict()))
+    print()
+    print(obs.format_metrics(), end="")
+    return 0
+
+
+def _obs_workload(args: argparse.Namespace, queries: int):
+    """Run ``queries`` range queries on a 2-shard x 2-replica world.
+
+    Every link is a detached loopback, so server spans root their own
+    traces and flow back through the span relay — the topology
+    ``repro obs top`` and ``repro obs trace`` are meant to demonstrate.
+    Returns the sharded client.
+    """
+    from repro.bench.world import build_world
+    from repro.net import RetryPolicy
+
+    client = build_world(
+        {"docs": DEMO_ROWS}, (0, 31), seed=args.seed, backend=args.backend,
+        universe=DEMO_ROLES, roles=DEMO_ROLES, shards=2, replicas=2,
+        link="detached", shard_policy=RetryPolicy(max_attempts=3),
+    ).client
+    ranges = [((0,), (31,)), ((0,), (15,)), ((16,), (31,)), ((4,), (18,))]
+    for i in range(queries):
+        lo, hi = ranges[i % len(ranges)]
+        client.query_range("docs", lo, hi, encrypt=False)
+    return client
+
+
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.obs import ledger as _ledger
 
     if not _obs_gate_check():
         return 1
-    _obs_sharded_world(args.seed, args.backend, queries=args.queries)
+    _obs_workload(args, args.queries)
     print("per-query cost ledger (most recent first)")
     print(obs.format_ledger(_ledger.ledger().entries(args.queries)))
     print()
@@ -271,7 +235,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
 
     if not _obs_gate_check():
         return 1
-    client = _obs_sharded_world(args.seed, args.backend)
+    client = _obs_workload(args, 6)
     tree = client.assemble_trace(args.trace_id)
     if tree is None:
         wanted = args.trace_id or "(last query)"

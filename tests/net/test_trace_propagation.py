@@ -92,8 +92,12 @@ def build_docs() -> Dataset:
     return docs
 
 
-def build_sharded(backend="thread", fail_shard=None):
-    """3 shards x 2 replicas over recording transports; one shared log."""
+def recorded_shards(workers=1, fail_shard=None):
+    """3 shards x 2 replicas over recording transports; one shared log.
+
+    ``workers`` is each provider's relax worker count: 1 runs inline, 2 on
+    the spawn process pool.
+    """
     rng = random.Random(4242)
     group = simulated()
     universe = RoleUniverse(["analyst", "manager"])
@@ -105,8 +109,7 @@ def build_sharded(backend="thread", fail_shard=None):
     log: list = []
     transports = {}
     for sid, provider in tables.providers.items():
-        if backend == "process":
-            provider.workers = 2
+        provider.workers = workers
         handler = ResilientSPServer(SPServer(provider, rng=rng)).handle_frame
         transports[sid] = {
             rid: RecordingTransport(
@@ -127,9 +130,9 @@ def trace_ids(log) -> set:
     return {extract_trace_id(request_id) for _, request_id in log}
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_one_logical_query_is_one_trace_across_shards(backend):
-    client, log = build_sharded(backend=backend)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_logical_query_is_one_trace_across_shards(workers):
+    client, log = recorded_shards(workers=workers)
     records = client.query_range("docs", (0,), (47,), encrypt=False)
     assert [r.value for r in records] == ANALYST_TRUTH
 
@@ -151,7 +154,7 @@ def test_one_logical_query_is_one_trace_across_shards(backend):
 
 
 def test_equality_query_routes_one_shard_same_trace():
-    client, log = build_sharded()
+    client, log = recorded_shards()
     assert [r.value for r in client.query_equality("docs", (23,), encrypt=False)] \
         == [b"minutes"]
     assert trace_ids(log) == {client._last_trace_id}
@@ -159,7 +162,7 @@ def test_equality_query_routes_one_shard_same_trace():
 
 
 def test_resweep_and_replica_failover_stay_in_trace():
-    client, log = build_sharded(fail_shard="shard1")
+    client, log = recorded_shards(fail_shard="shard1")
     records = client.query_range("docs", (0,), (47,), encrypt=False)
     assert [r.value for r in records] == ANALYST_TRUTH
     # Sweep 0 lost shard1 on both replicas (max_attempts=1), so the

@@ -91,3 +91,41 @@ def test_demo_helpers_are_equivalent():
         stamped = with_policies.get(record.key).policy
         compiled = registry.policy_for("docs", record)
         assert compiled.text == compile_policy(stamped).text
+
+
+OBS_COMMANDS = {
+    "obs": ["obs"],
+    "obs-top": ["obs", "top", "--queries", "4"],
+    "obs-trace": ["obs", "trace"],
+}
+
+
+@pytest.fixture
+def obs_gate():
+    """Set the ``REPRO_OBS`` gate for one test, then restore it."""
+    from repro import obs
+
+    saved = obs.enabled()
+    yield lambda flag: (obs.set_enabled(flag), obs.reset_for_tests())
+    obs.set_enabled(saved)
+    obs.reset_for_tests()
+
+
+@pytest.mark.parametrize("command", OBS_COMMANDS)
+def test_obs_commands_render_on_simulated(command, obs_gate, capsys):
+    obs_gate(True)
+    assert main(OBS_COMMANDS[command] + ["--backend", "simulated"]) == 0
+    out = capsys.readouterr().out
+    expected = {
+        "obs": "client.query",
+        "obs-top": "per-query cost ledger",
+        "obs-trace": "shard.query",
+    }[command]
+    assert expected in out
+
+
+@pytest.mark.parametrize("command", OBS_COMMANDS)
+def test_obs_commands_refuse_when_disabled(command, obs_gate, capsys):
+    obs_gate(False)
+    assert main(OBS_COMMANDS[command]) == 1
+    assert "observability is disabled" in capsys.readouterr().err
