@@ -1,7 +1,5 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out."""
 
-from conftest import save_report
-
 from repro.bench.ablations import (
     run_ablation_encryption,
     run_ablation_fanout,
@@ -19,7 +17,6 @@ def test_a1_policy_simplification(benchmark):
     # Simplification shrinks both build time and root-policy size.
     assert rows["minimal DNF"][1] < rows["raw OR"][1]
     assert rows["minimal DNF"][3] < rows["raw OR"][3]
-    save_report(result)
 
 
 def test_a2_fanout(benchmark):
@@ -29,7 +26,6 @@ def test_a2_fanout(benchmark):
     # Binary split builds more nodes (deeper tree).
     by_fanout = {r[1]: r for r in result.rows}
     assert by_fanout["binary"][2] > by_fanout["2^d-way"][2]
-    save_report(result)
 
 
 def test_a3_verification(benchmark):
@@ -40,7 +36,6 @@ def test_a3_verification(benchmark):
     # Batched verification never loses on OR predicates.
     for row in result.rows:
         assert row[3] > 0.8  # within noise or faster
-    save_report(result)
 
 
 def test_a4_encryption(benchmark):
@@ -52,7 +47,6 @@ def test_a4_encryption(benchmark):
     sealed = next(r for r in rows if r[1] == "sealed")
     assert sealed[2] > plain[2]  # encryption costs real time
     assert sealed[3] > plain[3]  # and bytes
-    save_report(result)
 
 
 def test_a5_aps_cache(benchmark):
@@ -66,7 +60,6 @@ def test_a5_aps_cache(benchmark):
     # Second cached query must be far cheaper than the first.
     assert cached[1][2] < cached[0][2] / 5
     assert cached[1][3] >= 1  # hits recorded
-    save_report(result)
 
 
 def test_a6_updates(benchmark):
@@ -80,7 +73,6 @@ def test_a6_updates(benchmark):
     per_upsert = next(r for r in result.rows if r[0] == "per upsert")
     # One upsert re-signs O(log n) nodes, orders below a full rebuild.
     assert per_upsert[2] < rebuild[2] / 20
-    save_report(result)
 
 
 def test_a7_batch_verify(benchmark):
@@ -90,4 +82,3 @@ def test_a7_batch_verify(benchmark):
         lambda: run_ablation_batch_verify(domain_size=8), rounds=1, iterations=1
     )
     assert result.rows[0][3] > 0.9  # batched never meaningfully loses
-    save_report(result)

@@ -1,7 +1,5 @@
 """Figure 10 — range query cost vs role count / max policy length."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig10
 
 
@@ -14,4 +12,3 @@ def test_fig10_report(benchmark):
     # Larger role spaces / longer policies cost more (paper Fig. 10).
     sp_times = [r[2] for r in result.rows]
     assert sp_times[-1] > sp_times[0]
-    save_report(result)

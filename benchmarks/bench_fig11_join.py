@@ -1,7 +1,5 @@
 """Figure 11 — join query cost (Q12: Orders x Lineitem on orderkey)."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig11
 from repro.bench.harness import build_setup, measure_join
 from repro.workload.queries import query_batch
@@ -27,4 +25,3 @@ def test_fig11_report(benchmark):
     rows = {(r[0], r[1]): r for r in result.rows}
     basic, tree = rows[(40.0, "Basic")], rows[(40.0, "AP2G-tree")]
     assert tree[2] < basic[2] and tree[4] < basic[4]
-    save_report(result)

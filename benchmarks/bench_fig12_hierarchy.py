@@ -1,7 +1,5 @@
 """Figure 12 — impact of hierarchical role assignment (Section 8.1)."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig12
 
 
@@ -14,4 +12,3 @@ def test_fig12_report(benchmark):
     flat = [r for r in result.rows if r[1] == "flat"]
     hier = [r for r in result.rows if r[1] == "hierarchical"]
     assert hier[0][5] < flat[0][5]
-    save_report(result)

@@ -1,7 +1,5 @@
 """Figure 14 — AP2kd-tree vs AP2G-tree under relaxed confidentiality."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig14
 from repro.bench.harness import measure_range
 from repro.index.kdtree import APKDTree
@@ -23,4 +21,3 @@ def test_fig14_report(benchmark):
     rows = {(r[0], r[1]): r for r in result.rows}
     # AP2kd-tree outperforms AP2G-tree on VO size at the larger range.
     assert rows[(1.0, "AP2kd-tree")][4] < rows[(1.0, "AP2G-tree")][4]
-    save_report(result)

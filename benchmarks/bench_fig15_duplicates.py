@@ -1,7 +1,5 @@
 """Figure 15 / Appendix E — duplicate-record handling (ZK vs embedded)."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig15
 
 
@@ -15,4 +13,3 @@ def test_fig15_report(benchmark):
     # stays within a small factor (paper: <= ~3x).
     zk, nzk = rows[(1.0, "ZK AP2G")], rows[(1.0, "non-ZK AP2G")]
     assert zk[4] >= nzk[4]
-    save_report(result)

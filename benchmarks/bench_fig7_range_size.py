@@ -1,7 +1,5 @@
 """Figure 7 — range query cost vs query range size (Basic vs AP2G-tree)."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig7
 from repro.bench.harness import measure_range
 from repro.workload.queries import query_batch
@@ -30,4 +28,3 @@ def test_fig7_report(benchmark):
     basic, tree = rows[(1.0, "Basic")], rows[(1.0, "AP2G-tree")]
     assert tree[2] < basic[2]  # SP CPU
     assert tree[4] < basic[4]  # VO size
-    save_report(result)

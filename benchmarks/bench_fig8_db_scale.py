@@ -1,7 +1,5 @@
 """Figure 8 — range query cost vs database scale (range fixed at 0.1%)."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig8
 
 
@@ -15,4 +13,3 @@ def test_fig8_report(benchmark):
     sp_times = [r[2] for r in tree_rows]
     assert len(tree_rows) == 4
     assert sp_times[-1] >= sp_times[0]
-    save_report(result)

@@ -1,7 +1,5 @@
 """Figure 9 — range query cost vs number of distinct access policies."""
 
-from conftest import save_report
-
 from repro.bench.experiments import run_fig9
 
 
@@ -14,4 +12,3 @@ def test_fig9_report(benchmark):
     # max/min SP time within an order of magnitude.
     sp_times = [r[1] for r in result.rows]
     assert max(sp_times) < 10 * max(min(sp_times), 1e-9)
-    save_report(result)

@@ -2,8 +2,6 @@
 
 import random
 
-from conftest import save_report
-
 from repro.bench.experiments import run_table1
 from repro.core.system import DataOwner
 from repro.crypto import simulated
@@ -30,4 +28,3 @@ def test_table1_report(benchmark):
     # Index size must saturate: scale 3 within 5% of scale 1.
     sizes = [row[4] for row in result.rows]
     assert sizes[-1] <= sizes[-2] * 1.05
-    save_report(result)

@@ -2,8 +2,6 @@
 
 import random
 
-from conftest import save_report
-
 from repro.bench.experiments import _policy_of_length, run_table2
 from repro.core.app_signature import AppAuthenticator
 from repro.core.records import Record
@@ -45,4 +43,3 @@ def test_table2_report(benchmark):
     # Costs must grow with the policy length (paper Table 2 shape).
     user_cpu = [row[1] for row in result.rows]
     assert user_cpu == sorted(user_cpu)
-    save_report(result)

@@ -72,7 +72,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -724,13 +723,12 @@ class IngestDrill(Drill):
             (0, 15), seed=seed, backend=backend, replicas=2, link="chaos",
             journal_limit=INGEST_JOURNAL_LIMIT, policy=RETRY, **CLUSTER_OPTIONS,
         )
-        publisher_dir = tempfile.mkdtemp(prefix="chaos-ingest-do-")
         self.publishers = {}
         for t_index, table in enumerate(INGEST_TABLES):
             publisher = self.publishers[table] = UpdatePublisher(
                 world.owner.signer, table, world.trees[table], epoch=1,
                 rng=random.Random(seed + 31 + t_index),
-                state_path=f"{publisher_dir}/{t_index}.pub",
+                state_path=f"{world.journals.name}/{t_index}.pub",
             )
             for name in world.groups[table]:
                 publisher.attach(name, world.endpoints[name])
@@ -1019,16 +1017,19 @@ def main(argv=None) -> int:
 
     wall_start = time.perf_counter()
     drill = kind(args.seed, args.backend, args.queries)
-    tally = run_drill(drill, args.verbose)
-    drill.finish()
-    violations = drill.check(tally)
-    if args.scrape_lint:
-        violations.extend(scrape_lint(drill.world.endpoints))
-    wall = time.perf_counter() - wall_start
+    try:
+        tally = run_drill(drill, args.verbose)
+        drill.finish()
+        violations = drill.check(tally)
+        if args.scrape_lint:
+            violations.extend(scrape_lint(drill.world.endpoints))
+        wall = time.perf_counter() - wall_start
 
-    summary = {**drill.summary(tally), "wall_seconds": round(wall, 2)}
-    print(json.dumps(summary, indent=2))
-    drill.record(summary)
+        summary = {**drill.summary(tally), "wall_seconds": round(wall, 2)}
+        print(json.dumps(summary, indent=2))
+        drill.record(summary)
+    finally:
+        drill.world.close()
     if violations:
         for violation in violations:
             print(f"INVARIANT VIOLATED: {violation}", file=sys.stderr)

@@ -1,28 +1,15 @@
-"""Shared fixtures/helpers for the per-table/figure benchmarks.
+"""Shared fixtures for the per-table/figure benchmarks.
 
 Each ``bench_*`` module times the representative hot operation of one
-table or figure with pytest-benchmark, and additionally regenerates a
-(reduced-size) paper-style results table via ``report`` tests — the
-rendered tables land in ``benchmarks/results/``.  Full-size tables are
-produced by ``python -m repro.bench``.
+table or figure with pytest-benchmark, and its ``test_*_report`` tests
+run the experiment at a reduced size and assert the paper's shape (who
+wins, what grows).  They write nothing: the full-size tables in
+EXPERIMENTS.md are written by ``python -m repro.bench``.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def save_report(result) -> None:
-    """Write a rendered experiment table to benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    name = result.exp_id.lower().replace(" ", "")
-    text = result.render()
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print("\n" + text)
 
 
 @pytest.fixture(scope="session")

@@ -158,6 +158,9 @@ def run_ablation_encryption(
         mvk=setup.owner.mvk,
         cpabe_public=setup.owner.cpabe_public,
         trees={"T": setup.tree},
+        # No APS cache: the arm that ran first would pay every ABS.Relax
+        # and the other would hit its cache, so A4 would time cache warmth.
+        aps_cache_size=0,
     )
     result = ExperimentResult(
         exp_id="Ablation A4",

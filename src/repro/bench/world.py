@@ -29,6 +29,7 @@ from ``seed + 100 + g``.  One seed replays one exact world.
 
 from __future__ import annotations
 
+import os
 import random
 import tempfile
 from dataclasses import dataclass, field
@@ -65,6 +66,9 @@ class World:
     one client per table.  ``trees`` are the DO's own signed trees of an
     unsharded world (a publisher updates them); ``sharding`` is the
     DO-side roster and per-shard providers of a sharded one.
+    ``journals`` is a journaled world's temporary directory, holding one
+    subdirectory per replica; :meth:`close` removes it with everything
+    kept in it.
     """
 
     group: object
@@ -77,6 +81,12 @@ class World:
     clients: Dict[str, object]
     trees: Dict[str, object] = field(default_factory=dict)
     sharding: Optional[ShardedTables] = None
+    journals: Optional[tempfile.TemporaryDirectory] = None
+
+    def close(self) -> None:
+        """Remove the journal directory, if this world has one."""
+        if self.journals is not None:
+            self.journals.cleanup()
 
     @property
     def client(self):
@@ -135,9 +145,10 @@ def build_world(
     table gets its own replica group.  ``max_in_flight`` bounds each
     chaos replica's admission control.  ``journal_limit`` gives every
     chaos replica a write-ahead :class:`~repro.net.ingest.ServerIngest`
-    (in a fresh temporary directory, torn tails repaired on restart)
-    and the DO signs each table's epoch-1 freshness token, which every
-    cold start installs before journal recovery.
+    (in the world's ``journals`` directory, torn tails repaired on
+    restart; :meth:`World.close` removes it) and the DO signs each
+    table's epoch-1 freshness token, which every cold start installs
+    before journal recovery.
     """
     if link not in LINKS:
         raise ValueError(f"link must be one of {LINKS}, not {link!r}")
@@ -167,8 +178,9 @@ def build_world(
         trees = provider.trees
         providers = dict.fromkeys(datasets, provider)
     user = QueryUser(group, role_universe, owner.register_user(roles))
-    tokens = {}
+    tokens, journals = {}, None
     if journal_limit is not None:
+        journals = tempfile.TemporaryDirectory(prefix="world-")
         tokens = {name: issue_token(owner.signer, name, 1, owner_rng) for name in trees}
     clock = FakeClock()
 
@@ -216,7 +228,7 @@ def build_world(
                     max_in_flight=max_in_flight, retry_after=RETRY_AFTER,
                     token_factory=shard_tokens(gid) if shards else None,
                     ingest_factory=ingest_engine(
-                        tempfile.mkdtemp(prefix=f"world-{name}-")
+                        os.path.join(journals.name, name)
                     ) if journaled else None,
                     repair_torn_tail=journaled,
                 )
@@ -254,5 +266,5 @@ def build_world(
         },
         groups={gid: list(replica_set) for gid, replica_set in replica_sets.items()},
         clients=clients,
-        trees=trees, sharding=sharding,
+        trees=trees, sharding=sharding, journals=journals,
     )

@@ -1,5 +1,6 @@
 """The world builder: every topology its callers use serves the truth."""
 
+import pathlib
 import tempfile
 
 import pytest
@@ -80,7 +81,7 @@ def test_same_seed_same_world(topology):
 def test_journaled_tables_serve_their_epoch_token_across_restarts(
     monkeypatch, tmp_path,
 ):
-    # Journals go to fresh temporary directories; keep them in tmp_path.
+    # Journals go to a fresh temporary directory; keep it in tmp_path.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     tables = {
         f"docs@p{t}": [row for row in ROWS if row[0][0] % 2 == t]
@@ -99,6 +100,9 @@ def test_journaled_tables_serve_their_epoch_token_across_restarts(
     for table, client in world.clients.items():
         records = client.query_range(table, (0,), (47,), encrypt=False)
         assert {tuple(r.key): r.value for r in records} == world.truth(table)
+    assert list(tmp_path.iterdir()) == [pathlib.Path(world.journals.name)]
+    world.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sharded_world_rejects_several_tables():
