@@ -27,9 +27,11 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
   hosts.
 * ``warm_read`` — one sealed BN254 response opened and verified by a
   ``QueryUser`` cold, then a second response to the same query warm:
-  wall times plus exact pairings and point-decode / verified-entry memo
-  counts.  A warm read runs no pairing and decodes
-  every point of the VO and the CP-ABE header from the memo.
+  wall times plus exact pairings, points decoded and verified-entry /
+  KEM memo counts.  A warm read runs no pairing and decodes no point:
+  the client's memos recognise every entry and the CP-ABE header by
+  their wire bytes.  The same warm read is also timed with
+  observability on and off, alternating in-process.
 * ``dem`` — the AES-128-CTR + HMAC-SHA256 envelope alone (no KEM) at
   16 B to 64 KiB: seal and open with the old one-block-at-a-time T-table
   kernel (``ttable_aes.py``, kept here as the reference arm) against the
@@ -65,6 +67,7 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import time
 
 import generic_group
@@ -72,6 +75,7 @@ import pytest
 import ttable_aes
 import wide_comb
 
+from repro import obs
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import decrypt_envelope, encrypt_for_roles
 from repro.abs.batch import BatchItem, batch_verify, batch_verify_unmerged, find_invalid
@@ -391,13 +395,18 @@ def scenario_envelope(
     return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
 
 
-def scenario_warm_read(repeats: int = 3) -> dict:
+def scenario_warm_read(repeats: int = 3, obs_pairs: int = 20) -> dict:
     """A ``QueryUser`` decodes, opens and verifies a sealed BN254 range answer, cold then warm.
 
     The service provider's APS and KEM caches are warm after the first
     answer, so every later answer to the same query carries the same
-    signatures and header under a fresh body nonce.  Memo counts come
-    from this thread's ledger tally (observability must be on).
+    signatures and header under a fresh body nonce.  ``points`` counts
+    the G1/G2 points the answer carries (``C'`` and each ``(C_i, D_i)``
+    of the header, then ``(Y, W, S_1..S_l, P_1..P_t)`` of each VO entry's
+    signature); ``points_decoded`` is the exact number the read decoded.
+    Memo counts come from this thread's ledger tally (observability must
+    be on).  ``obs`` times the same warm read ``obs_pairs`` times with
+    observability on and off, alternating, and reports each side's median.
     """
     grp = BN254Group()
     rng = random.Random(SEED + 6)
@@ -410,18 +419,22 @@ def scenario_warm_read(repeats: int = 3) -> dict:
     provider = owner.outsource({"t": dataset})
     user = QueryUser(grp, universe, owner.register_user(["R0", "R1"]))
 
-    def read():
+    def sealed_wire():
         sealed = provider.range_query("t", (0,), (15,), user.roles, encrypt=True, rng=rng)
-        wire = encode_response(sealed)
-        before, tallied = grp.stats.snapshot(), obs_ledger.tally_snapshot()
+        return encode_response(sealed)
+
+    def timed_read(wire):
         t0 = time.perf_counter()
-        response = decode_response(grp, wire)
-        records = user.verify(response)
-        seconds = time.perf_counter() - t0
+        records = user.verify(decode_response(grp, wire))
+        return time.perf_counter() - t0, records
+
+    def read():
+        wire = sealed_wire()
+        before, tallied = grp.stats.snapshot(), obs_ledger.tally_snapshot()
+        seconds, records = timed_read(wire)
         ops = grp.stats.delta(before)
         counters = obs_ledger.tally_since(tallied)
-        # G1/G2 points decoded: C' and each (C_i, D_i) of the header, then
-        # (Y, W, S_1..S_l, P_1..P_t) of each VO entry's signature.
+        response = decode_response(grp, wire)
         points = 1 + 2 * len(response.envelope.header.c_rows) + sum(
             2 + len(sig.s) + len(sig.p)
             for sig in (getattr(e, "signature", None) or e.aps for e in user._open(response))
@@ -430,10 +443,11 @@ def scenario_warm_read(repeats: int = 3) -> dict:
             "s": seconds,
             "records": len(records),
             "points": points,
+            "points_decoded": ops["points_decoded"],
             "pairings": ops["pairings"],
             "pair_cache_hits": ops["pair_cache_hits"],
         }
-        for name in ("decode_memo", "verify_memo", "kem_memo"):
+        for name in ("verify_memo", "kem_memo"):
             for outcome in ("hits", "misses"):
                 arm[f"{name}_{outcome}"] = counters.get(f"{name}_{outcome}", 0)
         return arm
@@ -443,12 +457,30 @@ def scenario_warm_read(repeats: int = 3) -> dict:
     for arm in (cold, *warm):
         arm["s"] = round(arm["s"], 6)
     best = min(warm, key=lambda arm: arm["s"])
+    sides = {True: [], False: []}
+    was = obs.set_enabled(True)
+    try:
+        for _ in range(obs_pairs):
+            for enabled in (True, False):
+                wire = sealed_wire()
+                obs.set_enabled(enabled)
+                sides[enabled].append(timed_read(wire)[0])
+                obs.set_enabled(True)
+    finally:
+        obs.set_enabled(was)
+    on, off = (statistics.median(sides[flag]) for flag in (True, False))
     return {
         "host": {"cpu_count": os.cpu_count()},
         "repeats": repeats,
         "cold": cold,
         "warm": best,
         "speedup": round(cold["s"] / best["s"], 3),
+        "obs": {
+            "pairs": obs_pairs,
+            "warm_on_s": round(on, 6),
+            "warm_off_s": round(off, 6),
+            "overhead": round((on - off) / on, 3),
+        },
     }
 
 
@@ -596,8 +628,11 @@ def main() -> None:
     for side in ("cold", "warm"):
         arm = results["warm_read"][side]
         print(f"warm_read {side:4s} open+verify {arm['s']*1e3:7.2f} ms   "
-              f"{arm['pairings']} pairings   {arm['decode_memo_hits']}/{arm['points']} "
-              f"points from the decode memo")
+              f"{arm['pairings']} pairings   {arm['points_decoded']}/{arm['points']} "
+              f"points decoded")
+    telemetry = results["warm_read"]["obs"]
+    print(f"warm_read obs on {telemetry['warm_on_s']*1e3:7.3f} ms   off "
+          f"{telemetry['warm_off_s']*1e3:7.3f} ms   overhead {telemetry['overhead']:.1%}")
     for name, arm in results["dem"]["arms"].items():
         print(f"dem {name:8s} seal old {arm['seal_old_s']*1e3:8.3f} ms new "
               f"{arm['seal_new_s']*1e3:8.3f} ms x{arm['seal_speedup']}   open old "
@@ -661,18 +696,17 @@ def test_smoke_envelope():
 
 
 def test_smoke_warm_read():
-    """CI smoke: a warm sealed read runs no pairing, serves every point of
-    the VO and header from the decode memo, and every entry from the
-    verified-entry memo; the cold read runs pairings and memoizes."""
-    result = scenario_warm_read(repeats=1)
+    """CI smoke: the cold read decodes every point of the VO and header and
+    runs pairings; a warm sealed read decodes no point and runs no pairing,
+    because every entry and the header come from the client's memos."""
+    result = scenario_warm_read(repeats=1, obs_pairs=1)
     cold, warm = result["cold"], result["warm"]
     assert cold["records"] == warm["records"] == 2
     assert cold["pairings"] > 0
-    assert cold["decode_memo_hits"] + cold["decode_memo_misses"] == cold["points"]
+    assert cold["points_decoded"] == cold["points"] == warm["points"]
     assert cold["verify_memo_hits"] == 0 and cold["verify_memo_misses"] > 0
+    assert warm["points_decoded"] == 0
     assert warm["pairings"] == 0 and warm["pair_cache_hits"] == 0
-    assert warm["decode_memo_hits"] == warm["points"] == cold["points"]
-    assert warm["decode_memo_misses"] == 0
     assert warm["verify_memo_hits"] == cold["verify_memo_misses"]
     assert warm["verify_memo_misses"] == 0
     assert warm["kem_memo_hits"] == 1

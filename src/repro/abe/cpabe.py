@@ -28,9 +28,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional
 
+from repro.codec import Reader, encode_bytes, strict_decode
 from repro.crypto.group import G1, G2, GT, BilinearGroup, GroupElement
-from repro.errors import AccessDeniedError, CryptoError
-from repro.policy.boolexpr import BoolExpr
+from repro.errors import AccessDeniedError, CryptoError, DeserializationError
+from repro.policy.boolexpr import BoolExpr, parse_policy
 from repro.policy.compiler.msp import get_msp
 
 
@@ -85,6 +86,42 @@ class CpAbeCiphertext:
         if self.c_tilde is not None:
             size += grp.element_bytes(GT)
         return size
+
+    def to_bytes(self) -> bytes:
+        """Wire encoding: policy text, ``C~`` flag (and ``C~``), ``C'``,
+        the row count, every ``C_i``, then every ``D_i``."""
+        out = bytearray(encode_bytes(self.policy.to_string().encode()))
+        out += b"\x01" if self.c_tilde is not None else b"\x00"
+        if self.c_tilde is not None:
+            out += self.c_tilde.to_bytes()
+        out += self.c_prime.to_bytes()
+        out += len(self.c_rows).to_bytes(2, "big")
+        for row in self.c_rows:
+            out += row.to_bytes()
+        for row in self.d_rows:
+            out += row.to_bytes()
+        return bytes(out)
+
+    @classmethod
+    def from_bytes(cls, group: BilinearGroup, data: bytes) -> "CpAbeCiphertext":
+        """Inverse of :meth:`to_bytes`; raises :class:`~repro.errors.DeserializationError`."""
+        with strict_decode("CP-ABE header"):
+            reader = Reader(data)
+            policy = parse_policy(reader.take_bytes().decode())
+            flag = reader.take(1)
+            if flag not in (b"\x00", b"\x01"):
+                raise DeserializationError(f"CP-ABE header flag {flag.hex()} is neither 00 nor 01")
+            c_tilde = None
+            if flag == b"\x01":
+                c_tilde = group.deserialize(GT, reader.take(group.element_bytes(GT)))
+            g1w, g2w = group.element_bytes(G1), group.element_bytes(G2)
+            c_prime = group.deserialize(G1, reader.take(g1w))
+            count = int.from_bytes(reader.take(2), "big")
+            c_rows = tuple(group.deserialize(G1, reader.take(g1w)) for _ in range(count))
+            d_rows = tuple(group.deserialize(G2, reader.take(g2w)) for _ in range(count))
+            if not reader.exhausted:
+                raise DeserializationError("trailing bytes in envelope header")
+        return cls(policy=policy, c_tilde=c_tilde, c_prime=c_prime, c_rows=c_rows, d_rows=d_rows)
 
 
 class CpAbeScheme:

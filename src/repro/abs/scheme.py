@@ -33,19 +33,27 @@ from repro.abs.keys import (
     attribute_scalar,
 )
 from repro.crypto.field import mod_inv
-from repro.crypto.group import G1, G2, BilinearGroup, GroupElement
-from repro.errors import CryptoError, PolicyError
+from repro.crypto.group import G1, G2, BilinearGroup, GroupElement, resolve_pickle_backend
+from repro.errors import CryptoError, DeserializationError, PolicyError
 from repro.policy.boolexpr import BoolExpr
 from repro.policy.compiler.msp import get_msp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class AbsSignature:
     """An ABS signature ``(tau, Y, W, {S_i}, {P_j})``.
 
     The row order of ``s`` and the column order of ``p`` follow the
     canonical monotone span program of the claim predicate, so verifier
     and signer agree on indexing by construction.
+
+    One type, two constructors: ``AbsSignature(tau, y, w, s, p)`` from
+    points, and :meth:`from_bytes` from the wire encoding.  Each form
+    builds the other on first use and keeps it: a signature read off the
+    wire decodes its G1/G2 points only when a check first reads one (a
+    client whose verified-entry memo holds the entry never does), and a
+    signature built from points encodes itself once, however often it
+    is served.  Equality and hashing go by the wire bytes.
     """
 
     tau: bytes
@@ -54,59 +62,106 @@ class AbsSignature:
     s: tuple[GroupElement, ...]
     p: tuple[GroupElement, ...]
 
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: the points of a
+        # signature made by from_bytes, decoded together on first use.
+        state = self.__dict__
+        if name in ("y", "w", "s", "p") and "_encoding" in state:
+            self._decode_points()
+            return state[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     def byte_size(self) -> int:
         """Serialized size in bytes (used for VO-size accounting)."""
-        return (
-            len(self.tau)
-            + self.y.group.element_bytes(G1) * (2 + len(self.s))
-            + self.y.group.element_bytes(G2) * len(self.p)
-        )
+        state = self.__dict__
+        if "y" in state:
+            group, n_s, n_p = self.y.group, len(self.s), len(self.p)
+        else:
+            group, (n_s, n_p) = state["_group"], state["_counts"]
+        return len(self.tau) + group.element_bytes(G1) * (2 + n_s) + group.element_bytes(G2) * n_p
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += len(self.tau).to_bytes(2, "big") + self.tau
-        out += len(self.s).to_bytes(2, "big")
-        out += len(self.p).to_bytes(2, "big")
-        out += self.y.to_bytes() + self.w.to_bytes()
-        for si in self.s:
-            out += si.to_bytes()
-        for pj in self.p:
-            out += pj.to_bytes()
-        return bytes(out)
+        encoding = self.__dict__.get("_encoding")
+        if encoding is None:
+            out = bytearray()
+            out += len(self.tau).to_bytes(2, "big") + self.tau
+            out += len(self.s).to_bytes(2, "big")
+            out += len(self.p).to_bytes(2, "big")
+            out += self.y.to_bytes() + self.w.to_bytes()
+            for si in self.s:
+                out += si.to_bytes()
+            for pj in self.p:
+                out += pj.to_bytes()
+            encoding = bytes(out)
+            object.__setattr__(self, "_encoding", encoding)
+        return encoding
 
     @classmethod
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "AbsSignature":
-        from repro.errors import DeserializationError
+        """The signature with wire encoding ``data``; its points are decoded on first use.
 
+        The layout (lengths and counts) is checked here; a point that does
+        not decode raises :class:`~repro.errors.DeserializationError` when
+        a point is first read.
+        """
+        data = bytes(data)
+        if len(data) < 2:
+            raise DeserializationError("malformed ABS signature: truncated tau length")
+        off = 2 + int.from_bytes(data[:2], "big")
+        if len(data) < off + 4:
+            raise DeserializationError("malformed ABS signature: truncated header")
+        n_s = int.from_bytes(data[off : off + 2], "big")
+        n_p = int.from_bytes(data[off + 2 : off + 4], "big")
+        size = off + 4 + group.element_bytes(G1) * (2 + n_s) + group.element_bytes(G2) * n_p
+        if len(data) < size:
+            raise DeserializationError("malformed ABS signature: truncated points")
+        if len(data) != size:
+            raise DeserializationError("trailing bytes in ABS signature")
+        sig = object.__new__(cls)
+        for name, value in (("tau", data[2:off]), ("_group", group),
+                            ("_counts", (n_s, n_p)), ("_encoding", data)):
+            object.__setattr__(sig, name, value)
+        return sig
+
+    def _decode_points(self) -> None:
+        state = self.__dict__
+        group, data, (n_s, n_p) = state["_group"], state["_encoding"], state["_counts"]
+        g1w, g2w = group.element_bytes(G1), group.element_bytes(G2)
+        off = 2 + len(self.tau) + 4
         try:
-            off = 0
-            tau_len = int.from_bytes(data[off : off + 2], "big")
-            off += 2
-            tau = data[off : off + tau_len]
-            off += tau_len
-            n_s = int.from_bytes(data[off : off + 2], "big")
-            off += 2
-            n_p = int.from_bytes(data[off : off + 2], "big")
-            off += 2
-            g1w = group.element_bytes(G1)
-            g2w = group.element_bytes(G2)
-            y = group.deserialize(G1, data[off : off + g1w])
-            off += g1w
-            w = group.deserialize(G1, data[off : off + g1w])
-            off += g1w
-            s = []
-            for _ in range(n_s):
-                s.append(group.deserialize(G1, data[off : off + g1w]))
-                off += g1w
-            p = []
-            for _ in range(n_p):
-                p.append(group.deserialize(G2, data[off : off + g2w]))
-                off += g2w
-            if off != len(data):
-                raise DeserializationError("trailing bytes in ABS signature")
-            return cls(tau=tau, y=y, w=w, s=tuple(s), p=tuple(p))
+            g1 = [
+                group.deserialize(G1, data[off + i * g1w : off + (i + 1) * g1w])
+                for i in range(2 + n_s)
+            ]
+            off += g1w * (2 + n_s)
+            p = tuple(
+                group.deserialize(G2, data[off + j * g2w : off + (j + 1) * g2w])
+                for j in range(n_p)
+            )
         except (IndexError, ValueError) as exc:
             raise DeserializationError(f"malformed ABS signature: {exc}") from exc
+        for name, value in (("y", g1[0]), ("w", g1[1]), ("s", tuple(g1[2:])), ("p", p)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        """Pickle as ``(backend name, wire bytes)``, like a group element."""
+        group = self.__dict__.get("_group") or self.y.group
+        return (_unpickle_signature, (group.name, self.to_bytes()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AbsSignature):
+            return NotImplemented
+        return self.to_bytes() == other.to_bytes()
+
+    def __hash__(self) -> int:
+        return hash(self.to_bytes())
+
+    def __repr__(self) -> str:
+        return f"AbsSignature(tau={self.tau.hex()[:16]}..., {len(self.to_bytes())} bytes)"
+
+
+def _unpickle_signature(name: str, data: bytes) -> AbsSignature:
+    return AbsSignature.from_bytes(resolve_pickle_backend(name), data)
 
 
 class AbsScheme:

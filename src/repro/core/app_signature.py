@@ -306,7 +306,10 @@ class AppAuthenticator:
                rng: Optional[random.Random]) -> AbsSignature:
         signature, message, policy = request
         aps, _ = relax(self.scheme, self.mvk, signature, message, policy, missing_roles, rng)
-        return aps
+        # The SP only ever serves an APS, so it keeps the wire encoding
+        # alone (a fraction of the decoded points' memory), as the pool
+        # path does.
+        return AbsSignature.from_bytes(self.group, aps.to_bytes())
 
     def derive_aps(
         self,

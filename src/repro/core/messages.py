@@ -4,8 +4,8 @@ Everything the three parties exchange becomes length-prefixed bytes
 here, so an SP can run behind any transport (socket, HTTP body, queue):
 
 * :class:`QueryRequest` — kind, table(s), range, claimed roles, flags;
-* CP-ABE ciphertext and hybrid-envelope codecs (the last unserialized
-  protocol objects);
+* the hybrid-envelope codec: the CP-ABE header's wire bytes
+  (:meth:`~repro.abe.cpabe.CpAbeCiphertext.to_bytes`) and the sealed body;
 * :class:`QueryResponse` codec — a clipped query box plus either a
   plaintext VO or a sealed envelope;
 * :class:`SPServer` — ``handle(request_bytes) -> response_bytes`` on top
@@ -22,16 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.abe.cpabe import CpAbeCiphertext
 from repro.abe.hybrid import HybridEnvelope
 from repro.core.persistence import NodeReplacement
 from repro.core.system import QueryResponse, ServiceProvider
 from repro.core.vo import VerificationObject, _Reader, _encode_bytes, _encode_point, _strict_decode
-from repro.crypto.group import G1, G2, GT, BilinearGroup
+from repro.crypto.group import BilinearGroup
 from repro.errors import DeserializationError, ReproError, WorkloadError
 from repro.index.boxes import Box
 from repro.obs import trace as _trace
-from repro.policy.boolexpr import parse_policy
 
 _REQ_MAGIC = b"QRY\x01"
 _RESP_MAGIC = b"RSP\x01"
@@ -312,54 +310,18 @@ def is_ingest_frame(data: bytes) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# CP-ABE ciphertext / hybrid envelope codecs
+# Hybrid envelope codec
 # ---------------------------------------------------------------------------
 
-def encode_ciphertext(ct: CpAbeCiphertext) -> bytes:
-    out = bytearray()
-    out += _encode_bytes(ct.policy.to_string().encode())
-    out += b"\x01" if ct.c_tilde is not None else b"\x00"
-    if ct.c_tilde is not None:
-        out += ct.c_tilde.to_bytes()
-    out += ct.c_prime.to_bytes()
-    out += len(ct.c_rows).to_bytes(2, "big")
-    for row in ct.c_rows:
-        out += row.to_bytes()
-    for row in ct.d_rows:
-        out += row.to_bytes()
-    return bytes(out)
-
-
-def decode_ciphertext(group: BilinearGroup, reader: _Reader) -> CpAbeCiphertext:
-    policy = parse_policy(reader.take_bytes().decode())
-    has_payload = reader.take(1) == b"\x01"
-    c_tilde = None
-    if has_payload:
-        c_tilde = group.deserialize(GT, reader.take(group.element_bytes(GT)))
-    g1w, g2w = group.element_bytes(G1), group.element_bytes(G2)
-    c_prime = group.deserialize(G1, reader.take(g1w))
-    count = int.from_bytes(reader.take(2), "big")
-    c_rows = tuple(group.deserialize(G1, reader.take(g1w)) for _ in range(count))
-    d_rows = tuple(group.deserialize(G2, reader.take(g2w)) for _ in range(count))
-    return CpAbeCiphertext(
-        policy=policy, c_tilde=c_tilde, c_prime=c_prime, c_rows=c_rows, d_rows=d_rows
-    )
-
-
 def encode_envelope(envelope: HybridEnvelope) -> bytes:
-    return _encode_bytes(encode_ciphertext(envelope.header)) + _encode_bytes(
-        envelope.body
-    )
+    return _encode_bytes(envelope.header_bytes) + _encode_bytes(envelope.body)
 
 
 def decode_envelope(group: BilinearGroup, reader: _Reader) -> HybridEnvelope:
+    """Read an envelope; its header is decoded when first opened (see
+    :meth:`HybridEnvelope.from_header_bytes`)."""
     header_bytes = reader.take_bytes()
-    header_reader = _Reader(header_bytes)
-    header = decode_ciphertext(group, header_reader)
-    if not header_reader.exhausted:
-        raise DeserializationError("trailing bytes in envelope header")
-    body = reader.take_bytes()
-    return HybridEnvelope(header=header, body=body)
+    return HybridEnvelope.from_header_bytes(group, header_bytes, reader.take_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,22 @@ _M_QUERIES = _REG.counter(
 
 #: Bound of each KEM cache: the role sets whose CP-ABE encapsulation an
 #: SP reuses (also emptied on every epoch rotation, so one key serves at
-#: most one epoch), and the response headers whose decapsulated key
-#: material a QueryUser keeps.
+#: most one epoch), and the response headers whose decapsulated key a
+#: QueryUser keeps.  Each entry holds its key's envelope channel
+#: (:class:`repro.crypto.aes.Channel`), so the channels are bounded too.
 KEM_CACHE_SIZE = 64
 _SEAL_COUNTERS = {"hit": "kem_hits", "miss": "kem_misses"}
+_KEM_CACHE = {o: _M_KEM_CACHE.labels(outcome=o) for o in ("hit", "miss", "evicted")}
+_AUTH_POOL = {o: _M_AUTH_POOL.labels(outcome=o) for o in ("hit", "miss", "evicted")}
+_AUTH_POOL_SIZE = _M_AUTH_POOL_SIZE.labels()
+_QUERIES = {kind: _M_QUERIES.labels(kind=kind) for kind in ("equality", "range", "join")}
 _OPEN_COUNTERS = {"hit": "kem_memo_hits", "miss": "kem_memo_misses"}
 _VERIFY_COUNTERS = {"hit": "verify_memo_hits", "miss": "verify_memo_misses"}
 
 
 def _observe_seal(outcome: str) -> None:
     """SP-side KEM cache outcome: a metric, plus a ledger count per query."""
-    _M_KEM_CACHE.inc(outcome=outcome)
+    _KEM_CACHE[outcome].inc()
     if outcome != "evicted":
         _ledger.ledger().count(_trace.current_trace_id(), **{_SEAL_COUNTERS[outcome]: 1})
 
@@ -392,7 +397,7 @@ class ServiceProvider:
         with self._cache_lock:
             authenticator = pool.get(missing)
             if authenticator is None:
-                _M_AUTH_POOL.inc(outcome="miss")
+                _AUTH_POOL["miss"].inc()
                 authenticator = AppAuthenticator(
                     self.group, self.universe, self.authenticator.mvk,
                     missing_override=list(missing),
@@ -402,11 +407,11 @@ class ServiceProvider:
                 pool[missing] = authenticator
                 if len(pool) > self._auth_pool_size:
                     pool.popitem(last=False)
-                    _M_AUTH_POOL.inc(outcome="evicted")
+                    _AUTH_POOL["evicted"].inc()
             else:
-                _M_AUTH_POOL.inc(outcome="hit")
+                _AUTH_POOL["hit"].inc()
                 pool.move_to_end(missing)
-            _M_AUTH_POOL_SIZE.set(len(pool))
+            _AUTH_POOL_SIZE.set(len(pool))
         return authenticator
 
     def _respond(
@@ -441,7 +446,7 @@ class ServiceProvider:
         with _trace.span(
             "sp.query", kind=kind, workers=effective_workers or 0,
         ) as sp_span:
-            _M_QUERIES.inc(kind=kind)
+            _QUERIES[kind].inc()
             authenticator = self.authenticator_for(roles)
             user_roles = self.universe.validate_user_roles(roles)
             vo, stats = execute(
@@ -556,8 +561,9 @@ class QueryUser:
         self.authenticator = AppAuthenticator(group, universe, credentials.mvk)
         self.authenticator.enable_verify_memo(_observe_verify)
         self._cpabe = CpAbeScheme(group)
-        #: Decapsulated key material by exact header bytes; per user, since
-        #: it is only valid for this user's secret key.
+        #: Each decapsulated key's envelope channel, by the header's exact
+        #: wire bytes; per user, since it is only valid for this user's
+        #: secret key.
         self._kem_memo = BoundedMemo(KEM_CACHE_SIZE, observe=_observe_open)
 
     @property

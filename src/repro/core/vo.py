@@ -19,77 +19,19 @@ reported by benchmarks are real serialized byte counts.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from repro.abs.scheme import AbsSignature
+from repro.codec import Reader as _Reader
+from repro.codec import encode_bytes as _encode_bytes
+from repro.codec import encode_point as _encode_point
+from repro.codec import strict_decode as _strict_decode
 from repro.core.records import Record
 from repro.crypto.group import BilinearGroup
-from repro.errors import DeserializationError, PolicyError, WorkloadError
+from repro.errors import DeserializationError
 from repro.index.boxes import Box, Point
 from repro.policy.boolexpr import BoolExpr, parse_policy
-
-
-@contextmanager
-def _strict_decode(what: str):
-    """Normalize every malformed-frame failure to DeserializationError.
-
-    Codec internals can surface ``UnicodeDecodeError`` (partial UTF-8),
-    ``PolicyParseError`` (truncated policy strings), ``IndexError`` /
-    ``ValueError`` / ``OverflowError`` (mangled integers), or
-    ``WorkloadError`` (an inverted query box) — a caller fed attacker- or
-    fault-controlled bytes must see exactly one error type.
-    """
-    try:
-        yield
-    except DeserializationError:
-        raise
-    except (IndexError, KeyError, OverflowError, PolicyError, ValueError,
-            WorkloadError) as exc:
-        # UnicodeDecodeError is a ValueError subclass.
-        raise DeserializationError(f"malformed {what}: {exc}") from exc
-
-
-def _encode_bytes(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
-def _encode_point(point: Point) -> bytes:
-    out = bytearray([len(point)])
-    for x in point:
-        out += int(x).to_bytes(8, "big", signed=True)
-    return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise DeserializationError(
-                f"truncated input: need {n} bytes at offset {self.off}, "
-                f"only {len(self.data) - self.off} of {len(self.data)} remain"
-            )
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def take_bytes(self) -> bytes:
-        n = int.from_bytes(self.take(4), "big")
-        return self.take(n)
-
-    def take_point(self) -> Point:
-        dims = self.take(1)[0]
-        return tuple(
-            int.from_bytes(self.take(8), "big", signed=True) for _ in range(dims)
-        )
-
-    @property
-    def exhausted(self) -> bool:
-        return self.off == len(self.data)
 
 
 @dataclass(frozen=True)

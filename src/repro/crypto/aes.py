@@ -29,10 +29,12 @@ exercises the real code path; it does not protect production traffic.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import os
 import struct
 
-from repro.crypto.hashing import constant_time_eq, hmac_sha256, kdf
+from repro.crypto.hashing import constant_time_eq, kdf
 from repro.errors import CryptoError
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,7 @@ _XTIME = bytes(_gf_mul(x, 2) for x in range(256))
 # Lane order: lane L = 4r + c carries state byte r + 4c (row r, column c)
 # of every block, so each state row is four consecutive lanes.
 _LANE_BYTES = tuple(r + 4 * c for r in range(4) for c in range(4))
+_TABLE_PAD = bytes(240)
 
 
 def _expand_key(key: bytes) -> tuple[bytes, ...]:
@@ -118,8 +121,7 @@ class AES128:
     """Forward AES-128 cipher with a precomputed key schedule."""
 
     def __init__(self, key: bytes):
-        # Each round key as a translate table mapping lane number -> key byte.
-        self._key_tables = tuple(k + bytes(240) for k in _expand_key(key))
+        self._round_keys = _expand_key(key)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -142,7 +144,11 @@ class AES128:
         size, bits, row_bits = 16 * n, 128 * n, 32 * n
         mask = (1 << bits) - 1
         lane_ids = b"".join(bytes((lane,)) * n for lane in range(16))
-        keys = [int.from_bytes(lane_ids.translate(t), "big") for t in self._key_tables]
+        # Each round key padded to a translate table mapping lane number ->
+        # key byte; built per call, so a cipher keeps 176 bytes of keys.
+        keys = [
+            int.from_bytes(lane_ids.translate(k + _TABLE_PAD), "big") for k in self._round_keys
+        ]
         s = int.from_bytes(state, "big") ^ keys[0]
         for k in keys[1:10]:
             s = int.from_bytes(_sub_shift(s, n), "big")
@@ -191,34 +197,58 @@ def ctr_keystream(cipher: AES128, nonce: bytes, length: int) -> bytes:
 
 def aes_ctr_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """Encrypt/decrypt (same operation) with AES-128-CTR."""
-    stream = ctr_keystream(AES128(key), nonce, len(data))
+    return _ctr_xor(AES128(key), nonce, data)
+
+
+def _ctr_xor(cipher: AES128, nonce: bytes, data: bytes) -> bytes:
+    stream = ctr_keystream(cipher, nonce, len(data))
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return mixed.to_bytes(len(data), "big")
 
 
-def seal(key_material: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:
-    """Authenticated envelope: AES-128-CTR + HMAC-SHA256 (encrypt-then-MAC).
+class Channel:
+    """The symmetric half of one envelope key: everything derived from it, built once.
 
-    ``key_material`` may be any high-entropy byte string (e.g. a serialized
-    GT element from the CP-ABE KEM); encryption and MAC keys are derived
-    with the KDF.  Output layout: ``nonce (12) || ciphertext || tag (32)``.
+    ``key_material`` may be any high-entropy byte string (e.g. a
+    serialized GT element from the CP-ABE KEM).  The encryption and MAC
+    keys are derived with the KDF; the channel keeps the AES-128 key
+    schedule and an HMAC-SHA256 state already keyed, so a key that seals
+    or opens many envelopes derives them once.  Envelope layout:
+    ``nonce (12) || ciphertext || tag (32)``, encrypt-then-MAC.
     """
-    enc_key = kdf(key_material, b"enc", 16)
-    mac_key = kdf(key_material, b"mac", 32)
-    if nonce is None:
-        nonce = os.urandom(12)
-    ciphertext = aes_ctr_xor(enc_key, nonce, plaintext)
-    tag = hmac_sha256(mac_key, nonce + ciphertext)
-    return nonce + ciphertext + tag
+
+    __slots__ = ("_cipher", "_mac")
+
+    def __init__(self, key_material: bytes):
+        self._cipher = AES128(kdf(key_material, b"enc", 16))
+        self._mac = hmac.new(kdf(key_material, b"mac", 32), digestmod=hashlib.sha256)
+
+    def _tag(self, data: bytes) -> bytes:
+        mac = self._mac.copy()
+        mac.update(data)
+        return mac.digest()
+
+    def seal(self, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:
+        if nonce is None:
+            nonce = os.urandom(12)
+        ciphertext = _ctr_xor(self._cipher, nonce, plaintext)
+        return nonce + ciphertext + self._tag(nonce + ciphertext)
+
+    def open(self, envelope: bytes) -> bytes:
+        """Open a sealed envelope; raises :class:`CryptoError` on tamper."""
+        if len(envelope) < 44:
+            raise CryptoError("sealed envelope too short")
+        nonce, body, tag = envelope[:12], envelope[12:-32], envelope[-32:]
+        if not constant_time_eq(self._tag(nonce + body), tag):
+            raise CryptoError("envelope authentication failed")
+        return _ctr_xor(self._cipher, nonce, body)
+
+
+def seal(key_material: bytes, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:
+    """Authenticated envelope under ``key_material``: one :class:`Channel` seal."""
+    return Channel(key_material).seal(plaintext, nonce=nonce)
 
 
 def open_sealed(key_material: bytes, envelope: bytes) -> bytes:
     """Open a :func:`seal` envelope; raises :class:`CryptoError` on tamper."""
-    if len(envelope) < 44:
-        raise CryptoError("sealed envelope too short")
-    enc_key = kdf(key_material, b"enc", 16)
-    mac_key = kdf(key_material, b"mac", 32)
-    nonce, body, tag = envelope[:12], envelope[12:-32], envelope[-32:]
-    if not constant_time_eq(hmac_sha256(mac_key, nonce + body), tag):
-        raise CryptoError("envelope authentication failed")
-    return aes_ctr_xor(enc_key, nonce, body)
+    return Channel(key_material).open(envelope)

@@ -24,6 +24,7 @@ from repro.crypto.field import CURVE_ORDER
 from repro.crypto.group import (
     ELEMENT_BYTES,
     G1,
+    GT,
     BilinearGroup,
     GroupElement,
     register_pickle_backend,
@@ -79,6 +80,8 @@ class SimulatedGroup(BilinearGroup):
         width = ELEMENT_BYTES.get(kind)
         if width is None:
             raise CryptoError(f"unknown group kind {kind!r}")
+        if kind != GT:
+            self.stats.points_decoded += 1
         if len(data) != width:
             raise DeserializationError(f"{kind} encoding must be {width} bytes")
         value = int.from_bytes(data, "big")

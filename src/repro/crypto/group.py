@@ -39,33 +39,11 @@ from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS
 from repro.crypto.hashing import hash_bytes, hash_to_int
 from repro.errors import CryptoError, DeserializationError, GroupMismatchError
 from repro.memo import BoundedMemo
-from repro.obs import ledger as _ledger
-from repro.obs import metrics as _metrics
 
 G1, G2, GT = "G1", "G2", "GT"
 
 #: Serialized element widths in bytes (compressed G1/G2, full GT).
 ELEMENT_BYTES = {G1: 32, G2: 64, GT: 384}
-
-#: Decoded points a BN254 backend keeps per group (G1 and G2 each).  A
-#: warm client re-reads the same signatures and CP-ABE headers; the
-#: ``bn254_hot`` benchmark's three users see 164 distinct points.
-DECODE_MEMO_SIZE = 1024
-
-_M_DECODE_MEMO = _metrics.registry().counter(
-    "repro_decode_memo_total",
-    "BN254 point-decode memo lookups by outcome (hit / miss / evicted).",
-    labelnames=("outcome",),
-)
-_DECODE_COUNTERS = {"hit": "decode_memo_hits", "miss": "decode_memo_misses"}
-
-
-def _observe_decode(outcome: str) -> None:
-    """Point-decode memo outcome: a metric, plus a tally for the exchange's ledger record."""
-    _M_DECODE_MEMO.inc(outcome=outcome)
-    if outcome != "evicted":
-        _ledger.tally(_DECODE_COUNTERS[outcome])
-
 
 class GroupOpStats:
     """Logical operation counters for one backend instance.
@@ -73,7 +51,8 @@ class GroupOpStats:
     Counts API-level group operations (not field multiplications):
     ``ops`` covers ``*``/``/``, ``pows`` the generic ``**`` path,
     ``pows_fixed``/``multi_pows`` the precomputed paths, and
-    ``pairings`` every pairing evaluated.  No backend caches pairings,
+    ``pairings`` every pairing evaluated, ``points_decoded`` every G1 or
+    G2 element read from its encoding.  No backend caches pairings,
     so ``pair_cache_hits`` stays 0; it is kept for report readers that
     look it up.  :mod:`repro.bench.harness` snapshots these around each
     measured phase.
@@ -89,6 +68,7 @@ class GroupOpStats:
         "h2g1_hits",
         "h2g1_misses",
         "combs_built",
+        "points_decoded",
     )
 
     def __init__(self):
@@ -480,23 +460,9 @@ class BilinearGroup(ABC):
 
 
 class BN254Group(BilinearGroup):
-    """The real pairing backend over BN254.
-
-    On top of the generic comb and ``hash_to_g1`` memos this backend keeps
-    a point-decode memo per group (G1, G2) keyed on the exact encoding:
-    decompression costs a field square root, and a warm client decodes
-    the same signatures and CP-ABE headers on every read.  It stores only
-    successful decodes, so malformed bytes raise on every call, and it
-    never leaks across instances.
-    """
+    """The real pairing backend over BN254."""
 
     name = "bn254"
-
-    def __init__(self):
-        super().__init__()
-        self._decode_memos = {
-            kind: BoundedMemo(DECODE_MEMO_SIZE, observe=_observe_decode) for kind in (G1, G2)
-        }
 
     @property
     def order(self) -> int:
@@ -596,20 +562,10 @@ class BN254Group(BilinearGroup):
         return True
 
     def deserialize(self, kind: str, data: bytes, check_subgroup: bool = False) -> GroupElement:
-        """Decode an element; unchecked G1/G2 decodes go through the decode memo.
-
-        A ``check_subgroup`` decode never uses the memo, so a point cached
-        by an unchecked decode can never stand in for the check.
-        """
-        memo = self._decode_memos.get(kind)
-        if memo is None or check_subgroup:
-            return self._decode(kind, data, check_subgroup)
-        data = bytes(data)
-        return memo.get_or_make(data, lambda: self._decode(kind, data, check_subgroup))
-
-    def _decode(self, kind: str, data: bytes, check_subgroup: bool) -> GroupElement:
         if kind not in (G1, G2, GT):
             raise CryptoError(f"unknown group kind {kind!r}")
+        if kind != GT:
+            self.stats.points_decoded += 1
         try:
             if kind == G1:
                 element = GroupElement(self, G1, PointG1.from_bytes(data))

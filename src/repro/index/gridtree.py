@@ -154,8 +154,9 @@ class APGTree:
                 stats.signature_bytes += sig.byte_size()
                 stats.structure_bytes += node.structure_bytes()
                 return node
+            children = tuple(build_box(child) for child in children_of(box))
+            # Only this node's own work: each child timed its subtree.
             with Stopwatch() as sw:
-                children = tuple(build_box(child) for child in children_of(box))
                 if simplify_policies:
                     policy = simplify_policy_union([c.policy for c in children])
                 else:

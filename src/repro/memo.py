@@ -1,8 +1,8 @@
 """A bounded, thread-safe LRU memo for exact, deterministic results.
 
 These caches share this class: the CP-ABE KEM caches of
-:mod:`repro.abe.hybrid`, the comb tables, ``hash_to_g1`` memo and BN254
-point-decode memo of :mod:`repro.crypto.group`, and a client's
+:mod:`repro.abe.hybrid`, the comb tables and ``hash_to_g1`` memo of
+:mod:`repro.crypto.group`, the SP's APS cache, and a client's
 verified-entry memo in :mod:`repro.core.app_signature`.  Each keys a
 deterministic computation by exactly the inputs it depends on, so a hit
 returns what a miss would compute; a miss runs the uncached code path

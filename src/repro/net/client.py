@@ -119,6 +119,10 @@ _M_BREAKER = _REG.counter(
     "repro_client_breaker_transitions_total",
     "Circuit breaker state transitions.", labelnames=("to",),
 )
+# The per-query updates, with their label sets resolved once.
+_REQUESTS = {kind: _M_REQUESTS.labels(kind=kind) for kind in ("equality", "range", "join")}
+_ATTEMPT = _M_ATTEMPTS.labels()
+_VERIFIED = _M_OUTCOMES.labels(outcome="verified")
 _LOG = _obslog.get_logger("client")
 
 
@@ -633,7 +637,7 @@ class ResilientClient(QueryClient):
                 "endpoint is draining (liveness probe); retry after resume"
             )
         self.counters.requests += 1
-        _M_REQUESTS.inc(kind=request.kind)
+        _REQUESTS[request.kind].inc()
         payload = request.to_bytes()
         start = self.clock.now()
         last_error: Optional[ReproError] = None
@@ -644,7 +648,7 @@ class ResilientClient(QueryClient):
                 self.counters.retries += 1
                 _M_RETRIES.inc()
             self.counters.attempts += 1
-            _M_ATTEMPTS.inc()
+            _ATTEMPT.inc()
             try:
                 with _trace.span("client.attempt", attempt=attempt):
                     result = wire_exchange(
@@ -683,7 +687,7 @@ class ResilientClient(QueryClient):
                 break
             self.breaker.record_success()
             query_span.set_attributes(attempts=attempt + 1, outcome="verified")
-            _M_OUTCOMES.inc(outcome="verified")
+            _VERIFIED.inc()
             return result
         self.counters.failures += 1
         self.breaker.record_failure()

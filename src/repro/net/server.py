@@ -103,6 +103,9 @@ _M_SHED = _REG.counter(
 _M_INFLIGHT = _REG.gauge(
     "repro_server_in_flight", "Requests currently being handled.",
 )
+# Updated on every served frame, so resolved once.
+_SERVED = _M_FRAMES.labels(outcome="served")
+_IN_FLIGHT = _M_INFLIGHT.labels()
 _LOG = _obslog.get_logger("server")
 
 
@@ -203,13 +206,13 @@ class ResilientSPServer:
                     and self._in_flight + self.background_load >= self.max_in_flight):
                 return "overload"
             self._in_flight += 1
-            _M_INFLIGHT.set(self._in_flight)
+            _IN_FLIGHT.set(self._in_flight)
             return None
 
     def _release(self) -> None:
         with self._admission_lock:
             self._in_flight -= 1
-            _M_INFLIGHT.set(self._in_flight)
+            _IN_FLIGHT.set(self._in_flight)
 
     def _shed(self, request_id: bytes, reason: str, handle_span) -> bytes:
         self.shed += 1
@@ -340,7 +343,7 @@ class ResilientSPServer:
                 error = ErrorResponse(ErrorResponse.INTERNAL, str(exc))
             else:
                 self.served += 1
-                _M_FRAMES.inc(outcome="served")
+                _SERVED.inc()
                 handle_span.set_attribute("outcome", "served")
                 return frame(request_id, response)
             finally:

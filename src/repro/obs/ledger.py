@@ -36,8 +36,7 @@ stage                     charged by
 
 Counters (relax calls, APS cache hits/misses, dedup, ``kem_hits`` /
 ``kem_misses`` for the SP's encapsulation cache, ``kem_memo_hits`` /
-``kem_memo_misses`` for the client's header memo, ``decode_memo_hits`` /
-``decode_memo_misses`` for the BN254 point-decode memo,
+``kem_memo_misses`` for the client's header memo,
 ``verify_memo_hits`` / ``verify_memo_misses`` for the client's
 verified-entry memo) and
 :class:`~repro.crypto.groupops.GroupOpStats` deltas accumulate per

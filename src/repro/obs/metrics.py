@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ReproError
@@ -66,22 +68,32 @@ def _label_str(names: Sequence[str], values: Sequence[str]) -> str:
 
 
 class _Histogram:
-    """Per-labelset histogram state: cumulative fixed buckets + sum/count."""
+    """Per-labelset histogram state: fixed buckets + sum/count.
 
-    __slots__ = ("buckets", "bucket_counts", "total", "count")
+    An observation lands in one bucket, its smallest bound at or above
+    the value (one bisection); :attr:`bucket_counts` reads them back
+    cumulatively.
+    """
+
+    __slots__ = ("buckets", "_counts", "total", "count")
 
     def __init__(self, buckets: Sequence[float]):
         self.buckets = buckets
-        self.bucket_counts = [0] * len(buckets)
+        self._counts = [0] * len(buckets)
         self.total = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
+        i = bisect_left(self.buckets, value)
+        if i < len(self._counts):
+            self._counts[i] += 1
         self.total += value
         self.count += 1
+
+    @property
+    def bucket_counts(self) -> list[int]:
+        """Cumulative counts: the observations at or below each bound."""
+        return list(accumulate(self._counts))
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile by linear interpolation.
@@ -99,8 +111,9 @@ class _Histogram:
             return None
         target = q * self.count
         prev_cum = 0
+        cumulative = self.bucket_counts
         for i, bound in enumerate(self.buckets):
-            cum = self.bucket_counts[i]
+            cum = cumulative[i]
             if cum >= target:
                 lower = self.buckets[i - 1] if i > 0 else 0.0
                 span = cum - prev_cum
@@ -149,33 +162,44 @@ class Metric:
             )
         return tuple(str(labels[name]) for name in self.labelnames)
 
+    def labels(self, **labels) -> "BoundMetric":
+        """This metric's sample for one label set, resolved once.
+
+        Hot paths update the returned child instead of passing labels on
+        every call: it skips the label check and the key build.
+        """
+        return BoundMetric(self, self._key(labels))
+
     # -- mutators (no-ops when disabled) -------------------------------------
     def inc(self, amount: float = 1, **labels) -> None:
-        if not gate.enabled():
-            return
+        if gate.enabled():
+            self._inc(self._key(labels), amount)
+
+    def set(self, value: float, **labels) -> None:
+        if gate.enabled():
+            self._set(self._key(labels), value)
+
+    def observe(self, value: float, **labels) -> None:
+        if gate.enabled():
+            self._observe(self._key(labels), value)
+
+    def _inc(self, key: tuple, amount: float) -> None:
         if self.kind != COUNTER:
             raise ReproError(f"{self.name} is a {self.kind}, not a counter")
         if amount < 0:
             raise ReproError("counters only go up")
-        key = self._key(labels)
         with self._lock:
             self._samples[key] = self._samples.get(key, 0) + amount
 
-    def set(self, value: float, **labels) -> None:
-        if not gate.enabled():
-            return
+    def _set(self, key: tuple, value: float) -> None:
         if self.kind != GAUGE:
             raise ReproError(f"{self.name} is a {self.kind}, not a gauge")
-        key = self._key(labels)
         with self._lock:
             self._samples[key] = value
 
-    def observe(self, value: float, **labels) -> None:
-        if not gate.enabled():
-            return
+    def _observe(self, key: tuple, value: float) -> None:
         if self.kind != HISTOGRAM:
             raise ReproError(f"{self.name} is a {self.kind}, not a histogram")
-        key = self._key(labels)
         with self._lock:
             hist = self._samples.get(key)
             if hist is None:
@@ -240,6 +264,32 @@ class Metric:
     def _reset(self) -> None:
         with self._lock:
             self._samples.clear()
+
+
+class BoundMetric:
+    """One label set of a :class:`Metric` (see :meth:`Metric.labels`).
+
+    Updates behave exactly as the metric's own ``inc``/``set``/``observe``
+    with those labels; they survive :meth:`MetricsRegistry.reset`.
+    """
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: Metric, key: tuple):
+        self._metric = metric
+        self._key = key
+
+    def inc(self, amount: float = 1) -> None:
+        if gate.enabled():
+            self._metric._inc(self._key, amount)
+
+    def set(self, value: float) -> None:
+        if gate.enabled():
+            self._metric._set(self._key, value)
+
+    def observe(self, value: float) -> None:
+        if gate.enabled():
+            self._metric._observe(self._key, value)
 
 
 class MetricsRegistry:
@@ -487,6 +537,7 @@ __all__ = [
     "HISTOGRAM",
     "DEFAULT_BUCKETS",
     "SUMMARY_QUANTILES",
+    "BoundMetric",
     "Metric",
     "MetricsRegistry",
     "MetricsWindow",

@@ -5,10 +5,12 @@ client holds the coordinator tree, each SP holds root spans for the
 frames it handled, and process-pool relax workers hold one root span per
 job.  This module is the glue that makes those pieces one tree again:
 
-* :class:`SpanRelay` — a bounded per-trace store of finished root spans
-  in their :meth:`~repro.obs.trace.Span.to_dict` wire form.  Installed
-  as a :meth:`~repro.obs.trace.Tracer.add_listener` exporter, it
-  captures every finished root span keyed by trace id;
+* :class:`SpanRelay` — a bounded per-trace store of finished root spans.
+  Installed as a :meth:`~repro.obs.trace.Tracer.add_listener` exporter,
+  it keeps every finished root span keyed by trace id, as the
+  :class:`~repro.obs.trace.Span` itself; its
+  :meth:`~repro.obs.trace.Span.to_dict` wire form is built only when the
+  trace is served;
   :class:`~repro.net.server.ResilientSPServer` serves its contents over
   the ``TRC`` scrape frame, and :func:`repro.parallel.parallel_map`'s
   process workers ship theirs back alongside results.
@@ -51,6 +53,8 @@ _M_SPANS = _REG.counter(
 _M_TRACES = _REG.gauge(
     "repro_obs_relay_traces", "Distinct trace ids currently held by the relay.",
 )
+_SPANS = {e: _M_SPANS.labels(event=e) for e in ("stored", "dropped", "evicted")}
+_TRACES = _M_TRACES.labels()
 
 
 def encode_spans(spans: Iterable[dict]) -> bytes:
@@ -81,15 +85,18 @@ class SpanRelay:
         self.max_traces = max_traces
         self.max_spans_per_trace = max_spans_per_trace
         self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, list[dict]]" = OrderedDict()
+        self._traces: "OrderedDict[str, list[Union[Span, dict]]]" = OrderedDict()
 
     # -- exporter side -------------------------------------------------------
     def export(self, span: Union[Span, dict]) -> None:
-        """Store one finished root span (the tracer-listener entry point)."""
+        """Store one finished root span (the tracer-listener entry point).
+
+        A :class:`Span` is kept as is; it is converted to its wire form
+        only when :meth:`get` serves it.
+        """
         if not gate.enabled():
             return
-        data = span.to_dict() if isinstance(span, Span) else span
-        trace_id = data.get("trace_id")
+        trace_id = span.trace_id if isinstance(span, Span) else span.get("trace_id")
         if not trace_id:
             return
         with self._lock:
@@ -99,14 +106,14 @@ class SpanRelay:
             else:
                 self._traces.move_to_end(trace_id)
             if len(spans) >= self.max_spans_per_trace:
-                _M_SPANS.inc(event="dropped")
+                _SPANS["dropped"].inc()
                 return
-            spans.append(data)
+            spans.append(span)
             while len(self._traces) > self.max_traces:
                 self._traces.popitem(last=False)
-                _M_SPANS.inc(event="evicted")
-            _M_TRACES.set(len(self._traces))
-        _M_SPANS.inc(event="stored")
+                _SPANS["evicted"].inc()
+            _TRACES.set(len(self._traces))
+        _SPANS["stored"].inc()
 
     def install(self) -> "SpanRelay":
         """Register this relay as a root-span listener on the global tracer."""
@@ -115,12 +122,13 @@ class SpanRelay:
 
     # -- scrape side ---------------------------------------------------------
     def get(self, trace_id: str) -> list[dict]:
-        """Stored root spans for a trace (oldest first; empty when unknown)."""
+        """Stored root spans for a trace in wire form (oldest first; empty
+        when unknown)."""
         with self._lock:
-            spans = self._traces.get(trace_id)
-            if not spans:
-                return []
-            served = [dict(s) for s in spans]
+            spans = list(self._traces.get(trace_id) or ())
+        if not spans:
+            return []
+        served = [s.to_dict() if isinstance(s, Span) else dict(s) for s in spans]
         _M_SPANS.inc(len(served), event="served")
         return served
 
@@ -135,7 +143,7 @@ class SpanRelay:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-        _M_TRACES.set(0)
+        _TRACES.set(0)
 
 
 _RELAY = SpanRelay()

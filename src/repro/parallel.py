@@ -305,12 +305,17 @@ def _discard_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def shutdown_process_pools() -> None:
-    """Shut down every cached process pool (tests, interpreter exit)."""
+    """Shut down every cached process pool (tests, interpreter exit).
+
+    Queued jobs are cancelled, and the call waits for the workers to
+    exit: a worker still starting up when the interpreter tears down its
+    pipes would otherwise fail noisily on stderr.
+    """
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 atexit.register(shutdown_process_pools)

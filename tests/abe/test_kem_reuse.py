@@ -15,15 +15,9 @@ import threading
 
 import pytest
 
-from repro.abe.cpabe import CpAbeScheme
-from repro.abe.hybrid import (
-    HybridEnvelope,
-    decrypt_envelope,
-    encrypt_for_roles,
-    header_key,
-)
+from repro.abe.cpabe import CpAbeCiphertext, CpAbeScheme
+from repro.abe.hybrid import HybridEnvelope, decrypt_envelope, encrypt_for_roles
 from repro.core.freshness import issue_token, verify_token
-from repro.core.messages import _Reader, decode_ciphertext, encode_ciphertext
 from repro.core.records import Dataset, Record
 from repro.core.system import KEM_CACHE_SIZE, DataOwner, QueryUser, ServiceProvider
 from repro.crypto import bn254, simulated
@@ -63,7 +57,7 @@ def test_one_role_set_shares_header_with_distinct_nonces(kem):
     first = _seal(kem, ["b", "a"], b"one", cache)
     second = _seal(kem, ["a", "b", "a"], b"two", cache)
     assert seen == ["miss", "hit"]
-    assert header_key(first.header) == header_key(second.header)
+    assert first.header_bytes == second.header_bytes
     assert first.body[:12] != second.body[:12]
     sk = scheme.keygen(keys, ["a", "b"], rng)
     assert decrypt_envelope(scheme, sk, first) == b"one"
@@ -77,7 +71,7 @@ def test_another_role_set_never_hits(kem):
     env_ab = _seal(kem, ["a", "b"], b"x", cache)
     env_b = _seal(kem, ["b"], b"x", cache)
     assert seen == ["miss", "miss", "miss"]
-    keys = {header_key(e.header) for e in (env_a, env_ab, env_b)}
+    keys = {e.header_bytes for e in (env_a, env_ab, env_b)}
     assert len(keys) == 3
 
 
@@ -86,7 +80,7 @@ def test_clear_starts_a_new_encapsulation(kem):
     before = _seal(kem, ["a"], b"x", cache)
     cache.clear()
     after = _seal(kem, ["a"], b"x", cache)
-    assert header_key(before.header) != header_key(after.header)
+    assert before.header_bytes != after.header_bytes
 
 
 def test_key_drawn_across_a_rotation_is_not_cached():
@@ -175,7 +169,7 @@ def test_one_byte_header_mutation_misses_the_memo_and_fails(kem):
     memo = BoundedMemo(8, observe=seen)
     envp = _seal(kem, ["a"], b"x", BoundedMemo(4))
     assert decrypt_envelope(scheme, sk, envp, cache=memo) == b"x"
-    encoded = encode_ciphertext(envp.header)
+    encoded = envp.header_bytes
     g1w, g2w = grp.element_bytes("G1"), grp.element_bytes("G2")
     c_prime_end = len(encoded) - (2 + g1w + g2w)  # C' | count | C_1 | D_1
     opened_mutants = 0
@@ -183,15 +177,15 @@ def test_one_byte_header_mutation_misses_the_memo_and_fails(kem):
     for offset in (c_prime_end - 1, len(encoded) - 1):
         mutated = bytearray(encoded)
         mutated[offset] ^= 0x01
-        try:
-            header = decode_ciphertext(grp, _Reader(bytes(mutated)))
-        except (DeserializationError, CryptoError):
-            continue  # rejected at decode, as before
-        assert header_key(header) != header_key(envp.header)
+        mutant = HybridEnvelope.from_header_bytes(grp, bytes(mutated), envp.body)
         del seen[:]
-        with pytest.raises(CryptoError):
-            decrypt_envelope(scheme, sk, HybridEnvelope(header, envp.body), cache=memo)
-        assert seen[0] == "miss"
+        with pytest.raises(CryptoError):  # DeserializationError included
+            decrypt_envelope(scheme, sk, mutant, cache=memo)
+        assert seen == ["miss"]
+        try:
+            CpAbeCiphertext.from_bytes(grp, bytes(mutated))
+        except DeserializationError:
+            continue  # rejected at decode, as before
         opened_mutants += 1
     if grp.name == "simulated":
         assert opened_mutants == 2  # every byte string decodes there
@@ -241,7 +235,7 @@ def _fresh_provider(world, **kwargs):
 
 def _header(sp, roles, rng):
     resp = sp.range_query(TABLE, (0,), (15,), roles, encrypt=True, rng=rng)
-    return header_key(resp.envelope.header)
+    return resp.envelope.header_bytes
 
 
 def test_rotation_and_token_push_change_the_header(world):

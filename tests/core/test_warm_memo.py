@@ -1,12 +1,13 @@
 """What the warm-read memos must and must not do.
 
 A client remembers the VO entries it has accepted (keyed by message,
-predicate text and the signature's exact bytes) and a BN254 backend
-remembers the points it has decoded (keyed by their exact encoding).
-Both may only save work: a warm read returns the same records, anything
-that differs by one byte is checked afresh and fails exactly as a cold
-check does, a rejection is never remembered, and one user's memo serves
-nobody else.
+predicate text and the signature's exact wire bytes) and each decapsulated
+envelope key (keyed by the CP-ABE header's exact wire bytes); signature
+points and headers are decoded only when a memo misses.  The memos may
+only save work: a warm read returns the same records and decodes no
+point, anything that differs by one byte is checked afresh and fails
+exactly as a cold check does, a rejection is never remembered, and one
+user's memo serves nobody else.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.abs.scheme import AbsSignature
 from repro.core.app_signature import VERIFY_MEMO_SIZE, AppAuthenticator
 from repro.core.messages import decode_response, encode_response
 from repro.core.records import Dataset, Record
@@ -30,8 +32,8 @@ from repro.core.vo import (
 from repro.crypto import bn254, simulated
 from repro.crypto.curve import G1_GENERATOR, PointG1
 from repro.crypto.field import FIELD_MODULUS
-from repro.crypto.group import DECODE_MEMO_SIZE, G1, G2, BN254Group
-from repro.errors import DeserializationError, ReproError, SoundnessError
+from repro.crypto.group import G1, G2, BN254Group
+from repro.errors import CryptoError, DeserializationError, ReproError, SoundnessError
 from repro.index.boxes import Box, Domain
 from repro.memo import BoundedMemo
 from repro.policy.boolexpr import parse_policy
@@ -200,6 +202,97 @@ def test_one_byte_flip_in_a_verified_signature_fails_as_cold(world):
     assert flipped == 9
 
 
+def test_a_warm_read_decodes_no_points(world):
+    """Signature points and the CP-ABE header are decoded only on a memo
+    miss, so a warm sealed read decodes none."""
+    group, _universe, _owner, provider, rng = world
+    user = _user(world)
+    decoded = []
+    for _ in range(2):
+        sealed = provider.range_query(TABLE, (0,), (15,), user.roles, encrypt=True, rng=rng)
+        wire = encode_response(sealed)
+        before = group.stats.snapshot()
+        user.verify(decode_response(group, wire))
+        decoded.append(group.stats.delta(before)["points_decoded"])
+    cold, warm = decoded
+    assert cold > 0 and warm == 0
+
+
+def test_a_memo_held_entry_with_one_changed_point_byte_is_rechecked_and_rejected(world):
+    group = world[0]
+    user = _user(world)
+    response = _wire_response(world, user, encrypt=False)
+    user.verify(response)
+    size = len(_memo(user))
+    vo_bytes = response.vo.to_bytes()
+    sig_bytes = _signature(response.vo.entries[0]).to_bytes()
+    start = vo_bytes.find(sig_bytes)
+    mutated = bytearray(vo_bytes)
+    mutated[start + len(sig_bytes) - 1] ^= 0x01  # the last point's last byte
+    calls = _counting_verify(user.authenticator)
+    tampered = QueryResponse(
+        "range", response.query, vo=VerificationObject.from_bytes(group, bytes(mutated))
+    )
+    with pytest.raises((SoundnessError, DeserializationError)):
+        user.verify(tampered)
+    assert len(calls) == 1  # only the changed entry, checked afresh
+    assert len(_memo(user)) == size
+
+
+def _bad_point(group):
+    """A G1 encoding of the right width that no backend decodes."""
+    if group.name == "bn254":
+        return FIELD_MODULUS.to_bytes(32, "big")  # x out of range
+    return b"\xff" * group.element_bytes(G1)  # exponent out of range
+
+
+def test_a_malformed_point_in_a_resealed_cold_entry_is_a_decode_failure(world):
+    """The SP can seal any bytes for the user: a VO whose entry carries an
+    undecodable point opens (the MAC passes) and fails as a
+    DeserializationError, not as tampering."""
+    from repro.abe.cpabe import CpAbeScheme
+    from repro.abe.hybrid import encrypt_for_roles
+    from repro.net.client import is_tamper_error
+
+    group, _universe, _owner, provider, rng = world
+    user = _user(world)  # a fresh memo: every entry is cold
+    plain = provider.range_query(TABLE, (0,), (15,), user.roles, encrypt=False, rng=rng)
+    vo_bytes = plain.vo.to_bytes()
+    sig_bytes = _signature(plain.vo.entries[0]).to_bytes()
+    y_at = vo_bytes.find(sig_bytes) + 2 + int.from_bytes(sig_bytes[:2], "big") + 4
+    mutated = bytearray(vo_bytes)
+    mutated[y_at : y_at + group.element_bytes(G1)] = _bad_point(group)
+    envelope = encrypt_for_roles(
+        CpAbeScheme(group), provider.cpabe_public, user.roles, bytes(mutated), rng
+    )
+    resealed = decode_response(
+        group, encode_response(QueryResponse("range", plain.query, envelope=envelope))
+    )
+    with pytest.raises(DeserializationError) as caught:
+        user.verify(resealed)
+    assert not is_tamper_error(caught.value)
+    assert len(_memo(user)) == 0
+
+
+def test_a_changed_header_byte_misses_the_kem_memo_and_fails(world, monkeypatch):
+    group = world[0]
+    user = _user(world)
+    response = _wire_response(world, user, encrypt=True)
+    user.verify(response)
+    seen = []
+    monkeypatch.setattr(user._kem_memo, "_observe", seen.append)
+    header = response.envelope.header_bytes
+    wire = bytearray(encode_response(response))
+    c_prime_last = (wire.find(header) + 4 + int.from_bytes(header[:4], "big") + 1
+                    + group.element_bytes(G1) - 1)  # policy text | flag | C'
+    wire[c_prime_last] ^= 0x01
+    with pytest.raises(CryptoError):  # DeserializationError included
+        user.verify(decode_response(group, bytes(wire)))
+    assert seen == ["miss"]
+    assert user.verify(response)  # the memoized key still opens the original
+    assert seen == ["miss", "hit"]
+
+
 def test_a_rejected_entry_is_rejected_every_time(world):
     group = world[0]
     user = _user(world)
@@ -296,7 +389,7 @@ def test_one_users_memo_serves_nobody_else(world):
     assert _memo(alice) is not _memo(twin)
 
 
-# -- the point-decode memo ----------------------------------------------------
+# -- malformed points ----------------------------------------------------------
 
 def _malformed(group):
     g1, g2 = group.element_bytes(G1), group.element_bytes(G2)
@@ -324,44 +417,13 @@ def _on_g1(x):
 
 def test_malformed_point_bytes_raise_on_every_decode(world):
     group = world[0]
-    sizes = {k: len(m) for k, m in getattr(group, "_decode_memos", {}).items()}
     for kind, data in _malformed(group):
         for _ in range(2):
             with pytest.raises(DeserializationError):
                 group.deserialize(kind, data)
-    assert {k: len(m) for k, m in getattr(group, "_decode_memos", {}).items()} == sizes
-
-
-def test_decode_memo_returns_the_decoded_element_and_stays_bounded():
-    group = BN254Group()
-    point = PointG1(G1_GENERATOR.xy)
-    encodings = []
-    for _ in range(DECODE_MEMO_SIZE + 3):
-        encodings.append(point.to_bytes())
-        point = point + PointG1(G1_GENERATOR.xy)
-    first = group.deserialize(G1, encodings[0])
-    assert group.deserialize(G1, encodings[0]) is first
-    assert first.value == BN254Group().deserialize(G1, encodings[0]).value
-    for data in encodings:
-        group.deserialize(G1, data)
-    memo = group._decode_memos[G1]
-    assert len(memo) == DECODE_MEMO_SIZE
-    assert len(group._decode_memos[G2]) == 0
-    again = group.deserialize(G1, encodings[0])  # evicted: decoded afresh
-    assert again is not first and again == first
 
 
 # -- the verified-entry memo's bound -----------------------------------------
-
-def test_a_subgroup_checked_decode_bypasses_the_decode_memo():
-    group = BN254Group()
-    data = group.g1.to_bytes()
-    cached = group.deserialize(G1, data)
-    assert group.deserialize(G1, data) is cached
-    checked = group.deserialize(G1, data, check_subgroup=True)
-    assert checked is not cached and checked.value.xy == cached.value.xy
-    assert len(group._decode_memos[G1]) == 1
-
 
 def test_verified_entry_memo_stays_bounded():
     group = simulated()
@@ -448,7 +510,7 @@ def test_a_warm_sealed_read_shows_its_memo_hits_and_codec_time(world):
     from repro.net import LoopbackTransport, ResilientClient, ResilientSPServer
     from repro.obs import ledger as ledger_mod
 
-    group, _universe, _owner, provider, rng = world
+    _group, _universe, _owner, provider, rng = world
     server = ResilientSPServer(SPServer(provider, rng=rng))
     client = ResilientClient(
         _user(world), LoopbackTransport(server.handle_frame), rng=random.Random(8)
@@ -461,10 +523,7 @@ def test_a_warm_sealed_read_shows_its_memo_hits_and_codec_time(world):
     assert cold["verify_memo_misses"] > 0 and "verify_memo_hits" not in cold
     assert warm["verify_memo_hits"] == cold["verify_memo_misses"]
     assert "verify_memo_misses" not in warm
-    if group.name == "bn254":
-        assert warm["decode_memo_hits"] > 0 and "decode_memo_misses" not in warm
-    else:
-        assert "decode_memo_hits" not in warm and "decode_memo_misses" not in warm
+    assert warm["kem_memo_hits"] == 1 and "kem_memo_misses" not in warm
     for entry in entries:
         assert "codec" in entry.stages
         assert entry.stage_total() <= entry.wall_seconds
@@ -473,18 +532,25 @@ def test_a_warm_sealed_read_shows_its_memo_hits_and_codec_time(world):
 # -- under concurrency ----------------------------------------------------------
 
 def test_memos_hold_under_concurrent_readers():
-    """More threads than cores share one user's verified-entry memo and one
-    BN254 decode memo at a shortened switch interval: every read returns the
-    cold answer, every decode the right point, and no bound is exceeded."""
+    """More threads than cores share one user's verified-entry memo and
+    lazily decoded BN254 signatures at a shortened switch interval: every
+    read returns the cold answer, every first decode races others to the
+    right point, and no bound is exceeded."""
     world = _build_world(simulated())
     user = _user(world)
     expected = _values(user.verify(_wire_response(world, user, encrypt=False)))
     responses = [_wire_response(world, user, encrypt=False) for _ in range(4)]
     group = BN254Group()
-    point, encodings = PointG1(G1_GENERATOR.xy), []
+    point, points = PointG1(G1_GENERATOR.xy), []
     for _ in range(12):
-        encodings.append((point.to_bytes(), point.xy))
+        points.append(point)
         point = point + PointG1(G1_GENERATOR.xy)
+    elements = [group.deserialize(G1, p.to_bytes()) for p in points]
+    encodings = [
+        AbsSignature(b"t%d" % i, elements[i], elements[i - 1], (elements[i - 2],), ()).to_bytes()
+        for i in range(len(elements))
+    ]
+    shared = [AbsSignature.from_bytes(group, data) for data in encodings]
     small = BoundedMemo(4)
     errors = []
 
@@ -492,8 +558,8 @@ def test_memos_hold_under_concurrent_readers():
         try:
             for i in range(40):
                 assert _values(user.verify(responses[(worker + i) % 4])) == expected
-                data, xy = encodings[(worker + i) % len(encodings)]
-                assert group.deserialize(G1, data).value.xy == xy
+                k = (worker + i) % len(shared)
+                assert shared[k].s[0].value.xy == points[k - 2].xy
                 key = (worker * 7 + i) % 9
                 assert small.get_or_make(key, lambda: key * key) == key * key
         except Exception as exc:  # noqa: BLE001 - surfaced below
@@ -512,5 +578,5 @@ def test_memos_hold_under_concurrent_readers():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(_memo(user)) <= VERIFY_MEMO_SIZE
-    assert len(group._decode_memos[G1]) == len(encodings)
+    assert [sig.to_bytes() for sig in shared] == encodings
     assert len(small) == 4

@@ -1,6 +1,7 @@
 """Tests for the AP2G-tree structure and construction."""
 
 import random
+import time
 
 import pytest
 
@@ -107,6 +108,22 @@ def test_stats_accounting(tree_env):
     assert stats.structure_bytes > 0
     assert stats.index_bytes == stats.signature_bytes + stats.structure_bytes
     assert stats.sign_seconds > 0
+
+
+@pytest.mark.parametrize("binary_split", [False, True])
+def test_build_times_count_each_node_once(sim_owner, binary_split):
+    """Signing and structure time are each node's own work, so together
+    they fit inside the build's wall time (an ancestor must not count its
+    descendants again)."""
+    domain = Domain.of((0, 15), (0, 15))
+    ds = Dataset(domain)
+    ds.add(Record((2, 9), b"a", parse_policy("RoleA")))
+    ds.add(Record((11, 4), b"b", parse_policy("RoleB or RoleC")))
+    t0 = time.perf_counter()
+    tree = APGTree.build(ds, sim_owner.signer, random.Random(6), binary_split=binary_split)
+    wall = time.perf_counter() - t0
+    assert tree.stats.structure_seconds > 0
+    assert tree.stats.sign_seconds + tree.stats.structure_seconds <= wall
 
 
 def test_simplify_policy_union():

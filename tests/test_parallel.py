@@ -1,6 +1,8 @@
 """Tests for the process-pool executor and makespan simulator (Section 8.2)."""
 
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -177,6 +179,29 @@ def test_process_unpicklable_exception_is_wrapped():
             _raise_unpicklable, [5], workers=2, timeout=120,
         )
     assert "held a lock while failing on 5" in str(excinfo.value)
+
+
+_EXIT_RIGHT_AFTER_A_BATCH = """
+from repro.parallel import parallel_map
+
+if __name__ == "__main__":
+    print(parallel_map(abs, [-1], workers=2))
+"""
+
+
+def test_interpreter_exit_right_after_a_batch_is_quiet(tmp_path):
+    """A script that exits as soon as its first 2-worker batch returns
+    (the second worker may still be starting) leaves stderr empty."""
+    script = tmp_path / "one_batch.py"
+    script.write_text(_EXIT_RIGHT_AFTER_A_BATCH)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for _ in range(4):
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[1]\n", "")
 
 
 # ----------------------------------------------------------------------
