@@ -12,9 +12,12 @@ APS-cache state:
 * ``serial_warm`` / ``process_warm`` — same, with the pool retained from
   the matching cold run.
 
-Each arm reports wall-clock plus the engine's per-phase stats
-(``traversal_ms`` / ``relax_ms``, relax invocations, APS cache hits), so
-a speedup is traceable to the ``ABS.Relax`` calls it avoided.  On a
+Each arm reports wall-clock plus the query's ``CostLedger`` entry
+(``traverse_ms`` / ``materialize_ms``, tasks, relax invocations, APS
+cache hits, group operations), so a speedup is traceable to the
+``ABS.Relax`` calls it avoided.  The arms turn the obs gate on for
+themselves and restore it, so they report the same under
+``REPRO_OBS=0``.  On a
 single-CPU host the cold process arm tracks the serial one (one core caps
 the pool); the warm arms show the pooled cache's effect, which is
 scheduling-independent.  The JSON records the host context (CPU count,
@@ -50,6 +53,7 @@ from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
 from repro.crypto import get_backend
 from repro.index.boxes import Domain
+from repro.obs import ledger as obs_ledger
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
@@ -85,23 +89,39 @@ def build_system(backend: str, num_records: int = 16):
 
 
 def _run_arm(sp, rng, workers: int, cold: bool, repeats: int) -> dict:
-    """Best-of-``repeats`` for one arm; cold arms reset the pool each run."""
-    best_s = float("inf")
-    stats = None
-    vo_bytes = 0
-    for _ in range(repeats):
-        if cold:
-            sp._auth_pool.clear()
-        t0 = time.perf_counter()
-        resp = sp.range_query("T", *QUERY, USER_ROLES, rng=rng, workers=workers)
-        elapsed = time.perf_counter() - t0
-        if elapsed < best_s:
-            best_s = elapsed
-            stats = resp.stats
-            vo_bytes = resp.byte_size()
-    entry = {"seconds": round(best_s, 6), "vo_bytes": vo_bytes}
-    entry.update(stats.as_dict())
-    return entry
+    """Best-of-``repeats`` for one arm; cold arms reset the pool each run.
+
+    Each query runs under its own span, and the arm reports the best
+    run's ledger entry.
+    """
+    best_s, best = float("inf"), None
+    previous = obs.set_enabled(True)
+    try:
+        for _ in range(repeats):
+            if cold:
+                sp._auth_pool.clear()
+            with obs.span("bench.query", workers=workers) as span:
+                t0 = time.perf_counter()
+                resp = sp.range_query("T", *QUERY, USER_ROLES, rng=rng, workers=workers)
+                elapsed = time.perf_counter() - t0
+            if elapsed < best_s:
+                best_s, best = elapsed, (resp, obs_ledger.ledger().get(span.trace_id))
+    finally:
+        obs.set_enabled(previous)
+    resp, entry = best
+    counters = entry.counters
+    return {
+        "seconds": round(best_s, 6),
+        "vo_bytes": resp.byte_size(),
+        "workers": workers,
+        "traverse_ms": round(entry.stages["traverse"] * 1e3, 3),
+        "materialize_ms": round(entry.stages["materialize"] * 1e3, 3),
+        "tasks": counters.get("tasks", 0),
+        "relax_calls": counters.get("relax_calls", 0),
+        "aps_cache_hits": counters.get("aps_cache_hits", 0),
+        "aps_cache_misses": counters.get("aps_cache_misses", 0),
+        "group_ops": dict(entry.group_ops),
+    }
 
 
 def scenario_query_serving(backend: str, workers: int = 2, repeats: int = 2) -> dict:
@@ -220,8 +240,8 @@ def main() -> None:
         for arm, entry in scenario["arms"].items():
             print(
                 f"  {arm:14s} {entry['seconds']*1e3:9.1f} ms"
-                f"   traversal {entry['traversal_ms']:7.2f} ms"
-                f"   relax {entry['relax_ms']:8.2f} ms"
+                f"   traverse {entry['traverse_ms']:7.2f} ms"
+                f"   materialize {entry['materialize_ms']:8.2f} ms"
                 f"   relax_calls {entry['relax_calls']:3d}"
                 f"   cache_hits {entry['aps_cache_hits']:3d}"
             )
@@ -266,11 +286,15 @@ def test_smoke_relax_dedup_scenario():
 
 
 def test_smoke_per_phase_stats_populated():
-    """CI smoke: per-phase timings and task counts are filled in."""
+    """CI smoke: per-phase timings and task counts are filled in from the
+    ledger, whatever the gate was, and the gate is restored."""
+    gate = obs.enabled()
     scenario = scenario_query_serving("simulated", workers=2, repeats=1)
+    assert obs.enabled() == gate
     cold = scenario["arms"]["serial_cold"]
-    assert cold["traversal_ms"] >= 0.0 and cold["relax_ms"] >= 0.0
-    assert sum(cold["tasks"].values()) > 0
+    assert cold["traverse_ms"] >= 0.0 and cold["materialize_ms"] > 0.0
+    assert cold["tasks"] > 0
+    assert cold["group_ops"]
     assert cold["vo_bytes"] > 0
 
 

@@ -21,12 +21,10 @@ from repro.core.engine import execute, traverse_join, traverse_range, traverse_r
 from repro.core.records import Dataset
 from repro.core.system import DataOwner
 from repro.core.verifier import verify_join_vo, verify_vo
+from repro.core.vo import VerificationObject
 from repro.crypto import get_backend
 from repro.index.boxes import Box, Domain
 from repro.index.gridtree import APGTree
-from repro.obs import ledger as _obs_ledger
-from repro.obs import metrics as _obs_metrics
-from repro.obs import trace as _obs_trace
 from repro.policy.policygen import (
     PolicyGenerator,
     PolicyWorkload,
@@ -46,60 +44,29 @@ class QueryCost:
     """Averaged per-query costs (the paper's reported metrics).
 
     ``sp_ops``/``user_ops`` carry the logical group-operation counts
-    (mults, pows, pairings, memo hits — see
-    :class:`repro.crypto.GroupOpStats`) of the SP and user phases, so
-    speedups can be traced to the operations saved rather than asserted
-    from wall-clock alone.
-
-    The SP phase is further split along the two-phase engine's seam:
-    ``traversal_seconds`` (crypto-free tree walk) vs. ``relax_seconds``
-    (APS materialization, inline or on ``workers`` pool processes), plus the APS
-    cache hits the materializer scored.
-
-    ``registry_delta`` is the measurement's view over the global obs
-    registry (:mod:`repro.obs.metrics`): every counter that moved during
-    the measured query, keyed by its exposition name.  Empty when
-    ``REPRO_OBS=0`` — the wall-clock and op-count fields above are
-    always-on and remain the primary record.
-
-    ``ledger`` is the measured trace's :class:`~repro.obs.ledger.
-    QueryLedger` in ``as_dict`` form (stage seconds, counters, group
-    ops) — ``None`` when ``REPRO_OBS=0``.  Averaging keeps the last
-    observed ledger as a representative sample rather than averaging
-    stage times across queries.
+    (mults, pows, pairings — see :class:`repro.crypto.GroupOpStats`) of
+    the SP and user phases, so speedups can be traced to the operations
+    saved rather than asserted from wall-clock alone.  Every field is
+    measured whether or not observability is on; the per-stage account
+    of a query is its :class:`~repro.obs.ledger.QueryLedger` entry.
     """
 
     sp_seconds: float = 0.0
     user_seconds: float = 0.0
     vo_bytes: float = 0.0
-    num_entries: float = 0.0
     num_results: float = 0.0
     queries: int = 0
     sp_ops: dict = field(default_factory=dict)
     user_ops: dict = field(default_factory=dict)
-    traversal_seconds: float = 0.0
-    relax_seconds: float = 0.0
-    workers: int = 1
-    aps_cache_hits: float = 0.0
-    registry_delta: dict = field(default_factory=dict)
-    ledger: Optional[dict] = None
 
     def add(self, other: "QueryCost") -> None:
         self.sp_seconds += other.sp_seconds
         self.user_seconds += other.user_seconds
         self.vo_bytes += other.vo_bytes
-        self.num_entries += other.num_entries
         self.num_results += other.num_results
         self.queries += other.queries
         _merge_ops(self.sp_ops, other.sp_ops)
         _merge_ops(self.user_ops, other.user_ops)
-        self.traversal_seconds += other.traversal_seconds
-        self.relax_seconds += other.relax_seconds
-        self.workers = max(self.workers, other.workers)
-        self.aps_cache_hits += other.aps_cache_hits
-        _merge_ops(self.registry_delta, other.registry_delta)
-        if other.ledger is not None:
-            self.ledger = other.ledger
 
     def averaged(self) -> "QueryCost":
         n = max(1, self.queries)
@@ -107,17 +74,10 @@ class QueryCost:
             sp_seconds=self.sp_seconds / n,
             user_seconds=self.user_seconds / n,
             vo_bytes=self.vo_bytes / n,
-            num_entries=self.num_entries / n,
             num_results=self.num_results / n,
             queries=n,
             sp_ops={k: v / n for k, v in self.sp_ops.items()},
             user_ops={k: v / n for k, v in self.user_ops.items()},
-            traversal_seconds=self.traversal_seconds / n,
-            relax_seconds=self.relax_seconds / n,
-            workers=self.workers,
-            aps_cache_hits=self.aps_cache_hits / n,
-            registry_delta={k: v / n for k, v in self.registry_delta.items()},
-            ledger=self.ledger,
         )
 
 
@@ -217,41 +177,27 @@ def measure_range(
             auth = _reduced_auth(setup, missing)
     stats = auth.group.stats
     before = stats.snapshot()
-    window = _obs_metrics.registry().window()
-    with _obs_trace.span("bench.measure_range", workers=workers) as bench_span:
-        measured_trace = getattr(bench_span, "trace_id", None)
-        t0 = time.perf_counter()
-        vo, estats = execute(
-            "range",
-            lambda: traverse(tree, query, setup.user_roles),
-            auth, setup.user_roles, setup.rng, workers,
-        )
-        sp = time.perf_counter() - t0
-        sp_ops = stats.delta(before)
-        data = vo.to_bytes()
-        user_ops: dict = {}
-        t0 = time.perf_counter()
-        records = verify_vo(
-            vo, setup.authenticator, query, setup.user_roles, missing,
-            collect_ops=user_ops,
-        )
-        user = time.perf_counter() - t0
-    entry = _obs_ledger.ledger().get(measured_trace)
+    t0 = time.perf_counter()
+    vo = execute(
+        "range",
+        lambda: traverse(tree, query, setup.user_roles),
+        auth, setup.user_roles, setup.rng, workers,
+    )
+    sp = time.perf_counter() - t0
+    sp_ops = stats.delta(before)
+    data = vo.to_bytes()
+    before = stats.snapshot()
+    t0 = time.perf_counter()
+    records = verify_vo(vo, setup.authenticator, query, setup.user_roles, missing)
+    user = time.perf_counter() - t0
     return QueryCost(
         sp_seconds=sp,
         user_seconds=user,
         vo_bytes=len(data),
-        num_entries=len(vo),
         num_results=len(records),
         queries=1,
         sp_ops=sp_ops,
-        user_ops=user_ops,
-        traversal_seconds=estats.traversal_ms / 1000.0,
-        relax_seconds=estats.relax_ms / 1000.0,
-        workers=estats.workers,
-        aps_cache_hits=estats.aps_cache_hits,
-        registry_delta=window.delta(),
-        ledger=entry.as_dict() if entry is not None else None,
+        user_ops=stats.delta(before),
     )
 
 
@@ -270,10 +216,9 @@ def measure_join(
         auth = _reduced_auth(setup, missing)
     stats = auth.group.stats
     before = stats.snapshot()
-    window = _obs_metrics.registry().window()
     if method == "tree":
         t0 = time.perf_counter()
-        vo, estats = execute(
+        vo = execute(
             "join",
             lambda: traverse_join(tree_r, tree_s, query, setup.user_roles),
             auth, setup.user_roles, setup.rng, workers,
@@ -283,22 +228,17 @@ def measure_join(
         # Basic join baseline: authenticate the range on both tables with
         # per-key equality proofs, then join client-side.
         t0 = time.perf_counter()
-        vo_r, estats_r = execute(
+        vo_r = execute(
             "range-basic",
             lambda: traverse_range_basic(tree_r, query, setup.user_roles, "R"),
             auth, setup.user_roles, setup.rng, workers,
         )
-        vo_s, estats = execute(
+        vo_s = execute(
             "range-basic",
             lambda: traverse_range_basic(tree_s, query, setup.user_roles, "S"),
             auth, setup.user_roles, setup.rng, workers,
         )
         sp = time.perf_counter() - t0
-        estats.traversal_ms += estats_r.traversal_ms
-        estats.relax_ms += estats_r.relax_ms
-        estats.aps_cache_hits += estats_r.aps_cache_hits
-        from repro.core.vo import VerificationObject
-
         vo = VerificationObject(entries=list(vo_r.entries) + list(vo_s.entries))
     sp_ops = stats.delta(before)
     data = vo.to_bytes()
@@ -308,8 +248,6 @@ def measure_join(
         results = verify_join_vo(vo, setup.authenticator, query, setup.user_roles, missing)
         n_results = len(results)
     else:
-        from repro.core.vo import VerificationObject
-
         recs_r = verify_vo(
             VerificationObject(entries=vo.for_table("R")),
             setup.authenticator, query, setup.user_roles, missing,
@@ -325,16 +263,10 @@ def measure_join(
         sp_seconds=sp,
         user_seconds=user,
         vo_bytes=len(data),
-        num_entries=len(vo),
         num_results=n_results,
         queries=1,
         sp_ops=sp_ops,
         user_ops=stats.delta(before),
-        traversal_seconds=estats.traversal_ms / 1000.0,
-        relax_seconds=estats.relax_ms / 1000.0,
-        workers=estats.workers,
-        aps_cache_hits=estats.aps_cache_hits,
-        registry_delta=window.delta(),
     )
 
 

@@ -15,7 +15,6 @@ from repro.core.multiway_join import (
     verify_multiway_join_vo,
 )
 from repro.core.engine import (
-    EngineStats,
     ProofTask,
     execute,
     materialize,
@@ -59,7 +58,7 @@ __all__ = [
     "InequalityJoinPair", "InequalityJoinVO", "inequality_join_vo",
     "verify_inequality_join_vo",
     "MultiJoinResult", "multiway_join_vo", "verify_multiway_join_vo",
-    "EngineStats", "ProofTask", "execute", "materialize",
+    "ProofTask", "execute", "materialize",
     "traverse_equality", "traverse_join", "traverse_multiway_join",
     "traverse_range", "traverse_range_basic",
     "QueryPlan", "plan_equality_query", "plan_join_query",

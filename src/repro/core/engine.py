@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.abs.keys import AbsVerificationKey
@@ -77,7 +77,7 @@ _M_GROUP_OPS = _REG.counter(
     labelnames=("backend", "op"),
 )
 
-#: Task kinds (also the keys of :attr:`EngineStats.tasks`).
+#: Task kinds (also the ``kind`` label of ``repro_engine_tasks_total``).
 ACCESSIBLE_RECORD = "accessible_record"
 INACCESSIBLE_RECORD = "inaccessible_record"
 INACCESSIBLE_NODE = "inaccessible_node"
@@ -324,44 +324,6 @@ def traverse_multiway_join(
 # ----------------------------------------------------------------------
 # Phase 2: proof materialization.
 # ----------------------------------------------------------------------
-@dataclass
-class EngineStats:
-    """Per-phase observability for one engine execution.
-
-    ``group_ops`` is the :class:`~repro.crypto.GroupOpStats` delta of the
-    materialization phase; cache counters are deltas of the
-    authenticator's APS-cache counters; ``relax_calls`` counts the
-    ``ABS.Relax`` derivations actually performed (cache hits excluded).
-    """
-
-    kind: str = ""
-    workers: int = 1
-    traversal_ms: float = 0.0
-    relax_ms: float = 0.0
-    tasks: dict = field(default_factory=dict)
-    relax_calls: int = 0
-    aps_cache_hits: int = 0
-    aps_cache_misses: int = 0
-    group_ops: dict = field(default_factory=dict)
-
-    @property
-    def total_tasks(self) -> int:
-        return sum(self.tasks.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workers": self.workers,
-            "traversal_ms": round(self.traversal_ms, 3),
-            "relax_ms": round(self.relax_ms, 3),
-            "tasks": dict(self.tasks),
-            "relax_calls": self.relax_calls,
-            "aps_cache_hits": self.aps_cache_hits,
-            "aps_cache_misses": self.aps_cache_misses,
-            "group_ops": dict(self.group_ops),
-        }
-
-
 def _entry_for(task: ProofTask, aps: Optional[AbsSignature]) -> VOEntry:
     if task.kind == ACCESSIBLE_RECORD:
         record = task.record
@@ -491,7 +453,6 @@ def materialize(
     user_roles,
     rng: Optional[random.Random] = None,
     workers: Optional[int] = 1,
-    stats: Optional[EngineStats] = None,
     traverse_seconds: Optional[float] = None,
 ) -> VerificationObject:
     """Phase 2: turn a task list into a VO.
@@ -501,28 +462,21 @@ def materialize(
     :meth:`~repro.core.app_signature.AppAuthenticator.derive_batch`, and
     ``workers`` only decides where the owned ones run: inline on ``rng``
     for ``workers=1``, else on the persistent spawn process pool
-    (``None`` auto-sizes from the host's CPU count).  ``stats``, when
-    given, is filled with per-phase costs.  ``traverse_seconds`` (from
-    :func:`execute`) joins this phase's ledger record, so one query's
-    engine work is one ledger charge.
+    (``None`` auto-sizes from the host's CPU count).
+
+    The call's costs go to the query's one ledger record: the
+    ``materialize`` stage (with ``traverse_seconds``, from
+    :func:`execute`, as the ``traverse`` stage), the ``tasks``,
+    ``relax_calls`` and ``aps_cache_hits`` / ``aps_cache_misses``
+    counters, and the group-operation delta.
     """
     if workers is not None and workers < 1:
         raise WorkloadError("workers must be >= 1")
     workers = resolve_workers(workers)
-    if stats is None:
-        stats = EngineStats(workers=workers)
-    stats.workers = workers
-    call_tasks = {kind: 0 for kind in TASK_KINDS}
-    for task in tasks:
-        call_tasks[task.kind] = call_tasks.get(task.kind, 0) + 1
-    for kind in TASK_KINDS:
-        stats.tasks[kind] = stats.tasks.get(kind, 0)
-    for kind, count in call_tasks.items():
-        stats.tasks[kind] = stats.tasks.get(kind, 0) + count
     hits0 = authenticator.aps_cache_hits
     misses0 = authenticator.aps_cache_misses
-    relax0 = stats.relax_calls
-    ops_before = authenticator.group.stats.snapshot()
+    group = authenticator.group
+    ops_before = group.stats.snapshot()
     t0 = time.perf_counter()
     with _trace.span("engine.materialize", workers=workers) as mat_span:
         relaxing = [task for task in tasks if task.needs_relax]
@@ -532,48 +486,34 @@ def materialize(
             [(task.signature, task.relax_message(), task.relax_policy()) for task in relaxing],
             missing, rng, run,
         )
-        stats.relax_calls += relaxed
         aps = iter(derived)
         entries = [_entry_for(task, next(aps) if task.needs_relax else None) for task in tasks]
-        mat_span.set_attributes(tasks=len(tasks), relax_calls=relaxed)
+        aps_hits = authenticator.aps_cache_hits - hits0
+        aps_misses = authenticator.aps_cache_misses - misses0
+        mat_span.set_attributes(
+            tasks=len(tasks), relax_calls=relaxed, aps_cache_hits=aps_hits,
+        )
     elapsed = time.perf_counter() - t0
-    stats.relax_ms += elapsed * 1000.0
-    relaxed_hits = authenticator.aps_cache_hits - hits0
-    relaxed_misses = authenticator.aps_cache_misses - misses0
-    stats.aps_cache_hits += relaxed_hits
-    stats.aps_cache_misses += relaxed_misses
-    backend = getattr(authenticator.group, "name", type(authenticator.group).__name__)
-    ops_delta = {
-        key: value
-        for key, value in authenticator.group.stats.delta(ops_before).items()
-        if value
-    }
-    for key, value in ops_delta.items():
-        stats.group_ops[key] = stats.group_ops.get(key, 0) + value
-        _M_GROUP_OPS.inc(value, backend=backend, op=key)
-    ledger = _ledger.ledger()
-    trace_id = _trace.current_trace_id()
-    phases = {"materialize": elapsed}
+    ops_delta = {key: value for key, value in group.stats.delta(ops_before).items() if value}
+    stages = {"materialize": elapsed}
     if traverse_seconds is not None:
-        phases["traverse"] = traverse_seconds
-    ledger.record(
-        trace_id,
-        phases,
-        relax_calls=stats.relax_calls - relax0,
-        aps_cache_hits=relaxed_hits,
-        aps_cache_misses=relaxed_misses,
+        stages["traverse"] = traverse_seconds
+    _ledger.ledger().record(
+        _trace.current_trace_id(), stages, ops_delta,
+        tasks=len(tasks), relax_calls=relaxed,
+        aps_cache_hits=aps_hits, aps_cache_misses=aps_misses,
     )
-    if ops_delta:
-        ledger.merge_group_ops(trace_id, ops_delta)
-    for kind, count in call_tasks.items():
-        if count:
-            _TASKS[kind].inc(count)
-    if stats.relax_calls > relax0:
-        _M_RELAX.inc(stats.relax_calls - relax0)
-    if relaxed_hits:
-        _APS_HITS.inc(relaxed_hits)
-    if relaxed_misses:
-        _APS_MISSES.inc(relaxed_misses)
+    backend = getattr(group, "name", type(group).__name__)
+    for key, value in ops_delta.items():
+        _M_GROUP_OPS.inc(value, backend=backend, op=key)
+    for kind, count in Counter(task.kind for task in tasks).items():
+        _TASKS[kind].inc(count)
+    if relaxed:
+        _M_RELAX.inc(relaxed)
+    if aps_hits:
+        _APS_HITS.inc(aps_hits)
+    if aps_misses:
+        _APS_MISSES.inc(aps_misses)
     _PHASE_MATERIALIZE.observe(elapsed)
     return VerificationObject(entries=entries)
 
@@ -585,22 +525,20 @@ def execute(
     user_roles,
     rng: Optional[random.Random] = None,
     workers: Optional[int] = 1,
-) -> tuple[VerificationObject, EngineStats]:
-    """Run both phases, timing each: returns ``(vo, stats)``.
+) -> VerificationObject:
+    """Run both phases and return the VO.
 
     ``traversal`` is a zero-argument closure over one of the
-    ``traverse_*`` functions with validated roles.
+    ``traverse_*`` functions with validated roles.  The traversal's time
+    joins :func:`materialize`'s ledger record, so one query's engine
+    work is one ledger charge.
     """
-    stats = EngineStats(kind=kind, workers=workers or 0)
     t0 = time.perf_counter()
     with _trace.span("engine.traverse", kind=kind) as trav_span:
         tasks = traversal()
         trav_span.set_attribute("tasks", len(tasks))
     elapsed = time.perf_counter() - t0
-    stats.traversal_ms = elapsed * 1000.0
     _PHASE_TRAVERSE.observe(elapsed)
-    vo = materialize(
-        tasks, authenticator, user_roles, rng, workers, stats,
-        traverse_seconds=elapsed,
+    return materialize(
+        tasks, authenticator, user_roles, rng, workers, traverse_seconds=elapsed,
     )
-    return vo, stats

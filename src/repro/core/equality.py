@@ -18,7 +18,7 @@ import random
 from typing import Optional
 
 from repro.core.app_signature import AppAuthenticator
-from repro.core.engine import EngineStats, materialize, traverse_equality
+from repro.core.engine import materialize, traverse_equality
 from repro.core.vo import VerificationObject
 from repro.index.boxes import Point
 from repro.index.gridtree import APGTree
@@ -32,9 +32,8 @@ def equality_vo(
     rng: Optional[random.Random] = None,
     table: str = "",
     workers: int = 1,
-    stats: Optional[EngineStats] = None,
 ) -> VerificationObject:
     """SP-side VO construction for an equality query (Algorithm 1)."""
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     tasks = traverse_equality(tree, key, user_roles, table)
-    return materialize(tasks, authenticator, user_roles, rng, workers, stats)
+    return materialize(tasks, authenticator, user_roles, rng, workers)

@@ -24,7 +24,7 @@ import random
 from typing import Optional
 
 from repro.core.app_signature import AppAuthenticator
-from repro.core.engine import EngineStats, materialize, traverse_join
+from repro.core.engine import materialize, traverse_join
 from repro.core.vo import VerificationObject
 from repro.errors import WorkloadError
 from repro.index.boxes import Box
@@ -42,11 +42,10 @@ def join_vo(
     user_roles,
     rng: Optional[random.Random] = None,
     workers: int = 1,
-    stats: Optional[EngineStats] = None,
 ) -> VerificationObject:
     """SP-side VO construction for an equi-join (Algorithm 4)."""
     if tree_r.domain != tree_s.domain:
         raise WorkloadError("join requires both tables indexed over the same domain")
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     tasks = traverse_join(tree_r, tree_s, query, user_roles, TABLE_R, TABLE_S)
-    return materialize(tasks, authenticator, user_roles, rng, workers, stats)
+    return materialize(tasks, authenticator, user_roles, rng, workers)

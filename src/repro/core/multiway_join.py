@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.app_signature import AppAuthenticator
-from repro.core.engine import EngineStats, materialize, traverse_multiway_join
+from repro.core.engine import materialize, traverse_multiway_join
 from repro.core.records import Record
 from repro.core.verifier import collect_entries, settle
 from repro.core.vo import AccessibleRecordEntry, VerificationObject
@@ -46,7 +46,6 @@ def multiway_join_vo(
     user_roles,
     rng: Optional[random.Random] = None,
     workers: int = 1,
-    stats: Optional[EngineStats] = None,
 ) -> VerificationObject:
     """SP-side VO for a k-way equi-join over a shared key domain.
 
@@ -63,7 +62,7 @@ def multiway_join_vo(
         raise WorkloadError("all joined tables must share the key domain")
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     tasks = traverse_multiway_join(trees, query, user_roles)
-    return materialize(tasks, authenticator, user_roles, rng, workers, stats)
+    return materialize(tasks, authenticator, user_roles, rng, workers)
 
 
 @dataclass(frozen=True)

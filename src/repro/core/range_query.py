@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.core.app_signature import AppAuthenticator
 from repro.core.engine import (
-    EngineStats,
     materialize,
     traverse_range,
     traverse_range_basic,
@@ -49,12 +48,11 @@ def range_vo(
     rng: Optional[random.Random] = None,
     table: str = "",
     workers: int = 1,
-    stats: Optional[EngineStats] = None,
 ) -> VerificationObject:
     """SP-side VO construction via AP2G-tree search (Algorithm 3)."""
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     tasks = traverse_range(tree, query, user_roles, table)
-    return materialize(tasks, authenticator, user_roles, rng, workers, stats)
+    return materialize(tasks, authenticator, user_roles, rng, workers)
 
 
 def range_vo_basic(
@@ -65,7 +63,6 @@ def range_vo_basic(
     rng: Optional[random.Random] = None,
     table: str = "",
     workers: int = 1,
-    stats: Optional[EngineStats] = None,
 ) -> VerificationObject:
     """Baseline: equality-query authentication repeated for every key.
 
@@ -73,4 +70,4 @@ def range_vo_basic(
     """
     user_roles = authenticator.universe.validate_user_roles(user_roles)
     tasks = traverse_range_basic(tree, query, user_roles, table)
-    return materialize(tasks, authenticator, user_roles, rng, workers, stats)
+    return materialize(tasks, authenticator, user_roles, rng, workers)

@@ -27,7 +27,6 @@ from repro.abe.hybrid import HybridEnvelope, decrypt_envelope, encrypt_for_roles
 from repro.abs.keys import AbsVerificationKey
 from repro.core.app_signature import AppAuthenticator, AppSigner
 from repro.core.engine import (
-    EngineStats,
     execute,
     traverse_equality,
     traverse_join,
@@ -85,10 +84,10 @@ _VERIFY_COUNTERS = {"hit": "verify_memo_hits", "miss": "verify_memo_misses"}
 
 
 def _observe_seal(outcome: str) -> None:
-    """SP-side KEM cache outcome: a metric, plus a ledger count per query."""
+    """SP-side KEM cache outcome: a metric, tallied for the query's seal record."""
     _KEM_CACHE[outcome].inc()
     if outcome != "evicted":
-        _ledger.ledger().count(_trace.current_trace_id(), **{_SEAL_COUNTERS[outcome]: 1})
+        _ledger.tally(_SEAL_COUNTERS[outcome])
 
 
 def _observe_open(outcome: str) -> None:
@@ -131,11 +130,6 @@ class TableView:
 class QueryResponse:
     """SP response: a (possibly sealed) VO for a clipped query box.
 
-    ``stats``, when present, carries the per-phase engine costs of
-    constructing the VO (traversal vs. relaxation, worker count, APS
-    cache hits — see :class:`repro.core.engine.EngineStats`).  It is
-    SP-side observability only and is not part of the wire format.
-
     ``freshness``, when present, is the DO-signed epoch token the SP
     attaches so clients can reject stale-snapshot replays; in sharded
     deployments it additionally binds the response to one shard at the
@@ -146,7 +140,6 @@ class QueryResponse:
     query: Box
     vo: Optional[VerificationObject] = None
     envelope: Optional[HybridEnvelope] = None
-    stats: Optional[EngineStats] = None
     freshness: Optional["FreshnessToken"] = None
 
     def byte_size(self) -> int:
@@ -422,34 +415,36 @@ class ServiceProvider:
         roles,
         encrypt: bool,
         rng: Optional[random.Random],
-        stats: Optional[EngineStats] = None,
         freshness: Optional[FreshnessToken] = None,
     ) -> QueryResponse:
         if not encrypt:
-            return QueryResponse(
-                kind=kind, query=query, vo=vo, stats=stats, freshness=freshness
-            )
+            return QueryResponse(kind=kind, query=query, vo=vo, freshness=freshness)
         payload = vo.to_bytes()
+        # One ledger record for the seal and its KEM cache outcome.  The
+        # outcome is tallied on this thread and folded here; a client
+        # exchange on the same thread (a loopback) starts its own tally
+        # window after the round trip, so it never counts it again.
+        tallied = _ledger.tally_snapshot()
         t0 = time.perf_counter()
         envelope = encrypt_for_roles(
             self._cpabe, self.cpabe_public, roles, payload, rng, cache=self._kem_cache
         )
-        _ledger.ledger().charge(_trace.current_trace_id(), "seal", time.perf_counter() - t0)
+        _ledger.ledger().record(
+            _trace.current_trace_id(), {"seal": time.perf_counter() - t0},
+            **_ledger.tally_since(tallied),
+        )
         return QueryResponse(
-            kind=kind, query=query, envelope=envelope, stats=stats,
-            freshness=freshness,
+            kind=kind, query=query, envelope=envelope, freshness=freshness,
         )
 
-    def _execute(self, kind, traversal, roles, rng, workers) -> tuple:
+    def _execute(self, kind, traversal, roles, rng, workers) -> VerificationObject:
         """Validate roles, pick the pooled authenticator, run both phases."""
         effective_workers = self.workers if workers is None else workers
-        with _trace.span(
-            "sp.query", kind=kind, workers=effective_workers or 0,
-        ) as sp_span:
+        with _trace.span("sp.query", kind=kind, workers=effective_workers or 0):
             _QUERIES[kind].inc()
             authenticator = self.authenticator_for(roles)
             user_roles = self.universe.validate_user_roles(roles)
-            vo, stats = execute(
+            return execute(
                 kind,
                 traversal(user_roles),
                 authenticator,
@@ -457,12 +452,6 @@ class ServiceProvider:
                 rng,
                 effective_workers,
             )
-            if stats is not None:
-                sp_span.set_attributes(
-                    tasks=stats.total_tasks, relax_calls=stats.relax_calls,
-                    aps_cache_hits=stats.aps_cache_hits,
-                )
-            return vo, stats
 
     # -- queries -------------------------------------------------------------
     def equality_query(
@@ -477,15 +466,12 @@ class ServiceProvider:
         view = self.table_view(table)
         tree = view.tree
         key = tree.domain.validate_point(key)
-        vo, stats = self._execute(
+        vo = self._execute(
             "equality",
             lambda user_roles: lambda: traverse_equality(tree, key, user_roles, table),
             roles, rng, workers,
         )
-        return self._respond(
-            "equality", Box(key, key), vo, roles, encrypt, rng, stats,
-            view.freshness,
-        )
+        return self._respond("equality", Box(key, key), vo, roles, encrypt, rng, view.freshness)
 
     def range_query(
         self,
@@ -504,14 +490,12 @@ class ServiceProvider:
         traverse = {"tree": traverse_range, "basic": traverse_range_basic}.get(method)
         if traverse is None:
             raise WorkloadError(f"unknown range method {method!r}")
-        vo, stats = self._execute(
+        vo = self._execute(
             "range",
             lambda user_roles: lambda: traverse(tree, query, user_roles, table),
             roles, rng, workers,
         )
-        return self._respond(
-            "range", query, vo, roles, encrypt, rng, stats, view.freshness
-        )
+        return self._respond("range", query, vo, roles, encrypt, rng, view.freshness)
 
     def join_query(
         self,
@@ -528,14 +512,12 @@ class ServiceProvider:
         tree_r = left_view.tree
         tree_s = self.table_view(right_table).tree
         query = clip_query(tree_r, lo, hi)
-        vo, stats = self._execute(
+        vo = self._execute(
             "join",
             lambda user_roles: lambda: traverse_join(tree_r, tree_s, query, user_roles),
             roles, rng, workers,
         )
-        return self._respond(
-            "join", query, vo, roles, encrypt, rng, stats, left_view.freshness
-        )
+        return self._respond("join", query, vo, roles, encrypt, rng, left_view.freshness)
 
 
 class QueryUser:

@@ -145,22 +145,16 @@ def verify_vo(
     query: Box,
     user_roles,
     missing_roles: Optional[Sequence[str]] = None,
-    collect_ops: Optional[dict] = None,
 ) -> list[Record]:
     """Verify an equality/range VO; returns the accessible records.
 
     ``query`` must already be clipped to the indexed domain.
     ``missing_roles`` overrides the default super-policy attribute list
     ``A \\ A`` (used by the hierarchical-role optimization).
-    ``collect_ops``, when given, is filled with the group-operation
-    counts (mults, pairings, ...) this verification cost.
     """
     user_roles = authenticator.universe.validate_user_roles(user_roles)
-    before = authenticator.group.stats.snapshot() if collect_ops is not None else None
     records, obligations = collect_vo(vo, authenticator, query, user_roles, missing_roles)
     settle(obligations, authenticator)
-    if collect_ops is not None:
-        collect_ops.update(authenticator.group.stats.delta(before))
     return records
 
 
@@ -180,18 +174,15 @@ def verify_join_vo(
     missing_roles: Optional[Sequence[str]] = None,
     left_table: str = "R",
     right_table: str = "S",
-    collect_ops: Optional[dict] = None,
 ) -> list[JoinPair]:
     """Verify a join VO; returns the verified result pairs.
 
     Completeness uses the R-side tiling: accessible R results plus every
     inaccessible region (from either table) must tile the query range.
     Soundness additionally requires each R result to have exactly one
-    matching S result on the same key.  ``collect_ops``, when given, is
-    filled with the group-operation counts this verification cost.
+    matching S result on the same key.
     """
     user_roles = authenticator.universe.validate_user_roles(user_roles)
-    before = authenticator.group.stats.snapshot() if collect_ops is not None else None
     left_access: dict = {}
     right_access: dict = {}
     coverage: list[Box] = []
@@ -216,13 +207,10 @@ def verify_join_vo(
     )
     settle(obligations, authenticator)
     records = {(entry.table, entry.key): record for entry, record in accessible}
-    pairs = [
+    return [
         JoinPair(left=records[(left_table, key)], right=records[(right_table, key)])
         for key in sorted(left_access)
     ]
-    if collect_ops is not None:
-        collect_ops.update(authenticator.group.stats.delta(before))
-    return pairs
 
 
 # ---------------------------------------------------------------------------

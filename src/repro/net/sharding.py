@@ -396,43 +396,6 @@ class ShardedClient:
         self.counters = ShardedStats()
         self._last_trace_id: Optional[str] = None
 
-    # -- rotation ------------------------------------------------------------
-    def refresh_roster(
-        self, roster: ShardRoster, roster_token: FreshnessToken
-    ) -> None:
-        """Adopt a re-signed roster after the DO rotates shard epochs.
-
-        The sharded path pins *exact* per-shard epochs, so a live-ingest
-        rotation (see :mod:`repro.net.ingest`) must be accompanied by a
-        re-signed roster; this installs it after the same verification
-        the constructor runs.  Only epochs may move: the shard ids and
-        partition bounds must match the roster being replaced — a
-        repartition is a different deployment, not a refresh.
-        """
-        verify_roster_token(self.user.authenticator, roster, roster_token)
-        if roster.table != self.roster.table:
-            raise ReproError(
-                f"roster refresh changes the table: {self.roster.table!r} -> "
-                f"{roster.table!r}"
-            )
-        old = {d.shard_id: d for d in self.roster.shards}
-        new = {d.shard_id: d for d in roster.shards}
-        if set(old) != set(new):
-            raise ReproError(
-                f"roster refresh changes the shard set: {sorted(old)} -> "
-                f"{sorted(new)}"
-            )
-        for shard_id, descriptor in new.items():
-            if descriptor.box != old[shard_id].box:
-                raise ReproError(
-                    f"roster refresh moves shard {shard_id!r} partition "
-                    "bounds; repartitioning requires a new client"
-                )
-        self.roster = roster
-        self.roster_token = roster_token
-        for cluster in self.shards.values():
-            cluster.user.roster = roster
-
     # -- public queries ------------------------------------------------------
     def query_range(self, table: str, lo, hi, encrypt: bool = True):
         self._check_table(table)
@@ -584,9 +547,8 @@ class ShardedClient:
             _M_OUTCOMES.inc(outcome="failed")
             raise
         finally:
-            _ledger.ledger().charge(
-                _trace.current_trace_id(), "merge",
-                time.perf_counter() - merge_t0,
+            _ledger.ledger().record(
+                _trace.current_trace_id(), {"merge": time.perf_counter() - merge_t0},
             )
         if isinstance(result, PartialResult):
             self.counters.partials += 1

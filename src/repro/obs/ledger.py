@@ -3,17 +3,20 @@
 Spans answer "what happened, in what order"; the :class:`CostLedger`
 answers the operator's budgeting question — *per logical query*, how
 many seconds went to each named stage of the pipeline, and how much
-crypto work rode along.  Every instrumented layer charges the ledger
-under the query's trace id:
+crypto work rode along.  It is the one per-query account: the process
+registry (:mod:`repro.obs.metrics`) sums the same events over all
+queries, and the trace (:mod:`repro.obs.trace`) orders them.  Every
+instrumented layer charges it under the query's trace id:
 
 ========================  ====================================================
 stage                     charged by
 ========================  ====================================================
-``traverse``              :func:`repro.core.engine.execute`
-                          (crypto-free tree walk; recorded together with
-                          ``materialize``)
+``traverse``              :func:`repro.core.engine.materialize`, timed by
+                          :func:`repro.core.engine.execute` (crypto-free
+                          tree walk)
 ``materialize``           :func:`repro.core.engine.materialize`
-                          (ABS.Relax batch, APS cache, dedup)
+                          (ABS.Relax batch through the APS cache and the
+                          single-flight table)
 ``seal``                  :meth:`repro.core.system.ServiceProvider._respond`
                           (CP-ABE KEM, cached per role set, + AES/HMAC)
 ``wire``                  :func:`repro.net.client.wire_exchange` — round-trip
@@ -26,7 +29,8 @@ stage                     charged by
 ``codec``                 :func:`repro.net.client.wire_exchange` (response
                           frame decode) and
                           :meth:`repro.core.system.QueryUser._open` (VO
-                          decode); points go through the decode memo
+                          decode; a point is decoded only when its entry
+                          misses the verified-entry memo)
 ``verify``                :func:`repro.net.client.wire_exchange` (client-side
                           VO verification, exclusive of ``open`` and
                           ``codec``)
@@ -34,20 +38,20 @@ stage                     charged by
                           (scatter-gather VO merge + completeness check)
 ========================  ====================================================
 
-Counters (relax calls, APS cache hits/misses, dedup, ``kem_hits`` /
-``kem_misses`` for the SP's encapsulation cache, ``kem_memo_hits`` /
-``kem_memo_misses`` for the client's header memo,
-``verify_memo_hits`` / ``verify_memo_misses`` for the client's
-verified-entry memo) and
-:class:`~repro.crypto.groupops.GroupOpStats` deltas accumulate per
-trace the same way.  Entries are bounded LRU; everything is a no-op
-when the obs gate is off or no trace is active (``trace_id=None``).
+Counters accumulate per trace the same way: ``tasks``,
+``relax_calls`` and ``aps_cache_hits`` / ``aps_cache_misses`` from the
+engine, ``kem_hits`` / ``kem_misses`` for the SP's encapsulation
+cache, ``kem_memo_hits`` / ``kem_memo_misses`` for the client's header
+memo, and ``verify_memo_hits`` / ``verify_memo_misses`` for the
+client's verified-entry memo.  So do the engine's
+:class:`~repro.crypto.group.GroupOpStats` deltas.  Entries are bounded
+LRU; everything is a no-op when the obs gate is off or no trace is
+active (``trace_id=None``).
 
-A call site that finishes several stages at once records them with one
-:meth:`CostLedger.record`.  Per-item events on the client's hot path
-(memo look-ups, several per VO) are not charged one by one: they bump
-this thread's :func:`tally`, and ``wire_exchange`` folds the exchange's
-tally delta into its single record.
+Each call site records everything it finished as one
+:meth:`CostLedger.record`.  Per-item events (memo look-ups, several per
+VO) are not recorded one by one: they bump this thread's :func:`tally`,
+and the call site folds its tally delta into its single record.
 """
 
 from __future__ import annotations
@@ -116,8 +120,13 @@ class CostLedger:
 
     # -- mutators (no-ops when gated off or untraced) ------------------------
     def record(self, trace_id: Optional[str], stages: Mapping[str, float],
+               group_ops: Optional[Mapping[str, int]] = None,
                **counters: float) -> None:
-        """Add seconds to each of ``stages`` and accumulate ``counters``, as one charge."""
+        """Add seconds to each of ``stages`` and accumulate ``group_ops``
+        (a ``GroupOpStats`` delta) and ``counters``, as one charge.
+
+        Zero amounts are skipped, and a negative stage time counts as 0.
+        """
         if trace_id is None or not gate.enabled():
             return
         for stage in stages:
@@ -130,26 +139,10 @@ class CostLedger:
             for name, amount in counters.items():
                 if amount:
                     entry.counters[name] = entry.counters.get(name, 0) + amount
-            self.total_charges += 1
-
-    def charge(self, trace_id: Optional[str], stage: str, seconds: float) -> None:
-        """Add ``seconds`` to ``stage`` for a trace."""
-        self.record(trace_id, {stage: seconds})
-
-    def count(self, trace_id: Optional[str], **counters: float) -> None:
-        """Accumulate named counters (relax calls, cache hits, dedup...)."""
-        self.record(trace_id, {}, **counters)
-
-    def merge_group_ops(self, trace_id: Optional[str],
-                        delta: Mapping[str, int]) -> None:
-        """Fold a ``GroupOpStats`` delta (``as_dict`` form) into a trace."""
-        if trace_id is None or not gate.enabled():
-            return
-        with self._lock:
-            entry = self._entry(trace_id)
-            for op, n in delta.items():
-                if n:
-                    entry.group_ops[op] = entry.group_ops.get(op, 0) + n
+            if group_ops:
+                for op, n in group_ops.items():
+                    if n:
+                        entry.group_ops[op] = entry.group_ops.get(op, 0) + n
             self.total_charges += 1
 
     def set_wall(self, trace_id: Optional[str], seconds: float) -> None:

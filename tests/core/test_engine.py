@@ -18,12 +18,13 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.core.app_signature import AppAuthenticator
 from repro.core.engine import (
     ACCESSIBLE_RECORD,
     INACCESSIBLE_NODE,
     INACCESSIBLE_RECORD,
-    EngineStats,
+    TASK_KINDS,
     execute,
     materialize,
     traverse_range,
@@ -515,45 +516,93 @@ def test_parallel_materialization_deterministic(env):
     assert one.to_bytes() == two.to_bytes()
 
 
-def test_engine_stats_per_phase(env):
+def test_engine_stats_per_phase(env, traced):
+    """One query's engine work is one ledger record: both phases' times,
+    the task count, and one relax per inaccessible task on a cold
+    authenticator; the registry splits the tasks by kind."""
     universe, owner, trees, kd_tree, auth = env
     query = clip_query(trees["R"], (0, 0), (15, 7))
     roles = frozenset({"RoleA"})
-    vo, stats = execute(
+    window = obs.registry().window()
+    vo, entry, trace = traced(lambda: execute(
         "range",
         lambda: traverse_range(trees["R"], query, roles),
         auth, roles, random.Random(1), workers=2,
-    )
-    assert stats.kind == "range"
-    assert stats.workers == 2
-    assert stats.total_tasks == len(vo)
-    assert stats.tasks[INACCESSIBLE_RECORD] + stats.tasks[INACCESSIBLE_NODE] == (
-        stats.relax_calls
-    )
-    assert stats.tasks[ACCESSIBLE_RECORD] == len(vo.accessible())
-    assert stats.traversal_ms >= 0.0 and stats.relax_ms >= 0.0
-    assert stats.as_dict()["tasks"][ACCESSIBLE_RECORD] == stats.tasks[ACCESSIBLE_RECORD]
+    ))
+    moved = window.delta()
+    by_kind = {kind: moved.get(f"repro_engine_tasks_total|{kind}", 0) for kind in TASK_KINDS}
+    assert trace.find("engine.traverse").attributes == {"kind": "range", "tasks": len(vo)}
+    span = trace.find("engine.materialize")
+    assert span.attributes["workers"] == 2
+    assert span.attributes["tasks"] == entry.counters["tasks"] == len(vo)
+    assert by_kind[ACCESSIBLE_RECORD] == len(vo.accessible())
+    relaxing = by_kind[INACCESSIBLE_RECORD] + by_kind[INACCESSIBLE_NODE]
+    assert relaxing == len(vo) - len(vo.accessible()) > 0
+    assert span.attributes["relax_calls"] == entry.counters["relax_calls"] == relaxing
+    assert set(entry.stages) == {"traverse", "materialize"}
+    assert all(seconds >= 0.0 for seconds in entry.stages.values())
+    assert entry.group_ops
 
 
-def test_materialize_honours_enabled_cache(env):
+def test_materialize_honours_enabled_cache(env, traced):
     universe, owner, trees, kd_tree, auth = env
     query = clip_query(trees["R"], (0, 0), (15, 7))
     roles = frozenset({"RoleA"})
     cached_auth = AppAuthenticator(owner.group, universe, owner.mvk)
     cached_auth.enable_aps_cache()
-    stats = EngineStats()
     tasks = traverse_range(trees["R"], query, roles)
-    materialize(tasks, cached_auth, roles, random.Random(2), workers=4, stats=stats)
-    assert stats.aps_cache_misses == stats.relax_calls > 0
-    again = EngineStats()
-    vo = materialize(tasks, cached_auth, roles, random.Random(2), workers=4, stats=again)
-    assert again.relax_calls == 0
-    assert again.aps_cache_hits == stats.relax_calls
+    _, cold, _ = traced(lambda: materialize(
+        tasks, cached_auth, roles, random.Random(2), workers=4,
+    ))
+    assert cold.counters["aps_cache_misses"] == cold.counters["relax_calls"] > 0
+    vo, warm, _ = traced(lambda: materialize(
+        tasks, cached_auth, roles, random.Random(2), workers=4,
+    ))
+    assert "relax_calls" not in warm.counters
+    assert warm.counters["aps_cache_hits"] == cold.counters["relax_calls"]
     verify_vo(vo, auth, query, roles)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ledger_matches_registry_and_authenticator(env, traced, workers):
+    """The ledger's per-query engine counters are exactly what the
+    process-wide counters and the authenticator's own counters moved by,
+    cold and warm, inline and on the pool."""
+    universe, owner, trees, kd_tree, auth = env
+    query = clip_query(trees["R"], (0, 0), (15, 7))
+    roles = frozenset({"RoleA"})
+    cached_auth = AppAuthenticator(owner.group, universe, owner.mvk)
+    cached_auth.enable_aps_cache()
+    ops_prefix = f"repro_group_ops_total|{owner.group.name}|"
+    for _ in ("cold", "warm"):
+        window = obs.registry().window()
+        hits0, misses0 = cached_auth.aps_cache_hits, cached_auth.aps_cache_misses
+        _, entry, _ = traced(lambda: execute(
+            "range",
+            lambda: traverse_range(trees["R"], query, roles),
+            cached_auth, roles, random.Random(6), workers=workers,
+        ))
+        moved = window.delta()
+        counters = entry.counters
+        assert counters["tasks"] == sum(
+            moved.get(f"repro_engine_tasks_total|{kind}", 0) for kind in TASK_KINDS
+        )
+        assert counters.get("relax_calls", 0) == moved.get("repro_engine_relax_calls_total", 0)
+        assert counters.get("aps_cache_hits", 0) == (
+            moved.get("repro_engine_aps_cache_total|hit", 0)
+        ) == cached_auth.aps_cache_hits - hits0
+        assert counters.get("aps_cache_misses", 0) == (
+            moved.get("repro_engine_aps_cache_total|miss", 0)
+        ) == cached_auth.aps_cache_misses - misses0
+        assert entry.group_ops == {
+            key[len(ops_prefix):]: n for key, n in moved.items() if key.startswith(ops_prefix)
+        }
+    assert "relax_calls" not in counters
+    assert counters["aps_cache_hits"] > 0
+
+
 # ----------------------------------------------------------------------
-# ServiceProvider: authenticator pool, workers knob, response stats
+# ServiceProvider: authenticator pool, workers knob
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sp_system():
@@ -570,17 +619,16 @@ def sp_system():
     return rng, universe, owner, sp
 
 
-def test_sp_pool_scores_cache_hits_across_queries(sp_system):
+def test_sp_pool_scores_cache_hits_across_queries(sp_system, traced):
     """Consecutive same-role queries reuse pooled APS derivations."""
     rng, universe, owner, sp = sp_system
     roles = frozenset({"nurse"})
-    first = sp.range_query("T", (0,), (15,), roles, rng=rng)
-    assert first.stats is not None
-    assert first.stats.relax_calls > 0
-    assert first.stats.aps_cache_hits == 0
-    second = sp.range_query("T", (0,), (15,), roles, rng=rng)
-    assert second.stats.relax_calls == 0
-    assert second.stats.aps_cache_hits == first.stats.relax_calls
+    first, cold, _ = traced(lambda: sp.range_query("T", (0,), (15,), roles, rng=rng))
+    assert cold.counters["relax_calls"] > 0
+    assert "aps_cache_hits" not in cold.counters
+    second, warm, _ = traced(lambda: sp.range_query("T", (0,), (15,), roles, rng=rng))
+    assert "relax_calls" not in warm.counters
+    assert warm.counters["aps_cache_hits"] == cold.counters["relax_calls"]
     # Same pooled authenticator served both queries.
     assert sp.authenticator_for(roles) is sp.authenticator_for(roles)
     user = QueryUser(owner.group, universe, owner.register_user(roles))
@@ -610,15 +658,16 @@ def test_sp_pool_eviction_bounds_memory(sp_system):
         sp._auth_pool_size = old_size
 
 
-def test_sp_workers_knob_and_override(sp_system):
+def test_sp_workers_knob_and_override(sp_system, traced):
     rng, universe, owner, sp = sp_system
     roles = frozenset({"doctor"})
-    resp = sp.range_query("T", (0,), (15,), roles, rng=rng, workers=3)
-    assert resp.stats.workers == 3
+    _, _, trace = traced(lambda: sp.range_query("T", (0,), (15,), roles, rng=rng, workers=3))
+    assert trace.find("sp.query").attributes["workers"] == 3
+    assert trace.find("engine.materialize").attributes["workers"] == 3
     sp.workers = 2
     try:
-        resp = sp.join_query("T", "T", (0,), (15,), roles, rng=rng)
-        assert resp.stats.workers == 2
+        resp, _, trace = traced(lambda: sp.join_query("T", "T", (0,), (15,), roles, rng=rng))
+        assert trace.find("engine.materialize").attributes["workers"] == 2
     finally:
         sp.workers = 1
     user = QueryUser(owner.group, universe, owner.register_user(roles))
@@ -633,17 +682,16 @@ def test_query_response_byte_size_without_payload_raises(sp_system):
         response.byte_size()
 
 
-def test_join_verify_collect_ops(sp_system):
+def test_join_verify_group_ops_delta(sp_system):
+    """A join verification's cost is the delta of its group's op counters."""
     rng, universe, owner, sp = sp_system
     roles = frozenset({"nurse"})
     resp = sp.join_query("T", "T", (0,), (15,), roles, rng=rng)
     user = QueryUser(owner.group, universe, owner.register_user(roles))
-    ops: dict = {}
-    pairs = verify_join_vo(
-        resp.vo, user.authenticator, resp.query, roles, collect_ops=ops
-    )
+    before = owner.group.stats.snapshot()
+    pairs = verify_join_vo(resp.vo, user.authenticator, resp.query, roles)
     assert pairs is not None
-    assert ops  # group-operation counts were recorded
+    assert owner.group.stats.delta(before)["pairings"] > 0
 
 
 def test_multiway_adapter_still_verifies(env):

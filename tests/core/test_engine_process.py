@@ -21,7 +21,6 @@ import repro.core.app_signature as app_signature_mod
 from repro import obs
 from repro.core.app_signature import AppAuthenticator
 from repro.core.engine import (
-    EngineStats,
     _relax_worker_job,
     execute,
     materialize,
@@ -64,13 +63,12 @@ def env():
     return universe, owner, tree, auth
 
 
-def _materialize(env, workers, seed=99, stats=None):
+def _materialize(env, workers, seed=99):
     universe, owner, tree, auth = env
     query = clip_query(tree, (0,), (31,))
     tasks = traverse_range(tree, query, frozenset({"RoleA"}))
     vo = materialize(
-        tasks, auth, frozenset({"RoleA"}), random.Random(seed),
-        workers=workers, stats=stats,
+        tasks, auth, frozenset({"RoleA"}), random.Random(seed), workers=workers,
     )
     return vo, query, auth
 
@@ -87,31 +85,30 @@ def test_process_backend_deterministic(env):
     assert one.to_bytes() == two.to_bytes()
 
 
-def test_process_group_op_counters_match_thread(env):
-    """Worker-side op deltas merge back into the parent's counters.
+def test_process_group_op_counters_match_thread(env, traced):
+    """Worker-side op deltas merge back into the parent's counters, and
+    so into the query's ledger record.
 
     The reference is the in-process (inline) path, which is what the
     deleted thread pool ran per job.
     """
-    inline_stats = EngineStats()
-    process_stats = EngineStats()
-    _materialize(env, workers=1, stats=inline_stats)
-    _materialize(env, workers=2, stats=process_stats)
-    assert process_stats.relax_calls == inline_stats.relax_calls > 0
-    assert process_stats.group_ops == inline_stats.group_ops
+    _, inline, _ = traced(lambda: _materialize(env, workers=1))
+    _, process, _ = traced(lambda: _materialize(env, workers=2))
+    assert process.counters["relax_calls"] == inline.counters["relax_calls"] > 0
+    assert process.group_ops == inline.group_ops
 
 
-def test_execute_records_backend(env):
-    """``EngineStats.workers`` records where relax ran: 2 is the pool."""
+def test_execute_records_backend(env, traced):
+    """The ``engine.materialize`` span records where relax ran: 2 is the pool."""
     universe, owner, tree, auth = env
     query = clip_query(tree, (0,), (31,))
     roles = frozenset({"RoleA"})
-    vo, stats = execute(
+    vo, entry, trace = traced(lambda: execute(
         "range", lambda: traverse_range(tree, query, roles),
         auth, roles, random.Random(5), workers=2,
-    )
-    assert stats.workers == 2
-    assert stats.relax_calls > 0
+    ))
+    assert trace.find("engine.materialize").attributes["workers"] == 2
+    assert entry.counters["relax_calls"] > 0
     verify_vo(vo, auth, query, roles)
 
 
@@ -132,7 +129,7 @@ def test_worker_job_requires_initializer():
 # ----------------------------------------------------------------------
 # ServiceProvider integration
 # ----------------------------------------------------------------------
-def test_sp_process_backend_serves_and_pools(env):
+def test_sp_process_backend_serves_and_pools(env, traced):
     universe, owner, tree, auth = env
     sp = ServiceProvider(
         group=owner.group, universe=universe, mvk=owner.mvk,
@@ -140,12 +137,12 @@ def test_sp_process_backend_serves_and_pools(env):
     )
     rng = random.Random(11)
     roles = frozenset({"RoleA"})
-    first = sp.range_query("T", (0,), (31,), roles, rng=rng)
-    assert first.stats.workers == 2
-    assert first.stats.relax_calls > 0
-    second = sp.range_query("T", (0,), (31,), roles, rng=rng)
-    assert second.stats.relax_calls == 0
-    assert second.stats.aps_cache_hits == first.stats.relax_calls
+    first, cold, trace = traced(lambda: sp.range_query("T", (0,), (31,), roles, rng=rng))
+    assert trace.find("engine.materialize").attributes["workers"] == 2
+    assert cold.counters["relax_calls"] > 0
+    second, warm, _ = traced(lambda: sp.range_query("T", (0,), (31,), roles, rng=rng))
+    assert "relax_calls" not in warm.counters
+    assert warm.counters["aps_cache_hits"] == cold.counters["relax_calls"]
     user = QueryUser(owner.group, universe, owner.register_user(roles))
     assert [r.key for r in user.verify(first)] == [r.key for r in user.verify(second)]
 

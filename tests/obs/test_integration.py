@@ -113,7 +113,7 @@ def test_one_query_yields_one_correlated_trace():
     attempt = trace.find("client.attempt")
     assert attempt.find("server.handle_frame") is not None
     assert trace.attributes["outcome"] == "verified"
-    assert trace.find("sp.query").attributes["tasks"] > 0
+    assert trace.find("engine.materialize").attributes["tasks"] > 0
 
     # The wire frame carried the same trace id in the request-id prefix.
     request_id, _ = unframe(transport.frames[0])
