@@ -43,12 +43,12 @@ def _merge_ops(into: dict, other: dict) -> dict:
 class QueryCost:
     """Averaged per-query costs (the paper's reported metrics).
 
-    ``sp_ops``/``user_ops`` carry the logical group-operation counts
-    (mults, pows, pairings — see :class:`repro.crypto.GroupOpStats`) of
-    the SP and user phases, so speedups can be traced to the operations
-    saved rather than asserted from wall-clock alone.  Every field is
-    measured whether or not observability is on; the per-stage account
-    of a query is its :class:`~repro.obs.ledger.QueryLedger` entry.
+    ``user_ops`` carries the logical group-operation counts (mults,
+    pows, pairings — see :class:`repro.crypto.GroupOpStats`) of the user
+    phase, so speedups can be traced to the operations saved rather than
+    asserted from wall-clock alone.  Every field is measured whether or
+    not observability is on; the per-stage account of a query is its
+    :class:`~repro.obs.ledger.QueryLedger` entry.
     """
 
     sp_seconds: float = 0.0
@@ -56,7 +56,6 @@ class QueryCost:
     vo_bytes: float = 0.0
     num_results: float = 0.0
     queries: int = 0
-    sp_ops: dict = field(default_factory=dict)
     user_ops: dict = field(default_factory=dict)
 
     def add(self, other: "QueryCost") -> None:
@@ -65,7 +64,6 @@ class QueryCost:
         self.vo_bytes += other.vo_bytes
         self.num_results += other.num_results
         self.queries += other.queries
-        _merge_ops(self.sp_ops, other.sp_ops)
         _merge_ops(self.user_ops, other.user_ops)
 
     def averaged(self) -> "QueryCost":
@@ -76,7 +74,6 @@ class QueryCost:
             vo_bytes=self.vo_bytes / n,
             num_results=self.num_results / n,
             queries=n,
-            sp_ops={k: v / n for k, v in self.sp_ops.items()},
             user_ops={k: v / n for k, v in self.user_ops.items()},
         )
 
@@ -176,7 +173,6 @@ def measure_range(
         if missing is not None:
             auth = _reduced_auth(setup, missing)
     stats = auth.group.stats
-    before = stats.snapshot()
     t0 = time.perf_counter()
     vo = execute(
         "range",
@@ -184,7 +180,6 @@ def measure_range(
         auth, setup.user_roles, setup.rng, workers,
     )
     sp = time.perf_counter() - t0
-    sp_ops = stats.delta(before)
     data = vo.to_bytes()
     before = stats.snapshot()
     t0 = time.perf_counter()
@@ -196,7 +191,6 @@ def measure_range(
         vo_bytes=len(data),
         num_results=len(records),
         queries=1,
-        sp_ops=sp_ops,
         user_ops=stats.delta(before),
     )
 
@@ -215,7 +209,6 @@ def measure_join(
     if missing is not None:
         auth = _reduced_auth(setup, missing)
     stats = auth.group.stats
-    before = stats.snapshot()
     if method == "tree":
         t0 = time.perf_counter()
         vo = execute(
@@ -240,7 +233,6 @@ def measure_join(
         )
         sp = time.perf_counter() - t0
         vo = VerificationObject(entries=list(vo_r.entries) + list(vo_s.entries))
-    sp_ops = stats.delta(before)
     data = vo.to_bytes()
     before = stats.snapshot()
     t0 = time.perf_counter()
@@ -265,7 +257,6 @@ def measure_join(
         vo_bytes=len(data),
         num_results=n_results,
         queries=1,
-        sp_ops=sp_ops,
         user_ops=stats.delta(before),
     )
 

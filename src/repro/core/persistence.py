@@ -1,4 +1,4 @@
-"""Serialization of outsourced state: signed trees and verification keys.
+"""Serialization of outsourced state: signed trees, durable files, keys.
 
 The DO signs the ADS once and ships it to the SP; in a deployment that
 shipment is bytes on a wire or a file.  This module provides a compact,
@@ -12,12 +12,20 @@ SP can be cold-started from a snapshot:
 Round-tripping preserves every signature bit, so queries and proofs over
 a restored tree verify identically.
 
-For crash-safe cold starts the raw tree blob is wrapped in a *snapshot*:
-a versioned header, an 8-byte payload length, and a CRC32 footer over the
-payload.  :func:`write_snapshot` is atomic (write temp → fsync → rename),
-and :func:`restore_snapshot` rejects torn or corrupted files with an
-offset-precise :class:`~repro.errors.DeserializationError` instead of
-crashing or silently serving a damaged ADS.
+Every durable file — a snapshot, an ingest checkpoint, the publisher
+cursor and the update journal — has one layout: a ``MAGIC(4)
+VERSION(1)`` header followed by CRC-framed records::
+
+    <magic:4> <version:1>                             file header
+    ( JE <len:4> <payload:len> <crc32(payload):4> )*  records
+
+One scanner reads them all and rejects damage with an offset-precise
+:class:`~repro.errors.DeserializationError` (bad magic at offset 0,
+unsupported version at offset 4, a torn record at its offset, stored vs
+computed CRC over the exact payload span, trailing bytes).  The journal
+alone may end in a cleanly torn record (:func:`scan_journal`); the other
+files hold a fixed number of records and are written atomically (write
+temp → fsync → rename → fsync directory).
 """
 
 from __future__ import annotations
@@ -25,11 +33,11 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Union
+from typing import Optional, Union
 
 from repro.abs.scheme import AbsSignature
+from repro.codec import Reader, encode_bytes, encode_point, strict_decode
 from repro.core.records import Record
-from repro.core.vo import _Reader, _encode_bytes, _encode_point
 from repro.crypto.group import BilinearGroup
 from repro.errors import DeserializationError
 from repro.index.boxes import Box, Domain
@@ -39,27 +47,27 @@ from repro.policy.boolexpr import parse_policy
 _MAGIC = b"APPT\x01"
 
 
-def _encode_node(node: IndexNode) -> bytes:
-    out = bytearray()
-    out += _encode_point(node.box.lo)
-    out += _encode_point(node.box.hi)
-    out += _encode_bytes(node.policy.to_string().encode())
-    out += _encode_bytes(node.signature.to_bytes())
-    if node.record is not None:
+# ---------------------------------------------------------------------------
+# Signed node content: one codec for tree nodes and node replacements
+# ---------------------------------------------------------------------------
+
+def _write_content(out: bytearray, box: Box, policy, signature: AbsSignature, record) -> None:
+    out += encode_point(box.lo)
+    out += encode_point(box.hi)
+    out += encode_bytes(policy.to_string().encode())
+    out += encode_bytes(signature.to_bytes())
+    if record is not None:
         out += b"\x01"
-        out += _encode_point(node.record.key)
-        out += _encode_bytes(node.record.value)
-        out += _encode_bytes(node.record.policy.to_string().encode())
-        out += b"\x01" if node.record.is_pseudo else b"\x00"
+        out += encode_point(record.key)
+        out += encode_bytes(record.value)
+        out += encode_bytes(record.policy.to_string().encode())
+        out += b"\x01" if record.is_pseudo else b"\x00"
     else:
         out += b"\x00"
-    out += len(node.children).to_bytes(2, "big")
-    for child in node.children:
-        out += _encode_node(child)
-    return bytes(out)
 
 
-def _decode_node(reader: _Reader, group: BilinearGroup) -> IndexNode:
+def _read_content(reader: Reader, group: BilinearGroup) -> tuple:
+    """Inverse of :func:`_write_content`: ``(box, policy, signature, record)``."""
     lo = reader.take_point()
     hi = reader.take_point()
     policy = parse_policy(reader.take_bytes().decode())
@@ -71,13 +79,22 @@ def _decode_node(reader: _Reader, group: BilinearGroup) -> IndexNode:
         rec_policy = parse_policy(reader.take_bytes().decode())
         is_pseudo = reader.take(1) == b"\x01"
         record = Record(key=key, value=value, policy=rec_policy, is_pseudo=is_pseudo)
+    return Box(lo, hi), policy, signature, record
+
+
+def _write_node(out: bytearray, node: IndexNode) -> None:
+    _write_content(out, node.box, node.policy, node.signature, node.record)
+    out += len(node.children).to_bytes(2, "big")
+    for child in node.children:
+        _write_node(out, child)
+
+
+def _decode_node(reader: Reader, group: BilinearGroup) -> IndexNode:
+    box, policy, signature, record = _read_content(reader, group)
     n_children = int.from_bytes(reader.take(2), "big")
     children = tuple(_decode_node(reader, group) for _ in range(n_children))
     return IndexNode(
-        box=Box(lo, hi),
-        policy=policy,
-        signature=signature,
-        children=children,
+        box=box, policy=policy, signature=signature, children=children,
         record=record,
     )
 
@@ -89,7 +106,7 @@ def serialize_tree(tree: APGTree) -> bytes:
     for lo, hi in tree.domain.bounds:
         out += lo.to_bytes(8, "big", signed=True)
         out += hi.to_bytes(8, "big", signed=True)
-    out += _encode_node(tree.root)
+    _write_node(out, tree.root)
     return bytes(out)
 
 
@@ -97,16 +114,17 @@ def deserialize_tree(group: BilinearGroup, data: bytes) -> APGTree:
     """Restore a signed tree; statistics are recomputed from the content."""
     if data[: len(_MAGIC)] != _MAGIC:
         raise DeserializationError("not a serialized APP tree")
-    reader = _Reader(data)
-    reader.take(len(_MAGIC))
-    dims = reader.take(1)[0]
-    bounds = []
-    for _ in range(dims):
-        lo = int.from_bytes(reader.take(8), "big", signed=True)
-        hi = int.from_bytes(reader.take(8), "big", signed=True)
-        bounds.append((lo, hi))
-    domain = Domain(tuple(bounds))
-    root = _decode_node(reader, group)
+    with strict_decode("serialized tree"):
+        reader = Reader(data)
+        reader.take(len(_MAGIC))
+        dims = reader.take(1)[0]
+        bounds = []
+        for _ in range(dims):
+            lo = int.from_bytes(reader.take(8), "big", signed=True)
+            hi = int.from_bytes(reader.take(8), "big", signed=True)
+            bounds.append((lo, hi))
+        domain = Domain(tuple(bounds))
+        root = _decode_node(reader, group)
     if not reader.exhausted:
         raise DeserializationError("trailing bytes after serialized tree")
     stats = TreeStats()
@@ -124,80 +142,116 @@ def deserialize_tree(group: BilinearGroup, data: bytes) -> APGTree:
     return APGTree(root=root, domain=domain, stats=stats)
 
 
-def save_tree(tree: APGTree, fp: BinaryIO) -> None:
-    """Write a serialized tree to a binary file object."""
-    fp.write(serialize_tree(tree))
-
-
-def load_tree(group: BilinearGroup, fp: BinaryIO) -> APGTree:
-    """Read a serialized tree from a binary file object."""
-    return deserialize_tree(group, fp.read())
-
-
 # ---------------------------------------------------------------------------
-# Crash-safe snapshots: versioned header + CRC32 footer + atomic writes
+# Durable files: MAGIC(4) VERSION(1) + CRC-framed records, one scanner
 # ---------------------------------------------------------------------------
 
-_SNAP_MAGIC = b"APSS"
-SNAPSHOT_VERSION = 1
-_SNAP_HEADER_BYTES = len(_SNAP_MAGIC) + 1 + 8  # magic, version, payload length
-_SNAP_FOOTER_BYTES = 4  # CRC32 of the payload
+_FILE_HEADER_BYTES = 4 + 1  # magic, version
+_RECORD_MAGIC = b"JE"
+_RECORD_HEADER_BYTES = len(_RECORD_MAGIC) + 4  # magic + payload length
+_RECORD_FOOTER_BYTES = 4  # CRC32 of the payload
 
 
-def snapshot_tree(tree: APGTree) -> bytes:
-    """Wrap a serialized tree in the checksummed snapshot container."""
-    payload = serialize_tree(tree)
-    header = _SNAP_MAGIC + bytes([SNAPSHOT_VERSION]) + len(payload).to_bytes(8, "big")
-    footer = zlib.crc32(payload).to_bytes(4, "big")
-    return header + payload + footer
+def _frame(payload: bytes) -> bytes:
+    """One CRC-framed record."""
+    return (
+        _RECORD_MAGIC
+        + len(payload).to_bytes(4, "big")
+        + payload
+        + zlib.crc32(payload).to_bytes(4, "big")
+    )
 
 
-def restore_snapshot(group: BilinearGroup, data: bytes) -> APGTree:
-    """Validate and open a snapshot; diagnoses corruption by offset.
+def _build_file(magic: bytes, version: int, *payloads: bytes) -> bytes:
+    return magic + bytes([version]) + b"".join(_frame(p) for p in payloads)
 
-    Every failure mode a crashed or tampered-with SP disk can exhibit is
-    rejected with a precise message: bad magic (offset 0), unsupported
-    version (offset 4), torn header or payload (exact missing byte
-    count), payload checksum mismatch (stored vs computed CRC over the
-    exact byte span), and trailing garbage after the footer.
+
+def _read_record(data: bytes, offset: int, what: str) -> Optional[tuple[bytes, int]]:
+    """Read the record at ``offset``; returns ``(payload, end offset)``.
+
+    Returns ``None`` when the data ends inside the record and the bytes
+    present are a clean prefix of one (a torn write).  A record magic
+    mismatch (a write that landed mid-file, or a flipped byte) and a CRC
+    mismatch raise: those are corruption, not a tear.
     """
-    if len(data) < _SNAP_HEADER_BYTES + _SNAP_FOOTER_BYTES:
+    magic = data[offset : offset + len(_RECORD_MAGIC)]
+    if magic != _RECORD_MAGIC[: len(magic)]:
         raise DeserializationError(
-            f"torn snapshot: {len(data)} bytes, but header + footer need "
-            f"{_SNAP_HEADER_BYTES + _SNAP_FOOTER_BYTES}"
+            f"bad {what} record magic at offset {offset}: "
+            f"{magic!r} != {_RECORD_MAGIC!r}"
         )
-    if data[:4] != _SNAP_MAGIC:
-        raise DeserializationError(
-            f"bad snapshot magic at offset 0: {data[:4]!r} != {_SNAP_MAGIC!r}"
-        )
-    version = data[4]
-    if version != SNAPSHOT_VERSION:
-        raise DeserializationError(
-            f"unsupported snapshot version {version} at offset 4 "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-    declared = int.from_bytes(data[5:13], "big")
-    expected_total = _SNAP_HEADER_BYTES + declared + _SNAP_FOOTER_BYTES
-    if len(data) < expected_total:
-        raise DeserializationError(
-            f"torn snapshot: header declares a {declared}-byte payload "
-            f"(file should end at offset {expected_total}) but only "
-            f"{len(data)} bytes are present"
-        )
-    if len(data) > expected_total:
-        raise DeserializationError(
-            f"trailing bytes after snapshot footer at offset {expected_total}"
-        )
-    payload = data[_SNAP_HEADER_BYTES : _SNAP_HEADER_BYTES + declared]
-    stored_crc = int.from_bytes(data[-_SNAP_FOOTER_BYTES:], "big")
+    start = offset + _RECORD_HEADER_BYTES
+    if start > len(data):
+        return None
+    end = start + int.from_bytes(data[offset + len(_RECORD_MAGIC) : start], "big")
+    if end + _RECORD_FOOTER_BYTES > len(data):
+        return None
+    payload = data[start:end]
+    stored_crc = int.from_bytes(data[end : end + _RECORD_FOOTER_BYTES], "big")
     computed_crc = zlib.crc32(payload)
     if stored_crc != computed_crc:
         raise DeserializationError(
-            f"snapshot checksum mismatch over payload bytes "
-            f"{_SNAP_HEADER_BYTES}..{_SNAP_HEADER_BYTES + declared}: stored "
-            f"CRC32 0x{stored_crc:08x}, computed 0x{computed_crc:08x}"
+            f"{what} checksum mismatch over payload bytes {start}..{end}: "
+            f"stored CRC32 0x{stored_crc:08x}, computed 0x{computed_crc:08x}"
         )
-    return deserialize_tree(group, payload)
+    return payload, end + _RECORD_FOOTER_BYTES
+
+
+def _scan_file(
+    data: bytes, magic: bytes, version: int, what: str, count: Optional[int] = None
+) -> tuple[list[bytes], Optional[int], int]:
+    """Read the header and up to ``count`` records (all, if ``None``).
+
+    Returns ``(payloads, torn_offset, end_offset)``: ``torn_offset`` is
+    the offset of a cleanly torn final record (0 for a torn header), or
+    ``None`` when the data ends on a record boundary or ``count`` records
+    were read, and ``end_offset`` is where reading stopped.
+    """
+    present = data[: len(magic)]
+    if present != magic[: len(present)]:
+        raise DeserializationError(
+            f"bad {what} magic at offset 0: {present!r} != {magic!r}"
+        )
+    if len(data) < _FILE_HEADER_BYTES:
+        return [], 0, 0
+    if data[len(magic)] != version:
+        raise DeserializationError(
+            f"unsupported {what} version {data[len(magic)]} at offset "
+            f"{len(magic)} (this build reads version {version})"
+        )
+    payloads: list[bytes] = []
+    offset = _FILE_HEADER_BYTES
+    while offset < len(data) and (count is None or len(payloads) < count):
+        record = _read_record(data, offset, what)
+        if record is None:
+            return payloads, offset, offset
+        payload, offset = record
+        payloads.append(payload)
+    return payloads, None, offset
+
+
+def _read_file(
+    data: bytes, magic: bytes, version: int, what: str, count: Optional[int] = None
+) -> list[bytes]:
+    """Strictly read a durable file: exactly ``count`` records (any number
+    if ``None``), no torn record and nothing after the last one."""
+    payloads, torn, end = _scan_file(data, magic, version, what, count)
+    if torn is not None:
+        raise DeserializationError(
+            f"torn {what} tail at offset {torn}: the file ends inside the "
+            f"header or record that starts there ({len(data) - torn} byte(s) "
+            f"present)"
+        )
+    if count is not None and len(payloads) < count:
+        raise DeserializationError(
+            f"torn {what} tail at offset {end}: {len(payloads)} of {count} "
+            f"record(s) present"
+        )
+    if end < len(data):
+        raise DeserializationError(
+            f"trailing bytes after the last {what} record at offset {end}"
+        )
+    return payloads
 
 
 def _fsync_directory(path: str) -> None:
@@ -230,6 +284,30 @@ def _atomic_write(path: str, blob: bytes) -> None:
     _fsync_directory(path)
 
 
+def _read_bytes(path: Union[str, "os.PathLike[str]"]) -> bytes:
+    with open(os.fspath(path), "rb") as fp:
+        return fp.read()
+
+
+# ---------------------------------------------------------------------------
+# Crash-safe snapshots: APSS + one record (the serialized tree)
+# ---------------------------------------------------------------------------
+
+_SNAP_MAGIC = b"APSS"
+SNAPSHOT_VERSION = 2
+
+
+def snapshot_tree(tree: APGTree) -> bytes:
+    """Wrap a serialized tree in the checksummed snapshot container."""
+    return _build_file(_SNAP_MAGIC, SNAPSHOT_VERSION, serialize_tree(tree))
+
+
+def restore_snapshot(group: BilinearGroup, data: bytes) -> APGTree:
+    """Validate and open a snapshot; diagnoses corruption by offset."""
+    (payload,) = _read_file(data, _SNAP_MAGIC, SNAPSHOT_VERSION, "snapshot", 1)
+    return deserialize_tree(group, payload)
+
+
 def write_snapshot(tree: APGTree, path: Union[str, "os.PathLike[str]"]) -> int:
     """Atomically persist a snapshot; returns the byte count written.
 
@@ -240,15 +318,13 @@ def write_snapshot(tree: APGTree, path: Union[str, "os.PathLike[str]"]) -> int:
     durable, not just the temp file's contents.
     """
     blob = snapshot_tree(tree)
-    path = os.fspath(path)
-    _atomic_write(path, blob)
+    _atomic_write(os.fspath(path), blob)
     return len(blob)
 
 
 def read_snapshot(group: BilinearGroup, path: Union[str, "os.PathLike[str]"]) -> APGTree:
     """Cold-start path: read and validate a snapshot file."""
-    with open(os.fspath(path), "rb") as fp:
-        return restore_snapshot(group, fp.read())
+    return restore_snapshot(group, _read_bytes(path))
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +349,12 @@ class NodeReplacement:
 
     def to_bytes(self) -> bytes:
         out = bytearray()
-        out += _encode_point(self.box.lo)
-        out += _encode_point(self.box.hi)
-        out += _encode_bytes(self.policy.to_string().encode())
-        out += _encode_bytes(self.signature.to_bytes())
-        if self.record is not None:
-            out += b"\x01"
-            out += _encode_point(self.record.key)
-            out += _encode_bytes(self.record.value)
-            out += _encode_bytes(self.record.policy.to_string().encode())
-            out += b"\x01" if self.record.is_pseudo else b"\x00"
-        else:
-            out += b"\x00"
+        _write_content(out, self.box, self.policy, self.signature, self.record)
         return bytes(out)
 
     @classmethod
-    def read_from(cls, reader: _Reader, group: BilinearGroup) -> "NodeReplacement":
-        lo = reader.take_point()
-        hi = reader.take_point()
-        policy = parse_policy(reader.take_bytes().decode())
-        signature = AbsSignature.from_bytes(group, reader.take_bytes())
-        record = None
-        if reader.take(1) == b"\x01":
-            key = reader.take_point()
-            value = reader.take_bytes()
-            rec_policy = parse_policy(reader.take_bytes().decode())
-            is_pseudo = reader.take(1) == b"\x01"
-            record = Record(key=key, value=value, policy=rec_policy, is_pseudo=is_pseudo)
-        return cls(box=Box(lo, hi), policy=policy, signature=signature, record=record)
+    def read_from(cls, reader: Reader, group: BilinearGroup) -> "NodeReplacement":
+        return cls(*_read_content(reader, group))
 
 
 def replacement_from_node(node: IndexNode) -> NodeReplacement:
@@ -317,32 +371,18 @@ def replacement_from_node(node: IndexNode) -> NodeReplacement:
 
 _JOURNAL_MAGIC = b"APUJ"
 JOURNAL_VERSION = 1
-_JOURNAL_HEADER_BYTES = len(_JOURNAL_MAGIC) + 1
-_ENTRY_MAGIC = b"JE"
-_ENTRY_HEADER_BYTES = len(_ENTRY_MAGIC) + 4  # magic + payload length
-_ENTRY_FOOTER_BYTES = 4  # CRC32 of the payload
+_JOURNAL_HEADER = _build_file(_JOURNAL_MAGIC, JOURNAL_VERSION)
 
 
 def journal_entries(data: bytes) -> list[bytes]:
     """Strictly parse a journal image into its entry payloads.
 
-    Every corruption a crashed or bit-rotted disk can exhibit is
-    rejected with an offset-precise
-    :class:`~repro.errors.DeserializationError`: bad file magic (offset
-    0), unsupported version (offset 4), a torn entry header or payload
-    (the exact offset where bytes ran out), an entry whose CRC32 does
-    not match (stored vs computed over the exact byte span), and entry
-    magic mismatch (a write that landed mid-file).  There is *no* silent
-    tail-truncation here — recovery that wants to drop a torn tail must
-    opt in via :func:`scan_journal`.
+    Any damage raises an offset-precise
+    :class:`~repro.errors.DeserializationError`, a torn tail included:
+    recovery that wants to drop a torn tail must opt in via
+    :func:`scan_journal`.
     """
-    entries, torn = scan_journal(data)
-    if torn is not None:
-        raise DeserializationError(
-            f"torn journal tail at offset {torn}: the final entry is "
-            f"incomplete ({len(data) - torn} byte(s) present)"
-        )
-    return entries
+    return _read_file(data, _JOURNAL_MAGIC, JOURNAL_VERSION, "journal")
 
 
 def scan_journal(data: bytes) -> tuple[list[bytes], Optional[int]]:
@@ -350,72 +390,15 @@ def scan_journal(data: bytes) -> tuple[list[bytes], Optional[int]]:
 
     Returns ``(entries, torn_offset)`` where ``torn_offset`` is ``None``
     for a clean journal, or the byte offset of an incomplete final entry
-    (the crash-mid-append artifact: the file simply ends inside an entry).
-    Everything else — bad magic, bad version, a mid-file CRC mismatch,
-    garbage where an entry header should be — still raises
-    :class:`~repro.errors.DeserializationError`: those are corruption,
-    not a torn append, and must never be "repaired" into a silently
-    shortened replay.
+    (the crash-mid-append artifact: the file simply ends inside an entry;
+    0 when it ends inside the file header).  Everything else — bad magic,
+    bad version, a mid-file CRC mismatch, garbage where an entry header
+    should be — still raises :class:`~repro.errors.DeserializationError`:
+    those are corruption, not a torn append, and must never be
+    "repaired" into a silently shortened replay.
     """
-    if len(data) < _JOURNAL_HEADER_BYTES:
-        # A clean prefix of a valid header is the crash-mid-creation (or
-        # crash-mid-checkpoint-truncate) artifact: torn at offset 0, with
-        # zero replayable entries.  Anything else that short is corruption.
-        header = _JOURNAL_MAGIC + bytes([JOURNAL_VERSION])
-        if data == header[: len(data)]:
-            return [], 0
-        raise DeserializationError(
-            f"torn journal header: {len(data)} bytes, need "
-            f"{_JOURNAL_HEADER_BYTES}, and the bytes present do not match "
-            f"a journal header prefix"
-        )
-    if data[: len(_JOURNAL_MAGIC)] != _JOURNAL_MAGIC:
-        raise DeserializationError(
-            f"bad journal magic at offset 0: {data[:4]!r} != {_JOURNAL_MAGIC!r}"
-        )
-    version = data[len(_JOURNAL_MAGIC)]
-    if version != JOURNAL_VERSION:
-        raise DeserializationError(
-            f"unsupported journal version {version} at offset "
-            f"{len(_JOURNAL_MAGIC)} (this build reads version {JOURNAL_VERSION})"
-        )
-    entries: list[bytes] = []
-    offset = _JOURNAL_HEADER_BYTES
-    while offset < len(data):
-        remaining = len(data) - offset
-        if remaining < _ENTRY_HEADER_BYTES:
-            # Torn mid-header — but only if what *is* there matches the
-            # entry magic prefix; a flipped byte is corruption, not a tear.
-            avail = data[offset : offset + len(_ENTRY_MAGIC)]
-            if avail != _ENTRY_MAGIC[: len(avail)]:
-                raise DeserializationError(
-                    f"bad journal entry magic at offset {offset}: "
-                    f"{avail!r} is not a prefix of {_ENTRY_MAGIC!r}"
-                )
-            return entries, offset  # torn mid-header
-        if data[offset : offset + len(_ENTRY_MAGIC)] != _ENTRY_MAGIC:
-            raise DeserializationError(
-                f"bad journal entry magic at offset {offset}: "
-                f"{data[offset:offset + len(_ENTRY_MAGIC)]!r} != {_ENTRY_MAGIC!r}"
-            )
-        length = int.from_bytes(
-            data[offset + len(_ENTRY_MAGIC) : offset + _ENTRY_HEADER_BYTES], "big"
-        )
-        end = offset + _ENTRY_HEADER_BYTES + length + _ENTRY_FOOTER_BYTES
-        if end > len(data):
-            return entries, offset  # torn mid-payload or mid-CRC
-        payload = data[offset + _ENTRY_HEADER_BYTES : end - _ENTRY_FOOTER_BYTES]
-        stored_crc = int.from_bytes(data[end - _ENTRY_FOOTER_BYTES : end], "big")
-        computed_crc = zlib.crc32(payload)
-        if stored_crc != computed_crc:
-            raise DeserializationError(
-                f"journal entry checksum mismatch over payload bytes "
-                f"{offset + _ENTRY_HEADER_BYTES}..{end - _ENTRY_FOOTER_BYTES}: "
-                f"stored CRC32 0x{stored_crc:08x}, computed 0x{computed_crc:08x}"
-            )
-        entries.append(payload)
-        offset = end
-    return entries, None
+    entries, torn, _ = _scan_file(data, _JOURNAL_MAGIC, JOURNAL_VERSION, "journal")
+    return entries, torn
 
 
 class UpdateJournal:
@@ -426,12 +409,8 @@ class UpdateJournal:
     so a crash at any instant loses at most work that was never
     acknowledged.  On cold start the journal is replayed atop the last
     checkpoint; sequence numbers inside the payloads make the replay
-    idempotent.
-
-    Layout::
-
-        APUJ <version:1>                                  file header
-        ( JE <len:4> <payload:len> <crc32(payload):4> )*  entries
+    idempotent.  The layout is the module's durable-file layout with
+    magic ``APUJ`` and one record per entry.
 
     ``fsync=False`` exists for tests and drills that run thousands of
     appends on a virtual clock; production paths keep the default.
@@ -444,7 +423,7 @@ class UpdateJournal:
         fresh = not os.path.exists(self.path)
         self._fp = open(self.path, "ab")
         if fresh or os.path.getsize(self.path) == 0:
-            self._fp.write(_JOURNAL_MAGIC + bytes([JOURNAL_VERSION]))
+            self._fp.write(_JOURNAL_HEADER)
             self._flush()
             _fsync_directory(self.path)
 
@@ -462,22 +441,18 @@ class UpdateJournal:
     def append(self, payload: bytes) -> int:
         """Durably append one entry; returns its byte offset in the file."""
         offset = self.size
-        entry = (
-            _ENTRY_MAGIC
-            + len(payload).to_bytes(4, "big")
-            + payload
-            + zlib.crc32(payload).to_bytes(4, "big")
-        )
-        self._fp.write(entry)
+        self._fp.write(_frame(payload))
         self._flush()
         self.appended += 1
         return offset
 
+    def _image(self) -> bytes:
+        self._fp.flush()
+        return _read_bytes(self.path)
+
     def entries(self) -> list[bytes]:
         """Strictly read back every entry (no torn-tail tolerance)."""
-        self._fp.flush()
-        with open(self.path, "rb") as fp:
-            return journal_entries(fp.read())
+        return journal_entries(self._image())
 
     def recover_entries(self, repair_torn_tail: bool = False) -> tuple[list[bytes], Optional[int]]:
         """Read entries for replay; optionally truncate a cleanly torn tail.
@@ -488,31 +463,26 @@ class UpdateJournal:
         its offset returned so the caller can log/count the repair.
         Mid-file corruption still raises either way.
         """
-        self._fp.flush()
-        with open(self.path, "rb") as fp:
-            data = fp.read()
+        data = self._image()
+        if not repair_torn_tail:
+            return journal_entries(data), None
         entries, torn = scan_journal(data)
         if torn is None:
             return entries, None
-        if not repair_torn_tail:
-            raise DeserializationError(
-                f"torn journal tail at offset {torn}: the final entry is "
-                f"incomplete ({len(data) - torn} byte(s) present)"
-            )
         self._fp.truncate(torn)
-        if torn < _JOURNAL_HEADER_BYTES:
+        if torn < _FILE_HEADER_BYTES:
             # The tear reached into the file header (crash during journal
             # creation or checkpoint truncation): rewrite it so the next
             # append lands in a well-formed journal.
             self._fp.truncate(0)
-            self._fp.write(_JOURNAL_MAGIC + bytes([JOURNAL_VERSION]))
+            self._fp.write(_JOURNAL_HEADER)
         self._flush()
         return entries, torn
 
     def truncate(self) -> None:
         """Checkpoint step: drop every entry (header is rewritten)."""
         self._fp.truncate(0)
-        self._fp.write(_JOURNAL_MAGIC + bytes([JOURNAL_VERSION]))
+        self._fp.write(_JOURNAL_HEADER)
         self._flush()
 
     def close(self) -> None:
@@ -520,11 +490,11 @@ class UpdateJournal:
 
 
 # ---------------------------------------------------------------------------
-# Ingest checkpoints: snapshot + applied seq + epoch + freshness token
+# Ingest checkpoints: APIS + two records (watermark meta, serialized tree)
 # ---------------------------------------------------------------------------
 
 _STATE_MAGIC = b"APIS"
-INGEST_STATE_VERSION = 2
+INGEST_STATE_VERSION = 3
 
 
 def snapshot_ingest_state(
@@ -533,70 +503,35 @@ def snapshot_ingest_state(
     """A table's full ingest checkpoint: tree + replication watermark.
 
     The watermark (``applied_seq``, ``epoch``, current freshness token)
-    rides in a CRC-protected meta header ahead of the ordinary snapshot
-    container, so a restored SP knows exactly which journal entries are
-    already folded in and which token it may legitimately serve.  The
-    *real* table name is embedded in the meta too — recovery must never
-    reconstruct it from a (sanitized, possibly colliding) filename.
+    is the first record and the serialized tree the second, so a
+    restored SP knows exactly which journal entries are already folded
+    in and which token it may legitimately serve.  The *real* table name
+    is embedded in the meta too — recovery must never reconstruct it
+    from a (sanitized, possibly colliding) filename.
     """
     meta = (
-        _encode_bytes(table.encode())
+        encode_bytes(table.encode())
         + int(applied_seq).to_bytes(8, "big")
         + int(epoch).to_bytes(8, "big")
-        + _encode_bytes(token_bytes)
+        + encode_bytes(token_bytes)
     )
-    header = (
-        _STATE_MAGIC + bytes([INGEST_STATE_VERSION])
-        + len(meta).to_bytes(4, "big") + meta
-        + zlib.crc32(meta).to_bytes(4, "big")
-    )
-    return header + snapshot_tree(tree)
+    return _build_file(_STATE_MAGIC, INGEST_STATE_VERSION, meta, serialize_tree(tree))
 
 
 def restore_ingest_state(
     group: BilinearGroup, data: bytes
 ) -> tuple[str, APGTree, int, int, bytes]:
     """Open an ingest checkpoint; returns (table, tree, applied_seq, epoch, token)."""
-    fixed = len(_STATE_MAGIC) + 1 + 4
-    if len(data) < fixed:
-        raise DeserializationError(
-            f"torn ingest state: {len(data)} bytes, header needs {fixed}"
-        )
-    if data[: len(_STATE_MAGIC)] != _STATE_MAGIC:
-        raise DeserializationError(
-            f"bad ingest state magic at offset 0: "
-            f"{data[:len(_STATE_MAGIC)]!r} != {_STATE_MAGIC!r}"
-        )
-    version = data[len(_STATE_MAGIC)]
-    if version != INGEST_STATE_VERSION:
-        raise DeserializationError(
-            f"unsupported ingest state version {version} at offset "
-            f"{len(_STATE_MAGIC)}"
-        )
-    meta_len = int.from_bytes(data[len(_STATE_MAGIC) + 1 : fixed], "big")
-    meta_end = fixed + meta_len
-    if len(data) < meta_end + 4:
-        raise DeserializationError(
-            f"torn ingest state meta: declared {meta_len} bytes at offset "
-            f"{fixed}, file ends at {len(data)}"
-        )
-    meta = data[fixed:meta_end]
-    stored_crc = int.from_bytes(data[meta_end : meta_end + 4], "big")
-    computed_crc = zlib.crc32(meta)
-    if stored_crc != computed_crc:
-        raise DeserializationError(
-            f"ingest state meta checksum mismatch over bytes {fixed}..{meta_end}: "
-            f"stored CRC32 0x{stored_crc:08x}, computed 0x{computed_crc:08x}"
-        )
-    reader = _Reader(meta)
-    table = reader.take_bytes().decode()
-    applied_seq = int.from_bytes(reader.take(8), "big")
-    epoch = int.from_bytes(reader.take(8), "big")
-    token_bytes = reader.take_bytes()
+    meta, blob = _read_file(data, _STATE_MAGIC, INGEST_STATE_VERSION, "ingest state", 2)
+    with strict_decode("ingest state meta"):
+        reader = Reader(meta)
+        table = reader.take_bytes().decode()
+        applied_seq = int.from_bytes(reader.take(8), "big")
+        epoch = int.from_bytes(reader.take(8), "big")
+        token_bytes = reader.take_bytes()
     if not reader.exhausted:
         raise DeserializationError("trailing bytes in ingest state meta")
-    tree = restore_snapshot(group, data[meta_end + 4 :])
-    return table, tree, applied_seq, epoch, token_bytes
+    return table, deserialize_tree(group, blob), applied_seq, epoch, token_bytes
 
 
 def write_ingest_state(
@@ -617,16 +552,15 @@ def read_ingest_state(
     group: BilinearGroup, path: Union[str, "os.PathLike[str]"]
 ) -> tuple[str, APGTree, int, int, bytes]:
     """Cold-start path: read and validate an ingest checkpoint file."""
-    with open(os.fspath(path), "rb") as fp:
-        return restore_ingest_state(group, fp.read())
+    return restore_ingest_state(group, _read_bytes(path))
 
 
 # ---------------------------------------------------------------------------
-# Publisher state: the DO-side replication cursor (seq + epoch)
+# Publisher state: the DO-side replication cursor, APPS + one record
 # ---------------------------------------------------------------------------
 
 _PUBLISHER_MAGIC = b"APPS"
-PUBLISHER_STATE_VERSION = 1
+PUBLISHER_STATE_VERSION = 2
 
 
 def write_publisher_state(
@@ -640,44 +574,24 @@ def write_publisher_state(
     silently stalls.  Durable ``(seq, epoch)`` makes the sequence truly
     monotonic across DO restarts.
     """
-    meta = int(seq).to_bytes(8, "big") + int(epoch).to_bytes(8, "big")
-    blob = (
-        _PUBLISHER_MAGIC + bytes([PUBLISHER_STATE_VERSION])
-        + meta + zlib.crc32(meta).to_bytes(4, "big")
+    cursor = int(seq).to_bytes(8, "big") + int(epoch).to_bytes(8, "big")
+    _atomic_write(
+        os.fspath(path),
+        _build_file(_PUBLISHER_MAGIC, PUBLISHER_STATE_VERSION, cursor),
     )
-    _atomic_write(os.fspath(path), blob)
 
 
 def read_publisher_state(path: Union[str, "os.PathLike[str]"]) -> tuple[int, int]:
     """Read a publisher cursor back; returns ``(seq, epoch)``."""
-    with open(os.fspath(path), "rb") as fp:
-        data = fp.read()
-    fixed = len(_PUBLISHER_MAGIC) + 1
-    if data[: len(_PUBLISHER_MAGIC)] != _PUBLISHER_MAGIC:
-        raise DeserializationError(
-            f"bad publisher state magic at offset 0: "
-            f"{data[:len(_PUBLISHER_MAGIC)]!r} != {_PUBLISHER_MAGIC!r}"
-        )
-    if data[len(_PUBLISHER_MAGIC)] != PUBLISHER_STATE_VERSION:
-        raise DeserializationError(
-            f"unsupported publisher state version {data[len(_PUBLISHER_MAGIC)]}"
-        )
-    if len(data) != fixed + 16 + 4:
-        raise DeserializationError(
-            f"publisher state is {len(data)} bytes, expected {fixed + 20}"
-        )
-    meta = data[fixed : fixed + 16]
-    stored_crc = int.from_bytes(data[fixed + 16 :], "big")
-    computed_crc = zlib.crc32(meta)
-    if stored_crc != computed_crc:
-        raise DeserializationError(
-            f"publisher state checksum mismatch: stored CRC32 "
-            f"0x{stored_crc:08x}, computed 0x{computed_crc:08x}"
-        )
-    return (
-        int.from_bytes(meta[:8], "big"),
-        int.from_bytes(meta[8:], "big"),
+    (cursor,) = _read_file(
+        _read_bytes(path), _PUBLISHER_MAGIC, PUBLISHER_STATE_VERSION,
+        "publisher state", 1,
     )
+    if len(cursor) != 16:
+        raise DeserializationError(
+            f"publisher state record is {len(cursor)} bytes, expected 16"
+        )
+    return int.from_bytes(cursor[:8], "big"), int.from_bytes(cursor[8:], "big")
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +599,7 @@ def read_publisher_state(path: Union[str, "os.PathLike[str]"]) -> tuple[int, int
 # ---------------------------------------------------------------------------
 
 def _encode_str(text: str) -> bytes:
-    return _encode_bytes(text.encode())
+    return encode_bytes(text.encode())
 
 
 def serialize_cpabe_key(key) -> bytes:
@@ -707,7 +621,7 @@ def deserialize_cpabe_key(group: BilinearGroup, data: bytes):
 
     if data[:5] != b"CPSK\x01":
         raise DeserializationError("not a serialized CP-ABE key")
-    reader = _Reader(data)
+    reader = Reader(data)
     reader.take(5)
     count = int.from_bytes(reader.take(2), "big")
     g1w, g2w = group.element_bytes(G1), group.element_bytes(G2)
@@ -733,8 +647,8 @@ def serialize_credentials(credentials) -> bytes:
     out += len(roles).to_bytes(2, "big")
     for role in roles:
         out += _encode_str(role)
-    out += _encode_bytes(credentials.mvk.to_bytes())
-    out += _encode_bytes(serialize_cpabe_key(credentials.cpabe_key))
+    out += encode_bytes(credentials.mvk.to_bytes())
+    out += encode_bytes(serialize_cpabe_key(credentials.cpabe_key))
     return bytes(out)
 
 
@@ -745,7 +659,7 @@ def deserialize_credentials(group: BilinearGroup, data: bytes):
 
     if data[:5] != b"CRED\x01":
         raise DeserializationError("not serialized credentials")
-    reader = _Reader(data)
+    reader = Reader(data)
     reader.take(5)
     count = int.from_bytes(reader.take(2), "big")
     roles = frozenset(reader.take_bytes().decode() for _ in range(count))

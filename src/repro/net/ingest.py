@@ -219,6 +219,13 @@ def apply_replacements(
 # SP side: journal-backed apply + atomic rotation
 # ---------------------------------------------------------------------------
 
+def _decode_frame(group, payload: bytes):
+    """Decode an ingest payload: an UPD frame, else a ROT frame (or raise)."""
+    if payload[:4] == UPDATE_MAGIC:
+        return UpdateFrame.from_bytes(group, payload)
+    return RotateFrame.from_bytes(payload)
+
+
 @dataclass
 class TableIngestState:
     """Replication watermark for one table on one SP.
@@ -333,10 +340,7 @@ class ServerIngest:
                 )
             envelope = IngestEnvelope.from_bytes(payload)
             inner = envelope.payload
-            if inner[:4] == UPDATE_MAGIC:
-                decoded = UpdateFrame.from_bytes(self.group, inner)
-            else:
-                decoded = RotateFrame.from_bytes(inner)
+            decoded = _decode_frame(self.group, inner)
             ack = self._ingest(
                 decoded.table, decoded.seq, decoded, inner,
                 signature_bytes=envelope.signature_bytes,
@@ -533,20 +537,10 @@ class ServerIngest:
                 _LOG.warning("journal_tail_repaired", offset=torn)
             replayed = 0
             for payload in entries:
-                if payload[:4] == UPDATE_MAGIC:
-                    update = UpdateFrame.from_bytes(self.group, payload)
-                    ack = self._ingest(
-                        update.table, update.seq, update, payload, replay=True
-                    )
-                elif payload[:4] == ROTATE_MAGIC:
-                    rotation = RotateFrame.from_bytes(payload)
-                    ack = self._ingest(
-                        rotation.table, rotation.seq, rotation, payload, replay=True
-                    )
-                else:
-                    raise DeserializationError(
-                        "journal entry is neither an update nor a rotation frame"
-                    )
+                decoded = _decode_frame(self.group, payload)
+                ack = self._ingest(
+                    decoded.table, decoded.seq, decoded, payload, replay=True
+                )
                 if ack.status == "applied":
                     replayed += 1
             self.replayed += replayed

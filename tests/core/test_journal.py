@@ -5,9 +5,13 @@ power cuts, so the tests here are adversarial about the file image:
 a full truncation sweep (every prefix length) and a bitflip sweep over
 every byte must either parse to an exact entry prefix or raise an
 offset-precise :class:`~repro.errors.DeserializationError` — never a
-silently shortened or corrupted replay.
+silently shortened or corrupted replay.  The snapshot, ingest
+checkpoint and publisher cursor share the journal's file layout and go
+through the same sweeps; being fixed-size, they must raise on every cut
+and every flip.
 """
 
+import hashlib
 import os
 import random
 import stat
@@ -20,6 +24,8 @@ from repro.core.persistence import (
     journal_entries,
     read_ingest_state,
     read_publisher_state,
+    restore_ingest_state,
+    restore_snapshot,
     scan_journal,
     snapshot_tree,
     write_ingest_state,
@@ -138,36 +144,87 @@ def entry_boundaries(data):
     return boundaries
 
 
-def test_truncation_sweep_every_cut_raises_or_is_exact_prefix(journal_image):
-    data, _ = journal_image
-    boundaries = entry_boundaries(data)
+# Every durable file shares the journal's layout; the three fixed-size
+# files are read strictly, so any damage at all must raise.
+def _snapshot_image(tmp_path, tree):
+    write_snapshot(tree, tmp_path / "snap")
+    return (tmp_path / "snap").read_bytes()
+
+
+def _ingest_state_image(tmp_path, tree):
+    write_ingest_state(tmp_path / "state", "docs", tree, 17, 4, b"tokenbytes")
+    return (tmp_path / "state").read_bytes()
+
+
+def _publisher_state_image(tmp_path, tree):
+    write_publisher_state(tmp_path / "cursor", 42, 7)
+    return (tmp_path / "cursor").read_bytes()
+
+
+def _read_publisher_image(tmp_path, data):
+    (tmp_path / "probe").write_bytes(data)
+    return read_publisher_state(tmp_path / "probe")
+
+
+STRICT_FORMATS = {
+    "snapshot": (_snapshot_image, lambda tmp, data: restore_snapshot(simulated(), data)),
+    "ingest_state": (
+        _ingest_state_image, lambda tmp, data: restore_ingest_state(simulated(), data)
+    ),
+    "publisher_state": (_publisher_state_image, _read_publisher_image),
+}
+FORMATS = ["journal", *STRICT_FORMATS]
+
+
+@pytest.fixture()
+def durable_image(request, tmp_path, journal_image, signed_tree):
+    """``(image, parse, is_journal)`` for one durable format; parse raises
+    on damage."""
+    if request.param == "journal":
+        return journal_image[0], journal_entries, True
+    make, parse = STRICT_FORMATS[request.param]
+    return make(tmp_path, signed_tree[1]), lambda data: parse(tmp_path, data), False
+
+
+@pytest.mark.parametrize("durable_image", FORMATS, indirect=True)
+def test_truncation_sweep_every_cut_raises_or_is_exact_prefix(durable_image):
+    data, parse, journal = durable_image
+    boundaries = entry_boundaries(data) if journal else set()
     for cut in range(len(data)):
         truncated = data[:cut]
         if cut in boundaries:
             # A cut between entries is indistinguishable from a shorter
             # journal; the replay-level sequence discipline covers it.
-            assert journal_entries(truncated) == journal_entries(data)[
-                : len(journal_entries(truncated))
-            ]
+            assert parse(truncated) == parse(data)[: len(parse(truncated))]
             continue
         with pytest.raises(DeserializationError):
-            journal_entries(truncated)
+            parse(truncated)
         # Repair-mode recovery agrees byte-for-byte on where the tear is
         # and never yields a partial entry.
-        if cut < HEADER:
+        if not journal or cut < HEADER:
             continue  # header tears are exercised separately above
         entries, torn = scan_journal(truncated)
         assert torn is not None and torn <= cut
         assert all(e in PAYLOADS for e in entries)
 
 
-def test_bitflip_sweep_every_flip_raises(journal_image):
-    data, _ = journal_image
+@pytest.mark.parametrize("durable_image", FORMATS, indirect=True)
+def test_bitflip_sweep_every_flip_raises(durable_image):
+    data, parse, _ = durable_image
     for pos in range(len(data)):
         flipped = bytearray(data)
         flipped[pos] ^= 0x40
         with pytest.raises(DeserializationError):
-            journal_entries(bytes(flipped))
+            parse(bytes(flipped))
+
+
+def test_journal_image_matches_golden(journal_image):
+    # Journal images are an on-disk format: a change to this hash breaks
+    # replay of journals written by earlier builds at JOURNAL_VERSION 1.
+    data, _ = journal_image
+    assert hashlib.sha256(data).hexdigest() == (
+        "8652992641c07f4726c64356e5bffe89578d103e30ddf76ff1e47aba8c86c5b5"
+    )
 
 
 def test_bitflip_in_tail_never_repairs_silently(journal_image):
@@ -237,8 +294,8 @@ def test_ingest_state_rejects_corruption(tmp_path, signed_tree):
     blob = path.read_bytes()
     for mutation in [
         b"XXXX" + blob[4:],                              # bad magic
-        blob[:10],                                       # torn mid-meta
-        blob[:8] + bytes([blob[8] ^ 1]) + blob[9:],      # flipped meta byte
+        blob[:14],                                       # torn mid-meta
+        blob[:12] + bytes([blob[12] ^ 1]) + blob[13:],   # flipped meta byte
     ]:
         path.write_bytes(mutation)
         with pytest.raises(DeserializationError):
@@ -257,7 +314,7 @@ def test_publisher_state_roundtrip_and_corruption(tmp_path):
         b"XXXX" + blob[4:],                              # bad magic
         blob[:4] + bytes([9]) + blob[5:],                # bad version
         blob[:-1],                                       # torn tail
-        blob[:7] + bytes([blob[7] ^ 1]) + blob[8:],      # flipped seq byte
+        blob[:12] + bytes([blob[12] ^ 1]) + blob[13:],   # flipped seq byte
         blob + b"\x00",                                  # trailing garbage
     ]:
         path.write_bytes(mutation)

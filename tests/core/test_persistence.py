@@ -1,6 +1,6 @@
 """Tests for signed-tree and key serialization (SP cold start)."""
 
-import io
+import hashlib
 import random
 
 import pytest
@@ -9,15 +9,13 @@ from repro.abs.keys import AbsVerificationKey
 from repro.core.app_signature import AppAuthenticator
 from repro.core.persistence import (
     deserialize_tree,
-    load_tree,
-    save_tree,
     serialize_tree,
 )
 from repro.core.range_query import clip_query, range_vo
 from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner
 from repro.core.verifier import verify_vo
-from repro.crypto import simulated
+from repro.crypto import bn254, simulated
 from repro.errors import DeserializationError
 from repro.index.boxes import Domain
 from repro.index.kdtree import APKDTree
@@ -72,13 +70,38 @@ def test_kd_tree_roundtrip(env):
     assert [r.value for r in verify_vo(vo, auth, query, roles)] == [b"y"]
 
 
-def test_file_object_roundtrip(env):
-    rng, owner, ds, tree, auth = env
-    buffer = io.BytesIO()
-    save_tree(tree, buffer)
-    buffer.seek(0)
-    restored = load_tree(simulated(), buffer)
-    assert restored.stats.num_nodes == tree.stats.num_nodes
+# sha256 of serialize_tree for the AP2G and AP2kd trees of _golden_trees.
+# The tree blob is the payload of snapshots and ingest checkpoints: a
+# change to these hashes is an on-disk format change.
+TREE_GOLDENS = {
+    "simulated": (
+        "da36742e1d512f05503b2344abea71c4ab7fd0849b781fec95384cee98a72a7b",
+        "7b175fc9e3014327bc73c40a828e3d3e3622d0bb55b535a0446b0ba9a7e9b2cf",
+    ),
+    "bn254": (
+        "b4e84c795f29c401a93a575d314394880761cafd48ef975ea978b265ccaa561c",
+        "b8b366ec3778d5a193c0d4bb64ef213d35131eed1a08dd7a9cc4ed6c76b13aec",
+    ),
+}
+
+
+def _golden_trees(group):
+    rng = random.Random(2024)
+    owner = DataOwner(group, RoleUniverse(["RoleA", "RoleB"]), rng=rng)
+    ds = Dataset(Domain.of((0, 3), (0, 1)))
+    ds.add(Record((2, 1), b"x", parse_policy("RoleA")))
+    ds.add(Record((1, 0), b"y", parse_policy("RoleA or RoleB")))
+    return owner.build_tree(ds), APKDTree.build(ds, owner.signer, rng)
+
+
+@pytest.mark.parametrize("backend", ["simulated", "bn254"])
+def test_serialize_tree_matches_goldens(backend):
+    group = {"simulated": simulated, "bn254": bn254}[backend]()
+    hashes = tuple(
+        hashlib.sha256(serialize_tree(tree)).hexdigest()
+        for tree in _golden_trees(group)
+    )
+    assert hashes == TREE_GOLDENS[backend]
 
 
 def test_garbage_rejected(env):
@@ -202,7 +225,7 @@ def test_snapshot_rejects_midfile_truncation_with_offsets(env):
     from repro.core.persistence import restore_snapshot
 
     blob = _snapshot(env)
-    for cut in (0, 5, 12, 13, len(blob) // 2, len(blob) - 5, len(blob) - 1):
+    for cut in (0, 4, 5, 10, 11, len(blob) // 2, len(blob) - 5, len(blob) - 1):
         with pytest.raises(DeserializationError, match="torn snapshot"):
             restore_snapshot(simulated(), blob[:cut])
 
@@ -224,7 +247,7 @@ def test_snapshot_rejects_flipped_payload_bytes(env):
     flips = random.Random(31337)
     for _ in range(25):
         corrupted = bytearray(blob)
-        pos = 13 + flips.randrange(len(blob) - 17)  # inside the payload
+        pos = 11 + flips.randrange(len(blob) - 15)  # inside the payload
         corrupted[pos] ^= 1 << flips.randrange(8)
         with pytest.raises(DeserializationError, match="checksum mismatch"):
             restore_snapshot(simulated(), bytes(corrupted))
