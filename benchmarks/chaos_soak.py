@@ -54,8 +54,9 @@ answer older than ``INGEST_MAX_AGE`` epochs is accepted; the wedged
 replica recovers the journaled-but-unapplied frame by replay; the torn
 tail is repaired only via the explicit opt-in; duplicated delivery is
 absorbed as ``duplicate`` acks; and the partitioned replica catches up
-by replay, its stale answers classified degraded, not Byzantine.  The
-epoch/rotation trajectory lands in ``BENCH_ingest.json``.
+by replay, its stale answers classified degraded, not Byzantine.  A
+full (non-``--smoke``) run writes its epoch/rotation trajectory to
+``BENCH_ingest.json`` in the current directory.
 
 ``--scrape-lint`` additionally parses a post-drill stats-frame scrape as
 Prometheus exposition.
@@ -64,7 +65,7 @@ Run:  PYTHONPATH=src python benchmarks/chaos_soak.py [--smoke] [--sharded]
           [--ingest] [--backend simulated|bn254] [--seed N] [--queries N]
 
 ``--smoke`` is the CI entry point: small query count, < 60 s, exit
-status 1 on any invariant violation.
+status 1 on any invariant violation; it writes no file.
 """
 
 import argparse
@@ -1027,7 +1028,8 @@ def main(argv=None) -> int:
 
         summary = {**drill.summary(tally), "wall_seconds": round(wall, 2)}
         print(json.dumps(summary, indent=2))
-        drill.record(summary)
+        if not args.smoke:
+            drill.record(summary)
     finally:
         drill.world.close()
     if violations:

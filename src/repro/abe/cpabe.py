@@ -28,9 +28,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional
 
-from repro.codec import Reader, encode_bytes, strict_decode
+from repro.codec import decode_frame, encode_bytes
 from repro.crypto.group import G1, G2, GT, BilinearGroup, GroupElement
-from repro.errors import AccessDeniedError, CryptoError, DeserializationError
+from repro.errors import AccessDeniedError, CryptoError
 from repro.policy.boolexpr import BoolExpr, parse_policy
 from repro.policy.compiler.msp import get_msp
 
@@ -105,22 +105,15 @@ class CpAbeCiphertext:
     @classmethod
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "CpAbeCiphertext":
         """Inverse of :meth:`to_bytes`; raises :class:`~repro.errors.DeserializationError`."""
-        with strict_decode("CP-ABE header"):
-            reader = Reader(data)
-            policy = parse_policy(reader.take_bytes().decode())
-            flag = reader.take(1)
-            if flag not in (b"\x00", b"\x01"):
-                raise DeserializationError(f"CP-ABE header flag {flag.hex()} is neither 00 nor 01")
+        with decode_frame(data, "CP-ABE header") as reader:
+            policy = parse_policy(reader.take_str())
             c_tilde = None
-            if flag == b"\x01":
-                c_tilde = group.deserialize(GT, reader.take(group.element_bytes(GT)))
-            g1w, g2w = group.element_bytes(G1), group.element_bytes(G2)
-            c_prime = group.deserialize(G1, reader.take(g1w))
-            count = int.from_bytes(reader.take(2), "big")
-            c_rows = tuple(group.deserialize(G1, reader.take(g1w)) for _ in range(count))
-            d_rows = tuple(group.deserialize(G2, reader.take(g2w)) for _ in range(count))
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in envelope header")
+            if reader.take_tag((False, True), "CP-ABE header flag"):
+                c_tilde = reader.take_element(group, GT)
+            c_prime = reader.take_element(group, G1)
+            count = reader.take_int(2)
+            c_rows = tuple(reader.take_element(group, G1) for _ in range(count))
+            d_rows = tuple(reader.take_element(group, G2) for _ in range(count))
         return cls(policy=policy, c_tilde=c_tilde, c_prime=c_prime, c_rows=c_rows, d_rows=d_rows)
 
 

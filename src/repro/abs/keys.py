@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
-from repro.crypto.group import BilinearGroup, GroupElement
+from repro.codec import decode_frame
+from repro.crypto.group import G1, G2, BilinearGroup, GroupElement
 from repro.errors import CryptoError
 
 
@@ -64,34 +65,14 @@ class AbsVerificationKey:
 
     @classmethod
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "AbsVerificationKey":
-        from repro.crypto.group import G1, G2
-        from repro.errors import DeserializationError
-
-        g1w = group.element_bytes(G1)
-        g2w = group.element_bytes(G2)
-        expected = 2 * g1w + 5 * g2w
-        if len(data) != expected:
-            raise DeserializationError(
-                f"mvk encoding must be {expected} bytes, got {len(data)}"
+        with decode_frame(data, "mvk") as reader:
+            g, h0, h, a0_pub, a_pub, b_pub, c = (
+                reader.take_element(group, kind)
+                for kind in (G1, G2, G2, G2, G2, G2, G1)
             )
-        off = 0
-
-        def take(kind: str):
-            nonlocal off
-            width = g1w if kind == G1 else g2w
-            element = group.deserialize(kind, data[off : off + width])
-            off += width
-            return element
-
         return cls(
-            group=group,
-            g=take(G1),
-            h0=take(G2),
-            h=take(G2),
-            a0_pub=take(G2),
-            a_pub=take(G2),
-            b_pub=take(G2),
-            c=take(G1),
+            group=group, g=g, h0=h0, h=h, a0_pub=a0_pub, a_pub=a_pub,
+            b_pub=b_pub, c=c,
         )
 
 

@@ -135,9 +135,6 @@ class AppAuthenticator:
             self.aps_cache_hits = 0
             self.aps_cache_misses = 0
 
-    def disable_aps_cache(self) -> None:
-        self._aps_cache = None
-
     def enable_verify_memo(self, observe: Optional[Callable[[str], None]] = None) -> None:
         """Remember accepted verifications of decoded signatures (client side).
 

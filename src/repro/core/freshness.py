@@ -40,14 +40,10 @@ from typing import Optional
 
 from repro.abs.batch import BatchItem
 from repro.abs.scheme import AbsSignature
+from repro.codec import decode_frame
 from repro.core.app_signature import AppAuthenticator, AppSigner
 from repro.crypto.hashing import hash_bytes
-from repro.errors import (
-    DeserializationError,
-    ReproError,
-    StaleEpochError,
-    VerificationError,
-)
+from repro.errors import ReproError, StaleEpochError, VerificationError
 from repro.index.boxes import Box, Point, boxes_cover_exactly
 from repro.policy.boolexpr import or_of_attrs
 
@@ -74,15 +70,11 @@ class FreshnessToken:
 
     @classmethod
     def from_bytes(cls, group, data: bytes) -> "FreshnessToken":
-        from repro.core.vo import _Reader
-
-        reader = _Reader(data)
-        tree_id = reader.take_bytes().decode()
-        epoch = int.from_bytes(reader.take(8), "big")
-        signature = AbsSignature.from_bytes(group, reader.take_bytes())
-        if not reader.exhausted:
-            raise DeserializationError("trailing bytes in freshness token")
-        return cls(tree_id=tree_id, epoch=epoch, signature=signature)
+        with decode_frame(data, "freshness token") as reader:
+            tree_id = reader.take_str()
+            epoch = reader.take_int(8)
+            signature = AbsSignature.from_bytes(group, reader.take_bytes())
+            return cls(tree_id=tree_id, epoch=epoch, signature=signature)
 
 
 def _epoch_message(tree_id: str, epoch: int) -> bytes:

@@ -13,9 +13,10 @@ here, so an SP can run behind any transport (socket, HTTP body, queue):
 * :class:`ErrorResponse` — the typed error frame a hardened SP returns
   instead of crashing (consumed by :mod:`repro.net`).
 
-The codecs are strict: unknown tags, trailing bytes, and out-of-range
-elements raise :class:`~repro.errors.DeserializationError` (fuzzing in
-``tests/security`` leans on this).
+Every decoder reads through :func:`repro.codec.decode_frame`, so the
+codecs are strict: a wrong magic, unknown tags, trailing bytes, and
+out-of-range elements raise :class:`~repro.errors.DeserializationError`
+(fuzzing in ``tests/security`` leans on this).
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.abe.hybrid import HybridEnvelope
+from repro.codec import Reader, decode_frame, encode_bytes, encode_point
 from repro.core.persistence import NodeReplacement
 from repro.core.system import QueryResponse, ServiceProvider
-from repro.core.vo import VerificationObject, _Reader, _encode_bytes, _encode_point, _strict_decode
+from repro.core.vo import VerificationObject
 from repro.crypto.group import BilinearGroup
 from repro.errors import DeserializationError, ReproError, WorkloadError
 from repro.index.boxes import Box
@@ -71,38 +73,30 @@ class QueryRequest:
             raise WorkloadError(f"unknown query kind {self.kind!r}")
         out = bytearray(_REQ_MAGIC)
         out += bytes([_KINDS.index(self.kind)])
-        out += _encode_bytes(self.table.encode())
-        out += _encode_bytes(self.right_table.encode())
-        out += _encode_point(self.lo)
-        out += _encode_point(self.hi)
+        out += encode_bytes(self.table.encode())
+        out += encode_bytes(self.right_table.encode())
+        out += encode_point(self.lo)
+        out += encode_point(self.hi)
         roles = sorted(self.roles)
         out += len(roles).to_bytes(2, "big")
         for role in roles:
-            out += _encode_bytes(role.encode())
+            out += encode_bytes(role.encode())
         out += b"\x01" if self.encrypt else b"\x00"
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "QueryRequest":
-        if data[:4] != _REQ_MAGIC:
-            raise DeserializationError("not a query request")
-        with _strict_decode("query request"):
-            reader = _Reader(data)
-            reader.take(4)
-            kind_idx = reader.take(1)[0]
-            if kind_idx >= len(_KINDS):
-                raise DeserializationError(f"unknown query kind tag {kind_idx}")
-            table = reader.take_bytes().decode()
-            right = reader.take_bytes().decode()
+        with decode_frame(data, "query request", _REQ_MAGIC) as reader:
+            kind = reader.take_tag(_KINDS, "query kind")
+            table = reader.take_str()
+            right = reader.take_str()
             lo = reader.take_point()
             hi = reader.take_point()
-            count = int.from_bytes(reader.take(2), "big")
-            roles = frozenset(reader.take_bytes().decode() for _ in range(count))
+            count = reader.take_int(2)
+            roles = frozenset(reader.take_str() for _ in range(count))
             encrypt = reader.take(1) == b"\x01"
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in query request")
             return cls(
-                kind=_KINDS[kind_idx],
+                kind=kind,
                 table=table,
                 lo=lo,
                 hi=hi,
@@ -136,7 +130,7 @@ class UpdateFrame:
         if self.kind not in _UPDATE_KINDS:
             raise WorkloadError(f"unknown update kind {self.kind!r}")
         out = bytearray(UPDATE_MAGIC)
-        out += _encode_bytes(self.table.encode())
+        out += encode_bytes(self.table.encode())
         out += int(self.seq).to_bytes(8, "big")
         out += bytes([_UPDATE_KINDS.index(self.kind)])
         out += int(self.epoch).to_bytes(8, "big")
@@ -147,27 +141,19 @@ class UpdateFrame:
 
     @classmethod
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "UpdateFrame":
-        if data[:4] != UPDATE_MAGIC:
-            raise DeserializationError("not an update frame")
-        with _strict_decode("update frame"):
-            reader = _Reader(data)
-            reader.take(4)
-            table = reader.take_bytes().decode()
-            seq = int.from_bytes(reader.take(8), "big")
-            kind_idx = reader.take(1)[0]
-            if kind_idx >= len(_UPDATE_KINDS):
-                raise DeserializationError(f"unknown update kind tag {kind_idx}")
-            epoch = int.from_bytes(reader.take(8), "big")
-            count = int.from_bytes(reader.take(2), "big")
+        with decode_frame(data, "update frame", UPDATE_MAGIC) as reader:
+            table = reader.take_str()
+            seq = reader.take_int(8)
+            kind = reader.take_tag(_UPDATE_KINDS, "update kind")
+            epoch = reader.take_int(8)
+            count = reader.take_int(2)
             replacements = tuple(
                 NodeReplacement.read_from(reader, group) for _ in range(count)
             )
             if not replacements:
                 raise DeserializationError("update frame carries no replacements")
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in update frame")
             return cls(
-                table=table, seq=seq, kind=_UPDATE_KINDS[kind_idx],
+                table=table, seq=seq, kind=kind,
                 epoch=epoch, replacements=replacements,
             )
 
@@ -188,25 +174,19 @@ class RotateFrame:
 
     def to_bytes(self) -> bytes:
         out = bytearray(ROTATE_MAGIC)
-        out += _encode_bytes(self.table.encode())
+        out += encode_bytes(self.table.encode())
         out += int(self.seq).to_bytes(8, "big")
         out += int(self.epoch).to_bytes(8, "big")
-        out += _encode_bytes(self.token_bytes)
+        out += encode_bytes(self.token_bytes)
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RotateFrame":
-        if data[:4] != ROTATE_MAGIC:
-            raise DeserializationError("not a rotate frame")
-        with _strict_decode("rotate frame"):
-            reader = _Reader(data)
-            reader.take(4)
-            table = reader.take_bytes().decode()
-            seq = int.from_bytes(reader.take(8), "big")
-            epoch = int.from_bytes(reader.take(8), "big")
+        with decode_frame(data, "rotate frame", ROTATE_MAGIC) as reader:
+            table = reader.take_str()
+            seq = reader.take_int(8)
+            epoch = reader.take_int(8)
             token_bytes = reader.take_bytes()
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in rotate frame")
             return cls(table=table, seq=seq, epoch=epoch, token_bytes=token_bytes)
 
 
@@ -229,32 +209,24 @@ class IngestAck:
         if self.status not in INGEST_STATUSES:
             raise WorkloadError(f"unknown ingest ack status {self.status!r}")
         out = bytearray(INGEST_ACK_MAGIC)
-        out += _encode_bytes(self.table.encode())
+        out += encode_bytes(self.table.encode())
         out += bytes([INGEST_STATUSES.index(self.status)])
         out += int(self.applied_seq).to_bytes(8, "big")
         out += int(self.epoch).to_bytes(8, "big")
-        out += _encode_bytes(self.message.encode())
+        out += encode_bytes(self.message.encode())
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IngestAck":
-        if data[:4] != INGEST_ACK_MAGIC:
-            raise DeserializationError("not an ingest ack")
-        with _strict_decode("ingest ack"):
-            reader = _Reader(data)
-            reader.take(4)
-            table = reader.take_bytes().decode()
-            status_idx = reader.take(1)[0]
-            if status_idx >= len(INGEST_STATUSES):
-                raise DeserializationError(f"unknown ingest status tag {status_idx}")
-            applied_seq = int.from_bytes(reader.take(8), "big")
-            epoch = int.from_bytes(reader.take(8), "big")
-            message = reader.take_bytes().decode()
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in ingest ack")
+        with decode_frame(data, "ingest ack", INGEST_ACK_MAGIC) as reader:
+            table = reader.take_str()
+            status = reader.take_tag(INGEST_STATUSES, "ingest status")
+            applied_seq = reader.take_int(8)
+            epoch = reader.take_int(8)
+            message = reader.take_str()
             return cls(
-                table=table, status=INGEST_STATUSES[status_idx],
-                applied_seq=applied_seq, epoch=epoch, message=message,
+                table=table, status=status, applied_seq=applied_seq,
+                epoch=epoch, message=message,
             )
 
 
@@ -277,21 +249,15 @@ class IngestEnvelope:
     def to_bytes(self) -> bytes:
         return (
             INGEST_ENVELOPE_MAGIC
-            + _encode_bytes(self.payload)
-            + _encode_bytes(self.signature_bytes)
+            + encode_bytes(self.payload)
+            + encode_bytes(self.signature_bytes)
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IngestEnvelope":
-        if data[:4] != INGEST_ENVELOPE_MAGIC:
-            raise DeserializationError("not an ingest envelope")
-        with _strict_decode("ingest envelope"):
-            reader = _Reader(data)
-            reader.take(4)
+        with decode_frame(data, "ingest envelope", INGEST_ENVELOPE_MAGIC) as reader:
             payload = reader.take_bytes()
             signature_bytes = reader.take_bytes()
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in ingest envelope")
             if payload[:4] not in (UPDATE_MAGIC, ROTATE_MAGIC):
                 raise DeserializationError(
                     "ingest envelope does not wrap an update or rotate frame"
@@ -314,10 +280,10 @@ def is_ingest_frame(data: bytes) -> bool:
 # ---------------------------------------------------------------------------
 
 def encode_envelope(envelope: HybridEnvelope) -> bytes:
-    return _encode_bytes(envelope.header_bytes) + _encode_bytes(envelope.body)
+    return encode_bytes(envelope.header_bytes) + encode_bytes(envelope.body)
 
 
-def decode_envelope(group: BilinearGroup, reader: _Reader) -> HybridEnvelope:
+def decode_envelope(group: BilinearGroup, reader: Reader) -> HybridEnvelope:
     """Read an envelope; its header is decoded when first opened (see
     :meth:`HybridEnvelope.from_header_bytes`)."""
     header_bytes = reader.take_bytes()
@@ -330,21 +296,21 @@ def decode_envelope(group: BilinearGroup, reader: _Reader) -> HybridEnvelope:
 
 def encode_response(response: QueryResponse) -> bytes:
     out = bytearray(_RESP_MAGIC)
-    out += _encode_bytes(response.kind.encode())
-    out += _encode_point(response.query.lo)
-    out += _encode_point(response.query.hi)
+    out += encode_bytes(response.kind.encode())
+    out += encode_point(response.query.lo)
+    out += encode_point(response.query.hi)
     if response.envelope is not None:
         out += b"\x01"
         out += encode_envelope(response.envelope)
     else:
         out += b"\x00"
-        out += _encode_bytes(response.vo.to_bytes())
+        out += encode_bytes(response.vo.to_bytes())
     # Freshness token, outside the sealed envelope by design: staleness
     # must be checkable before (and without) decrypting, and the token
     # is public — it proves nothing beyond "the DO signed this epoch".
     if response.freshness is not None:
         out += b"\x01"
-        out += _encode_bytes(response.freshness.to_bytes())
+        out += encode_bytes(response.freshness.to_bytes())
     else:
         out += b"\x00"
     return bytes(out)
@@ -353,12 +319,8 @@ def encode_response(response: QueryResponse) -> bytes:
 def decode_response(group: BilinearGroup, data: bytes) -> QueryResponse:
     from repro.core.freshness import FreshnessToken
 
-    if data[:4] != _RESP_MAGIC:
-        raise DeserializationError("not a query response")
-    with _strict_decode("query response"):
-        reader = _Reader(data)
-        reader.take(4)
-        kind = reader.take_bytes().decode()
+    with decode_frame(data, "query response", _RESP_MAGIC) as reader:
+        kind = reader.take_str()
         lo = reader.take_point()
         hi = reader.take_point()
         sealed = reader.take(1) == b"\x01"
@@ -371,8 +333,6 @@ def decode_response(group: BilinearGroup, data: bytes) -> QueryResponse:
         freshness = None
         if reader.take(1) == b"\x01":
             freshness = FreshnessToken.from_bytes(group, reader.take_bytes())
-        if not reader.exhausted:
-            raise DeserializationError("trailing bytes in query response")
         return QueryResponse(
             kind=kind, query=Box(lo, hi), vo=vo, envelope=envelope,
             freshness=freshness,
@@ -439,21 +399,15 @@ class ErrorResponse:
     def to_bytes(self) -> bytes:
         return bytes(
             bytearray(_ERR_MAGIC)
-            + _encode_bytes(self.code.encode())
-            + _encode_bytes(self.message.encode())
+            + encode_bytes(self.code.encode())
+            + encode_bytes(self.message.encode())
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ErrorResponse":
-        if data[:4] != _ERR_MAGIC:
-            raise DeserializationError("not an error response")
-        with _strict_decode("error response"):
-            reader = _Reader(data)
-            reader.take(4)
-            code = reader.take_bytes().decode()
-            message = reader.take_bytes().decode()
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes in error response")
+        with decode_frame(data, "error response", _ERR_MAGIC) as reader:
+            code = reader.take_str()
+            message = reader.take_str()
             return cls(code=code, message=message)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.abs.scheme import AbsSignature
-from repro.codec import Reader, encode_bytes, encode_point, strict_decode
+from repro.codec import Reader, decode_frame, encode_bytes, encode_point
 from repro.core.records import Record
 from repro.crypto.group import BilinearGroup
 from repro.errors import DeserializationError
@@ -70,13 +70,13 @@ def _read_content(reader: Reader, group: BilinearGroup) -> tuple:
     """Inverse of :func:`_write_content`: ``(box, policy, signature, record)``."""
     lo = reader.take_point()
     hi = reader.take_point()
-    policy = parse_policy(reader.take_bytes().decode())
+    policy = parse_policy(reader.take_str())
     signature = AbsSignature.from_bytes(group, reader.take_bytes())
     record = None
     if reader.take(1) == b"\x01":
         key = reader.take_point()
         value = reader.take_bytes()
-        rec_policy = parse_policy(reader.take_bytes().decode())
+        rec_policy = parse_policy(reader.take_str())
         is_pseudo = reader.take(1) == b"\x01"
         record = Record(key=key, value=value, policy=rec_policy, is_pseudo=is_pseudo)
     return Box(lo, hi), policy, signature, record
@@ -91,7 +91,7 @@ def _write_node(out: bytearray, node: IndexNode) -> None:
 
 def _decode_node(reader: Reader, group: BilinearGroup) -> IndexNode:
     box, policy, signature, record = _read_content(reader, group)
-    n_children = int.from_bytes(reader.take(2), "big")
+    n_children = reader.take_int(2)
     children = tuple(_decode_node(reader, group) for _ in range(n_children))
     return IndexNode(
         box=box, policy=policy, signature=signature, children=children,
@@ -112,21 +112,15 @@ def serialize_tree(tree: APGTree) -> bytes:
 
 def deserialize_tree(group: BilinearGroup, data: bytes) -> APGTree:
     """Restore a signed tree; statistics are recomputed from the content."""
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise DeserializationError("not a serialized APP tree")
-    with strict_decode("serialized tree"):
-        reader = Reader(data)
-        reader.take(len(_MAGIC))
+    with decode_frame(data, "serialized tree", _MAGIC) as reader:
         dims = reader.take(1)[0]
         bounds = []
         for _ in range(dims):
-            lo = int.from_bytes(reader.take(8), "big", signed=True)
-            hi = int.from_bytes(reader.take(8), "big", signed=True)
+            lo = reader.take_int(8, signed=True)
+            hi = reader.take_int(8, signed=True)
             bounds.append((lo, hi))
         domain = Domain(tuple(bounds))
         root = _decode_node(reader, group)
-    if not reader.exhausted:
-        raise DeserializationError("trailing bytes after serialized tree")
     stats = TreeStats()
     stack = [root]
     while stack:
@@ -523,14 +517,11 @@ def restore_ingest_state(
 ) -> tuple[str, APGTree, int, int, bytes]:
     """Open an ingest checkpoint; returns (table, tree, applied_seq, epoch, token)."""
     meta, blob = _read_file(data, _STATE_MAGIC, INGEST_STATE_VERSION, "ingest state", 2)
-    with strict_decode("ingest state meta"):
-        reader = Reader(meta)
-        table = reader.take_bytes().decode()
-        applied_seq = int.from_bytes(reader.take(8), "big")
-        epoch = int.from_bytes(reader.take(8), "big")
+    with decode_frame(meta, "ingest state meta") as reader:
+        table = reader.take_str()
+        applied_seq = reader.take_int(8)
+        epoch = reader.take_int(8)
         token_bytes = reader.take_bytes()
-    if not reader.exhausted:
-        raise DeserializationError("trailing bytes in ingest state meta")
     return table, deserialize_tree(group, blob), applied_seq, epoch, token_bytes
 
 
@@ -619,20 +610,14 @@ def deserialize_cpabe_key(group: BilinearGroup, data: bytes):
     from repro.abe.cpabe import CpAbeSecretKey
     from repro.crypto.group import G1, G2
 
-    if data[:5] != b"CPSK\x01":
-        raise DeserializationError("not a serialized CP-ABE key")
-    reader = Reader(data)
-    reader.take(5)
-    count = int.from_bytes(reader.take(2), "big")
-    g1w, g2w = group.element_bytes(G1), group.element_bytes(G2)
-    k = group.deserialize(G2, reader.take(g2w))
-    l = group.deserialize(G2, reader.take(g2w))
-    k_attr = {}
-    for _ in range(count):
-        name = reader.take_bytes().decode()
-        k_attr[name] = group.deserialize(G1, reader.take(g1w))
-    if not reader.exhausted:
-        raise DeserializationError("trailing bytes in CP-ABE key")
+    with decode_frame(data, "CP-ABE key", b"CPSK\x01") as reader:
+        count = reader.take_int(2)
+        k = reader.take_element(group, G2)
+        l = reader.take_element(group, G2)
+        k_attr = {}
+        for _ in range(count):
+            name = reader.take_str()
+            k_attr[name] = reader.take_element(group, G1)
     return CpAbeSecretKey(attrs=frozenset(k_attr), k=k, l=l, k_attr=k_attr)
 
 
@@ -657,14 +642,9 @@ def deserialize_credentials(group: BilinearGroup, data: bytes):
     from repro.abs.keys import AbsVerificationKey
     from repro.core.system import UserCredentials
 
-    if data[:5] != b"CRED\x01":
-        raise DeserializationError("not serialized credentials")
-    reader = Reader(data)
-    reader.take(5)
-    count = int.from_bytes(reader.take(2), "big")
-    roles = frozenset(reader.take_bytes().decode() for _ in range(count))
-    mvk = AbsVerificationKey.from_bytes(group, reader.take_bytes())
-    cpabe_key = deserialize_cpabe_key(group, reader.take_bytes())
-    if not reader.exhausted:
-        raise DeserializationError("trailing bytes in credentials")
+    with decode_frame(data, "credentials", b"CRED\x01") as reader:
+        count = reader.take_int(2)
+        roles = frozenset(reader.take_str() for _ in range(count))
+        mvk = AbsVerificationKey.from_bytes(group, reader.take_bytes())
+        cpabe_key = deserialize_cpabe_key(group, reader.take_bytes())
     return UserCredentials(roles=roles, cpabe_key=cpabe_key, mvk=mvk)

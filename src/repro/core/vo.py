@@ -23,13 +23,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from repro.abs.scheme import AbsSignature
-from repro.codec import Reader as _Reader
-from repro.codec import encode_bytes as _encode_bytes
-from repro.codec import encode_point as _encode_point
-from repro.codec import strict_decode as _strict_decode
+from repro.codec import Reader, decode_frame, encode_bytes, encode_point
 from repro.core.records import Record
 from repro.crypto.group import BilinearGroup
-from repro.errors import DeserializationError
 from repro.index.boxes import Box, Point
 from repro.policy.boolexpr import BoolExpr, parse_policy
 
@@ -59,19 +55,19 @@ class AccessibleRecordEntry:
     def to_bytes(self) -> bytes:
         return (
             bytes([self.TAG])
-            + _encode_bytes(self.table.encode())
-            + _encode_point(self.key)
-            + _encode_bytes(self.value)
-            + _encode_bytes(self.policy.to_string().encode())
-            + _encode_bytes(self.signature.to_bytes())
+            + encode_bytes(self.table.encode())
+            + encode_point(self.key)
+            + encode_bytes(self.value)
+            + encode_bytes(self.policy.to_string().encode())
+            + encode_bytes(self.signature.to_bytes())
         )
 
     @classmethod
-    def _read(cls, reader: _Reader, group: BilinearGroup) -> "AccessibleRecordEntry":
-        table = reader.take_bytes().decode()
+    def _read(cls, reader: Reader, group: BilinearGroup) -> "AccessibleRecordEntry":
+        table = reader.take_str()
         key = reader.take_point()
         value = reader.take_bytes()
-        policy = parse_policy(reader.take_bytes().decode())
+        policy = parse_policy(reader.take_str())
         sig = AbsSignature.from_bytes(group, reader.take_bytes())
         return cls(key=key, value=value, policy=policy, signature=sig, table=table)
 
@@ -97,15 +93,15 @@ class InaccessibleRecordEntry:
     def to_bytes(self) -> bytes:
         return (
             bytes([self.TAG])
-            + _encode_bytes(self.table.encode())
-            + _encode_point(self.key)
-            + _encode_bytes(self.value_hash)
-            + _encode_bytes(self.aps.to_bytes())
+            + encode_bytes(self.table.encode())
+            + encode_point(self.key)
+            + encode_bytes(self.value_hash)
+            + encode_bytes(self.aps.to_bytes())
         )
 
     @classmethod
-    def _read(cls, reader: _Reader, group: BilinearGroup) -> "InaccessibleRecordEntry":
-        table = reader.take_bytes().decode()
+    def _read(cls, reader: Reader, group: BilinearGroup) -> "InaccessibleRecordEntry":
+        table = reader.take_str()
         key = reader.take_point()
         value_hash = reader.take_bytes()
         aps = AbsSignature.from_bytes(group, reader.take_bytes())
@@ -132,15 +128,15 @@ class InaccessibleNodeEntry:
     def to_bytes(self) -> bytes:
         return (
             bytes([self.TAG])
-            + _encode_bytes(self.table.encode())
-            + _encode_point(self.box.lo)
-            + _encode_point(self.box.hi)
-            + _encode_bytes(self.aps.to_bytes())
+            + encode_bytes(self.table.encode())
+            + encode_point(self.box.lo)
+            + encode_point(self.box.hi)
+            + encode_bytes(self.aps.to_bytes())
         )
 
     @classmethod
-    def _read(cls, reader: _Reader, group: BilinearGroup) -> "InaccessibleNodeEntry":
-        table = reader.take_bytes().decode()
+    def _read(cls, reader: Reader, group: BilinearGroup) -> "InaccessibleNodeEntry":
+        table = reader.take_str()
         lo = reader.take_point()
         hi = reader.take_point()
         aps = AbsSignature.from_bytes(group, reader.take_bytes())
@@ -197,16 +193,10 @@ class VerificationObject:
     def from_bytes(cls, group: BilinearGroup, data: bytes) -> "VerificationObject":
         # A sealed VO is opened from bytes the SP chose (it seals with the
         # public CP-ABE key), so the codec owns its failure contract.
-        with _strict_decode("verification object"):
-            reader = _Reader(data)
-            count = int.from_bytes(reader.take(4), "big")
+        with decode_frame(data, "verification object") as reader:
+            count = reader.take_int(4)
             entries: list[VOEntry] = []
             for _ in range(count):
-                tag = reader.take(1)[0]
-                entry_type = _ENTRY_TYPES.get(tag)
-                if entry_type is None:
-                    raise DeserializationError(f"unknown VO entry tag {tag}")
+                entry_type = reader.take_tag(_ENTRY_TYPES, "VO entry")
                 entries.append(entry_type._read(reader, group))
-            if not reader.exhausted:
-                raise DeserializationError("trailing bytes after VO entries")
             return cls(entries=entries)

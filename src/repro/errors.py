@@ -46,10 +46,6 @@ class PolicyParseError(PolicyError):
         self.offset = offset
 
 
-class NotMonotoneError(PolicyError):
-    """An operation requires a monotone boolean function."""
-
-
 class RelaxationError(ReproError):
     """ABS.Relax was attempted on an incompatible predicate/attribute set.
 

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.codec import decode_frame
 from repro.core.records import Dataset, Record
 from repro.errors import WorkloadError
 from repro.index.boxes import Domain, Point
@@ -133,27 +134,20 @@ def encode_bundle(duplicates: Sequence[tuple[bytes, BoolExpr]]) -> bytes:
 
 
 def decode_bundle(blob: bytes) -> list[tuple[int, bytes, BoolExpr]]:
-    """Decode a bundle into ``(dup_id, value, policy)`` tuples."""
-    if blob[:4] != _BUNDLE_MAGIC:
-        raise WorkloadError("not a duplicate bundle")
-    count = int.from_bytes(blob[4:8], "big")
-    off = 8
-    out = []
-    for _ in range(count):
-        dup_id = int.from_bytes(blob[off : off + 4], "big")
-        off += 4
-        vlen = int.from_bytes(blob[off : off + 4], "big")
-        off += 4
-        value = blob[off : off + vlen]
-        off += vlen
-        plen = int.from_bytes(blob[off : off + 4], "big")
-        off += 4
-        policy = parse_policy(blob[off : off + plen].decode())
-        off += plen
-        out.append((dup_id, value, policy))
-    if off != len(blob):
-        raise WorkloadError("trailing bytes in duplicate bundle")
-    return out
+    """Decode a bundle into ``(dup_id, value, policy)`` tuples.
+
+    A bundle is a record value, bytes the SP returns, so a malformed one
+    raises :class:`~repro.errors.DeserializationError`.
+    """
+    with decode_frame(blob, "duplicate bundle", _BUNDLE_MAGIC) as reader:
+        count = reader.take_int(4)
+        out = []
+        for _ in range(count):
+            dup_id = reader.take_int(4)
+            value = reader.take_bytes()
+            policy = parse_policy(reader.take_str())
+            out.append((dup_id, value, policy))
+        return out
 
 
 def accessible_duplicates(blob: bytes, user_roles) -> list[tuple[int, bytes]]:

@@ -91,7 +91,7 @@ from repro.errors import (
 from repro.index import updates as _updates
 from repro.index.boxes import Point
 from repro.index.gridtree import APGTree, IndexNode
-from repro.net.transport import REQUEST_ID_BYTES, frame as _frame, unframe as _unframe
+from repro.net.client import _control_exchange, _request_id
 from repro.obs import logging as _obslog
 from repro.obs import metrics as _metrics
 
@@ -864,15 +864,9 @@ class UpdatePublisher:
         ).to_bytes()
 
     def _exchange(self, transport, payload: bytes) -> IngestAck:
-        request_id = self.rng.getrandbits(8 * REQUEST_ID_BYTES).to_bytes(
-            REQUEST_ID_BYTES, "big"
+        body = _control_exchange(
+            transport, _request_id(self.rng), payload, "ingest ack"
         )
-        reply = transport.round_trip(_frame(request_id, payload))
-        reply_id, body = _unframe(reply)
-        if reply_id != request_id:
-            raise TransportError(
-                "ingest ack id mismatch: duplicated or replayed frame rejected"
-            )
         if is_error_frame(body):
             error = ErrorResponse.from_bytes(body)
             raise TransportError(

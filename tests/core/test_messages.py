@@ -6,6 +6,7 @@ import pytest
 
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import encrypt_for_roles
+from repro.codec import Reader
 from repro.core.messages import (
     QueryRequest,
     SPServer,
@@ -16,7 +17,6 @@ from repro.core.messages import (
 )
 from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
-from repro.core.vo import _Reader
 from repro.crypto import simulated
 from repro.errors import DeserializationError, WorkloadError
 from repro.index.boxes import Domain
@@ -70,7 +70,7 @@ def test_envelope_roundtrip(env):
     keys = scheme.setup(rng)
     envelope = encrypt_for_roles(scheme, keys.public, ["analyst"], b"payload", rng)
     data = encode_envelope(envelope)
-    restored = decode_envelope(simulated(), _Reader(data))
+    restored = decode_envelope(simulated(), Reader(data))
     assert restored.body == envelope.body
     assert restored.header.policy == envelope.header.policy
     sk = scheme.keygen(keys, ["analyst"], rng)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import DeserializationError, WorkloadError
 from repro.index.boxes import Domain
 from repro.index.duplicates import (
     DuplicateRecord,
@@ -84,10 +84,10 @@ def test_bundle_roundtrip():
 
 
 def test_bundle_rejects_garbage():
-    with pytest.raises(WorkloadError):
+    with pytest.raises(DeserializationError):
         decode_bundle(b"nope")
     blob = encode_bundle([(b"v", PA)])
-    with pytest.raises(WorkloadError):
+    with pytest.raises(DeserializationError):
         decode_bundle(blob + b"trailing")
 
 

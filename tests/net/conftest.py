@@ -13,12 +13,12 @@ import pytest
 
 from repro.abe.cpabe import CpAbeScheme
 from repro.abe.hybrid import encrypt_for_roles
+from repro.codec import encode_bytes, encode_point
 from repro.core.messages import SPServer, decode_response, encode_response
 from repro.core.records import Dataset, Record
 from repro.core.system import DataOwner, QueryUser
 from repro.crypto import simulated
 from repro.index.boxes import Domain
-from repro.core.vo import _encode_bytes, _encode_point
 from repro.net import ResilientSPServer, Transport
 from repro.net.transport import frame, unframe
 from repro.policy.boolexpr import parse_policy
@@ -80,10 +80,10 @@ def run_query(client, kind: str):
 #: Sealed VO payloads a Byzantine SP can produce (it seals with the public
 #: CP-ABE key): one entry whose table tag is not UTF-8, and one accessible
 #: record whose policy string does not parse.
-NON_UTF8_TABLE_VO = (1).to_bytes(4, "big") + b"\x01" + _encode_bytes(b"\xff\xfe")
+NON_UTF8_TABLE_VO = (1).to_bytes(4, "big") + b"\x01" + encode_bytes(b"\xff\xfe")
 UNPARSABLE_POLICY_VO = (
-    (1).to_bytes(4, "big") + b"\x01" + _encode_bytes(b"") + _encode_point((4,))
-    + _encode_bytes(b"forecast") + _encode_bytes(b"analyst and (")
+    (1).to_bytes(4, "big") + b"\x01" + encode_bytes(b"") + encode_point((4,))
+    + encode_bytes(b"forecast") + encode_bytes(b"analyst and (")
 )
 
 

@@ -203,3 +203,124 @@ def test_shuffled_entries_still_verify(env):
     random.Random(9).shuffle(shuffled)
     records = verify_vo(VerificationObject(entries=shuffled), auth, query, roles)
     assert sorted(r.value for r in records) == [b"alpha", b"gamma"]
+
+
+# ---------------------------------------------------------------------------
+# The decode contract, decoder by decoder
+# ---------------------------------------------------------------------------
+
+DECODERS = (
+    "query_request", "update_frame", "rotate_frame", "ingest_ack",
+    "ingest_envelope", "query_response", "error_response",
+    "verification_object", "cpabe_header", "freshness_token", "mvk",
+    "tree", "ingest_state_meta", "cpabe_key", "credentials",
+    "duplicate_bundle",
+)
+
+
+@pytest.fixture(scope="module")
+def decoders():
+    """``name -> (decode, valid encoding)`` for every decoder that reads
+    through :func:`repro.codec.decode_frame`, from one seeded world."""
+    from repro.abe.cpabe import CpAbeCiphertext
+    from repro.abs.keys import AbsVerificationKey
+    from repro.codec import encode_bytes
+    from repro.core import persistence
+    from repro.core.freshness import FreshnessToken, issue_token
+    from repro.core.messages import (
+        ErrorResponse, IngestAck, IngestEnvelope, QueryRequest, RotateFrame,
+        SPServer, UpdateFrame, decode_response,
+    )
+    from repro.index.duplicates import decode_bundle, encode_bundle
+
+    group = simulated()
+    rng = random.Random(3030)
+    universe = RoleUniverse(["RoleA", "RoleB"])
+    owner = DataOwner(group, universe, rng=rng)
+    ds = Dataset(Domain.of((0, 1)))
+    ds.add(Record((0,), b"alpha", parse_policy("RoleA and RoleB")))
+    ds.add(Record((1,), b"beta", parse_policy("RoleA")))
+    provider = owner.outsource({"t": ds})
+    tree = provider.trees["t"]
+    token = issue_token(owner.signer, "t", 7, rng)
+    provider.set_freshness_token("t", token)
+    credentials = owner.register_user(["RoleA"])
+    request = QueryRequest(kind="range", table="t", lo=(0,), hi=(1,),
+                           roles=credentials.roles)
+    response = SPServer(provider, rng=rng).handle(request.to_bytes())
+    leaf = next(n for n in tree.iter_nodes() if n.record is not None)
+    update = UpdateFrame(
+        table="t", seq=4, kind="delete", epoch=7,
+        replacements=tuple(persistence.replacement_from_node(n) for n in (tree.root, leaf)),
+    )
+    rotate = RotateFrame(table="t", seq=5, epoch=8, token_bytes=token.to_bytes())
+    meta = (
+        encode_bytes(b"t") + (5).to_bytes(8, "big")
+        + (8).to_bytes(8, "big") + encode_bytes(token.to_bytes())
+    )
+    tree_blob = persistence.serialize_tree(tree)
+    scheme = CpAbeScheme(group)
+    keys = scheme.setup(rng)
+    header = scheme.encrypt(keys.public, keys.public.e_gg_alpha, parse_policy("RoleA or RoleB"), rng)
+    return {
+        "query_request": (QueryRequest.from_bytes, request.to_bytes()),
+        "update_frame": (lambda d: UpdateFrame.from_bytes(group, d), update.to_bytes()),
+        "rotate_frame": (RotateFrame.from_bytes, rotate.to_bytes()),
+        "ingest_ack": (IngestAck.from_bytes,
+                       IngestAck("t", "gap", 5, 8, "replay").to_bytes()),
+        "ingest_envelope": (
+            IngestEnvelope.from_bytes,
+            IngestEnvelope(rotate.to_bytes(), token.signature.to_bytes()).to_bytes(),
+        ),
+        "query_response": (lambda d: decode_response(group, d), response),
+        "error_response": (ErrorResponse.from_bytes,
+                           ErrorResponse.overloaded(0.25, "busy").to_bytes()),
+        "verification_object": (
+            lambda d: VerificationObject.from_bytes(group, d),
+            range_vo(tree, provider.authenticator, clip_query(tree, (0,), (1,)),
+                     credentials.roles, rng).to_bytes(),
+        ),
+        "cpabe_header": (lambda d: CpAbeCiphertext.from_bytes(group, d), header.to_bytes()),
+        "freshness_token": (lambda d: FreshnessToken.from_bytes(group, d), token.to_bytes()),
+        "mvk": (lambda d: AbsVerificationKey.from_bytes(group, d), owner.mvk.to_bytes()),
+        "tree": (lambda d: persistence.deserialize_tree(group, d), tree_blob),
+        "ingest_state_meta": (
+            lambda d: persistence.restore_ingest_state(group, persistence._build_file(
+                persistence._STATE_MAGIC, persistence.INGEST_STATE_VERSION, d, tree_blob,
+            )),
+            meta,
+        ),
+        "cpabe_key": (lambda d: persistence.deserialize_cpabe_key(group, d),
+                      persistence.serialize_cpabe_key(credentials.cpabe_key)),
+        "credentials": (lambda d: persistence.deserialize_credentials(group, d),
+                        persistence.serialize_credentials(credentials)),
+        "duplicate_bundle": (decode_bundle, encode_bundle(
+            [(b"v1", parse_policy("RoleA")), (b"v2", parse_policy("RoleA or RoleB"))]
+        )),
+    }
+
+
+@pytest.mark.parametrize("name", DECODERS)
+def test_decoder_raises_only_deserialization_error(decoders, name):
+    """Every cut and every single-bit flip of a valid encoding either
+    decodes or raises DeserializationError — never another exception."""
+    from collections import Counter
+
+    from repro.errors import DeserializationError
+
+    decode, data = decoders[name]
+    decode(data)  # the pristine encoding decodes
+    cases = [data[:cut] for cut in range(len(data))]
+    cases += [
+        data[:pos] + bytes([data[pos] ^ (1 << bit)]) + data[pos + 1:]
+        for pos in range(len(data)) for bit in range(8)
+    ]
+    odd = Counter()
+    for case in cases:
+        try:
+            decode(case)
+        except DeserializationError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the contract under test
+            odd[type(exc).__name__] += 1
+    assert not odd, f"{name}: {dict(odd)} of {len(cases)} cases"
