@@ -379,7 +379,7 @@ class ReplicatedDrill(Drill):
                 f"{len(tally.failures)} client-visible failures: "
                 f"{tally.failures[:5]}"
             )
-        if client.counters.overload_backoffs < 1:
+        if client.counters.overload_rejections < 1:
             violations.append("client never honored a retry-after hint")
         # The crash/restart cycle actually exercised the snapshot path.
         if endpoints["sp0"].restarts < 1:
@@ -399,7 +399,7 @@ class ReplicatedDrill(Drill):
             "availability": round(tally.availability, 4),
             "failovers": client.counters.failovers,
             "quarantines": client.counters.quarantines,
-            "overload_backoffs": client.counters.overload_backoffs,
+            "overload_backoffs": client.counters.overload_rejections,
             "tampered_responses": report["tampered_responses"],
             "shed_frames": {
                 name: ep.server.shed for name, ep in endpoints.items()
@@ -977,7 +977,7 @@ class IngestDrill(Drill):
             "failover": self.failover,
             "stale_probe": self.stale_probe,
             "stale_epoch_failovers": {
-                t: c.counters.wire.stale_epochs
+                t: c.counters.stale_epochs
                 for t, c in self.world.clients.items()
             },
             "slo": tally.slo and tally.slo["snapshot"],

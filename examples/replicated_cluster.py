@@ -64,7 +64,7 @@ for i in range(30):
 
 stats = client.counters
 print(f"[client] {verified}/30 queries returned verified, "
-      f"{stats.failovers} failovers, {stats.overload_backoffs} retry-after "
+      f"{stats.failovers} failovers, {stats.overload_rejections} retry-after "
       f"waits honored")
 for name, state in client.endpoints.items():
     snap = state.snapshot()

@@ -70,7 +70,7 @@ for i in range(12):
         raise SystemExit("BUG: verified result differs from ground truth")
 stats = client.counters
 print(f"[client] {stats.requests} queries verified over a lossy link: "
-      f"{stats.attempts} attempts, {stats.retries} retries")
+      f"{stats.attempts} attempts, {stats.attempts - stats.requests} retries")
 print(f"[client] faults survived: {stats.decode_failures} undecodable "
       f"responses, {stats.transport_errors} transport errors, "
       f"{stats.verification_failures} flips caught only by verification")

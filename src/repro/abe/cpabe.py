@@ -108,7 +108,7 @@ class CpAbeCiphertext:
         with decode_frame(data, "CP-ABE header") as reader:
             policy = parse_policy(reader.take_str())
             c_tilde = None
-            if reader.take_tag((False, True), "CP-ABE header flag"):
+            if reader.take_bool("CP-ABE header flag"):
                 c_tilde = reader.take_element(group, GT)
             c_prime = reader.take_element(group, G1)
             count = reader.take_int(2)

@@ -16,7 +16,8 @@ only in topology.  :func:`build_world` wires it once:
 * the client follows from the topology: sharded →
   :class:`~repro.net.sharding.ShardedClient`, several replicas →
   :class:`~repro.net.cluster.ReplicatedClient`, one →
-  :class:`~repro.net.client.ResilientClient`.  Extra keyword arguments
+  :class:`~repro.net.cluster.ResilientClient` (the same loop over one
+  endpoint).  Extra keyword arguments
   go to that constructor unchanged.
 
 Everything runs on one :class:`~repro.net.transport.FakeClock`, and each
@@ -42,8 +43,7 @@ from repro.core.system import DataOwner, QueryUser, ServiceProvider
 from repro.crypto import get_backend
 from repro.index.boxes import Domain
 from repro.net.chaos import ChaosEndpoint
-from repro.net.client import ResilientClient
-from repro.net.cluster import ReplicatedClient
+from repro.net.cluster import ReplicatedClient, ResilientClient
 from repro.net.ingest import ServerIngest
 from repro.net.server import ResilientSPServer
 from repro.net.sharding import RangeShardMap, ShardedClient, ShardedTables, outsource_sharded
@@ -104,15 +104,17 @@ class World:
     def replica_states(self) -> dict:
         """Client-side :class:`~repro.net.cluster.Endpoint` state by name.
 
-        Empty for one-replica worlds, whose clients keep one breaker.
+        Empty for one-replica worlds, whose clients each keep one
+        endpoint named ``"sp"``.
         """
-        clusters = list(self.clients.values())
+        clusters = [c for c in self.clients.values()
+                    if not isinstance(c, ResilientClient)]
         if self.sharding is not None:
             clusters = [c for client in clusters for c in client.shards.values()]
         return {
             name: state
             for cluster in clusters
-            for name, state in getattr(cluster, "endpoints", {}).items()
+            for name, state in cluster.endpoints.items()
         }
 
 

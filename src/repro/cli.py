@@ -180,8 +180,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     )
     client = world.client
     if args.fault_rate > 0:
-        client.transport = FaultyTransport(
-            client.transport, rng=random.Random(args.seed + 1),
+        client.endpoint.transport = FaultyTransport(
+            client.endpoint.transport, rng=random.Random(args.seed + 1),
             rates={"bitflip": args.fault_rate}, clock=world.clock,
         )
     records = client.query_range("docs", (0,), (31,), encrypt=False)

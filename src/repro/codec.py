@@ -15,7 +15,12 @@ rejects trailing bytes.  The decoders that use it:
 * :mod:`repro.core.persistence` — ``deserialize_tree``, the ingest
   checkpoint's meta record, ``deserialize_cpabe_key`` and
   ``deserialize_credentials``;
-* :func:`repro.index.duplicates.decode_bundle`.
+* :func:`repro.index.duplicates.decode_bundle`;
+* :mod:`repro.net.server` — ``decode_probe_response`` and
+  ``decode_stats_response``.
+
+Every one-byte flag is read with :meth:`Reader.take_bool`, which
+accepts 00 and 01 only.
 
 ``AbsSignature.from_bytes`` is the one decoder outside it: it is lazy
 (points are decoded on first use) and checks its own framing.
@@ -109,6 +114,10 @@ class Reader:
             return names[tag]
         except (IndexError, KeyError):
             raise DeserializationError(f"unknown {what} tag {tag}") from None
+
+    def take_bool(self, what: str) -> bool:
+        """One flag byte; only 00 and 01 decode, so flags stay canonical."""
+        return self.take_tag((False, True), what)
 
     def take_element(self, group, kind: str):
         """One fixed-width group element of ``kind``."""

@@ -94,7 +94,7 @@ class QueryRequest:
             hi = reader.take_point()
             count = reader.take_int(2)
             roles = frozenset(reader.take_str() for _ in range(count))
-            encrypt = reader.take(1) == b"\x01"
+            encrypt = reader.take_bool("encrypt flag")
             return cls(
                 kind=kind,
                 table=table,
@@ -323,7 +323,7 @@ def decode_response(group: BilinearGroup, data: bytes) -> QueryResponse:
         kind = reader.take_str()
         lo = reader.take_point()
         hi = reader.take_point()
-        sealed = reader.take(1) == b"\x01"
+        sealed = reader.take_bool("sealed flag")
         if sealed:
             envelope = decode_envelope(group, reader)
             vo = None
@@ -331,7 +331,7 @@ def decode_response(group: BilinearGroup, data: bytes) -> QueryResponse:
             envelope = None
             vo = VerificationObject.from_bytes(group, reader.take_bytes())
         freshness = None
-        if reader.take(1) == b"\x01":
+        if reader.take_bool("freshness flag"):
             freshness = FreshnessToken.from_bytes(group, reader.take_bytes())
         return QueryResponse(
             kind=kind, query=Box(lo, hi), vo=vo, envelope=envelope,

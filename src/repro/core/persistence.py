@@ -73,11 +73,11 @@ def _read_content(reader: Reader, group: BilinearGroup) -> tuple:
     policy = parse_policy(reader.take_str())
     signature = AbsSignature.from_bytes(group, reader.take_bytes())
     record = None
-    if reader.take(1) == b"\x01":
+    if reader.take_bool("record flag"):
         key = reader.take_point()
         value = reader.take_bytes()
         rec_policy = parse_policy(reader.take_str())
-        is_pseudo = reader.take(1) == b"\x01"
+        is_pseudo = reader.take_bool("pseudo-record flag")
         record = Record(key=key, value=value, policy=rec_policy, is_pseudo=is_pseudo)
     return Box(lo, hi), policy, signature, record
 

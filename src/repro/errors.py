@@ -92,8 +92,8 @@ class TransportError(ReproError):
     Covers dropped or unanswerable requests, mismatched response ids
     (duplicate/replayed frames), and server-side error frames that the
     client classifies as transient.  Transport errors are the retryable
-    failure class: :class:`repro.net.client.ResilientClient` retries them
-    with backoff before giving up.
+    failure class: the client loop (:class:`repro.net.cluster.
+    ReplicatedClient`) retries them with backoff before giving up.
     """
 
 
@@ -116,8 +116,9 @@ class DeadlineExceededError(TransportError):
 
 
 class CircuitOpenError(TransportError):
-    """The client's circuit breaker is open: failing fast without calling
-    the SP after too many consecutive failures."""
+    """No endpoint is in rotation (breakers open after too many
+    consecutive failed attempts, or quarantined) and the query's attempt
+    budget or deadline ran out before one came back."""
 
 
 class ProcessWorkerError(ReproError):

@@ -11,15 +11,17 @@ zero-knowledge core — without ever weakening it:
 * :mod:`repro.net.server` — :class:`ResilientSPServer`, a frame loop
   that turns every per-request failure into a typed error frame, plus
   liveness probes (``ready`` / ``draining``) that bypass admission;
-* :mod:`repro.net.client` — the shared user-side query pipeline
-  (:class:`~repro.net.client.QueryClient`) and :class:`ResilientClient`
-  on top of it, with bounded retries, deadlines, duplicate detection,
-  and a circuit breaker;
-* :mod:`repro.net.cluster` — :class:`ReplicatedClient`, which fans a
-  logical query over N replica endpoints with per-endpoint breakers,
+* :mod:`repro.net.client` — the wire side of the client: the retry
+  policy, the circuit breaker, the one stats record
+  (:class:`ClientStats`), the framed attempt with duplicate detection
+  (:func:`wire_exchange`) and the failed-attempt classification;
+* :mod:`repro.net.cluster` — the one client loop:
+  :class:`ReplicatedClient` fans a logical query over N replica
+  endpoints with per-endpoint breakers, bounded retries, deadlines,
   health-ranked failover, hedged requests, and **Byzantine quarantine**
   (an endpoint whose response fails verification is evicted as
   ``tamper``, distinctly from ``transport`` evictions);
+  :class:`ResilientClient` is the same loop over one SP;
 * :mod:`repro.net.sharding` — :class:`ShardedClient`, the
   scatter-gather coordinator over a DO-signed shard roster: each shard
   is a :class:`ReplicatedClient` over its replicas, per-shard VOs merge
@@ -60,14 +62,13 @@ from repro.net.chaos import (
 from repro.net.client import (
     CircuitBreaker,
     ClientStats,
-    ResilientClient,
     RetryPolicy,
     fetch_trace_spans,
     is_tamper_error,
     probe_endpoint,
     wire_exchange,
 )
-from repro.net.cluster import ClusterStats, Endpoint, ReplicatedClient
+from repro.net.cluster import Endpoint, ReplicatedClient, ResilientClient
 from repro.net.faults import FAULT_KINDS, FaultyTransport
 from repro.net.ingest import (
     FreshnessGuard,
@@ -121,7 +122,6 @@ __all__ = [
     "parse_schedule",
     "CircuitBreaker",
     "ClientStats",
-    "ClusterStats",
     "Endpoint",
     "ReplicatedClient",
     "ResilientClient",

@@ -1,51 +1,33 @@
-"""A fault-tolerant query client: retries, deadlines, circuit breaking.
+"""The wire side of the one client loop: retry policy, breaker, stats.
 
-:class:`QueryClient` is the user side of the protocol, defined once:
-it builds the three queries (equality / range / join), runs each under
-one ``client.query``/``cluster.query`` span with its ``CostLedger`` wall
-time, opens and verifies every response before returning it, and
-classifies failed attempts into :class:`ClientStats`.  Its two
-subclasses differ only in their attempt loop.  :class:`ResilientClient` speaks through one
-:class:`~repro.net.transport.Transport` that is allowed to fail.  Per
-logical query it:
+The user side of the protocol runs one attempt loop,
+:class:`~repro.net.cluster.ReplicatedClient`; :class:`ResilientClient`
+is that loop over one transport.  This module holds what the loop
+is built from:
 
-1. fails fast with :class:`~repro.errors.CircuitOpenError` while the
-   circuit breaker is open; a half-open trial first sends a cheap
-   liveness probe (:func:`probe_endpoint`), so a server that is merely
-   *draining* defers the trial as a typed ``overloaded`` error instead
-   of burning the probe on a real query and re-opening the breaker;
-2. frames the request under a fresh random 16-byte id per attempt, so a
-   duplicated or replayed response (stale id) is detected, counted, and
-   retried rather than trusted;
-3. retries transport faults, undecodable responses, server error frames,
-   and *failed verifications* with exponential backoff + jitter, up to
-   ``max_attempts`` and bounded by the per-request ``deadline``; an
-   ``overloaded`` error frame's ``retry-after`` hint floors the backoff,
-   and no backoff is slept after the final attempt;
-4. re-raises the last typed error when attempts run out — so every
-   outcome is either a **verified** result or a
-   :class:`~repro.errors.ReproError` subclass.
+* :class:`RetryPolicy` — bounded exponential backoff with jitter and a
+  per-query deadline;
+* :class:`CircuitBreaker` — one per endpoint, counting failed
+  *attempts*, with a single half-open trial;
+* :class:`ClientStats` — the one lifetime stats record the loop,
+  :func:`wire_exchange` and :func:`count_wire_error` all write;
+* :func:`wire_exchange` — one framed attempt under a fresh random
+  16-byte request id, so a duplicated or replayed response (stale id)
+  is detected, counted and retried rather than trusted; typed error
+  frames become :class:`~repro.errors.WorkloadError`,
+  :class:`~repro.errors.OverloadedError` (with the server's
+  ``retry-after`` hint) or :class:`~repro.errors.TransportError`, and
+  every decoded response goes through ``verify`` before it is returned;
+* :func:`is_tamper_error` / :func:`count_wire_error` — the one
+  classification of failed attempts;
+* :func:`probe_endpoint` / :func:`fetch_trace_spans` — the cheap
+  liveness probe and the span-relay scrape.
 
 Retrying a verification failure never weakens soundness: each retry
 verifies a *fresh* response from scratch, and a persistently tampering
 SP simply exhausts the budget and surfaces the
-:class:`~repro.errors.VerificationError`.  Two server answers are
-deliberately non-retryable because they are deterministic properties of
-the query, not of the SP: the ``workload`` error frame (unknown table /
-malformed query semantics), raised immediately as
-:class:`~repro.errors.WorkloadError`, and a CP-ABE policy denial
-(the user's attributes do not satisfy the sealed result's policy),
-raised immediately as :class:`~repro.errors.AccessDeniedError`.
-
-The single-endpoint loop and the failover loop of
-:class:`~repro.net.cluster.ReplicatedClient` differ on purpose, because
-one SP and N replicas call for different policies: this breaker counts
-*logical queries* while the cluster's per-endpoint breakers count
-*attempts*; an open breaker here fails fast, while the cluster sleeps
-until the earliest endpoint relief; a tamper from the only SP is
-retried, while the cluster quarantines the endpoint; and an uncaught
-:class:`~repro.errors.ReproError` propagates here, while the cluster
-fails over to the next replica.
+:class:`~repro.errors.VerificationError`.  Every outcome is either a
+**verified** result or a :class:`~repro.errors.ReproError` subclass.
 """
 
 from __future__ import annotations
@@ -58,15 +40,12 @@ from typing import Callable, Optional
 
 from repro.core.messages import (
     ErrorResponse,
-    QueryRequest,
     decode_response,
     is_error_frame,
 )
 from repro.errors import (
     AccessDeniedError,
-    CircuitOpenError,
     CryptoError,
-    DeadlineExceededError,
     DeserializationError,
     OverloadedError,
     ReproError,
@@ -78,13 +57,11 @@ from repro.errors import (
 from repro.net.transport import (
     REQUEST_ID_BYTES,
     Clock,
-    Transport,
     embed_trace_id,
     frame,
     unframe,
 )
 from repro.obs import ledger as _ledger
-from repro.obs import logging as _obslog
 from repro.obs import metrics as _metrics
 from repro.obs import relay as _relay
 from repro.obs import trace as _trace
@@ -96,34 +73,10 @@ _SERVER_STAGES = ("traverse", "materialize", "seal")
 #: checks the VO (CP-ABE open, VO decode).
 _OPEN_STAGES = ("open", "codec")
 
-_REG = _metrics.registry()
-_M_REQUESTS = _REG.counter(
-    "repro_client_requests_total", "Logical queries issued by ResilientClient.",
-    labelnames=("kind",),
-)
-_M_ATTEMPTS = _REG.counter(
-    "repro_client_attempts_total", "Wire attempts (first tries plus retries).",
-)
-_M_RETRIES = _REG.counter(
-    "repro_client_retries_total", "Attempts beyond the first per logical query.",
-)
-_M_OUTCOMES = _REG.counter(
-    "repro_client_outcomes_total", "Logical query outcomes.",
-    labelnames=("outcome",),
-)
-_M_ATTEMPT_ERRORS = _REG.counter(
-    "repro_client_attempt_errors_total", "Failed attempts by error class.",
-    labelnames=("class",),
-)
-_M_BREAKER = _REG.counter(
+_M_BREAKER = _metrics.registry().counter(
     "repro_client_breaker_transitions_total",
     "Circuit breaker state transitions.", labelnames=("to",),
 )
-# The per-query updates, with their label sets resolved once.
-_REQUESTS = {kind: _M_REQUESTS.labels(kind=kind) for kind in ("equality", "range", "join")}
-_ATTEMPT = _M_ATTEMPTS.labels()
-_VERIFIED = _M_OUTCOMES.labels(outcome="verified")
-_LOG = _obslog.get_logger("client")
 
 
 @dataclass(frozen=True)
@@ -149,7 +102,7 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Fail fast after ``failure_threshold`` consecutive failed queries.
+    """Open after ``failure_threshold`` consecutive failed attempts.
 
     States: *closed* (normal), *open* (every call rejected until
     ``reset_timeout`` elapses), *half-open* (exactly **one** trial
@@ -237,28 +190,38 @@ class CircuitBreaker:
 
 @dataclass
 class ClientStats:
-    """Operational counters, exposed for tests, examples, dashboards."""
+    """One client's lifetime counters, exposed for tests, examples, dashboards.
+
+    The attempt loop counts logical queries (``requests`` = ``verified``
+    + ``failures``) and how they were routed; :func:`wire_exchange` and
+    :func:`count_wire_error` count what each failed attempt was.
+    ``attempts`` counts wire attempts, hedges included, so retries and
+    failovers are ``attempts - requests`` less ``hedges``.  Per-endpoint
+    detail lives on :class:`~repro.net.cluster.Endpoint`.
+    """
 
     requests: int = 0
-    attempts: int = 0
-    retries: int = 0
+    verified: int = 0
     failures: int = 0
+    attempts: int = 0
+    failovers: int = 0
+    hedges: int = 0
+    probes: int = 0
+    probe_deferrals: int = 0
+    exhausted_rotations: int = 0
+    quarantines: int = 0
+    rejection_suspects: int = 0
     transport_errors: int = 0
     decode_failures: int = 0
     verification_failures: int = 0
     duplicates_detected: int = 0
     error_frames: int = 0
-    breaker_rejections: int = 0
     overload_rejections: int = 0
-    probes: int = 0
-    probe_deferrals: int = 0
     stale_epochs: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
-
-_RETRYABLE = (TransportError, CryptoError, VerificationError)
 
 #: Exception classes that prove *content* tampering (a forged proof or
 #: sealed envelope) as opposed to transport-level corruption or loss.
@@ -309,7 +272,7 @@ _WIRE_ERROR_CLASSES = (
 def count_wire_error(exc: BaseException, counters: ClientStats) -> Optional[str]:
     """Count one failed attempt in ``counters``; returns its class label.
 
-    The one classification both clients use (``wire_exchange`` itself
+    The one classification of failed attempts (``wire_exchange`` itself
     only counts what it can see: duplicates and error frames).  Errors
     that say nothing about the wire or the proof — a policy denial, a
     workload rejection — are left uncounted and return ``None``.
@@ -348,10 +311,8 @@ def wire_exchange(transport, payload: bytes, verify: Callable, group,
     Frames ``payload`` under a fresh random 16-byte id (trace-stamped),
     round-trips it, rejects id mismatches (duplicates/replays), decodes
     typed error frames, and funnels the decoded response through
-    ``verify``.  Both :class:`ResilientClient` and
-    :class:`~repro.net.cluster.ReplicatedClient` speak the wire through
-    this function, so duplicate detection and error-frame semantics can
-    never drift between the single-endpoint and replicated paths.
+    ``verify``.  Every attempt the client loop makes, hedges included,
+    goes through this function.
     """
     # Stamp the active trace id over the first 8 bytes of the fresh id
     # for wire correlation.
@@ -455,253 +416,11 @@ def fetch_trace_spans(transport, trace_id: str) -> list[dict]:
     ))
 
 
-class QueryClient:
-    """The user-side query pipeline both per-endpoint clients share.
+def __getattr__(name: str):
+    # ResilientClient is the one-endpoint ReplicatedClient, so it lives
+    # in repro.net.cluster; it stays importable from here.
+    if name == "ResilientClient":
+        from repro.net.cluster import ResilientClient
 
-    Builds the three queries, runs each under one root span (named by
-    :attr:`SPAN`) with its ``CostLedger`` wall time, verifies every
-    response before returning it, and owns the deadline and backoff
-    arithmetic.  A
-    subclass supplies ``counters`` and the attempt loop,
-    ``_execute_traced(request, verify, query_span)``.
-    """
-
-    #: Root span name of one logical query.
-    SPAN = "client.query"
-    #: Registry-key prefix of this client's slice in :meth:`stats`.
-    METRICS_PREFIX = "repro_client_"
-    #: Histogram prefix of the ``quantiles`` summary in :meth:`stats`.
-    QUANTILES_PREFIX = "repro_"
-
-    def __init__(self, user, policy: Optional[RetryPolicy],
-                 clock: Optional[Clock], rng: Optional[random.Random]):
-        self.user = user
-        self.policy = policy or RetryPolicy()
-        self.clock = clock or Clock()
-        self.rng = rng or random.Random()
-        self._last_trace_id: Optional[str] = None
-
-    def stats(self) -> dict:
-        """One operational snapshot: counters, endpoint state, obs registry.
-
-        The ``registry`` section is this client's slice of the global
-        metrics registry (empty when ``REPRO_OBS=0``) with raw histogram
-        bucket dumps elided — latency distributions surface as
-        interpolated ``quantiles`` summaries instead; ``ledger`` is the
-        cost account of this client's most recent traced query.
-        ``counters`` and the endpoint state are always live.
-        """
-        snapshot = _metrics.registry().snapshot()
-        last = _ledger.ledger().get(self._last_trace_id)
-        return {
-            "counters": self.counters.as_dict(),
-            **self._endpoint_state(),
-            "registry": {
-                key: value for key, value in snapshot.items()
-                if key.startswith(self.METRICS_PREFIX)
-                and "|le=" not in key and not key.endswith("|sum")
-            },
-            "quantiles": _metrics.quantile_summaries(prefix=self.QUANTILES_PREFIX),
-            "ledger": last.as_dict() if last is not None else None,
-        }
-
-    # -- public queries ------------------------------------------------------
-    def query_equality(self, table: str, key, encrypt: bool = True):
-        request = QueryRequest(
-            kind="equality", table=table, lo=tuple(key), hi=tuple(key),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        return self._execute(request, self.user.verify)
-
-    def query_range(self, table: str, lo, hi, encrypt: bool = True):
-        request = QueryRequest(
-            kind="range", table=table, lo=tuple(lo), hi=tuple(hi),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        return self._execute(request, self.user.verify)
-
-    def query_join(self, left: str, right: str, lo, hi, encrypt: bool = True):
-        request = QueryRequest(
-            kind="join", table=left, right_table=right, lo=tuple(lo), hi=tuple(hi),
-            roles=self.user.roles, encrypt=encrypt,
-        )
-        return self._execute(request, self.user.verify_join)
-
-    def _execute(self, request: QueryRequest, verify: Callable):
-        wall_t0 = time.perf_counter()
-        with _trace.span(
-            self.SPAN, kind=request.kind, table=request.table
-        ) as query_span:
-            trace_id = getattr(query_span, "trace_id", None)
-            if trace_id is not None:
-                self._last_trace_id = trace_id
-            try:
-                return self._execute_traced(request, verify, query_span)
-            finally:
-                _ledger.ledger().set_wall(
-                    trace_id, time.perf_counter() - wall_t0
-                )
-
-    def _probe(self, transport) -> Optional[str]:
-        """Best-effort liveness probe before spending a half-open trial.
-
-        Returns the server's status word, or ``None`` when the probe
-        failed: a failed or garbled probe proves nothing (old server,
-        line noise, a tamperer corrupting cheap frames), so the real
-        query proceeds and the endpoint is judged on its answer.
-        """
-        try:
-            status = probe_endpoint(transport, self.rng)
-        except ReproError:
-            return None
-        self.counters.probes += 1
-        return status
-
-    # -- deadline and backoff ------------------------------------------------
-    def _expired(self, start: float) -> bool:
-        if self.policy.deadline is None:
-            return False
-        return self.clock.now() - start >= self.policy.deadline
-
-    def _bounded_backoff(self, attempt: int, start: float,
-                         floor: float = 0.0) -> float:
-        """Backoff for ``attempt``, floored by a server retry-after hint
-        and clamped so the client never sleeps past its own deadline."""
-        delay = max(self.policy.backoff(attempt, self.rng), floor)
-        if self.policy.deadline is not None:
-            remaining = self.policy.deadline - (self.clock.now() - start)
-            delay = min(delay, max(0.0, remaining))
-        return delay
-
-
-class ResilientClient(QueryClient):
-    """Fault-tolerant three-query client over an unreliable transport."""
-
-    def __init__(
-        self,
-        user,
-        transport: Transport,
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        clock: Optional[Clock] = None,
-        rng: Optional[random.Random] = None,
-    ):
-        super().__init__(user, policy, clock, rng)
-        self.transport = transport
-        self.breaker = breaker or CircuitBreaker(clock=self.clock)
-        self.counters = ClientStats()
-
-    def _endpoint_state(self) -> dict:
-        return {
-            "breaker": {
-                "state": self.breaker.state,
-                "consecutive_failures": self.breaker.failures,
-                "failure_threshold": self.breaker.failure_threshold,
-                "reset_timeout": self.breaker.reset_timeout,
-            },
-        }
-
-    # -- the retry loop ------------------------------------------------------
-    def _execute_traced(self, request: QueryRequest, verify: Callable, query_span):
-        was_half_open = self.breaker.state == "half-open"
-        if not self.breaker.allow():
-            self.counters.breaker_rejections += 1
-            _M_OUTCOMES.inc(outcome="breaker_rejected")
-            _LOG.warning("breaker_rejected", kind=request.kind, table=request.table)
-            raise CircuitOpenError(
-                f"circuit open after {self.breaker.failures} consecutive "
-                f"failures; retry after {self.breaker.reset_timeout}s"
-            )
-        try:
-            return self._retry_loop(request, verify, query_span, was_half_open)
-        finally:
-            if was_half_open:
-                # Every exit resolves the claimed half-open probe — even
-                # an exception no branch of the loop expects — or the
-                # breaker is stuck with the slot taken and rejects every
-                # later query.  Idempotent after record_success/failure.
-                self.breaker.release_probe()
-
-    def _retry_loop(self, request: QueryRequest, verify: Callable, query_span,
-                    was_half_open: bool):
-        if was_half_open and self._probe(self.transport) == "draining":
-            # The server is alive but gracefully draining: failing the
-            # half-open probe with a real query would re-open the breaker
-            # for a full window and delay re-admission long past the
-            # server's resume().  Free the probe slot without judgement
-            # and surface a typed overload instead.
-            self.counters.probe_deferrals += 1
-            _M_OUTCOMES.inc(outcome="draining")
-            _LOG.warning("probe_deferred", kind=request.kind, table=request.table)
-            raise OverloadedError(
-                "endpoint is draining (liveness probe); retry after resume"
-            )
-        self.counters.requests += 1
-        _REQUESTS[request.kind].inc()
-        payload = request.to_bytes()
-        start = self.clock.now()
-        last_error: Optional[ReproError] = None
-        for attempt in range(self.policy.max_attempts):
-            if self._expired(start):
-                break
-            if attempt:
-                self.counters.retries += 1
-                _M_RETRIES.inc()
-            self.counters.attempts += 1
-            _ATTEMPT.inc()
-            try:
-                with _trace.span("client.attempt", attempt=attempt):
-                    result = wire_exchange(
-                        self.transport, payload, verify, self.user.group,
-                        self.rng, self.counters,
-                    )
-            except (WorkloadError, AccessDeniedError) as exc:
-                # Deterministic rejection: the query itself is wrong
-                # (workload), or the user's attributes do not satisfy
-                # the result's policy (access denied).  Not an SP
-                # failure — the breaker does not count it (a claimed
-                # half-open probe is freed on the way out).
-                self.counters.failures += 1
-                _M_OUTCOMES.inc(outcome=(
-                    "workload_rejected" if isinstance(exc, WorkloadError)
-                    else "access_denied"
-                ))
-                raise
-            except _RETRYABLE as exc:
-                last_error = exc
-                _M_ATTEMPT_ERRORS.inc(**{"class": count_wire_error(exc, self.counters)})
-                _LOG.warning(
-                    "attempt_failed", attempt=attempt,
-                    error=type(exc).__name__,
-                )
-                # Sleeping after the *final* failed attempt (or once the
-                # deadline is already gone) only delays the error the
-                # caller is about to receive — skip it.
-                if attempt + 1 < self.policy.max_attempts and not self._expired(start):
-                    floor = getattr(exc, "retry_after", None) or 0.0
-                    self.clock.sleep(self._bounded_backoff(attempt, start, floor))
-                continue
-            if self._expired(start):
-                # The response arrived verified but *late*; the deadline
-                # contract says the caller has moved on.
-                break
-            self.breaker.record_success()
-            query_span.set_attributes(attempts=attempt + 1, outcome="verified")
-            _VERIFIED.inc()
-            return result
-        self.counters.failures += 1
-        self.breaker.record_failure()
-        _M_OUTCOMES.inc(outcome="failed")
-        query_span.set_attribute("outcome", "failed")
-        _LOG.error(
-            "query_failed", kind=request.kind, table=request.table,
-            last_error=type(last_error).__name__ if last_error else None,
-        )
-        if self._expired(start):
-            raise DeadlineExceededError(
-                f"deadline of {self.policy.deadline}s exceeded after "
-                f"{self.counters.attempts} attempt(s)"
-            ) from last_error
-        raise last_error if last_error is not None else TransportError(
-            "request failed before any attempt was made"
-        )
+        return ResilientClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,27 +1,44 @@
-"""Replicated SP serving: failover, hedging, and Byzantine quarantine.
+"""The one client loop: failover, hedging, and Byzantine quarantine.
 
 The paper's deployment model makes the SP *untrusted*: VO verification
-is a cryptographic misbehaviour detector.  A single-endpoint client can
-only use that detector to *reject* — availability still dies with its
-one SP.  :class:`ReplicatedClient` turns the detector into a router: a
-logical query fans over N replica endpoints, and an endpoint whose
-response **fails verification** is treated fundamentally differently
-from one that merely times out:
+is a cryptographic misbehaviour detector.  :class:`ReplicatedClient`
+turns the detector into a router: a logical query fans over N replica
+endpoints, and an endpoint whose response **fails verification** is
+treated fundamentally differently from one that merely times out.
+:class:`ResilientClient` is the same loop over one transport —
+there is no second attempt loop — so every rule below holds for one SP
+and for N replicas alike:
 
+* **attempts and the deadline** — one pass tries every eligible endpoint
+  in health order; a :class:`~repro.net.client.RetryPolicy` attempt is
+  one pass, the deadline spans all passes, each wire attempt is framed
+  under a fresh request id, and no backoff is slept after the final
+  pass.
 * **tamper eviction** — a :class:`~repro.errors.VerificationError`-class
   failure (forged proof, forged sealed envelope) proves the *content*
   was wrong.  The endpoint is
   quarantined for ``quarantine_window`` seconds, its health score is
   zeroed, and ``repro_cluster_evicted_total{endpoint=...,reason="tamper"}``
   increments.  A persistent tamperer is re-quarantined on every probe
-  and effectively leaves the rotation.
+  and effectively leaves the rotation.  **The only endpoint there is is
+  never quarantined**: with nowhere to fail over, parking it would turn
+  one forged reply into ``quarantine_window`` of downtime, so its
+  tampers are retried and counted on its breaker like a transport
+  failure (the endpoint-count rule rejection corroboration uses too).
 * **transport eviction** — drops, timeouts, undecodable frames, and
   server error frames feed the endpoint's per-endpoint
-  :class:`~repro.net.client.CircuitBreaker`; when it opens the endpoint
+  :class:`~repro.net.client.CircuitBreaker`, which counts *attempts*;
+  when it opens the endpoint
   is excluded for the breaker's reset window and
   ``...{reason="transport"}`` increments.  Transport faults are
   innocent-until-proven-guilty: the replica may just be behind a bad
-  link.
+  link.  A pass that finds no eligible endpoint sleeps until the
+  earliest relief (quarantine end, overload backoff end, breaker
+  half-open), within the query's deadline and attempt budget; when the
+  budget runs out first the query raises
+  :class:`~repro.errors.CircuitOpenError` — or
+  :class:`~repro.errors.OverloadedError` with the remaining hint when
+  every endpoint is backing off an overload.
 * **deterministic rejections are corroborated** — ``workload`` error
   frames and CP-ABE policy denials
   (:class:`~repro.errors.AccessDeniedError`) look like properties of
@@ -41,16 +58,23 @@ from one that merely times out:
   successes (``suspicion_decay``) clears it — one transient forgery
   (or one query that raced a config change) cannot bias ranking
   against an honest replica forever.
+* **overload and drain** — an ``overloaded`` error frame takes the
+  endpoint out of rotation for exactly the server's ``retry-after``
+  hint, across queries — no breaker penalty, no quarantine — so an
+  overload burst is absorbed by waiting, not by evicting healthy
+  replicas.  A half-open trial first sends a cheap liveness probe
+  (:func:`~repro.net.client.probe_endpoint`); a server that answers
+  ``draining`` keeps its breaker half-open with the trial slot freed,
+  counts in ``probe_deferrals``, and the query raises
+  :class:`~repro.errors.OverloadedError` unless an endpoint answers
+  within the query's budget.  Every half-open trial a query claims is
+  resolved when the query ends, whatever it raised.
 
 Endpoint selection ranks eligible replicas by a success-EWMA health
 score, breaking ties least-recently-attempted first (deterministic
 round-robin among equally healthy replicas, so load spreads **and**
 every replica keeps getting probed — a tamperer cannot hide behind
-never being selected).  ``overloaded`` error frames take the endpoint
-out of rotation
-for exactly the server's ``retry-after`` hint — no breaker penalty, no
-quarantine — so an overload burst is absorbed by waiting, not by
-evicting healthy replicas.
+never being selected).
 
 **Hedging.**  With ``hedge_percentile`` set, the client tracks observed
 attempt latencies (bounded reservoir); once a verified primary response
@@ -62,23 +86,23 @@ even a forged rejection frame — can surface as a failure past the
 already-verified answer.  The hedge's value is the probe — it keeps the
 backup's health and latency estimates warm so the *next* failover
 decision is informed.  Hedges are counted in
-``repro_cluster_hedges_total``.
+``repro_cluster_hedges_total``.  One endpoint has no backup, so it
+never hedges.
 
-The soundness invariant is inherited, not re-implemented: every result
-returned by this class went through the same
-:func:`~repro.net.client.wire_exchange` → ``verify`` path as the
-single-endpoint client, so **no unverified result is ever returned**,
-no matter which replica answered.  See ``docs/OPERATIONS.md``
-("Replication, failover, and overload") and ``benchmarks/chaos_soak.py``
-for the invariant drill.
+The soundness invariant is held in one place: every result returned by
+this loop went through :func:`~repro.net.client.wire_exchange` →
+``verify``, so **no unverified result is ever returned**, no matter
+which replica answered.  See ``docs/OPERATIONS.md`` ("Replication,
+failover, and overload") and ``benchmarks/chaos_soak.py`` for the
+invariant drill.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.messages import QueryRequest
 from repro.errors import (
@@ -88,20 +112,21 @@ from repro.errors import (
     OverloadedError,
     ReproError,
     StaleEpochError,
-    TransportError,
     WorkloadError,
 )
 from repro.net.client import (
     CircuitBreaker,
     ClientStats,
-    QueryClient,
     RetryPolicy,
     count_wire_error,
     fetch_trace_spans,
     is_tamper_error,
+    probe_endpoint,
     wire_exchange,
 )
+from repro.net.server import PROBE_DRAINING, PROBE_READY
 from repro.net.transport import Clock, Transport
+from repro.obs import ledger as _ledger
 from repro.obs import logging as _obslog
 from repro.obs import metrics as _metrics
 from repro.obs import relay as _relay
@@ -109,12 +134,16 @@ from repro.obs import trace as _trace
 
 _REG = _metrics.registry()
 _M_REQUESTS = _REG.counter(
-    "repro_cluster_requests_total", "Logical queries issued by ReplicatedClient.",
+    "repro_cluster_requests_total", "Logical queries issued by the client.",
     labelnames=("kind",),
 )
 _M_ATTEMPTS = _REG.counter(
     "repro_cluster_attempts_total", "Wire attempts per endpoint.",
     labelnames=("endpoint",),
+)
+_M_ATTEMPT_ERRORS = _REG.counter(
+    "repro_cluster_attempt_errors_total", "Failed attempts by error class.",
+    labelnames=("class",),
 )
 _M_OUTCOMES = _REG.counter(
     "repro_cluster_outcomes_total", "Logical query outcomes.",
@@ -147,6 +176,12 @@ _M_STALE = _REG.counter(
     "not quarantined).",
     labelnames=("endpoint",),
 )
+# The per-query updates, with their label sets resolved once.
+_REQUESTS = {kind: _M_REQUESTS.labels(kind=kind) for kind in ("equality", "range", "join")}
+_OUTCOMES = {
+    outcome: _M_OUTCOMES.labels(outcome=outcome)
+    for outcome in ("verified", "failed", "workload_rejected", "access_denied")
+}
 _LOG = _obslog.get_logger("cluster")
 
 #: Health-score EWMA step: one observation moves the score 30% of the way
@@ -177,6 +212,12 @@ class Endpoint:
         self.rejection_suspects = 0
         self._suspicion_clean_streak = 0
         self.evictions: Dict[str, int] = {"tamper": 0, "transport": 0}
+        # This endpoint's per-attempt and per-probe series, resolved once.
+        self.attempt_metric = _M_ATTEMPTS.labels(endpoint=name)
+        self.probe_metrics = {
+            status: _M_PROBES.labels(endpoint=name, status=status)
+            for status in (PROBE_READY, PROBE_DRAINING)
+        }
 
     @property
     def quarantined(self) -> bool:
@@ -185,7 +226,7 @@ class Endpoint:
 
     def eligible(self, now: float) -> bool:
         """In rotation: not quarantined, not backing off, breaker not open."""
-        if self.quarantined:
+        if self.quarantined_until is not None and now < self.quarantined_until:
             return False
         if now < self.backoff_until:
             return False
@@ -228,7 +269,12 @@ class Endpoint:
             "quarantined": self.quarantined,
             "quarantined_until": self.quarantined_until,
             "backoff_until": self.backoff_until,
-            "breaker": self.breaker.state,
+            "breaker": {
+                "state": self.breaker.state,
+                "consecutive_failures": self.breaker.failures,
+                "failure_threshold": self.breaker.failure_threshold,
+                "reset_timeout": self.breaker.reset_timeout,
+            },
             "attempts": self.attempts,
             "successes": self.successes,
             "rejection_suspects": self.rejection_suspects,
@@ -236,46 +282,22 @@ class Endpoint:
         }
 
 
-@dataclass
-class ClusterStats:
-    """Cluster-level counters (per-endpoint detail lives on Endpoint)."""
-
-    requests: int = 0
-    verified: int = 0
-    failures: int = 0
-    failovers: int = 0
-    hedges: int = 0
-    probes: int = 0
-    quarantines: int = 0
-    rejection_suspects: int = 0
-    overload_backoffs: int = 0
-    exhausted_rotations: int = 0
-    wire: ClientStats = field(default_factory=ClientStats)
-
-    def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["wire"] = self.wire.as_dict()
-        return out
-
-
-class ReplicatedClient(QueryClient):
+class ReplicatedClient:
     """Fan one logical query across N SP replicas; trust only the proofs.
 
     ``transports`` maps endpoint name → :class:`~repro.net.transport.
-    Transport`.  The query API is :class:`~repro.net.client.QueryClient`'s
-    (``query_equality`` / ``query_range`` / ``query_join``), shared with
-    :class:`~repro.net.client.ResilientClient`, so the two are drop-in
-    interchangeable.
-
-    One *attempt* (in :class:`~repro.net.client.RetryPolicy` terms) is a
-    full failover pass: every currently-eligible endpoint is tried in
-    health order before the client sleeps a backoff.  The deadline spans
-    all attempts, exactly like the single-endpoint client.
+    Transport`.  Builds the three queries (``query_equality`` /
+    ``query_range`` / ``query_join``), runs each under one root span
+    (named by :attr:`SPAN`) with its ``CostLedger`` wall time, and
+    returns only results that verified.  The attempt loop follows the
+    rules in this module's docstring; :class:`ResilientClient` is this
+    class over one endpoint.
     """
 
+    #: Root span name of one logical query.
     SPAN = "cluster.query"
-    METRICS_PREFIX = "repro_cluster_"
-    QUANTILES_PREFIX = "repro_cluster_"
+    #: Span name of one wire attempt (it carries the endpoint's name).
+    ATTEMPT_SPAN = "cluster.attempt"
 
     def __init__(
         self,
@@ -300,7 +322,10 @@ class ReplicatedClient(QueryClient):
             raise ReproError("hedge_percentile must be in (0, 1) or None")
         if suspicion_decay < 1:
             raise ReproError("suspicion_decay must be >= 1")
-        super().__init__(user, policy, clock, rng)
+        self.user = user
+        self.policy = policy or RetryPolicy()
+        self.clock = clock or Clock()
+        self.rng = rng or random.Random()
         self.quarantine_window = quarantine_window
         self.hedge_percentile = hedge_percentile
         self.hedge_min_samples = max(2, hedge_min_samples)
@@ -313,8 +338,80 @@ class ReplicatedClient(QueryClient):
             )
             for name, transport in transports.items()
         }
-        self.counters = ClusterStats()
+        self.counters = ClientStats()
         self._latencies: deque = deque(maxlen=latency_reservoir)
+        self._last_trace_id: Optional[str] = None
+
+    def stats(self) -> dict:
+        """One operational snapshot: counters, endpoint state, obs registry.
+
+        The ``registry`` section is the client slice (``repro_cluster_*``)
+        of the global metrics registry (empty when ``REPRO_OBS=0``) with
+        raw histogram bucket dumps elided — latency distributions surface
+        as interpolated ``quantiles`` summaries instead; ``ledger`` is the
+        cost account of this client's most recent traced query.
+        ``counters`` and ``endpoints`` are always live.
+        """
+        snapshot = _metrics.registry().snapshot()
+        last = _ledger.ledger().get(self._last_trace_id)
+        return {
+            "counters": self.counters.as_dict(),
+            "endpoints": {
+                name: ep.snapshot() for name, ep in self.endpoints.items()
+            },
+            "registry": {
+                key: value for key, value in snapshot.items()
+                if key.startswith("repro_cluster_")
+                and "|le=" not in key and not key.endswith("|sum")
+            },
+            "quantiles": _metrics.quantile_summaries(prefix="repro_"),
+            "ledger": last.as_dict() if last is not None else None,
+        }
+
+    # -- public queries ------------------------------------------------------
+    def query_equality(self, table: str, key, encrypt: bool = True):
+        request = QueryRequest(
+            kind="equality", table=table, lo=tuple(key), hi=tuple(key),
+            roles=self.user.roles, encrypt=encrypt,
+        )
+        return self._execute(request, self.user.verify)
+
+    def query_range(self, table: str, lo, hi, encrypt: bool = True):
+        request = QueryRequest(
+            kind="range", table=table, lo=tuple(lo), hi=tuple(hi),
+            roles=self.user.roles, encrypt=encrypt,
+        )
+        return self._execute(request, self.user.verify)
+
+    def query_join(self, left: str, right: str, lo, hi, encrypt: bool = True):
+        request = QueryRequest(
+            kind="join", table=left, right_table=right, lo=tuple(lo), hi=tuple(hi),
+            roles=self.user.roles, encrypt=encrypt,
+        )
+        return self._execute(request, self.user.verify_join)
+
+    def _execute(self, request: QueryRequest, verify: Callable):
+        wall_t0 = time.perf_counter()
+        claimed: List[Endpoint] = []  # endpoints whose half-open trial we hold
+        with _trace.span(
+            self.SPAN, kind=request.kind, table=request.table
+        ) as query_span:
+            trace_id = getattr(query_span, "trace_id", None)
+            if trace_id is not None:
+                self._last_trace_id = trace_id
+            try:
+                return self._execute_traced(request, verify, query_span, claimed)
+            finally:
+                # Every exit resolves the half-open trials this query
+                # claimed (the hedge's included), even on an exception no
+                # branch of the loop expects; otherwise a breaker keeps
+                # the slot taken and its endpoint never re-enters the
+                # rotation.  Idempotent after record_success/failure.
+                for endpoint in claimed:
+                    endpoint.breaker.release_probe()
+                _ledger.ledger().set_wall(
+                    trace_id, time.perf_counter() - wall_t0
+                )
 
     # -- selection -----------------------------------------------------------
     def _ranked(self, now: float) -> list:
@@ -330,9 +427,10 @@ class ReplicatedClient(QueryClient):
         window) but never outrank replicas with a clean record.
         """
         eligible = [e for e in self.endpoints.values() if e.eligible(now)]
-        eligible.sort(key=lambda e: (
-            min(e.rejection_suspects, 1), -e.health, e.last_attempt_at, e.name,
-        ))
+        if len(eligible) > 1:
+            eligible.sort(key=lambda e: (
+                min(e.rejection_suspects, 1), -e.health, e.last_attempt_at, e.name,
+            ))
         return eligible
 
     def _earliest_relief(self, now: float) -> Optional[float]:
@@ -349,13 +447,21 @@ class ReplicatedClient(QueryClient):
                     horizons.append(opened + ep.breaker.reset_timeout - now)
         return max(0.0, min(horizons)) if horizons else None
 
+    def _no_endpoint_error(self, now: float) -> ReproError:
+        """Why no endpoint took the query: overload backoff or breakers."""
+        wait = min(ep.backoff_until for ep in self.endpoints.values()) - now
+        if wait > 0:
+            return OverloadedError(
+                f"every endpoint is backing off an overload; retry after {wait:g}s",
+                retry_after=wait,
+            )
+        return CircuitOpenError(
+            "no eligible endpoint: all replicas quarantined, "
+            "backing off, or circuit-open"
+        )
+
     # -- eviction ------------------------------------------------------------
     def _quarantine(self, endpoint: Endpoint, now: float) -> None:
-        # The failed exchange may have been the breaker's half-open
-        # probe; release it, or once the quarantine window expires the
-        # breaker would reject every re-probe forever and the endpoint
-        # could never re-enter the rotation.
-        endpoint.breaker.release_probe()
         endpoint.quarantined_until = now + self.quarantine_window
         endpoint.health = 0.0
         endpoint.evictions["tamper"] += 1
@@ -426,21 +532,23 @@ class ReplicatedClient(QueryClient):
         ``overloaded`` takes the endpoint out of rotation for exactly the
         server's ``retry-after`` hint (returned, so the caller's backoff
         honours it) with no breaker penalty: the replica is healthy, just
-        busy.  Otherwise a tamper quarantines the endpoint and anything
-        else — a stale epoch included — is a transport failure.
+        busy.  Otherwise a tamper quarantines the endpoint — unless it is
+        the only one — and anything else, a stale epoch included, is a
+        transport failure.
         """
-        count_wire_error(exc, self.counters.wire)
+        label = count_wire_error(exc, self.counters)
+        if label is not None:
+            _M_ATTEMPT_ERRORS.inc(**{"class": label})
         if isinstance(exc, OverloadedError):
             hint = exc.retry_after if exc.retry_after is not None else 0.0
             endpoint.backoff_until = self.clock.now() + hint
-            self.counters.overload_backoffs += 1
             _M_OVERLOAD_WAITS.inc(endpoint=endpoint.name)
             endpoint.breaker.record_success()
             return hint
         if isinstance(exc, StaleEpochError):
             _M_STALE.inc(endpoint=endpoint.name)
             _trace.add_event("stale_epoch", endpoint=endpoint.name)
-        if is_tamper_error(exc):
+        if is_tamper_error(exc) and len(self.endpoints) > 1:
             self._quarantine(endpoint, self.clock.now())
         else:
             self._transport_failure(endpoint)
@@ -453,14 +561,20 @@ class ReplicatedClient(QueryClient):
         which would re-open the breaker and push re-admission further
         out; the probe lets the breaker tell "alive but draining" from
         "dead".  Only an affirmative ``draining`` status defers (the
-        probe slot is released, no penalty recorded).
+        probe slot is released, no penalty recorded).  A failed or
+        garbled probe proves nothing (old server, line noise, a tamperer
+        corrupting cheap frames), so the real query proceeds and the
+        endpoint is judged on its answer.
         """
-        status = self._probe(endpoint.transport)
-        if status is None:
+        try:
+            status = probe_endpoint(endpoint.transport, self.rng)
+        except ReproError:
             return False
-        _M_PROBES.inc(endpoint=endpoint.name, status=status)
-        if status != "draining":
+        self.counters.probes += 1
+        endpoint.probe_metrics[status].inc()
+        if status != PROBE_DRAINING:
             return False
+        self.counters.probe_deferrals += 1
         endpoint.breaker.release_probe()
         _trace.add_event("probe_deferred", endpoint=endpoint.name)
         _LOG.info("probe_deferred", endpoint=endpoint.name)
@@ -471,10 +585,27 @@ class ReplicatedClient(QueryClient):
             sum(1 for e in self.endpoints.values() if e.quarantined)
         )
 
-    # -- the failover loop ---------------------------------------------------
-    def _execute_traced(self, request: QueryRequest, verify, query_span):
+    # -- deadline and backoff ------------------------------------------------
+    def _expired(self, start: float) -> bool:
+        if self.policy.deadline is None:
+            return False
+        return self.clock.now() - start >= self.policy.deadline
+
+    def _bounded_backoff(self, attempt: int, start: float,
+                         floor: float = 0.0) -> float:
+        """Backoff for ``attempt``, floored by a server retry-after hint
+        and clamped so the client never sleeps past its own deadline."""
+        delay = max(self.policy.backoff(attempt, self.rng), floor)
+        if self.policy.deadline is not None:
+            remaining = self.policy.deadline - (self.clock.now() - start)
+            delay = min(delay, max(0.0, remaining))
+        return delay
+
+    # -- the attempt loop ----------------------------------------------------
+    def _execute_traced(self, request: QueryRequest, verify, query_span,
+                        claimed: List[Endpoint]):
         self.counters.requests += 1
-        _M_REQUESTS.inc(kind=request.kind)
+        _REQUESTS[request.kind].inc()
         payload = request.to_bytes()
         start = self.clock.now()
         last_error: Optional[ReproError] = None
@@ -482,21 +613,23 @@ class ReplicatedClient(QueryClient):
         for attempt in range(self.policy.max_attempts):
             if self._expired(start):
                 break
-            now = self.clock.now()
-            ranked = self._ranked(now)
+            ranked = self._ranked(self.clock.now())
             if not ranked:
                 self.counters.exhausted_rotations += 1
-                last_error = last_error or CircuitOpenError(
-                    "no eligible endpoint: all replicas quarantined, "
-                    "backing off, or circuit-open"
-                )
             retry_floor = 0.0
             for position, endpoint in enumerate(ranked):
-                was_half_open = endpoint.breaker.state == "half-open"
+                half_open = endpoint.breaker.state == "half-open"
                 if not endpoint.breaker.allow():
-                    continue  # half-open probe already taken elsewhere
-                if was_half_open and self._probe_draining(endpoint):
-                    continue  # resting, not failing: slot freed, no penalty
+                    continue  # half-open trial already taken elsewhere
+                if half_open:
+                    claimed.append(endpoint)
+                    if self._probe_draining(endpoint):
+                        # Resting, not failing: slot freed, no penalty.
+                        last_error = OverloadedError(
+                            f"endpoint {endpoint.name} is draining (liveness "
+                            "probe); retry after resume"
+                        )
+                        continue
                 if position:
                     self.counters.failovers += 1
                     _trace.add_event("failover", to=endpoint.name)
@@ -509,12 +642,10 @@ class ReplicatedClient(QueryClient):
                     if self._corroborated_rejection(endpoint, exc, rejected_by):
                         # Independent replicas agree: the rejection is a
                         # property of the query, not of an endpoint.
-                        endpoint.breaker.release_probe()
-                        _M_OUTCOMES.inc(outcome=(
-                            "workload_rejected"
-                            if isinstance(exc, WorkloadError)
-                            else "access_denied"
-                        ))
+                        self.counters.failures += 1
+                        _OUTCOMES["workload_rejected"
+                                  if isinstance(exc, WorkloadError)
+                                  else "access_denied"].inc()
                         raise
                     continue
                 except ReproError as exc:
@@ -529,13 +660,17 @@ class ReplicatedClient(QueryClient):
                     attempts=attempt + 1, endpoint=endpoint.name,
                     outcome="verified",
                 )
-                _M_OUTCOMES.inc(outcome="verified")
+                _OUTCOMES["verified"].inc()
                 # Hedge only after the verified result is secured: the
                 # probe's extra round-trip runs after the deadline
                 # check, so a slow or misbehaving backup can no longer
                 # cost the caller the answer it already earned.
-                self._maybe_hedge(endpoint, ranked, payload, verify, latency)
-                self._update_quarantine_gauge()
+                self._maybe_hedge(endpoint, ranked, payload, verify, latency,
+                                  claimed)
+                if self.counters.quarantines:
+                    # Refresh the gauge once some quarantine has begun, so
+                    # it falls back when a window ends.
+                    self._update_quarantine_gauge()
                 return result
             if self._expired(start):
                 break
@@ -545,30 +680,29 @@ class ReplicatedClient(QueryClient):
                     retry_floor = max(retry_floor, relief)
                 self.clock.sleep(self._bounded_backoff(attempt, start, retry_floor))
         self.counters.failures += 1
-        _M_OUTCOMES.inc(outcome="failed")
+        _OUTCOMES["failed"].inc()
         query_span.set_attribute("outcome", "failed")
+        last_error = last_error or self._no_endpoint_error(self.clock.now())
         _LOG.error(
-            "cluster_query_failed", kind=request.kind, table=request.table,
-            last_error=type(last_error).__name__ if last_error else None,
+            "query_failed", kind=request.kind, table=request.table,
+            last_error=type(last_error).__name__,
         )
         if self._expired(start):
             raise DeadlineExceededError(
                 f"deadline of {self.policy.deadline}s exceeded across "
                 f"{len(self.endpoints)} endpoint(s)"
             ) from last_error
-        raise last_error if last_error is not None else TransportError(
-            "query failed before any endpoint was attempted"
-        )
+        raise last_error
 
     def _try_endpoint(self, endpoint: Endpoint, payload: bytes, verify):
+        self.counters.attempts += 1
         endpoint.attempts += 1
-        endpoint.last_attempt_at = self.clock.now()
-        _M_ATTEMPTS.inc(endpoint=endpoint.name)
-        before = self.clock.now()
-        with _trace.span("cluster.attempt", endpoint=endpoint.name):
+        endpoint.last_attempt_at = before = self.clock.now()
+        endpoint.attempt_metric.inc()
+        with _trace.span(self.ATTEMPT_SPAN, endpoint=endpoint.name):
             result = wire_exchange(
                 endpoint.transport, payload, verify, self.user.group,
-                self.rng, self.counters.wire,
+                self.rng, self.counters,
             )
         latency = self.clock.now() - before
         self._latencies.append(latency)
@@ -576,8 +710,6 @@ class ReplicatedClient(QueryClient):
 
     # -- hedging -------------------------------------------------------------
     def _hedge_threshold(self) -> Optional[float]:
-        if self.hedge_percentile is None:
-            return None
         if len(self._latencies) < self.hedge_min_samples:
             return None
         ordered = sorted(self._latencies)
@@ -587,7 +719,7 @@ class ReplicatedClient(QueryClient):
         return ordered[index]
 
     def _maybe_hedge(self, primary: Endpoint, ranked, payload, verify,
-                     latency: float) -> None:
+                     latency: float, claimed: List[Endpoint]) -> None:
         """Probe the next-best endpoint after a slow (verified) primary.
 
         The primary's result already won the race *and is already
@@ -595,14 +727,22 @@ class ReplicatedClient(QueryClient):
         result is returned), so no outcome here may raise; the hedge
         keeps the backup's health/latency estimates warm and is
         counted, so operators can see tail-latency pressure building.
+        A half-open trial the hedge claims goes into ``claimed``.
         """
+        if self.hedge_percentile is None or len(ranked) < 2:
+            return  # hedging off, or no backup in rotation
         threshold = self._hedge_threshold()
         if threshold is None or latency <= threshold:
             return
-        backup = next(
-            (e for e in ranked if e is not primary and e.breaker.allow()), None
-        )
-        if backup is None:
+        for backup in ranked:
+            if backup is primary:
+                continue
+            half_open = backup.breaker.state == "half-open"
+            if backup.breaker.allow():
+                if half_open:
+                    claimed.append(backup)
+                break
+        else:
             return
         self.counters.hedges += 1
         _M_HEDGES.inc()
@@ -706,12 +846,37 @@ class ReplicatedClient(QueryClient):
             return None
         return _relay.assemble_trace(root, self.collect_remote_spans(trace_id))
 
-    def _endpoint_state(self) -> dict:
-        return {
-            "endpoints": {
-                name: ep.snapshot() for name, ep in self.endpoints.items()
-            },
-        }
+
+class ResilientClient(ReplicatedClient):
+    """The client over one SP: :class:`ReplicatedClient` with one endpoint.
+
+    Every rule of the one loop applies with one endpoint: its breaker
+    counts attempts and an open breaker is waited out within the query's
+    deadline and attempt budget; a tamper is retried and counted on the
+    breaker, never quarantined; a rejection is trusted at once (the only
+    endpoint there is corroborates itself); there is no backup to hedge
+    to.  The endpoint is named ``"sp"``; ``failure_threshold`` and
+    ``reset_timeout`` build its breaker, with the
+    :class:`~repro.net.client.CircuitBreaker` defaults.  Spans keep the
+    single-SP names.
+    """
+
+    SPAN = "client.query"
+    ATTEMPT_SPAN = "client.attempt"
+
+    def __init__(self, user, transport: Transport,
+                 policy: Optional[RetryPolicy] = None,
+                 clock: Optional[Clock] = None,
+                 rng: Optional[random.Random] = None,
+                 *, failure_threshold: int = 5, reset_timeout: float = 30.0):
+        super().__init__(user, {"sp": transport}, policy, clock, rng,
+                         failure_threshold=failure_threshold,
+                         reset_timeout=reset_timeout)
+        self.endpoint = self.endpoints["sp"]
+
+    @property
+    def breaker(self) -> CircuitBreaker:
+        return self.endpoint.breaker
 
 
-__all__ = ["ClusterStats", "Endpoint", "ReplicatedClient"]
+__all__ = ["Endpoint", "ReplicatedClient", "ResilientClient"]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.codec import decode_frame
 from repro.core.messages import ErrorResponse, SPServer, is_ingest_frame
 from repro.errors import (
     DeserializationError,
@@ -111,16 +112,17 @@ _LOG = _obslog.get_logger("server")
 
 def decode_stats_response(payload: bytes) -> str:
     """The exposition text inside a :data:`STATS_RESPONSE` payload."""
-    if payload[: len(STATS_RESPONSE)] != STATS_RESPONSE:
-        raise DeserializationError("not a stats response")
-    return payload[len(STATS_RESPONSE):].decode("utf-8")
+    with decode_frame(payload, "stats response", STATS_RESPONSE) as reader:
+        return reader.take(len(payload) - reader.off).decode("utf-8")
 
 
 def decode_probe_response(payload: bytes) -> str:
     """The status word inside a :data:`PROBE_RESPONSE` payload."""
-    if payload[: len(PROBE_RESPONSE)] != PROBE_RESPONSE:
-        raise DeserializationError("not a probe response")
-    return payload[len(PROBE_RESPONSE):].decode("utf-8")
+    with decode_frame(payload, "probe response", PROBE_RESPONSE) as reader:
+        status = reader.take(len(payload) - reader.off).decode("utf-8")
+        if status not in (PROBE_READY, PROBE_DRAINING):
+            raise DeserializationError(f"unknown probe status {status!r}")
+        return status
 
 
 def trace_request(trace_id: str) -> bytes:

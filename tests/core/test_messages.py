@@ -131,3 +131,28 @@ def test_server_rejects_unknown_table(env):
 def test_response_rejects_garbage(env):
     with pytest.raises(DeserializationError):
         decode_response(simulated(), b"garbage")
+
+
+@pytest.mark.parametrize("flag", ["encrypt", "sealed", "freshness"])
+def test_flag_bytes_other_than_00_and_01_are_rejected(env, flag):
+    """Every one-byte flag is canonical: 02 is a decode error, not False."""
+    rng, owner, server, user = env
+    request = QueryRequest(kind="range", table="docs", lo=(0,), hi=(31,),
+                           roles=user.roles, encrypt=False)
+    if flag == "encrypt":
+        data, decode = request.to_bytes(), QueryRequest.from_bytes
+        offset = len(data) - 1  # the request's last byte
+    else:
+        data = server.handle(request.to_bytes())
+        decode = lambda d: decode_response(simulated(), d)  # noqa: E731
+        if flag == "freshness":
+            offset = len(data) - 1  # no token follows the flag
+        else:
+            reader = Reader(data, 4)  # past the magic: kind, lo, hi
+            reader.take_str(), reader.take_point(), reader.take_point()
+            offset = reader.off
+    decode(data)
+    assert data[offset] in (0, 1)
+    mutated = data[:offset] + b"\x02" + data[offset + 1:]
+    with pytest.raises(DeserializationError, match=f"unknown {flag} flag tag 2"):
+        decode(mutated)

@@ -49,6 +49,29 @@ def test_tree_roundtrip_structure(env):
     assert original == round_tripped
 
 
+@pytest.mark.parametrize("flag", ["record", "pseudo-record"])
+def test_tree_flag_bytes_other_than_00_and_01_are_rejected(env, flag):
+    """A node's has-record and is-pseudo flags are canonical: 02 is a
+    decode error, not False."""
+    from repro.core.persistence import _write_content
+
+    rng, owner, ds, tree, auth = env
+    blob = serialize_tree(tree)
+    leaf = next(n for n in tree.iter_nodes() if n.record is not None)
+    content, bare = bytearray(), bytearray()
+    _write_content(content, leaf.box, leaf.policy, leaf.signature, leaf.record)
+    _write_content(bare, leaf.box, leaf.policy, leaf.signature, None)
+    # The has-record flag ends the record-less content; is-pseudo ends
+    # the full content.
+    offset = blob.index(bytes(content)) + (
+        len(bare) - 1 if flag == "record" else len(content) - 1
+    )
+    assert blob[offset] in (0, 1)
+    mutated = blob[:offset] + b"\x02" + blob[offset + 1:]
+    with pytest.raises(DeserializationError, match=f"unknown {flag} flag tag 2"):
+        deserialize_tree(simulated(), mutated)
+
+
 def test_restored_tree_answers_verifiable_queries(env):
     rng, owner, ds, tree, auth = env
     restored = deserialize_tree(simulated(), serialize_tree(tree))

@@ -100,12 +100,12 @@ def test_release_probe_frees_the_half_open_slot():
 
 def test_workload_rejection_releases_half_open_probe(env):
     clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
     client = ResilientClient(
         env.user, LoopbackTransport(env.hardened.handle_frame, clock=clock),
         policy=RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0),
-        breaker=breaker, clock=clock, rng=random.Random(7),
+        failure_threshold=1, reset_timeout=10.0, clock=clock, rng=random.Random(7),
     )
+    breaker = client.breaker
     breaker.record_failure()  # open ...
     clock.advance(10.0)       # ... then half-open: the next call is the probe
     with pytest.raises(WorkloadError):
@@ -161,7 +161,7 @@ class AlwaysFail(Transport):
 def make_failing_client(env, policy, clock):
     return ResilientClient(
         env.user, AlwaysFail(), policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(7),
     )
 
@@ -198,7 +198,7 @@ def test_no_sleep_once_deadline_is_gone(env):
     policy = RetryPolicy(max_attempts=5, base_delay=3.0, jitter=0.0, deadline=8.0)
     client = ResilientClient(
         env.user, SlowFail(), policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(7),
     )
     with pytest.raises(TransportError):
@@ -222,7 +222,7 @@ def test_retry_after_hint_floors_the_backoff(env):
     policy = RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0)
     client = ResilientClient(
         env.user, OverloadedTwice(), policy=policy,
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(7),
     )
     with pytest.raises(OverloadedError):
@@ -231,6 +231,26 @@ def test_retry_after_hint_floors_the_backoff(env):
     # (backoff(0) alone would be 0.01), none after the final attempt.
     assert clock.now() == pytest.approx(2.5)
     assert client.counters.overload_rejections == 2
+
+
+def test_default_policy_waits_out_an_open_breaker_past_max_delay(env):
+    """An empty rotation sleeps to the breaker's half-open edge, which
+    ``max_delay`` does not cap: with the default policy (five attempts,
+    no deadline) and breaker (threshold 5, 30 s reset), a query that
+    finds the only SP's breaker open blocks for (5 - 1) x 30 s."""
+    clock = FakeClock()
+    client = ResilientClient(env.user, AlwaysFail(), clock=clock,
+                             rng=random.Random(7))
+    with pytest.raises(TransportError):
+        run_query(client, "range")  # five failed attempts open the breaker
+    assert client.breaker.state == "open"
+    opened = clock.now()
+    with pytest.raises(TransportError):
+        run_query(client, "range")
+    # One relief wait before each of the four half-open trials, each
+    # trial re-opening the breaker; none after the final pass.
+    assert clock.now() - opened == pytest.approx(4 * 30.0)
+    assert client.counters.attempts == 5 + 4
 
 
 # -- RetryPolicy degenerate configurations -----------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the resilient client: retries, deadlines, breaker, detection."""
+"""Tests for the one-endpoint client: retries, deadlines, breaker, detection."""
 
 import dataclasses
 import random
@@ -29,6 +29,7 @@ from repro.net import (
     FakeClock,
     FaultyTransport,
     LoopbackTransport,
+    ReplicatedClient,
     ResilientClient,
     RetryPolicy,
     Transport,
@@ -39,15 +40,16 @@ from repro.net.transport import frame, unframe
 from .conftest import NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO, ResealTransport, run_query
 
 
-def make_client(env, transport, clock=None, policy=None, breaker=None, seed=1):
-    clock = clock or FakeClock()
+def make_client(env, transport, clock=None, policy=None, seed=1,
+                failure_threshold=1000, **options):
     return ResilientClient(
         env.user,
         transport,
         policy=policy or RetryPolicy(max_attempts=6, base_delay=0.01),
-        breaker=breaker or CircuitBreaker(failure_threshold=1000, clock=clock),
-        clock=clock,
+        clock=clock or FakeClock(),
         rng=random.Random(seed),
+        failure_threshold=failure_threshold,
+        **options,
     )
 
 
@@ -74,7 +76,7 @@ def test_perfect_transport_all_query_kinds(env):
         assert client.query_equality("docs", (20,), encrypt=encrypt) == []  # absent
     assert client.counters.requests == 10
     assert client.counters.attempts == 10
-    assert client.counters.retries == 0
+    assert client.counters.verified == 10
     assert client.counters.failures == 0
 
 
@@ -96,7 +98,7 @@ def test_retries_through_transient_outage(env):
     client = make_client(env, FailFirstN(loopback(env), 3))
     assert run_query(client, "range") == env.truth["range"]
     assert client.counters.attempts == 4
-    assert client.counters.retries == 3
+    assert client.counters.attempts - client.counters.requests == 3  # retries
     assert client.counters.transport_errors == 3
 
 
@@ -177,6 +179,29 @@ def test_verification_failure_retries_then_raises(env):
     assert client.counters.failures == 1
 
 
+def test_sole_endpoint_tamper_is_retried_not_quarantined(env):
+    """With nowhere to fail over, a forged reply from the only SP counts
+    on its breaker and is retried; quarantining it would park the SP for
+    the whole quarantine window."""
+    clock = FakeClock()
+    transport = FaultyTransport(
+        loopback(env), rng=random.Random(8), rates={"tamper": 1.0},
+        group=env.group, clock=clock,
+    )
+    client = make_client(env, transport, clock=clock,
+                         policy=RetryPolicy(max_attempts=3, base_delay=0.01))
+    with pytest.raises(VerificationError):
+        client.query_range("docs", (0,), (31,), encrypt=False)
+    assert client.counters.verification_failures == 3
+    assert client.counters.quarantines == 0
+    assert not client.endpoint.quarantined
+    assert client.breaker.failures == 3
+    # The link turns honest: the very next query is answered and verified.
+    transport.rates["tamper"] = 0.0
+    assert run_query(client, "range") == env.truth["range"]
+    assert client.breaker.failures == 0
+
+
 def test_truncated_responses_surface_as_deserialization_error(env):
     clock = FakeClock()
     transport = FaultyTransport(
@@ -191,33 +216,42 @@ def test_truncated_responses_surface_as_deserialization_error(env):
 # -- circuit breaker ---------------------------------------------------------
 
 def test_breaker_opens_after_consecutive_failures_and_recovers(env):
+    """The breaker counts failed attempts; a query that finds it open waits
+    out the window inside its own attempt budget instead of failing fast."""
     clock = FakeClock()
     transport = FaultyTransport(
         loopback(env), rng=random.Random(10), rates={"drop": 1.0}, clock=clock,
     )
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=30.0, clock=clock)
+    policy = RetryPolicy(max_attempts=2, base_delay=0.01)
     client = make_client(
-        env, transport, clock=clock, breaker=breaker,
-        policy=RetryPolicy(max_attempts=2, base_delay=0.01),
+        env, transport, clock=clock, policy=policy,
+        failure_threshold=2, reset_timeout=30.0,
     )
-    for _ in range(2):
-        with pytest.raises(TransportError):
-            run_query(client, "range")
-    assert breaker.state == "open"
+    with pytest.raises(TransportError):
+        run_query(client, "range")
+    # One query's two failed attempts opened it.
+    assert client.counters.attempts == 2
+    assert client.breaker.state == "open"
+    opened_at = clock.now()
 
-    # Open circuit: fail fast, the SP is not even contacted.
+    # Open circuit and a one-attempt budget: nothing to wait in, so the
+    # query fails typed and the SP is not even contacted.
+    client.policy = RetryPolicy(max_attempts=1)
     before = transport.inner.requests
     with pytest.raises(CircuitOpenError):
         run_query(client, "range")
     assert transport.inner.requests == before
-    assert client.counters.breaker_rejections == 1
+    assert client.counters.exhausted_rotations == 1
+    assert clock.now() == opened_at
 
-    # After the reset window the breaker half-opens; a healthy exchange closes it.
-    clock.advance(31.0)
-    assert breaker.state == "half-open"
+    # With attempts to spare, the query sleeps to the half-open edge, and
+    # the healthy trial closes the circuit.
+    client.policy = policy
     transport.rates["drop"] = 0.0
     assert run_query(client, "range") == env.truth["range"]
-    assert breaker.state == "closed"
+    assert clock.now() - opened_at >= 30.0
+    assert client.breaker.state == "closed"
+    assert client.counters.exhausted_rotations == 2
 
 
 def test_breaker_halfopen_failure_reopens(env):
@@ -305,18 +339,31 @@ def _half_open_exit(env, clock, path):
     raise AssertionError(path)
 
 
-@pytest.mark.parametrize("path", [
+HALF_OPEN_EXITS = (
     "verified", "verified-late", "workload", "access-denied",
     "retries-exhausted", "malformed-sealed-vo", "unexpected-error",
-])
-def test_every_half_open_exit_resolves_the_probe(env, path):
+)
+
+
+@pytest.mark.parametrize(
+    "path, endpoints",
+    [(path, 1) for path in HALF_OPEN_EXITS] + [(path, 2) for path in HALF_OPEN_EXITS],
+    ids=list(HALF_OPEN_EXITS) + [f"{path}-two-endpoints" for path in HALF_OPEN_EXITS],
+)
+def test_every_half_open_exit_resolves_the_probe(env, path, endpoints):
     clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout=10.0, clock=clock)
     transport, policy, unknown_table, expected = _half_open_exit(env, clock, path)
-    client = make_client(env, transport, clock=clock, policy=policy, breaker=breaker)
-    breaker.record_failure()
+    options = dict(policy=policy, clock=clock, rng=random.Random(1),
+                   failure_threshold=1, reset_timeout=10.0)
+    if endpoints == 1:
+        client = ResilientClient(env.user, transport, **options)
+    else:
+        client = ReplicatedClient(env.user, {"a": transport, "b": transport}, **options)
+    breakers = [endpoint.breaker for endpoint in client.endpoints.values()]
+    for breaker in breakers:
+        breaker.record_failure()
     clock.advance(10.0)
-    assert breaker.state == "half-open"
+    assert all(breaker.state == "half-open" for breaker in breakers)
     if expected is None:
         assert run_query(client, "range") == env.truth["range"]
     else:
@@ -325,10 +372,10 @@ def test_every_half_open_exit_resolves_the_probe(env, path):
                 client.query_range("nope", (0,), (31,))
             else:
                 run_query(client, "range")
-    # Whatever the outcome, the probe slot is free again: once any re-open
-    # window has passed, the breaker admits the next probe.
+    # Whatever the outcome, every probe slot is free again: once any
+    # re-open window has passed, each breaker admits the next probe.
     clock.advance(10.0)
-    assert breaker.allow()
+    assert all(breaker.allow() for breaker in breakers)
 
 
 # -- structured VO tampers, caught before the client returns -------------------

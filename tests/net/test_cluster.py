@@ -273,7 +273,7 @@ def test_tampering_endpoint_is_quarantined_not_trusted(env):
     assert states["a-bad"].health == 0.0
     assert states["b-good"].evictions == {"tamper": 0, "transport": 0}
     assert client.counters.quarantines == 1
-    assert client.counters.wire.verification_failures == 1
+    assert client.counters.verification_failures == 1
 
 
 class TogglableTransport(Transport):
@@ -375,7 +375,7 @@ def test_malformed_sealed_vo_fails_over_to_honest_replica(env, payload):
     assert run_query(client, "range") == env.truth["range"]
     # Malformed content inside a valid seal decodes to a typed failure:
     # counted as a decode failure, and the query fails over.
-    assert client.counters.wire.decode_failures == 1
+    assert client.counters.decode_failures == 1
     assert client.counters.failovers == 1
     assert not client.endpoints["a-bad"].quarantined
 
@@ -400,7 +400,7 @@ def test_overloaded_replica_backs_off_without_eviction(env):
     # The busy replica shed with a retry-after hint: it is *resting*, not
     # evicted — no breaker penalty, no eviction counters of either kind.
     assert shedding.shed == 1
-    assert client.counters.overload_backoffs == 1
+    assert client.counters.overload_rejections == 1
     assert states["a-busy"].evictions == {"tamper": 0, "transport": 0}
     assert states["a-busy"].breaker.state == "closed"
     assert states["a-busy"].backoff_until == pytest.approx(clock.now() + 2.0)
@@ -601,7 +601,8 @@ def test_stats_exposes_per_endpoint_state(env):
     assert stats["endpoints"]["a-bad"]["quarantined"] is True
     assert stats["endpoints"]["a-bad"]["evictions"]["tamper"] == 1
     assert stats["endpoints"]["b-good"]["quarantined"] is False
-    assert set(stats["counters"]["wire"]) >= {"attempts", "verification_failures"}
+    assert stats["counters"]["attempts"] == 2
+    assert stats["counters"]["verification_failures"] == 1
 
 
 def test_constructor_validation(env):

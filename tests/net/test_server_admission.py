@@ -8,6 +8,7 @@ from repro import obs
 from repro.core.messages import ErrorResponse, SPServer
 from repro.errors import (
     CircuitOpenError,
+    DeserializationError,
     OverloadedError,
     ReproError,
     TransportError,
@@ -15,8 +16,8 @@ from repro.errors import (
 )
 from repro.net import (
     PROBE_REQUEST,
+    PROBE_RESPONSE,
     STATS_REQUEST,
-    CircuitBreaker,
     FakeClock,
     LoopbackTransport,
     ResilientClient,
@@ -53,7 +54,7 @@ def make_client(env, server, max_attempts=1):
     return ResilientClient(
         env.user, LoopbackTransport(server.handle_frame),
         policy=RetryPolicy(max_attempts=max_attempts, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=10**6, clock=clock),
+        failure_threshold=10**6,
         clock=clock, rng=random.Random(4),
     )
 
@@ -97,8 +98,16 @@ def test_background_load_sheds_with_parseable_hint(env):
     assert server.served == 0
     assert client.counters.overload_rejections == 1
     assert client.counters.error_frames == 1
-    # Below the limit again: the same server serves.
+    # Below the limit again, but the endpoint sits out the hint across
+    # queries: a query inside it is refused unsent, with what remains.
     server.set_background_load(0)
+    client.clock.advance(0.25)
+    with pytest.raises(OverloadedError) as excinfo:
+        run_query(client, "range")
+    assert excinfo.value.retry_after == pytest.approx(0.5)
+    assert server.shed == 1
+    # Once the hint has run out, the same server serves.
+    client.clock.advance(0.5)
     assert run_query(client, "range") == env.truth["range"]
     assert server.served == 1
 
@@ -120,6 +129,7 @@ def test_shed_reasons_are_distinguished(env, obs_on):
         run_query(client, "range")
     server.set_background_load(0)
     server.drain()
+    client.clock.advance(server.retry_after)  # sit out the overload hint
     with pytest.raises(OverloadedError):
         run_query(client, "range")
     delta = window.delta()
@@ -144,9 +154,11 @@ def test_drain_rejects_queries_but_answers_stats_scrapes(env):
     rid, payload = unframe(response)
     assert rid == request_id
     assert decode_stats_response(payload)  # valid exposition text
-    # Resume: the same server admits queries again.
+    # Resume: once the shed's hint has passed, the same server admits
+    # queries again.
     server.resume()
     assert not server.draining
+    client.clock.advance(server.retry_after)
     assert run_query(client, "range") == env.truth["range"]
 
 
@@ -174,15 +186,16 @@ class CuttableTransport:
 
 
 class GarbledProbeTransport:
-    """Serves real queries but corrupts every probe response."""
+    """Serves real queries but answers every probe with ``reply``."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, reply):
         self.inner = inner
+        self.reply = reply
 
     def round_trip(self, request_frame):
         request_id, payload = unframe(request_frame)
         if payload == PROBE_REQUEST:
-            return frame(request_id, b"\x00garbage")
+            return frame(request_id, self.reply)
         return self.inner.round_trip(request_frame)
 
 
@@ -205,6 +218,12 @@ def test_probe_frame_bypasses_admission_and_drain(env, obs_on):
     assert server.shed == 0  # a probe is never shed
 
 
+@pytest.mark.parametrize("reply", [PROBE_RESPONSE + b"\xff", PROBE_RESPONSE + b"asleep"])
+def test_probe_decoder_rejects_a_garbled_status(reply):
+    with pytest.raises(DeserializationError):
+        decode_probe_response(reply)
+
+
 def test_probe_endpoint_helper_round_trips_status(env):
     server = make_server(env)
     transport = LoopbackTransport(server.handle_frame)
@@ -220,8 +239,7 @@ def test_half_open_probe_defers_during_drain_then_readmits(env):
     client = ResilientClient(
         env.user, link,
         policy=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
-                               clock=clock),
+        failure_threshold=1, reset_timeout=5.0,
         clock=clock, rng=random.Random(4),
     )
     # The replica dies: breaker opens, then fails fast.
@@ -255,25 +273,26 @@ def test_half_open_probe_defers_during_drain_then_readmits(env):
 
 
 def test_garbled_probe_proves_nothing_and_real_query_decides(env):
-    clock = FakeClock()
-    server = make_server(env)
-    client = ResilientClient(
-        env.user,
-        GarbledProbeTransport(LoopbackTransport(server.handle_frame)),
-        policy=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
-        breaker=CircuitBreaker(failure_threshold=1, reset_timeout=5.0,
-                               clock=clock),
-        clock=clock, rng=random.Random(4),
-    )
-    client.breaker.record_failure()  # open
-    clock.advance(5.0)               # half-open
-    # The probe comes back undecodable — that is *not* evidence the
-    # server is down (old build, line noise, a tamperer garbling cheap
-    # frames), so the real half-open query proceeds and succeeds.
-    assert run_query(client, "range") == env.truth["range"]
-    assert client.breaker.state == "closed"
-    assert client.counters.probes == 0  # only decoded probes count
-    assert client.counters.probe_deferrals == 0
+    # Bad magic, a status that is not UTF-8, and an unknown status word.
+    for reply in (b"\x00garbage", PROBE_RESPONSE + b"\xff", PROBE_RESPONSE + b"asleep"):
+        clock = FakeClock()
+        server = make_server(env)
+        client = ResilientClient(
+            env.user,
+            GarbledProbeTransport(LoopbackTransport(server.handle_frame), reply),
+            policy=RetryPolicy(max_attempts=1, base_delay=0.01, jitter=0.0),
+            failure_threshold=1, reset_timeout=5.0,
+            clock=clock, rng=random.Random(4),
+        )
+        client.breaker.record_failure()  # open
+        clock.advance(5.0)               # half-open
+        # The probe comes back undecodable — that is *not* evidence the
+        # server is down (old build, line noise, a tamperer garbling cheap
+        # frames), so the real half-open query proceeds and succeeds.
+        assert run_query(client, "range") == env.truth["range"]
+        assert client.breaker.state == "closed"
+        assert client.counters.probes == 0  # only decoded probes count
+        assert client.counters.probe_deferrals == 0
 
 
 # -- bookkeeping --------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.errors import DeserializationError, TransportError
 from repro.index.boxes import Domain
 from repro.net import (
     REQUEST_ID_BYTES,
-    CircuitBreaker,
     FakeClock,
     FaultyTransport,
     LoopbackTransport,
@@ -74,7 +73,7 @@ def make_client(env, transport, max_attempts=6, seed=1):
         env.user,
         transport,
         policy=RetryPolicy(max_attempts=max_attempts, base_delay=0.01),
-        breaker=CircuitBreaker(failure_threshold=1000, clock=env.clock),
+        failure_threshold=1000,
         clock=env.clock,
         rng=random.Random(seed),
     )
@@ -146,7 +145,7 @@ def test_retries_show_as_attempt_spans_with_fault_events():
     client = make_client(env, FirstTwoFaulty())
     records = client.query_range("docs", (0,), (31,))
     assert sorted(r.value for r in records) == [b"forecast", b"minutes"]
-    assert client.counters.retries == 2
+    assert client.counters.attempts - client.counters.requests == 2  # retries
 
     trace = obs.tracer().last_trace()
     attempts = [s for s in trace.iter_spans() if s.name == "client.attempt"]
@@ -156,7 +155,10 @@ def test_retries_show_as_attempt_spans_with_fault_events():
     assert len(fault_events) == 2
     assert all(e["kind"] == "bitflip" for e in fault_events)
     assert registry().snapshot()["repro_faults_injected_total|bitflip"] == 2
-    assert registry().snapshot()["repro_client_retries_total"] == 2
+    snap = registry().snapshot()
+    assert snap["repro_cluster_attempts_total|sp"] - snap["repro_cluster_requests_total|range"] == 2
+    assert sum(value for key, value in snap.items()
+               if key.startswith("repro_cluster_attempt_errors_total|")) == 2
 
 
 # -- trace-id wire round-trip --------------------------------------------------
@@ -221,7 +223,7 @@ def test_stats_frame_returns_lintable_exposition():
     assert any(k.startswith("repro_group_ops_total{") for k in parsed)
     assert text == env.server.scrape()  # in-process convenience matches
 
-    with pytest.raises(DeserializationError, match="not a stats response"):
+    with pytest.raises(DeserializationError, match="bad stats response magic"):
         decode_stats_response(b"JUNK" + payload)
 
 
@@ -231,13 +233,15 @@ def test_client_stats_exposes_breaker_and_registry_slice():
     client.query_range("docs", (0,), (31,))
     stats = client.stats()
     assert stats["counters"]["requests"] == 1
-    assert stats["counters"]["retries"] == 0
-    assert stats["breaker"]["state"] == "closed"
-    assert stats["breaker"]["consecutive_failures"] == 0
-    assert stats["breaker"]["failure_threshold"] == 1000
+    assert stats["counters"]["attempts"] == 1
+    breaker = stats["endpoints"]["sp"]["breaker"]
+    assert breaker["state"] == "closed"
+    assert breaker["consecutive_failures"] == 0
+    assert breaker["failure_threshold"] == 1000
+    assert stats["endpoints"]["sp"]["attempts"] == 1
     assert stats["registry"], "registry slice must not be empty after a query"
-    assert all(k.startswith("repro_client_") for k in stats["registry"])
-    assert stats["registry"]["repro_client_outcomes_total|verified"] == 1
+    assert all(k.startswith("repro_cluster_") for k in stats["registry"])
+    assert stats["registry"]["repro_cluster_outcomes_total|verified"] == 1
 
 
 # -- parallel instrumentation parity -------------------------------------------

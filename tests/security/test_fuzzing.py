@@ -214,7 +214,7 @@ DECODERS = (
     "ingest_envelope", "query_response", "error_response",
     "verification_object", "cpabe_header", "freshness_token", "mvk",
     "tree", "ingest_state_meta", "cpabe_key", "credentials",
-    "duplicate_bundle",
+    "duplicate_bundle", "probe_response", "stats_response",
 )
 
 
@@ -232,6 +232,10 @@ def decoders():
         SPServer, UpdateFrame, decode_response,
     )
     from repro.index.duplicates import decode_bundle, encode_bundle
+    from repro.net.server import (
+        PROBE_READY, PROBE_RESPONSE, STATS_RESPONSE, decode_probe_response,
+        decode_stats_response,
+    )
 
     group = simulated()
     rng = random.Random(3030)
@@ -297,6 +301,11 @@ def decoders():
         "duplicate_bundle": (decode_bundle, encode_bundle(
             [(b"v1", parse_policy("RoleA")), (b"v2", parse_policy("RoleA or RoleB"))]
         )),
+        "probe_response": (decode_probe_response, PROBE_RESPONSE + PROBE_READY.encode()),
+        "stats_response": (
+            decode_stats_response,
+            STATS_RESPONSE + b"# TYPE repro_up counter\nrepro_up 1\n",
+        ),
     }
 
 
