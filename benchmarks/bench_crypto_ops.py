@@ -35,8 +35,10 @@ fixed seeds and writes ``BENCH_crypto.json`` at the repo root:
 * ``dem`` — the AES-128-CTR + HMAC-SHA256 envelope alone (no KEM) at
   16 B to 64 KiB: seal and open with the old one-block-at-a-time T-table
   kernel (``ttable_aes.py``, kept here as the reference arm) against the
-  library's byte-sliced kernel.  Both arms' envelopes are asserted
-  byte-identical before timing.
+  library's byte-sliced kernel, warm (its lane-key cache holds the
+  payload's entry, as on a repeated read) and cold (the cache emptied
+  before every call, so the arm shows the kernel apart from the cache).
+  Both arms' envelopes are asserted byte-identical before timing.
 * ``fixed_base`` — one G1 and one G2 base: comb table build and per-
   exponent evaluation with the old 254-bit width-6 comb on generic point
   arithmetic (``wide_comb.py``, the reference arm) against the library's
@@ -489,11 +491,25 @@ def scenario_dem(
 ) -> dict:
     """AES+HMAC seal and open alone: T-table reference arm vs byte-sliced kernel.
 
-    Each timing runs ``max(1, 16384 // size)`` calls so that small payloads
-    are not timed one call at a time; the reported times are per call.
+    The byte-sliced kernel is timed warm (``new``) and with its lane-key
+    cache emptied before every call (``cold``).  Each timing runs
+    ``max(1, 16384 // size)`` calls so that small payloads are not timed
+    one call at a time; the reported times are per call.
     """
     rng = random.Random(SEED + 7)
     key_material, nonce = rng.randbytes(32), rng.randbytes(12)
+
+    def cold(fn):
+        def run(*args, **kwargs):
+            aes._LANE_KEYS.clear()
+            return fn(*args, **kwargs)
+        return run
+
+    sides = (
+        ("old", ttable_aes.seal, ttable_aes.open_sealed),
+        ("new", aes.seal, aes.open_sealed),
+        ("cold", cold(aes.seal), cold(aes.open_sealed)),
+    )
     arms = {}
     for size in sizes:
         payload = rng.randbytes(size)
@@ -503,21 +519,23 @@ def scenario_dem(
         assert aes.open_sealed(key_material, envelope) == payload
         calls = max(1, 16384 // size)
         arm = {"payload_bytes": size, "calls_per_timing": calls}
-        for side, impl in (("old", ttable_aes), ("new", aes)):
+        for side, seal, open_sealed in sides:
             seal_s = _time_best(
-                lambda: [impl.seal(key_material, payload, nonce=nonce) for _ in range(calls)],
+                lambda: [seal(key_material, payload, nonce=nonce) for _ in range(calls)],
                 repeats,
             )
             open_s = _time_best(
-                lambda: [impl.open_sealed(key_material, envelope) for _ in range(calls)],
+                lambda: [open_sealed(key_material, envelope) for _ in range(calls)],
                 repeats,
             )
             arm[f"seal_{side}_s"] = round(seal_s / calls, 7)
             arm[f"open_{side}_s"] = round(open_s / calls, 7)
-        arm["seal_speedup"] = round(arm["seal_old_s"] / arm["seal_new_s"], 3)
-        arm["open_speedup"] = round(arm["open_old_s"] / arm["open_new_s"], 3)
+        for side, suffix in (("new", ""), ("cold", "_cold")):
+            for op in ("seal", "open"):
+                arm[f"{op}_speedup{suffix}"] = round(arm[f"{op}_old_s"] / arm[f"{op}_{side}_s"], 3)
         arms[f"{size}b"] = arm
-    return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats, "arms": arms}
+    return {"host": {"cpu_count": os.cpu_count()}, "repeats": repeats,
+            "lane_key_cache_bytes": aes.LANE_KEY_CACHE_BYTES, "arms": arms}
 
 
 def scenario_fixed_base(n_exps: int = 8, repeats: int = 3) -> dict:
@@ -635,9 +653,11 @@ def main() -> None:
           f"{telemetry['warm_off_s']*1e3:7.3f} ms   overhead {telemetry['overhead']:.1%}")
     for name, arm in results["dem"]["arms"].items():
         print(f"dem {name:8s} seal old {arm['seal_old_s']*1e3:8.3f} ms new "
-              f"{arm['seal_new_s']*1e3:8.3f} ms x{arm['seal_speedup']}   open old "
+              f"{arm['seal_new_s']*1e3:8.3f} ms x{arm['seal_speedup']} cold "
+              f"{arm['seal_cold_s']*1e3:8.3f} ms x{arm['seal_speedup_cold']}   open old "
               f"{arm['open_old_s']*1e3:8.3f} ms new {arm['open_new_s']*1e3:8.3f} ms "
-              f"x{arm['open_speedup']}")
+              f"x{arm['open_speedup']} cold {arm['open_cold_s']*1e3:8.3f} ms "
+              f"x{arm['open_speedup_cold']}")
     for kind, arm in results["fixed_base"]["arms"].items():
         print(f"fixed_base {kind} build old {arm['build_old_s']*1e3:7.2f} ms new "
               f"{arm['build_new_s']*1e3:7.2f} ms   eval old {arm['eval_old_s']*1e3:6.3f} ms "
@@ -714,9 +734,16 @@ def test_smoke_warm_read():
 
 def test_smoke_dem():
     """CI smoke: the T-table reference arm and the byte-sliced kernel seal
-    and open identical envelopes, one block and past the counter's low byte."""
-    arms = scenario_dem(sizes=(16, 4112), repeats=1)["arms"]
+    and open identical envelopes, one block and past the counter's low byte;
+    the kernel is timed warm and with its lane-key cache emptied."""
+    result = scenario_dem(sizes=(16, 4112), repeats=1)
+    arms = result["arms"]
     assert set(arms) == {"16b", "4112b"}
+    assert result["lane_key_cache_bytes"] == aes.LANE_KEY_CACHE_BYTES
+    for arm in arms.values():
+        for op in ("seal", "open"):
+            assert {f"{op}_old_s", f"{op}_new_s", f"{op}_cold_s"} <= set(arm)
+            assert arm[f"{op}_speedup_cold"] > 0
 
 
 def test_smoke_fixed_base():

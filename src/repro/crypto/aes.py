@@ -12,15 +12,26 @@ CHES 2009).  The state is one big integer of 16 lanes of N bytes, row
 major: lane 4r + c holds state byte r + 4c (row r, column c) of every
 block.  A round is then a few dozen C-level operations on the whole
 state: SubBytes is one ``bytes.translate`` through the S-box, ShiftRows
-re-slices each row's lanes, MixColumns is ``xtime`` through a second
-translate table plus the XOR of row-rotated copies of the state, and
-AddRoundKey is one XOR with a lane-filled round key.  Sixteen
-extended-slice assignments transpose the lanes back to block order.
+re-slices each row's lanes (slice bounds computed once per call),
+MixColumns is ``xtime`` on the integer itself -- ``((u & M7F) << 1) ^
+(((u >> 7) & M01) * 0x1B)``, with M7F and M01 the bytes 0x7F and 0x01
+repeated over the state -- plus the XOR of row-rotated copies of the
+state, and AddRoundKey is one XOR with a lane-filled round key (byte L of
+the round key repeated across lane L).  Sixteen extended-slice
+assignments transpose the lanes back to block order.
 ``encrypt_blocks`` (ECB), ``encrypt_block`` (N = 1) and the CTR keystream
 share this one kernel; CTR builds its counter lanes directly, and the
 payload is XORed as one big integer.  The kernel's fixed cost per call
 makes it slower than one-block-at-a-time code below roughly 50 to 100
 bytes; every sealed response is larger than that.
+
+The lane-filled round keys and the two xtime masks depend on the block
+count, so they are built per (round keys, N) pair and kept in one
+process-wide, thread-safe LRU bounded by :data:`LANE_KEY_CACHE_BYTES`
+(104 KiB, about 222 bytes per block of an entry): a seal and the open of
+the same envelope, or a repeated read, build them once.  An entry larger
+than the whole budget (above about 470 blocks, 7.5 KB of payload) is
+built, used and not kept.  A hit and a miss encrypt byte for byte alike.
 
 Not constant-time: each ``translate`` lookup is indexed by a
 key-dependent state byte, so cache timing can still leak.  This module
@@ -33,9 +44,11 @@ import hashlib
 import hmac
 import os
 import struct
+import sys
 
 from repro.crypto.hashing import constant_time_eq, kdf
 from repro.errors import CryptoError
+from repro.memo import BoundedMemo
 
 # ---------------------------------------------------------------------------
 # S-box generation (from GF(2^8) inversion + affine map, computed at import).
@@ -85,9 +98,6 @@ SBOX = _build_sbox()
 assert SBOX[0x00] == 0x63 and SBOX[0x53] == 0xED, "AES S-box self-check failed"
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
-
-# xtime: multiplication by x (i.e. 2) in GF(2^8), as a translate table.
-_XTIME = bytes(_gf_mul(x, 2) for x in range(256))
 
 # Lane order: lane L = 4r + c carries state byte r + 4c (row r, column c)
 # of every block, so each state row is four consecutive lanes.
@@ -143,44 +153,74 @@ class AES128:
         """
         size, bits, row_bits = 16 * n, 128 * n, 32 * n
         mask = (1 << bits) - 1
-        lane_ids = b"".join(bytes((lane,)) * n for lane in range(16))
-        # Each round key padded to a translate table mapping lane number ->
-        # key byte; built per call, so a cipher keeps 176 bytes of keys.
-        keys = [
-            int.from_bytes(lane_ids.translate(k + _TABLE_PAD), "big") for k in self._round_keys
-        ]
+        round_keys = self._round_keys
+        *keys, m7f, m01 = _LANE_KEYS.get_or_make(
+            (round_keys, n), lambda: _lane_constants(round_keys, n)
+        )
+        # ShiftRows' slice bounds: row r is lanes 4r .. 4r + 3, n bytes each.
+        r1, r1c1, r2, r2c2, r3, r3c3 = 4 * n, 5 * n, 8 * n, 10 * n, 12 * n, 15 * n
         s = int.from_bytes(state, "big") ^ keys[0]
-        for k in keys[1:10]:
-            s = int.from_bytes(_sub_shift(s, n), "big")
+        for rnd in range(1, 11):
+            # SubBytes, then ShiftRows: row r rotated left by r lanes.
+            b = s.to_bytes(size, "big").translate(SBOX)
+            s = int.from_bytes(
+                b"".join((b[:r1], b[r1c1:r2], b[r1:r1c1], b[r2c2:r3], b[r2:r2c2],
+                          b[r3c3:], b[r3:r3c3])),
+                "big",
+            )
+            if rnd == 10:
+                break  # the final round has no MixColumns
             # MixColumns, with u[r] = s[r] ^ s[r+1] (rows taken mod 4; moving
             # every row up by one rotates the integer by ``row_bits``):
             # out[r] = 2s[r] ^ 3s[r+1] ^ s[r+2] ^ s[r+3]
-            #        = s[r] ^ xtime(u[r]) ^ (u[r] ^ u[r+2]).
+            #        = s[r] ^ xtime(u[r]) ^ (u[r] ^ u[r+2]),
+            # with xtime on every byte of u at once: shift the low seven
+            # bits up and reduce each carried-out top bit by 0x1B.
             u = s ^ ((s << row_bits) & mask) ^ (s >> (bits - row_bits))
             s ^= (
-                int.from_bytes(u.to_bytes(size, "big").translate(_XTIME), "big")
+                ((u & m7f) << 1)
+                ^ (((u >> 7) & m01) * 0x1B)
                 ^ u
                 ^ ((u << 2 * row_bits) & mask)
                 ^ (u >> (bits - 2 * row_bits))
-                ^ k
+                ^ keys[rnd]
             )
-        # Final round: no MixColumns.
-        lanes = (int.from_bytes(_sub_shift(s, n), "big") ^ keys[10]).to_bytes(size, "big")
+        lanes = (s ^ keys[10]).to_bytes(size, "big")
         out = bytearray(size)
         for lane, i in enumerate(_LANE_BYTES):
             out[i::16] = lanes[lane * n : (lane + 1) * n]
         return bytes(out)
 
 
-def _sub_shift(s: int, n: int) -> bytes:
-    """SubBytes then ShiftRows (row r rotated left by r lanes) of a lane state."""
-    b = s.to_bytes(16 * n, "big").translate(SBOX)
-    return b"".join((
-        b[: 4 * n],
-        b[5 * n : 8 * n], b[4 * n : 5 * n],
-        b[10 * n : 12 * n], b[8 * n : 10 * n],
-        b[15 * n :], b[12 * n : 15 * n],
-    ))
+def _lane_constants(round_keys: tuple[bytes, ...], n: int) -> tuple[int, ...]:
+    """The 11 lane-filled round keys for ``n`` blocks, then the xtime masks.
+
+    Lane-filled key ``j`` repeats byte L of round key ``j`` across lane L's
+    ``n`` bytes; the masks repeat 0x7F and 0x01 across all ``16 n`` bytes.
+    """
+    lane_ids = b"".join(bytes((lane,)) * n for lane in range(16))
+    m01 = int.from_bytes(b"\x01" * (16 * n), "big")
+    return (
+        *(int.from_bytes(lane_ids.translate(k + _TABLE_PAD), "big") for k in round_keys),
+        m01 * 0x7F,
+        m01,
+    )
+
+
+def _lane_constants_bytes(constants: tuple[int, ...]) -> int:
+    return sum(sys.getsizeof(c) for c in constants)
+
+
+#: Byte budget of the process-wide lane-key cache (LRU over (round keys,
+#: block count) pairs, weighed by ``sys.getsizeof`` of each entry's 13
+#: integers from :func:`_lane_constants`: about 222 bytes per block).
+#: The cache never holds more than this.  It is the smallest round budget
+#: that keeps the ``bn254_hot`` benchmark's 7 entries (21 to 118 blocks,
+#: 101.5 KiB in all); an entry larger than the whole budget (above about
+#: 470 blocks) is built, used and not kept.
+LANE_KEY_CACHE_BYTES = 104 * 1024
+
+_LANE_KEYS = BoundedMemo(LANE_KEY_CACHE_BYTES, weigh=_lane_constants_bytes)
 
 
 def ctr_keystream(cipher: AES128, nonce: bytes, length: int) -> bytes:

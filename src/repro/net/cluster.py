@@ -100,7 +100,9 @@ invariant drill.
 from __future__ import annotations
 
 import random
+import threading
 import time
+import weakref
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -170,6 +172,11 @@ _M_OVERLOAD_WAITS = _REG.counter(
 _M_QUARANTINED = _REG.gauge(
     "repro_cluster_quarantined", "Endpoints currently quarantined.",
 )
+# The gauge is one process-wide count: the sum of each live client's
+# quarantined endpoints as that client last saw them.  A client joins on
+# its first quarantine and leaves when it is collected.
+_QUARANTINE_LOCK = threading.Lock()
+_QUARANTINING: "weakref.WeakSet[ReplicatedClient]" = weakref.WeakSet()
 _M_STALE = _REG.counter(
     "repro_cluster_stale_epochs_total",
     "Verified-but-stale answers per endpoint (lagging replica, degraded "
@@ -339,6 +346,7 @@ class ReplicatedClient:
             for name, transport in transports.items()
         }
         self.counters = ClientStats()
+        self._quarantined = 0
         self._latencies: deque = deque(maxlen=latency_reservoir)
         self._last_trace_id: Optional[str] = None
 
@@ -581,9 +589,13 @@ class ReplicatedClient:
         return True
 
     def _update_quarantine_gauge(self) -> None:
-        _M_QUARANTINED.set(
-            sum(1 for e in self.endpoints.values() if e.quarantined)
-        )
+        """Recount this client's quarantined endpoints and set the
+        process-wide gauge to every live client's count."""
+        count = sum(1 for e in self.endpoints.values() if e.quarantined)
+        with _QUARANTINE_LOCK:
+            self._quarantined = count
+            _QUARANTINING.add(self)
+            _M_QUARANTINED.set(sum(c._quarantined for c in _QUARANTINING))
 
     # -- deadline and backoff ------------------------------------------------
     def _expired(self, start: float) -> bool:

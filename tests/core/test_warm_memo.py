@@ -29,7 +29,7 @@ from repro.core.vo import (
     InaccessibleRecordEntry,
     VerificationObject,
 )
-from repro.crypto import bn254, simulated
+from repro.crypto import aes, bn254, simulated
 from repro.crypto.curve import G1_GENERATOR, PointG1
 from repro.crypto.field import FIELD_MODULUS
 from repro.crypto.group import G1, G2, BN254Group
@@ -291,6 +291,21 @@ def test_a_changed_header_byte_misses_the_kem_memo_and_fails(world, monkeypatch)
     assert seen == ["miss"]
     assert user.verify(response)  # the memoized key still opens the original
     assert seen == ["miss", "hit"]
+
+
+def test_a_warm_sealed_read_builds_no_lane_keys(world, monkeypatch):
+    """A warm repeat seals and opens under the key and block count of the
+    cold read, so both find their lane-filled AES round keys in the
+    process-wide cache: one hit each, no entry built."""
+    user = _user(world)
+    assert user.verify(_wire_response(world, user, encrypt=True))
+    seen = []
+    monkeypatch.setattr(aes._LANE_KEYS, "_observe", seen.append)
+    response = _wire_response(world, user, encrypt=True)
+    sealed, seen[:] = list(seen), []
+    assert user.verify(response)
+    assert sealed == ["hit"]
+    assert seen == ["hit"]
 
 
 def test_a_rejected_entry_is_rejected_every_time(world):

@@ -1,13 +1,19 @@
 """Tests for the from-scratch AES-128, CTR mode, and the sealed envelope."""
 
+import functools
 import hashlib
+import sys
+import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     AES128,
+    LANE_KEY_CACHE_BYTES,
     SBOX,
+    Channel,
     aes_ctr_xor,
     ctr_keystream,
     open_sealed,
@@ -219,3 +225,112 @@ def test_ctr_keystream_is_concatenated_counter_blocks(key, nonce, length):
         for counter in range(-(-length // 16))
     )
     assert ctr_keystream(cipher, nonce, length) == blocks[:length]
+
+
+# -- the shared lane-key cache -------------------------------------------------
+# Every cipher in the process shares one LRU of lane-filled round keys, keyed
+# by (round keys, block count) and bounded in bytes; a hit must give the
+# keystream a miss would.
+
+#: Blocks whose 13 lane-filled integers (16 bytes a block each) alone
+#: exceed the byte budget: such an entry is built, used and never kept.
+OVER_BUDGET_BLOCKS = LANE_KEY_CACHE_BYTES // (13 * 16) + 1
+CACHE_KEYS = (bytes(range(16)), bytes(range(100, 116)))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_block(key: bytes, counter_block: bytes) -> bytes:
+    return textbook_aes128(key, counter_block)
+
+
+def _oracle_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    return b"".join(
+        _oracle_block(key, nonce + counter.to_bytes(4, "big"))
+        for counter in range(-(-length // 16))
+    )[:length]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.binary(min_size=12, max_size=12),
+    st.lists(
+        st.tuples(st.sampled_from((0, 1)), st.sampled_from((1, 2, 3, 16, 17, 40, 64, 257)),
+                  st.integers(min_value=0, max_value=15)),
+        min_size=1, max_size=12,
+    ),
+)
+@example(bytes(12), [(0, 257, 0), (1, 257, 3), (0, OVER_BUDGET_BLOCKS, 0), (1, 1, 0),
+                     (0, 257, 0), (0, OVER_BUDGET_BLOCKS, 5)])
+def test_interleaved_keys_and_block_counts_share_the_cache_soundly(nonce, calls):
+    """Two keys and many block counts, interleaved through the one cache
+    (each call on a fresh cipher, so only the cache carries state), match
+    the textbook oracle on every call, hits and misses alike."""
+    for which, blocks, short in calls:
+        key = CACHE_KEYS[which]
+        length = max(0, 16 * blocks - short)
+        assert ctr_keystream(AES128(key), nonce, length) == _oracle_keystream(key, nonce, length)
+        assert aes._LANE_KEYS.held <= LANE_KEY_CACHE_BYTES
+
+
+def test_the_cache_never_holds_more_than_its_byte_budget():
+    aes._LANE_KEYS.clear()
+    cipher = AES128(CACHE_KEYS[0])
+    held = []
+    for blocks in range(1, 400, 7):
+        cipher.encrypt_blocks(bytes(16 * blocks))
+        held.append(aes._LANE_KEYS.held)
+        assert 0 < held[-1] <= LANE_KEY_CACHE_BYTES
+    # The budget was reached, so older entries were evicted to stay under it.
+    assert len(aes._LANE_KEYS) < len(held)
+    assert max(held) > LANE_KEY_CACHE_BYTES // 2
+    aes._LANE_KEYS.clear()
+    assert aes._LANE_KEYS.held == 0 and len(aes._LANE_KEYS) == 0
+
+
+def test_an_entry_above_the_budget_is_built_used_and_not_kept():
+    cipher = AES128(CACHE_KEYS[1])
+    cipher.encrypt_blocks(bytes(16 * 4))
+    entries, held = len(aes._LANE_KEYS), aes._LANE_KEYS.held
+    nonce = bytes(range(12))
+    length = 16 * OVER_BUDGET_BLOCKS
+    assert ctr_keystream(cipher, nonce, length) == _oracle_keystream(CACHE_KEYS[1], nonce, length)
+    assert (len(aes._LANE_KEYS), aes._LANE_KEYS.held) == (entries, held)
+
+
+def test_two_threads_sealing_under_different_keys_and_sizes():
+    """Two threads seal through the shared cache at once, each under its own
+    key, cycling payload sizes that both hit and evict entries (one above the
+    budget): every envelope equals the one sealed alone beforehand."""
+    sizes = (1, 200, 1200, 4112, 7000, 16 * OVER_BUDGET_BLOCKS)
+    nonce = bytes(range(12))
+    jobs = []
+    for worker, key_material in enumerate((b"thread-a", b"thread-b")):
+        sealer = Channel(key_material)
+        plain = [bytes((worker + i) & 0xFF for i in range(n)) for n in sizes]
+        jobs.append((sealer, plain, [sealer.seal(p, nonce=nonce) for p in plain]))
+    start, errors = threading.Barrier(2), []
+
+    def hammer(worker):
+        sealer, plain, expected = jobs[worker]
+        start.wait()
+        try:
+            for i in range(3 * len(sizes)):
+                j = (i + 2 * worker) % len(sizes)
+                assert sealer.seal(plain[j], nonce=nonce) == expected[j]
+                assert sealer.open(expected[j]) == plain[j]
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(w,)) for w in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert aes._LANE_KEYS.held <= LANE_KEY_CACHE_BYTES

@@ -7,6 +7,7 @@ result equal to truth comes back, and misbehaving replicas are evicted
 with the right ``reason``.
 """
 
+import gc
 import random
 
 import pytest
@@ -29,7 +30,9 @@ from repro.net import (
     RetryPolicy,
     Transport,
 )
+from repro import obs
 from repro.net.client import is_tamper_error
+from repro.obs import metrics
 from repro.net.transport import frame, unframe
 
 from .conftest import NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO, ResealTransport, run_query
@@ -274,6 +277,37 @@ def test_tampering_endpoint_is_quarantined_not_trusted(env):
     assert states["b-good"].evictions == {"tamper": 0, "transport": 0}
     assert client.counters.quarantines == 1
     assert client.counters.verification_failures == 1
+
+
+@pytest.fixture
+def obs_on():
+    """Force the gate on so the gauge is written."""
+    previous = obs.set_enabled(True)
+    try:
+        yield
+    finally:
+        obs.set_enabled(previous)
+
+
+def test_quarantine_gauge_counts_every_clients_endpoints(env, obs_on):
+    """The gauge is one process-wide count: two clients that each
+    quarantine one tamperer read 2, not the last writer's 1."""
+    gc.collect()  # earlier tests' clients no longer count
+    gauge = metrics.registry().get("repro_cluster_quarantined")
+    clock = FakeClock()
+    clients = [
+        make_cluster(env, {"a-bad": tamperer(env, clock), "b-good": good(env, clock)}, clock)
+        for _ in range(2)
+    ]
+    for client in clients:
+        assert run_query(client, "range") == env.truth["range"]
+        assert client.counters.quarantines == 1
+    assert gauge.value() == 2
+    # A collected client's endpoints leave the count at the next refresh.
+    del clients[0]
+    gc.collect()
+    assert run_query(clients[0], "range") == env.truth["range"]
+    assert gauge.value() == 1
 
 
 class TogglableTransport(Transport):
