@@ -9,8 +9,8 @@ is built from:
   per-query deadline;
 * :class:`CircuitBreaker` — one per endpoint, counting failed
   *attempts*, with a single half-open trial;
-* :class:`ClientStats` — the one lifetime stats record the loop,
-  :func:`wire_exchange` and :func:`count_wire_error` all write;
+* :class:`ClientStats` — the one lifetime stats record of a client,
+  with its endpoints' records the only store of the loop's counts;
 * :func:`wire_exchange` — one framed attempt under a fresh random
   16-byte request id, so a duplicated or replayed response (stale id)
   is detected, counted and retried rather than trusted; typed error
@@ -35,7 +35,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.messages import (
@@ -188,39 +189,80 @@ class CircuitBreaker:
             self._opened_at = self.clock.now()
 
 
-@dataclass
-class ClientStats:
-    """One client's lifetime counters, exposed for tests, examples, dashboards.
+#: Failed-attempt classes: the ``class`` labels of
+#: ``repro_cluster_attempt_errors_total`` and the :class:`ClientStats`
+#: counts that sum them.
+ERROR_CLASSES = {
+    "decode": "decode_failures",
+    "overloaded": "overload_rejections",
+    "transport": "transport_errors",
+    "stale-epoch": "stale_epochs",
+    "verification": "verification_failures",
+}
 
-    The attempt loop counts logical queries (``requests`` = ``verified``
-    + ``failures``) and how they were routed; :func:`wire_exchange` and
-    :func:`count_wire_error` count what each failed attempt was.
-    ``attempts`` counts wire attempts, hedges included, so retries and
-    failovers are ``attempts - requests`` less ``hedges``.  Per-endpoint
-    detail lives on :class:`~repro.net.cluster.Endpoint`.
+
+def _endpoint_sum(count: Callable) -> property:
+    return property(lambda self: sum(count(e) for e in self.endpoints))
+
+
+@dataclass(eq=False)
+class ClientStats:
+    """One client's lifetime counts: the one store of its events.
+
+    Each event is counted once, at its finest grain: logical queries per
+    kind (``requests_by_kind``) and per outcome (``outcomes``:
+    ``verified`` / ``failed`` / ``workload_rejected`` /
+    ``access_denied``) here, and every per-endpoint event — wire attempts,
+    failed attempts by class (:data:`ERROR_CLASSES`), evictions by
+    reason, liveness probes by status — on the client's
+    :class:`~repro.net.cluster.Endpoint` records (``endpoints``).  The
+    ``repro_cluster_*`` families are read from these records when they
+    are scraped.  The coarse counts are read-only sums: ``requests``,
+    ``verified`` and ``failures`` (``requests`` = ``verified`` +
+    ``failures``), ``attempts`` (hedges included, so retries and
+    failovers are ``attempts - requests`` less ``hedges``),
+    ``quarantines`` (tamper evictions), ``probes``, ``probe_deferrals``
+    (``draining`` probes) and the five failed-attempt classes.  The loop
+    counts the routing fields; :func:`wire_exchange` counts duplicates
+    and error frames.  :meth:`as_dict` gives every count by name.
     """
 
-    requests: int = 0
-    verified: int = 0
-    failures: int = 0
-    attempts: int = 0
+    requests_by_kind: Counter = field(default_factory=Counter)
+    outcomes: Counter = field(default_factory=Counter)
     failovers: int = 0
     hedges: int = 0
-    probes: int = 0
-    probe_deferrals: int = 0
     exhausted_rotations: int = 0
-    quarantines: int = 0
     rejection_suspects: int = 0
-    transport_errors: int = 0
-    decode_failures: int = 0
-    verification_failures: int = 0
     duplicates_detected: int = 0
     error_frames: int = 0
-    overload_rejections: int = 0
-    stale_epochs: int = 0
+    endpoints: tuple = ()
+
+    requests = property(lambda self: sum(self.requests_by_kind.values()))
+    verified = property(lambda self: self.outcomes["verified"])
+    failures = property(
+        lambda self: sum(self.outcomes.values()) - self.outcomes["verified"]
+    )
+    attempts = _endpoint_sum(lambda e: e.attempts)
+    quarantines = _endpoint_sum(lambda e: e.evictions["tamper"])
+    probes = _endpoint_sum(lambda e: sum(e.probes.values()))
+    probe_deferrals = _endpoint_sum(lambda e: e.probes["draining"])
+    decode_failures = _endpoint_sum(lambda e: e.errors["decode"])
+    overload_rejections = _endpoint_sum(lambda e: e.errors["overloaded"])
+    transport_errors = _endpoint_sum(lambda e: e.errors["transport"])
+    stale_epochs = _endpoint_sum(lambda e: e.errors["stale-epoch"])
+    verification_failures = _endpoint_sum(lambda e: e.errors["verification"])
+
+    #: The names :meth:`as_dict` reports, in a stable order.
+    FIELDS = (
+        "requests", "verified", "failures", "attempts", "failovers",
+        "hedges", "probes", "probe_deferrals", "exhausted_rotations",
+        "quarantines", "rejection_suspects", "transport_errors",
+        "decode_failures", "verification_failures", "duplicates_detected",
+        "error_frames", "overload_rejections", "stale_epochs",
+    )
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 #: Exception classes that prove *content* tampering (a forged proof or
@@ -255,33 +297,32 @@ def is_tamper_error(exc: BaseException) -> bool:
 
 
 #: Failed-attempt classes in match order: (exception classes, the
-#: :class:`ClientStats` field counting them, the metric label).  The
-#: order makes the last row exactly :func:`is_tamper_error`:
-#: deserialization and stale-epoch failures match earlier rows.  Stale
-#: epochs are degraded, not Byzantine: counted apart so dashboards can
-#: tell a replica lagging behind rotations from forged proofs.
+#: :data:`ERROR_CLASSES` label).  The order makes the last row exactly
+#: :func:`is_tamper_error`: deserialization and stale-epoch failures
+#: match earlier rows.  Stale epochs are degraded, not Byzantine:
+#: counted apart so dashboards can tell a replica lagging behind
+#: rotations from forged proofs.
 _WIRE_ERROR_CLASSES = (
-    (DeserializationError, "decode_failures", "decode"),
-    (OverloadedError, "overload_rejections", "overloaded"),
-    (TransportError, "transport_errors", "transport"),
-    (StaleEpochError, "stale_epochs", "stale-epoch"),
-    (TAMPER_ERRORS, "verification_failures", "verification"),
+    (DeserializationError, "decode"),
+    (OverloadedError, "overloaded"),
+    (TransportError, "transport"),
+    (StaleEpochError, "stale-epoch"),
+    (TAMPER_ERRORS, "verification"),
 )
 
 
-def count_wire_error(exc: BaseException, counters: ClientStats) -> Optional[str]:
-    """Count one failed attempt in ``counters``; returns its class label.
+def count_wire_error(exc: BaseException, errors: dict) -> None:
+    """Count one failed attempt in an endpoint's ``errors`` by class.
 
     The one classification of failed attempts (``wire_exchange`` itself
     only counts what it can see: duplicates and error frames).  Errors
     that say nothing about the wire or the proof — a policy denial, a
-    workload rejection — are left uncounted and return ``None``.
+    workload rejection — are left uncounted.
     """
-    for kinds, field_name, label in _WIRE_ERROR_CLASSES:
+    for kinds, label in _WIRE_ERROR_CLASSES:
         if isinstance(exc, kinds):
-            setattr(counters, field_name, getattr(counters, field_name) + 1)
-            return label
-    return None
+            errors[label] += 1
+            return
 
 
 def _request_id(rng: Optional[random.Random]) -> bytes:

@@ -100,9 +100,7 @@ invariant drill.
 from __future__ import annotations
 
 import random
-import threading
 import time
-import weakref
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -117,6 +115,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.net.client import (
+    ERROR_CLASSES,
     CircuitBreaker,
     ClientStats,
     RetryPolicy,
@@ -133,62 +132,41 @@ from repro.obs import logging as _obslog
 from repro.obs import metrics as _metrics
 from repro.obs import relay as _relay
 from repro.obs import trace as _trace
+from repro.obs.metrics import COUNTER, GAUGE
 
-_REG = _metrics.registry()
-_M_REQUESTS = _REG.counter(
-    "repro_cluster_requests_total", "Logical queries issued by the client.",
-    labelnames=("kind",),
+# Every repro_cluster_* family is a view over the live clients' stats
+# records (and the records of collected clients), read when scraped.
+_CLIENTS = _metrics.Census(
+    (COUNTER, "repro_cluster_requests_total",
+     "Logical queries issued by the client.", ("kind",),
+     lambda stats: stats.requests_by_kind),
+    (COUNTER, "repro_cluster_attempts_total", "Wire attempts per endpoint.",
+     ("endpoint",), lambda stats: {e.name: e.attempts for e in stats.endpoints}),
+    (COUNTER, "repro_cluster_attempt_errors_total",
+     "Failed attempts by error class.", ("class",),
+     lambda stats: {k: getattr(stats, name) for k, name in ERROR_CLASSES.items()}),
+    (COUNTER, "repro_cluster_outcomes_total", "Logical query outcomes.",
+     ("outcome",), lambda stats: stats.outcomes),
+    (COUNTER, "repro_cluster_evicted_total",
+     "Endpoint evictions: Byzantine quarantine vs transport breaker.",
+     ("endpoint", "reason"), lambda stats: {
+         (e.name, k): n for e in stats.endpoints for k, n in e.evictions.items()}),
+    (COUNTER, "repro_cluster_hedges_total", "Hedged second requests issued.",
+     (), lambda stats: {(): stats.hedges}),
+    (COUNTER, "repro_cluster_probes_total",
+     "Half-open liveness probes sent before committing a real query.",
+     ("endpoint", "status"), lambda stats: {
+         (e.name, k): n for e in stats.endpoints for k, n in e.probes.items()}),
+    (COUNTER, "repro_cluster_overload_backoffs_total",
+     "Endpoint rotations honoring a server retry-after hint.", ("endpoint",),
+     lambda stats: {e.name: e.errors["overloaded"] for e in stats.endpoints}),
+    (GAUGE, "repro_cluster_quarantined", "Endpoints currently quarantined.",
+     (), lambda stats: {(): sum(e.quarantined for e in stats.endpoints)}),
+    (COUNTER, "repro_cluster_stale_epochs_total",
+     "Verified-but-stale answers per endpoint (lagging replica, degraded "
+     "not quarantined).", ("endpoint",),
+     lambda stats: {e.name: e.errors["stale-epoch"] for e in stats.endpoints}),
 )
-_M_ATTEMPTS = _REG.counter(
-    "repro_cluster_attempts_total", "Wire attempts per endpoint.",
-    labelnames=("endpoint",),
-)
-_M_ATTEMPT_ERRORS = _REG.counter(
-    "repro_cluster_attempt_errors_total", "Failed attempts by error class.",
-    labelnames=("class",),
-)
-_M_OUTCOMES = _REG.counter(
-    "repro_cluster_outcomes_total", "Logical query outcomes.",
-    labelnames=("outcome",),
-)
-_M_EVICTED = _REG.counter(
-    "repro_cluster_evicted_total",
-    "Endpoint evictions: Byzantine quarantine vs transport breaker.",
-    labelnames=("endpoint", "reason"),
-)
-_M_HEDGES = _REG.counter(
-    "repro_cluster_hedges_total", "Hedged second requests issued.",
-)
-_M_PROBES = _REG.counter(
-    "repro_cluster_probes_total",
-    "Half-open liveness probes sent before committing a real query.",
-    labelnames=("endpoint", "status"),
-)
-_M_OVERLOAD_WAITS = _REG.counter(
-    "repro_cluster_overload_backoffs_total",
-    "Endpoint rotations honoring a server retry-after hint.",
-    labelnames=("endpoint",),
-)
-_M_QUARANTINED = _REG.gauge(
-    "repro_cluster_quarantined", "Endpoints currently quarantined.",
-)
-# The gauge is one process-wide count: the sum of each live client's
-# quarantined endpoints as that client last saw them.  A client joins on
-# its first quarantine and leaves when it is collected.
-_QUARANTINE_LOCK = threading.Lock()
-_QUARANTINING: "weakref.WeakSet[ReplicatedClient]" = weakref.WeakSet()
-_M_STALE = _REG.counter(
-    "repro_cluster_stale_epochs_total",
-    "Verified-but-stale answers per endpoint (lagging replica, degraded "
-    "not quarantined).",
-    labelnames=("endpoint",),
-)
-# The per-query updates, with their label sets resolved once.
-_REQUESTS = {kind: _M_REQUESTS.labels(kind=kind) for kind in ("equality", "range", "join")}
-_OUTCOMES = {
-    outcome: _M_OUTCOMES.labels(outcome=outcome)
-    for outcome in ("verified", "failed", "workload_rejected", "access_denied")
-}
 _LOG = _obslog.get_logger("cluster")
 
 #: Health-score EWMA step: one observation moves the score 30% of the way
@@ -219,12 +197,10 @@ class Endpoint:
         self.rejection_suspects = 0
         self._suspicion_clean_streak = 0
         self.evictions: Dict[str, int] = {"tamper": 0, "transport": 0}
-        # This endpoint's per-attempt and per-probe series, resolved once.
-        self.attempt_metric = _M_ATTEMPTS.labels(endpoint=name)
-        self.probe_metrics = {
-            status: _M_PROBES.labels(endpoint=name, status=status)
-            for status in (PROBE_READY, PROBE_DRAINING)
-        }
+        self.probes: Dict[str, int] = {PROBE_READY: 0, PROBE_DRAINING: 0}
+        #: Failed attempts by class (``ERROR_CLASSES``): overload
+        #: backoffs and stale epochs are two of them.
+        self.errors: Dict[str, int] = dict.fromkeys(ERROR_CLASSES, 0)
 
     @property
     def quarantined(self) -> bool:
@@ -286,6 +262,8 @@ class Endpoint:
             "successes": self.successes,
             "rejection_suspects": self.rejection_suspects,
             "evictions": dict(self.evictions),
+            "probes": dict(self.probes),
+            "errors": dict(self.errors),
         }
 
 
@@ -345,8 +323,8 @@ class ReplicatedClient:
             )
             for name, transport in transports.items()
         }
-        self.counters = ClientStats()
-        self._quarantined = 0
+        self.counters = ClientStats(endpoints=tuple(self.endpoints.values()))
+        _CLIENTS.enroll(self, self.counters)
         self._latencies: deque = deque(maxlen=latency_reservoir)
         self._last_trace_id: Optional[str] = None
 
@@ -473,9 +451,6 @@ class ReplicatedClient:
         endpoint.quarantined_until = now + self.quarantine_window
         endpoint.health = 0.0
         endpoint.evictions["tamper"] += 1
-        self.counters.quarantines += 1
-        _M_EVICTED.inc(endpoint=endpoint.name, reason="tamper")
-        self._update_quarantine_gauge()
         _trace.add_event("endpoint_evicted", endpoint=endpoint.name, reason="tamper")
         _LOG.error(
             "endpoint_quarantined", endpoint=endpoint.name,
@@ -485,7 +460,6 @@ class ReplicatedClient:
     def _transport_evict(self, endpoint: Endpoint) -> None:
         """Called when an endpoint's breaker transitioned to open."""
         endpoint.evictions["transport"] += 1
-        _M_EVICTED.inc(endpoint=endpoint.name, reason="transport")
         _trace.add_event(
             "endpoint_evicted", endpoint=endpoint.name, reason="transport"
         )
@@ -544,17 +518,13 @@ class ReplicatedClient:
         the only one — and anything else, a stale epoch included, is a
         transport failure.
         """
-        label = count_wire_error(exc, self.counters)
-        if label is not None:
-            _M_ATTEMPT_ERRORS.inc(**{"class": label})
+        count_wire_error(exc, endpoint.errors)
         if isinstance(exc, OverloadedError):
             hint = exc.retry_after if exc.retry_after is not None else 0.0
             endpoint.backoff_until = self.clock.now() + hint
-            _M_OVERLOAD_WAITS.inc(endpoint=endpoint.name)
             endpoint.breaker.record_success()
             return hint
         if isinstance(exc, StaleEpochError):
-            _M_STALE.inc(endpoint=endpoint.name)
             _trace.add_event("stale_epoch", endpoint=endpoint.name)
         if is_tamper_error(exc) and len(self.endpoints) > 1:
             self._quarantine(endpoint, self.clock.now())
@@ -578,24 +548,13 @@ class ReplicatedClient:
             status = probe_endpoint(endpoint.transport, self.rng)
         except ReproError:
             return False
-        self.counters.probes += 1
-        endpoint.probe_metrics[status].inc()
+        endpoint.probes[status] += 1
         if status != PROBE_DRAINING:
             return False
-        self.counters.probe_deferrals += 1
         endpoint.breaker.release_probe()
         _trace.add_event("probe_deferred", endpoint=endpoint.name)
         _LOG.info("probe_deferred", endpoint=endpoint.name)
         return True
-
-    def _update_quarantine_gauge(self) -> None:
-        """Recount this client's quarantined endpoints and set the
-        process-wide gauge to every live client's count."""
-        count = sum(1 for e in self.endpoints.values() if e.quarantined)
-        with _QUARANTINE_LOCK:
-            self._quarantined = count
-            _QUARANTINING.add(self)
-            _M_QUARANTINED.set(sum(c._quarantined for c in _QUARANTINING))
 
     # -- deadline and backoff ------------------------------------------------
     def _expired(self, start: float) -> bool:
@@ -616,8 +575,7 @@ class ReplicatedClient:
     # -- the attempt loop ----------------------------------------------------
     def _execute_traced(self, request: QueryRequest, verify, query_span,
                         claimed: List[Endpoint]):
-        self.counters.requests += 1
-        _REQUESTS[request.kind].inc()
+        self.counters.requests_by_kind[request.kind] += 1
         payload = request.to_bytes()
         start = self.clock.now()
         last_error: Optional[ReproError] = None
@@ -654,10 +612,10 @@ class ReplicatedClient:
                     if self._corroborated_rejection(endpoint, exc, rejected_by):
                         # Independent replicas agree: the rejection is a
                         # property of the query, not of an endpoint.
-                        self.counters.failures += 1
-                        _OUTCOMES["workload_rejected"
-                                  if isinstance(exc, WorkloadError)
-                                  else "access_denied"].inc()
+                        self.counters.outcomes[
+                            "workload_rejected" if isinstance(exc, WorkloadError)
+                            else "access_denied"
+                        ] += 1
                         raise
                     continue
                 except ReproError as exc:
@@ -667,22 +625,17 @@ class ReplicatedClient:
                 endpoint.observe_success(latency)
                 if self._expired(start):
                     break  # verified but late: the deadline contract rules
-                self.counters.verified += 1
+                self.counters.outcomes["verified"] += 1
                 query_span.set_attributes(
                     attempts=attempt + 1, endpoint=endpoint.name,
                     outcome="verified",
                 )
-                _OUTCOMES["verified"].inc()
                 # Hedge only after the verified result is secured: the
                 # probe's extra round-trip runs after the deadline
                 # check, so a slow or misbehaving backup can no longer
                 # cost the caller the answer it already earned.
                 self._maybe_hedge(endpoint, ranked, payload, verify, latency,
                                   claimed)
-                if self.counters.quarantines:
-                    # Refresh the gauge once some quarantine has begun, so
-                    # it falls back when a window ends.
-                    self._update_quarantine_gauge()
                 return result
             if self._expired(start):
                 break
@@ -691,8 +644,7 @@ class ReplicatedClient:
                 if relief is not None:
                     retry_floor = max(retry_floor, relief)
                 self.clock.sleep(self._bounded_backoff(attempt, start, retry_floor))
-        self.counters.failures += 1
-        _OUTCOMES["failed"].inc()
+        self.counters.outcomes["failed"] += 1
         query_span.set_attribute("outcome", "failed")
         last_error = last_error or self._no_endpoint_error(self.clock.now())
         _LOG.error(
@@ -707,10 +659,8 @@ class ReplicatedClient:
         raise last_error
 
     def _try_endpoint(self, endpoint: Endpoint, payload: bytes, verify):
-        self.counters.attempts += 1
         endpoint.attempts += 1
         endpoint.last_attempt_at = before = self.clock.now()
-        endpoint.attempt_metric.inc()
         with _trace.span(self.ATTEMPT_SPAN, endpoint=endpoint.name):
             result = wire_exchange(
                 endpoint.transport, payload, verify, self.user.group,
@@ -757,7 +707,6 @@ class ReplicatedClient:
         else:
             return
         self.counters.hedges += 1
-        _M_HEDGES.inc()
         _trace.add_event(
             "hedge_issued", primary=primary.name, backup=backup.name,
             latency=latency, threshold=threshold,

@@ -51,7 +51,8 @@ import hashlib
 import os
 import random
 import threading
-from dataclasses import dataclass, replace as dc_replace
+from collections import Counter
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, Optional
 
 from repro.core.freshness import (
@@ -119,11 +120,13 @@ _M_REPAIRS = _REG.counter(
 _M_JOURNAL_BYTES = _REG.gauge(
     "repro_ingest_journal_bytes", "Current size of the SP update journal.",
 )
-_M_PUSH = _REG.counter(
-    "repro_ingest_push_total",
-    "DO-side replication pushes by ack status.",
-    labelnames=("status",),
-)
+# A view over the live publishers' stats records (and the records of
+# collected publishers), read when scraped.
+_PUBLISHERS = _metrics.Census((
+    _metrics.COUNTER, "repro_ingest_push_total",
+    "DO-side replication pushes by ack status.", ("status",),
+    lambda stats: stats.pushes_by_status,
+))
 
 
 class SimulatedCrashError(Exception):
@@ -595,13 +598,27 @@ class ServerIngest:
 # DO side: replication publisher with per-endpoint catch-up replay
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PublisherStats:
-    pushes: int = 0
-    push_failures: int = 0
+    """One publisher's lifetime counts.
+
+    Each push exchange is counted once, by its ack status
+    (``applied`` / ``duplicate`` / ``gap``), ``error`` for a transport
+    failure, or ``probe`` for a watermark probe.  ``stalls`` counts gap
+    acks that made no progress.  ``pushes`` (every status) and
+    ``push_failures`` (errors plus stalls) are read-only sums.
+    """
+
+    pushes_by_status: Counter = field(default_factory=Counter)
+    stalls: int = 0
     rewinds: int = 0
     rotations: int = 0
     compactions: int = 0
+
+    pushes = property(lambda self: sum(self.pushes_by_status.values()))
+    push_failures = property(
+        lambda self: self.pushes_by_status["error"] + self.stalls
+    )
 
 
 class UpdatePublisher:
@@ -659,6 +676,7 @@ class UpdatePublisher:
         self.endpoints: Dict[str, object] = {}
         self.acked: Dict[str, int] = {}
         self.stats = PublisherStats()
+        _PUBLISHERS.enroll(self, self.stats)
         self.current_token: Optional[FreshnessToken] = None
         if self.state_path is not None and os.path.exists(self.state_path):
             self.seq, self.epoch = read_publisher_state(self.state_path)
@@ -782,29 +800,28 @@ class UpdatePublisher:
         budget = 2 * (self.seq - cursor) + 4
         while cursor < self.seq and budget > 0:
             budget -= 1
-            self.stats.pushes += 1
-            if cursor < self.log_base:
-                # The cursor points below the retained log (publisher
-                # restart reset acked to 0, or the log was compacted).
-                # Probe the SP's true watermark before concluding it
-                # actually needs compacted-away entries.
-                try:
-                    ack = self._exchange(transport, self._watermark_probe())
-                except (TransportError, DeserializationError) as exc:
-                    self.stats.push_failures += 1
-                    _M_PUSH.inc(status="error")
-                    _LOG.warning("push_failed", endpoint=name, error=str(exc))
-                    break
-                _M_PUSH.inc(status="probe")
-                if ack.applied_seq > self.seq:
-                    self.acked[name] = cursor
-                    raise ReproError(
-                        f"endpoint {name!r} acked watermark {ack.applied_seq} "
-                        f"beyond this publisher's seq {self.seq}: the "
-                        f"publisher's cursor state was lost (restarted without "
-                        f"its state_path?); refusing to publish colliding "
-                        f"sequence numbers"
-                    )
+            # A cursor below the retained log (publisher restart reset
+            # acked to 0, or the log was compacted) first probes the SP's
+            # true watermark before concluding it actually needs
+            # compacted-away entries.
+            probing = cursor < self.log_base
+            try:
+                ack = self._exchange(transport, self._watermark_probe() if probing
+                                     else self.log[cursor - self.log_base])
+            except (TransportError, DeserializationError) as exc:
+                self.stats.pushes_by_status["error"] += 1
+                _LOG.warning("push_failed", endpoint=name, error=str(exc))
+                break
+            self.stats.pushes_by_status["probe" if probing else ack.status] += 1
+            if ack.applied_seq > self.seq:
+                self.acked[name] = cursor
+                raise ReproError(
+                    f"endpoint {name!r} acked watermark {ack.applied_seq} beyond "
+                    f"this publisher's seq {self.seq}: the publisher's cursor "
+                    f"state was lost (restarted without its state_path?); "
+                    f"refusing to publish colliding sequence numbers"
+                )
+            if probing:
                 if ack.applied_seq < self.log_base:
                     self.acked[name] = ack.applied_seq
                     raise ReproError(
@@ -815,30 +832,13 @@ class UpdatePublisher:
                         f"(ServerIngest.bootstrap) and re-attach it"
                     )
                 cursor = ack.applied_seq
-                continue
-            try:
-                ack = self._exchange(transport, self.log[cursor - self.log_base])
-            except (TransportError, DeserializationError) as exc:
-                self.stats.push_failures += 1
-                _M_PUSH.inc(status="error")
-                _LOG.warning("push_failed", endpoint=name, error=str(exc))
-                break
-            _M_PUSH.inc(status=ack.status)
-            if ack.applied_seq > self.seq:
-                self.acked[name] = cursor
-                raise ReproError(
-                    f"endpoint {name!r} acked watermark {ack.applied_seq} beyond "
-                    f"this publisher's seq {self.seq}: the publisher's cursor "
-                    f"state was lost (restarted without its state_path?); "
-                    f"refusing to publish colliding sequence numbers"
-                )
-            if ack.status in ("applied", "duplicate"):
+            elif ack.status in ("applied", "duplicate"):
                 if ack.applied_seq <= cursor:
                     break  # no progress; don't spin
                 cursor = ack.applied_seq
             else:  # gap: rewind to the SP's watermark and replay forward
                 if ack.applied_seq >= cursor:
-                    self.stats.push_failures += 1
+                    self.stats.stalls += 1
                     break
                 self.stats.rewinds += 1
                 cursor = ack.applied_seq

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional
 
@@ -80,33 +81,29 @@ from repro.obs import logging as _obslog
 from repro.obs import metrics as _metrics
 from repro.obs import relay as _relay
 from repro.obs import trace as _trace
+from repro.obs.metrics import COUNTER, GAUGE
 
-_REG = _metrics.registry()
-_M_QUERIES = _REG.counter(
-    "repro_shard_queries_total", "Logical queries issued by ShardedClient.",
-    labelnames=("kind",),
-)
-_M_SCATTER = _REG.counter(
-    "repro_shard_scatter_total", "Per-shard sub-queries issued.",
-    labelnames=("shard",),
-)
-_M_SHARD_FAILURES = _REG.counter(
-    "repro_shard_failures_total",
-    "Sub-queries that exhausted a shard's replica budget.",
-    labelnames=("shard",),
-)
-_M_OUTCOMES = _REG.counter(
-    "repro_shard_outcomes_total", "Logical sharded-query outcomes.",
-    labelnames=("outcome",),
-)
-_M_MISSING = _REG.counter(
-    "repro_shard_missing_total",
-    "Shards absent from a degraded (partial) answer.",
-    labelnames=("shard",),
-)
-_M_DEGRADED = _REG.gauge(
-    "repro_shard_degraded_shards",
-    "Shards missing from the most recent merged answer (0 = complete).",
+# Every repro_shard_* family is a view over the live sharded clients'
+# stats records (and the records of collected clients), read when scraped.
+_SHARDED_CLIENTS = _metrics.Census(
+    (COUNTER, "repro_shard_queries_total",
+     "Logical queries issued by ShardedClient.", ("kind",),
+     lambda stats: stats.requests_by_kind),
+    (COUNTER, "repro_shard_scatter_total", "Per-shard sub-queries issued.",
+     ("shard",), lambda stats: stats.scatter_by_shard),
+    (COUNTER, "repro_shard_failures_total",
+     "Sub-queries that exhausted a shard's replica budget.", ("shard",),
+     lambda stats: stats.failures_by_shard),
+    (COUNTER, "repro_shard_outcomes_total", "Logical sharded-query outcomes.",
+     ("outcome",), lambda stats: {
+         "verified": stats.verified, "partial": stats.partials,
+         "failed": stats.failures}),
+    (COUNTER, "repro_shard_missing_total",
+     "Shards absent from a degraded (partial) answer.", ("shard",),
+     lambda stats: stats.missing_by_shard),
+    (GAUGE, "repro_shard_degraded_shards",
+     "Shards missing from the most recent merged answer (0 = complete).",
+     (), lambda stats: {(): stats.degraded}),
 )
 _LOG = _obslog.get_logger("sharding")
 
@@ -315,20 +312,39 @@ class _ShardUser:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ShardedStats:
-    """Coordinator-level counters (per-shard detail lives per cluster)."""
+    """Coordinator-level counts (per-replica detail lives per cluster).
 
-    requests: int = 0
+    Per-label counts are kept once: logical queries per kind, and
+    sub-queries issued, sub-queries that exhausted a shard's budget, and
+    partial answers missing a shard, each per shard id.
+    ``requests``, ``scatter_attempts`` and ``shard_failures`` are their
+    read-only sums.  ``degraded`` is the number of shards missing from
+    this client's most recent merged answer.
+    """
+
+    requests_by_kind: Counter = field(default_factory=Counter)
     verified: int = 0
     partials: int = 0
     failures: int = 0
-    scatter_attempts: int = 0
-    shard_failures: int = 0
     scatter_retries: int = 0
+    degraded: int = 0
+    scatter_by_shard: Counter = field(default_factory=Counter)
+    failures_by_shard: Counter = field(default_factory=Counter)
+    missing_by_shard: Counter = field(default_factory=Counter)
+
+    requests = property(lambda self: sum(self.requests_by_kind.values()))
+    scatter_attempts = property(lambda self: sum(self.scatter_by_shard.values()))
+    shard_failures = property(lambda self: sum(self.failures_by_shard.values()))
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return {
+            name: getattr(self, name) for name in (
+                "requests", "verified", "partials", "failures",
+                "scatter_attempts", "shard_failures", "scatter_retries",
+            )
+        }
 
 
 class ShardedClient:
@@ -394,6 +410,7 @@ class ShardedClient:
                 **options,
             )
         self.counters = ShardedStats()
+        _SHARDED_CLIENTS.enroll(self, self.counters)
         self._last_trace_id: Optional[str] = None
 
     # -- public queries ------------------------------------------------------
@@ -406,27 +423,10 @@ class ShardedClient:
             raise WorkloadError(
                 f"query range {lo}..{hi} does not intersect the sharded domain"
             )
-        self.counters.requests += 1
-        _M_QUERIES.inc(kind="range")
-        expected = self.roster.shards_for(query)
-        wall_t0 = time.perf_counter()
-        with _trace.span(
-            "shard.query", kind="range", table=table, shards=len(expected)
-        ) as query_span:
-            trace_id = getattr(query_span, "trace_id", None)
-            self._last_trace_id = trace_id
-            try:
-                answers, errors = self._scatter(
-                    expected, query,
-                    lambda client, sub: client.query_range(
-                        table, sub.lo, sub.hi, encrypt
-                    ),
-                )
-                return self._merge(query, answers, errors, key=None)
-            finally:
-                _ledger.ledger().set_wall(
-                    trace_id, time.perf_counter() - wall_t0
-                )
+        return self._query(
+            "range", table, self.roster.shards_for(query), query, None,
+            lambda client, sub: client.query_range(table, sub.lo, sub.hi, encrypt),
+        )
 
     def query_equality(self, table: str, key, encrypt: bool = True):
         self._check_table(table)
@@ -435,28 +435,10 @@ class ShardedClient:
             raise WorkloadError(
                 f"key {key} outside the sharded domain {self.roster.domain_box}"
             )
-        self.counters.requests += 1
-        _M_QUERIES.inc(kind="equality")
-        owner = self.roster.shard_for_key(key)
-        query = Box(key, key)
-        wall_t0 = time.perf_counter()
-        with _trace.span(
-            "shard.query", kind="equality", table=table, shards=1
-        ) as query_span:
-            trace_id = getattr(query_span, "trace_id", None)
-            self._last_trace_id = trace_id
-            try:
-                answers, errors = self._scatter(
-                    (owner,), query,
-                    lambda client, sub: client.query_equality(
-                        table, key, encrypt
-                    ),
-                )
-                return self._merge(query, answers, errors, key=key)
-            finally:
-                _ledger.ledger().set_wall(
-                    trace_id, time.perf_counter() - wall_t0
-                )
+        return self._query(
+            "equality", table, (self.roster.shard_for_key(key),), Box(key, key),
+            key, lambda client, sub: client.query_equality(table, key, encrypt),
+        )
 
     def query_join(self, left: str, right: str, lo, hi, encrypt: bool = True):
         raise WorkloadError(
@@ -466,6 +448,23 @@ class ShardedClient:
         )
 
     # -- scatter / merge -----------------------------------------------------
+    def _query(self, kind: str, table: str,
+               expected: tuple[ShardDescriptor, ...], query: Box,
+               key: Optional[Point],
+               issue: Callable[[ReplicatedClient, Box], ShardAnswer]):
+        """One logical query: scatter, merge, under one root span."""
+        self.counters.requests_by_kind[kind] += 1
+        wall_t0 = time.perf_counter()
+        with _trace.span(
+            "shard.query", kind=kind, table=table, shards=len(expected)
+        ) as query_span:
+            trace_id = self._last_trace_id = getattr(query_span, "trace_id", None)
+            try:
+                answers, errors = self._scatter(expected, query, issue)
+                return self._merge(query, answers, errors, key=key)
+            finally:
+                _ledger.ledger().set_wall(trace_id, time.perf_counter() - wall_t0)
+
     def _check_table(self, table: str) -> None:
         if table != self.roster.table:
             raise WorkloadError(
@@ -496,8 +495,7 @@ class ShardedClient:
             still_failing = []
             for descriptor in pending:
                 sub = descriptor.box.intersection(query)
-                self.counters.scatter_attempts += 1
-                _M_SCATTER.inc(shard=descriptor.shard_id)
+                self.counters.scatter_by_shard[descriptor.shard_id] += 1
                 try:
                     answers[descriptor.shard_id] = issue(
                         self.shards[descriptor.shard_id], sub
@@ -507,8 +505,7 @@ class ShardedClient:
                     raise
                 except ReproError as exc:
                     errors[descriptor.shard_id] = exc
-                    self.counters.shard_failures += 1
-                    _M_SHARD_FAILURES.inc(shard=descriptor.shard_id)
+                    self.counters.failures_by_shard[descriptor.shard_id] += 1
                     _LOG.warning(
                         "shard_scatter_failed", shard=descriptor.shard_id,
                         error=type(exc).__name__, sweep=sweep,
@@ -530,21 +527,18 @@ class ShardedClient:
                 self.roster, query, list(answers.values()), self.user.authenticator,
                 allow_partial=self.allow_partial, key=key,
             )
-        except CompletenessError as exc:
+        except VerificationError as exc:
             self.counters.failures += 1
-            _M_OUTCOMES.inc(outcome="failed")
-            _LOG.error(
-                "shard_merge_incomplete",
-                missing=sorted(set(errors) - set(answers)),
-            )
-            if errors:
-                # Name the partitions (the verifier's message) but chain
-                # the transport-level cause so operators see both.
-                raise exc from next(iter(errors.values()))
-            raise
-        except VerificationError:
-            self.counters.failures += 1
-            _M_OUTCOMES.inc(outcome="failed")
+            if isinstance(exc, CompletenessError):
+                _LOG.error(
+                    "shard_merge_incomplete",
+                    missing=sorted(set(errors) - set(answers)),
+                )
+                if errors:
+                    # Name the partitions (the verifier's message) but
+                    # chain the transport-level cause so operators see
+                    # both.
+                    raise exc from next(iter(errors.values()))
             raise
         finally:
             _ledger.ledger().record(
@@ -552,10 +546,8 @@ class ShardedClient:
             )
         if isinstance(result, PartialResult):
             self.counters.partials += 1
-            _M_OUTCOMES.inc(outcome="partial")
-            for shard_id in result.missing_shards:
-                _M_MISSING.inc(shard=shard_id)
-            _M_DEGRADED.set(len(result.missing_shards))
+            self.counters.missing_by_shard.update(result.missing_shards)
+            self.counters.degraded = len(result.missing_shards)
             _LOG.warning(
                 "shard_partial_result",
                 missing=list(result.missing_shards),
@@ -563,8 +555,7 @@ class ShardedClient:
             )
         else:
             self.counters.verified += 1
-            _M_OUTCOMES.inc(outcome="verified")
-            _M_DEGRADED.set(0)
+            self.counters.degraded = 0
         return result
 
     # -- observability -------------------------------------------------------

@@ -12,6 +12,11 @@ updates them on the hot path.  Updates are:
   existing instrument (kind and label names must match), so module-level
   instruments survive a test-time :meth:`MetricsRegistry.reset`.
 
+A family can also be a **view** (:meth:`MetricsRegistry.view`): its
+samples come from a function called when the family is read, so a count
+kept on per-instance records (:class:`Census`) is stored once and the
+registry only reads it.
+
 The registry renders as Prometheus text exposition
 (:func:`render_prometheus`) — the same bytes a live SP serves for its
 ``stats`` request (see :mod:`repro.net.server`) — and supports cheap
@@ -23,9 +28,12 @@ from __future__ import annotations
 
 import re
 import threading
+import weakref
 from bisect import bisect_left
+from collections import deque
+from functools import partial
 from itertools import accumulate
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.obs import gate
@@ -207,11 +215,14 @@ class Metric:
             hist.observe(value)
 
     # -- read side -----------------------------------------------------------
+    def _items(self) -> dict[tuple, object]:
+        """A copy of every sample, keyed by label-value tuple."""
+        with self._lock:
+            return dict(self._samples)
+
     def value(self, **labels) -> float:
         """Current value of a counter/gauge sample (0 when unseen)."""
-        key = self._key(labels)
-        with self._lock:
-            sample = self._samples.get(key, 0)
+        sample = self._items().get(self._key(labels), 0)
         if isinstance(sample, _Histogram):
             raise ReproError(f"use histogram_state() for {self.name}")
         return sample
@@ -246,10 +257,8 @@ class Metric:
 
     def samples(self) -> dict[tuple, object]:
         """Flat scalar samples (histograms expand to _count/_sum/_bucket)."""
-        with self._lock:
-            items = list(self._samples.items())
         out: dict[tuple, object] = {}
-        for key, sample in items:
+        for key, sample in self._items().items():
             if isinstance(sample, _Histogram):
                 # observe() fills buckets cumulatively (value <= bound).
                 for bound, cumulative in zip(sample.buckets, sample.bucket_counts):
@@ -292,6 +301,100 @@ class BoundMetric:
             self._metric._observe(self._key, value)
 
 
+class MetricView(Metric):
+    """A counter or gauge family whose samples ``read()`` computes.
+
+    The store is elsewhere (per-instance records, see :class:`Census`);
+    the view only reads it, so it has no mutators.  It reads empty while
+    the gate is off.  :meth:`MetricsRegistry.reset` zeroes a counter view
+    by taking its current samples as a baseline; a gauge view is the live
+    state and has nothing to zero.
+    """
+
+    def __init__(self, name: str, kind: str, help: str,
+                 labelnames: Sequence[str],
+                 read: Callable[[], Mapping[tuple, float]]):
+        if kind not in (COUNTER, GAUGE):
+            raise ReproError(f"a view is a counter or a gauge, not a {kind}")
+        super().__init__(name, kind, help, labelnames)
+        self._read = read
+        self._baseline: Mapping[tuple, float] = {}
+
+    def _refuse(self, *_args) -> None:
+        raise ReproError(f"{self.name} is a view: count on its records")
+
+    _inc = _set = _observe = _refuse
+
+    def _items(self) -> dict[tuple, object]:
+        if not gate.enabled():
+            return {}
+        samples = self._read()
+        if self.kind == GAUGE:
+            return dict(samples)
+        base = self._baseline
+        return {key: value - base.get(key, 0) for key, value in samples.items()
+                if value > base.get(key, 0)}
+
+    def _reset(self) -> None:
+        if self.kind == COUNTER:
+            self._baseline = dict(self._read())
+
+
+class Census:
+    """Counts kept on per-instance records, summed when a view is read.
+
+    Each family — a ``(kind, name, help, labelnames, tally)`` row given
+    to the constructor — is a :class:`MetricView` whose samples are
+    ``tally(record)`` summed over the enrolled records; a tally may key a
+    one-label sample by its bare label value.  :meth:`enroll` makes a
+    stats ``record`` live for as long as its ``owner`` lives; the record
+    must not refer back to the owner.  When the owner is collected,
+    :func:`weakref.finalize` queues its record, and the next read or
+    enrollment folds the record's counts into retired totals, so a
+    counter view never falls; a gauge view sums the live records only.
+    The finalizer only queues: it can run inside a collection on a
+    thread that already holds the census lock.
+    """
+
+    def __init__(self, *families: tuple):
+        self._lock = threading.Lock()
+        self._live: dict[int, object] = {}
+        self._dead: deque = deque()
+        self._retired: dict[str, dict[tuple, float]] = {}
+        self._tallies: dict[str, Callable] = {}
+        for kind, name, help, labelnames, tally in families:
+            self._tallies[name] = tally
+            registry().view(name, kind, help, labelnames,
+                            partial(self._sum, name, kind == COUNTER))
+
+    def enroll(self, owner: object, record: object) -> None:
+        with self._lock:
+            self._fold_dead()
+            self._live[id(record)] = record
+        weakref.finalize(owner, self._dead.append, id(record)).atexit = False
+
+    def _fold_dead(self) -> None:
+        while self._dead:
+            record = self._live.pop(self._dead.popleft())
+            for name, tally in self._tallies.items():
+                _add_into(self._retired.setdefault(name, {}), tally(record))
+
+    def _sum(self, name: str, retired: bool) -> dict[tuple, float]:
+        with self._lock:
+            self._fold_dead()
+            records = list(self._live.values())
+            out = dict(self._retired.get(name, {})) if retired else {}
+        for record in records:
+            _add_into(out, self._tallies[name](record))
+        return out
+
+
+def _add_into(total: dict, samples: Mapping) -> None:
+    for key, value in samples.items():
+        key = key if isinstance(key, tuple) else (key,)
+        total[key] = total.get(key, 0) + value
+
+
 class MetricsRegistry:
     """Name → :class:`Metric` map with idempotent registration."""
 
@@ -299,32 +402,33 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
 
-    def _register(self, name: str, kind: str, help: str,
-                  labelnames: Sequence[str], buckets: Sequence[float]) -> Metric:
+    def _register(self, metric: Metric) -> Metric:
         with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if existing.kind != kind or existing.labelnames != tuple(labelnames):
-                    raise ReproError(
-                        f"metric {name} already registered as {existing.kind}"
-                        f"{existing.labelnames}"
-                    )
-                return existing
-            metric = Metric(name, kind, help, labelnames, buckets)
-            self._metrics[name] = metric
-            return metric
+            existing = self._metrics.setdefault(metric.name, metric)
+        if existing.kind != metric.kind or existing.labelnames != metric.labelnames:
+            raise ReproError(
+                f"metric {metric.name} already registered as {existing.kind}"
+                f"{existing.labelnames}"
+            )
+        return existing
 
     def counter(self, name: str, help: str = "",
                 labelnames: Sequence[str] = ()) -> Metric:
-        return self._register(name, COUNTER, help, labelnames, ())
+        return self._register(Metric(name, COUNTER, help, labelnames))
 
     def gauge(self, name: str, help: str = "",
               labelnames: Sequence[str] = ()) -> Metric:
-        return self._register(name, GAUGE, help, labelnames, ())
+        return self._register(Metric(name, GAUGE, help, labelnames))
 
     def histogram(self, name: str, help: str = "", labelnames: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Metric:
-        return self._register(name, HISTOGRAM, help, labelnames, buckets)
+        return self._register(Metric(name, HISTOGRAM, help, labelnames, buckets))
+
+    def view(self, name: str, kind: str, help: str, labelnames: Sequence[str],
+             read: Callable[[], Mapping[tuple, float]]) -> Metric:
+        """Register a counter or gauge family computed by ``read()`` at
+        read time (a :class:`MetricView`)."""
+        return self._register(MetricView(name, kind, help, labelnames, read))
 
     def metrics(self) -> list[Metric]:
         with self._lock:
@@ -358,7 +462,7 @@ class MetricsRegistry:
         """
         out: dict[str, dict[tuple, float]] = {}
         for metric in self.metrics():
-            if metric.kind != COUNTER:
+            if metric.kind != COUNTER or isinstance(metric, MetricView):
                 continue
             with metric._lock:
                 if metric._samples:
@@ -368,13 +472,15 @@ class MetricsRegistry:
     def merge_counters(self, delta: Mapping[str, Mapping[tuple, float]]) -> None:
         """Add a worker's counter increments into this registry.
 
-        Unknown metric names are skipped (the worker registered an
-        instrument this process never imported); negative increments are
-        rejected — counters only go up, on both sides of the pipe.
+        Unknown metric names and views are skipped (the worker registered
+        an instrument this process never imported, or the count lives on
+        records); negative increments are rejected — counters only go up,
+        on both sides of the pipe.
         """
         for name, samples in delta.items():
             metric = self.get(name)
-            if metric is None or metric.kind != COUNTER:
+            if (metric is None or metric.kind != COUNTER
+                    or isinstance(metric, MetricView)):
                 continue
             for key, amount in samples.items():
                 if amount < 0:
@@ -412,8 +518,7 @@ def render_prometheus(reg: Optional[MetricsRegistry] = None) -> str:
     reg = reg if reg is not None else registry()
     lines: list[str] = []
     for metric in reg.metrics():
-        with metric._lock:
-            items = sorted(metric._samples.items())
+        items = sorted(metric._items().items())
         if not items:
             continue
         if metric.help:
@@ -510,9 +615,7 @@ def quantile_summaries(
     for metric in reg.metrics():
         if metric.kind != HISTOGRAM or not metric.name.startswith(prefix):
             continue
-        with metric._lock:
-            items = sorted(metric._samples.items())
-        for key, hist in items:
+        for key, hist in sorted(metric._items().items()):
             suffix = "|".join(key)
             series = f"{metric.name}|{suffix}" if suffix else metric.name
             summary = {f"p{int(q * 100)}": hist.quantile(q) for q in qs}
@@ -538,7 +641,9 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "SUMMARY_QUANTILES",
     "BoundMetric",
+    "Census",
     "Metric",
+    "MetricView",
     "MetricsRegistry",
     "MetricsWindow",
     "bucket_counts_monotonic",

@@ -34,7 +34,8 @@ from repro.net import (
     RetryPolicy,
     Transport,
 )
-from repro.net.client import count_wire_error
+from repro.net.client import ERROR_CLASSES, count_wire_error
+from repro.net.cluster import Endpoint
 from repro.net.transport import frame, unframe
 
 from .conftest import NON_UTF8_TABLE_VO, UNPARSABLE_POLICY_VO, ResealTransport, run_query
@@ -289,12 +290,18 @@ def test_breaker_validation():
     (AccessDeniedError("policy"), None, None),
 ])
 def test_count_wire_error_classifies_each_error_class(exc, field, label):
-    counters = ClientStats()
-    assert count_wire_error(exc, counters) == label
-    expected = ClientStats()
-    if field is not None:
-        setattr(expected, field, 1)
-    assert counters == expected
+    """One failed attempt is one count in its endpoint's ``errors``, under
+    the class label of ``repro_cluster_attempt_errors_total``; the
+    client's per-class total is read from it."""
+    endpoint = Endpoint("sp", None, CircuitBreaker(), FakeClock())
+    counters = ClientStats(endpoints=(endpoint,))
+    count_wire_error(exc, endpoint.errors)
+    assert endpoint.errors == {
+        name: int(name == label) for name in ERROR_CLASSES
+    }
+    assert {name: getattr(counters, name) for name in ERROR_CLASSES.values()} == {
+        name: int(name == field) for name in ERROR_CLASSES.values()
+    }
 
 
 # -- malformed content inside a valid seal -----------------------------------

@@ -310,6 +310,22 @@ def test_quarantine_gauge_counts_every_clients_endpoints(env, obs_on):
     assert gauge.value() == 1
 
 
+def test_quarantine_gauge_falls_when_the_window_ends_without_a_query(env, obs_on):
+    """The gauge is read from the endpoints' quarantine clocks, so an
+    expired window reads 0 at once, with no further query to recount."""
+    gc.collect()  # earlier tests' clients no longer count
+    gauge = metrics.registry().get("repro_cluster_quarantined")
+    clock = FakeClock()
+    client = make_cluster(
+        env, {"a-bad": tamperer(env, clock), "b-good": good(env, clock)}, clock,
+    )
+    assert run_query(client, "range") == env.truth["range"]
+    assert gauge.value() == 1
+    clock.advance(client.quarantine_window + 1.0)
+    assert not client.endpoints["a-bad"].quarantined
+    assert gauge.value() == 0
+
+
 class TogglableTransport(Transport):
     """A healthy replica whose link the test can cut."""
 

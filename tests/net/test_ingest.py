@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.freshness import sign_ingest_payload
 from repro.core.messages import (
     INGEST_ACK_MAGIC,
@@ -28,6 +29,7 @@ from repro.crypto import simulated
 from repro.errors import (
     DeserializationError,
     StaleEpochError,
+    TransportError,
     VerificationError,
 )
 from repro.index.boxes import Domain
@@ -43,6 +45,7 @@ from repro.net import (
     is_tamper_error,
     unframe,
 )
+from repro.obs.metrics import registry
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
@@ -253,6 +256,51 @@ def test_gap_ack_rewinds_publisher_cursor_for_catchup(tmp_path):
     assert pub.stats.rewinds >= 1
     _, records = served_records(env)
     assert ((2,), b"x") in records and ((8,), b"y") in records
+
+
+class StallingSP:
+    """A fake SP that acks every push ``gap`` at watermark 0: no progress."""
+
+    def round_trip(self, request_frame: bytes) -> bytes:
+        request_id, _ = unframe(request_frame)
+        ack = IngestAck(table="docs", status="gap", applied_seq=0, epoch=1)
+        return frame(request_id, ack.to_bytes())
+
+
+class UnreachableSP:
+    def round_trip(self, request_frame: bytes) -> bytes:
+        raise TransportError("link down")
+
+
+def test_push_accounting_counts_each_exchange_once_by_status(tmp_path):
+    """Every push exchange has one status in ``repro_ingest_push_total``;
+    the statuses sum to ``pushes``, and ``push_failures`` is the errors
+    plus the gap acks that made no progress (stalls)."""
+    previous = obs.set_enabled(True)
+    try:
+        obs.reset_for_tests()
+        env = build_env(tmp_path)
+        pub = env["publisher"]
+        pub.attach("stuck", StallingSP())
+        pub.attach("down", UnreachableSP())
+        pub.upsert(Record((5,), b"v1", parse_policy(POLICY)))
+        pub.rotate()
+        family = registry().get("repro_ingest_push_total")
+        statuses = {
+            status: family.value(status=status)
+            for status in ("applied", "duplicate", "gap", "error", "probe")
+        }
+        # Each staged entry is one applied push to sp0, one stalled gap
+        # from the stuck SP and one error from the unreachable one.
+        stalls = 2
+        assert statuses == {
+            "applied": 2, "duplicate": 0, "gap": stalls, "error": 2, "probe": 0,
+        }
+        assert sum(statuses.values()) == pub.stats.pushes == 6
+        assert pub.stats.push_failures == statuses["error"] + stalls
+        assert pub.lag("sp0") == 0 and pub.lag("stuck") == pub.lag("down") == 2
+    finally:
+        obs.set_enabled(previous)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ shard contribution is a verification-class error at the merge, and that
 degraded mode surrenders coverage explicitly — never silently.
 """
 
+import gc
 import random
 
 import pytest
+
+from repro import obs
 
 from repro.core.freshness import issue_shard_token
 from repro.core.messages import SPServer
@@ -35,6 +38,7 @@ from repro.net import (
     outsource_sharded,
     partition_dataset,
 )
+from repro.obs import metrics
 from repro.policy.boolexpr import parse_policy
 from repro.policy.roles import RoleUniverse
 
@@ -315,6 +319,25 @@ def test_dead_shard_partial_result_names_missing_partitions(world):
     records = client.query_range("docs", (0,), (15,))
     assert not isinstance(records, PartialResult)
     assert [r.value for r in records] == [b"forecast"]
+
+
+def test_degraded_gauge_sums_every_clients_last_answer(world):
+    """``repro_shard_degraded_shards`` is one process-wide value: a
+    complete answer from one client does not hide another client's
+    partial one, whichever of them answered last."""
+    previous = obs.set_enabled(True)
+    try:
+        gc.collect()  # earlier tests' clients no longer count
+        gauge = metrics.registry().get("repro_shard_degraded_shards")
+        _, partial = dead_shard_client(world, allow_partial=True)
+        _, complete = sharded(world, RangeShardMap(3))
+        for order in ((partial, complete), (complete, partial)):
+            for client in order:
+                client.query_range("docs", (0,), (47,))
+            assert gauge.value() == 1
+            assert (partial.counters.degraded, complete.counters.degraded) == (1, 0)
+    finally:
+        obs.set_enabled(previous)
 
 
 def test_equality_on_dead_shard_has_no_partial_cover(world):

@@ -1,16 +1,23 @@
 """Registry semantics, exposition format, and the parse-side lint."""
 
+import sys
+import threading
+
 import pytest
 
+from repro import obs
 from repro.errors import ReproError
 from repro.obs.metrics import (
+    COUNTER,
     DEFAULT_BUCKETS,
     SUMMARY_QUANTILES,
+    Census,
     MetricsRegistry,
     bucket_counts_monotonic,
     escape_label_value,
     parse_exposition,
     quantile_summaries,
+    registry,
     render_prometheus,
 )
 
@@ -141,6 +148,91 @@ def test_window_delta_reports_only_changed_keys(reg):
     c.inc(2, kind="after")
     delta = window.delta()
     assert delta == {"t_w_total|after": 2}
+
+
+def test_view_reads_its_function_and_resets_to_a_baseline(reg):
+    counts = {("a",): 3}
+    level = {(): 2}
+    c = reg.view("t_v_total", "counter", "counted elsewhere", ("kind",),
+                 lambda: dict(counts))
+    g = reg.view("t_v_level", "gauge", "", (), lambda: dict(level))
+    assert c.value(kind="a") == 3 and g.value() == 2
+    window = reg.window()
+    counts[("a",)] = 5
+    counts[("b",)] = 1
+    assert window.delta() == {"t_v_total|a": 2, "t_v_total|b": 1}
+    assert "t_v_total{kind=\"b\"} 1" in render_prometheus(reg)
+    # A reset zeroes a counter view by a baseline; a gauge is live state.
+    reg.reset()
+    assert c.samples() == {} and g.value() == 2
+    counts[("a",)] = 6
+    assert c.samples() == {("a",): 1}
+    with pytest.raises(ReproError, match="is a view"):
+        c.inc(kind="a")
+    with pytest.raises(ReproError, match="counter or a gauge"):
+        reg.view("t_v_seconds", "histogram", "", (), dict)
+
+
+def test_view_reads_empty_with_the_gate_off(reg):
+    c = reg.view("t_v_off_total", "counter", "", (), lambda: {(): 4})
+    previous = obs.set_enabled(False)
+    try:
+        assert c.samples() == {} and c.value() == 0
+        assert render_prometheus(reg) == ""
+    finally:
+        obs.set_enabled(previous)
+    assert c.value() == 4
+
+
+def test_census_counter_never_falls_while_owners_die_under_readers():
+    """Owners enroll, count and die on four threads while two threads
+    read the view: no read sees the counter fall, and the total is
+    every record's count, live or retired."""
+
+    class Owner:
+        pass
+
+    class Record:
+        def __init__(self):
+            self.n = 0
+
+    census = Census((COUNTER, "t_census_stress_total", "", (), lambda r: {(): r.n}))
+    view = registry().get("t_census_stress_total")
+    owners, per_owner = 300, 5
+    stop, fell = threading.Event(), []
+
+    def churn():
+        for _ in range(owners):
+            owner, record = Owner(), Record()
+            census.enroll(owner, record)
+            record.n += per_owner
+            del owner
+
+    def read():
+        last = 0
+        while not stop.is_set():
+            value = view.value()
+            if value < last:
+                fell.append((last, value))
+            last = value
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        writers = [threading.Thread(target=churn) for _ in range(4)]
+        for thread in readers + writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in readers + writers)
+    assert fell == []
+    assert view.value() == 4 * owners * per_owner
 
 
 def test_snapshot_key_format(reg):
